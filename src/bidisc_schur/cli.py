@@ -46,25 +46,6 @@ from .toeplitz import certify_inner, isometry_defect, phi_blocks_from_colligatio
 DEFAULT_TOL_ENV = "BIDISC_SCHUR_TOL"
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        return serialize.complex_to_json(complex(obj))
-    if isinstance(obj, np.ndarray):
-        return _py(obj.tolist())
-    return obj
-
-
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -245,7 +226,7 @@ def _cmd_agler_kernels(args, tol, seed):
         path = getattr(args, attr, None)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize.dumps(_py(evidence[key])) + "\n")
+                fh.write(serialize.dumps(evidence[key]) + "\n")
     return "computed", evidence, 0
 
 
@@ -290,10 +271,9 @@ def _cmd_dbr_nf_check(args, tol, seed):
 def _cmd_dbr_reconstruct(args, tol, seed):
     k = _kernel_arg(args.input)
     theta = kernels_mod.dbr_reconstruct_disc(k, tol)
-    residual = float(np.max(np.abs(theta.kernel_values(k.grid) - k.values)))
     evidence = {
         "theta": serialize.theta_to_json(theta),
-        "max_residual": residual,
+        "max_residual": theta.max_residual,
         "coisometry_defect": theta.coisometry_defect(),
     }
     return "reconstructed", evidence, 0
@@ -500,9 +480,9 @@ def main(argv=None) -> int:
         code = 2
     else:
         report["verdict"] = verdict
-        report["evidence"] = _py(evidence)
+        report["evidence"] = evidence
 
-    text = serialize.dumps(_py(report))
+    text = serialize.dumps(report)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

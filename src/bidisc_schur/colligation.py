@@ -120,25 +120,31 @@ class Colligation:
     def classify(self, tol: float = DEFAULT_TOL) -> numlin.OperatorClass:
         return numlin.classify(self.V, tol)
 
-    def diag_scaling(self, z) -> np.ndarray:
-        """E(z) = z1 I  (+) z2 I on the partitioned state space."""
-        reps = np.repeat(np.asarray(z, dtype=np.complex128), self.partition)
-        return np.diag(reps)
-
     def __repr__(self) -> str:
         return f"Colligation(partition={list(self.partition)})"
 
 
-def _solve_resolvent(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _resolvent_solve(d: np.ndarray, reps: np.ndarray, rhs: np.ndarray,
+                     transpose: bool = False) -> np.ndarray:
+    """Solve (I - E D) x = rhs, or (I - E D)^T x = rhs, for every diagonal
+    E = diag(reps[p]) at once.
+
+    reps is n x h (row p holds the diagonal of E at point p, for example
+    E(z) = z1 I (+) z2 I along a state partition) and rhs is h x k or
+    n x h x k; the result is n x h x k.  A singular system, a non-finite
+    solution or a residual above 1e-6 (1 + ||x||) raises
+    ResolventIllConditionedError: the point is too close to a pole."""
+    mats = np.eye(d.shape[0]) - reps[:, :, None] * d
+    if transpose:
+        mats = mats.transpose(0, 2, 1)
+    rhs = np.broadcast_to(rhs, (len(reps),) + rhs.shape[-2:])
     try:
-        x = np.linalg.solve(m, rhs)
+        x = np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError as exc:
         raise ResolventIllConditionedError(str(exc)) from exc
-    resid = np.linalg.norm(m @ x - rhs)
-    if not np.all(np.isfinite(x)) or resid > 1e-6 * (1.0 + np.linalg.norm(x)):
-        raise ResolventIllConditionedError(
-            f"resolvent solve residual {resid:.3e}; point too close to a pole"
-        )
+    resid = np.linalg.norm(mats @ x - rhs, axis=(1, 2))
+    if not np.all(np.isfinite(x)) or np.any(resid > 1e-6 * (1.0 + np.linalg.norm(x, axis=(1, 2)))):
+        raise ResolventIllConditionedError("resolvent ill conditioned at a grid point")
     return x
 
 
@@ -147,52 +153,34 @@ def _is_constant(v: Colligation) -> bool:
     return v.h == 0 or not v.B.any() or not v.C.any()
 
 
+def transfer_grid(v: Colligation, points) -> np.ndarray:
+    """a + B (I - E(z) D)^{-1} E(z) C at every point z, one batched solve.
+
+    E(z) = z1 I (+) z2 I along the state partition (z I for one variable).
+    points holds one point per row; a flat array is read as a list of
+    one-variable points, or as a single two-variable point."""
+    pts = np.asarray(points, dtype=np.complex128)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, v.nvars)
+    if _is_constant(v):
+        return np.full(pts.shape[0], v.a, dtype=np.complex128)
+    reps = np.repeat(pts, v.partition, axis=1)
+    x = _resolvent_solve(v.D, reps, reps[:, :, None] * v.C)
+    return v.a + (v.B @ x)[:, 0, 0]
+
+
 def transfer_1d(v: Colligation, z: complex) -> complex:
     """a + z B (I - z D)^{-1} C for a one-variable colligation."""
     if v.nvars != 1:
         raise ValueError("transfer_1d needs a one-variable colligation")
-    if _is_constant(v):
-        return v.a
-    x = _solve_resolvent(np.eye(v.h) - z * v.D, v.C)
-    return v.a + z * complex((v.B @ x)[0, 0])
+    return complex(transfer_grid(v, [[z]])[0])
 
 
 def transfer_2d(v: Colligation, z) -> complex:
     """a + B (I - E(z) D)^{-1} E(z) C for a two-variable colligation."""
     if v.nvars != 2:
         raise ValueError("transfer_2d needs a two-variable colligation")
-    if _is_constant(v):
-        return v.a
-    e = v.diag_scaling(z)
-    x = _solve_resolvent(np.eye(v.h) - e @ v.D, e @ v.C)
-    return v.a + complex((v.B @ x)[0, 0])
-
-
-def transfer_grid(v: Colligation, points) -> np.ndarray:
-    """Transfer values at many points, one direct linear solve per point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    if _is_constant(v):
-        return np.full(pts.shape[0], v.a, dtype=np.complex128)
-    if v.nvars == 1:
-        z = pts.reshape(-1)
-        e = z[:, None, None] * np.eye(v.h)
-        rhs = np.broadcast_to(v.C, (len(z), v.h, 1))
-    else:
-        reps = np.repeat(pts, v.partition, axis=1)
-        e = reps[:, :, None] * np.eye(v.h)
-        rhs = e @ v.C
-    mats = np.eye(v.h) - e @ v.D
-    try:
-        x = np.linalg.solve(mats, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventIllConditionedError(str(exc)) from exc
-    resid = np.linalg.norm(mats @ x - rhs, axis=(1, 2))
-    if not np.all(np.isfinite(x)) or np.any(resid > 1e-6 * (1.0 + np.linalg.norm(x, axis=(1, 2)))):
-        raise ResolventIllConditionedError("resolvent ill conditioned at a grid point")
-    bx = (v.B @ x)[:, 0, 0]
-    if v.nvars == 1:
-        return v.a + pts.reshape(-1) * bx
-    return v.a + bx
+    return complex(transfer_grid(v, [z])[0])
 
 
 def as_transfer_callable(v: Colligation):

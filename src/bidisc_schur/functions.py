@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
-from scipy.signal import convolve2d
 
 from .errors import NearPoleError, ZeroPolynomialError
 
@@ -26,6 +25,20 @@ INTERIOR_RADIUS = 0.95
 
 _ZERO_FREE_ANGLES = 50
 _ZERO_FREE_RADII = 10
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient table of the product of two bivariate polynomials (the
+    full 2-d convolution): a sum of shifted copies of the larger table, one
+    per nonzero entry of the smaller."""
+    if a.size > b.size:
+        a, b = b, a
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+                   dtype=np.result_type(a, b))
+    for (i, j), aij in np.ndenumerate(a):
+        if aij != 0:
+            out[i:i + b.shape[0], j:j + b.shape[1]] += aij * b
+    return out
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -63,7 +76,7 @@ class Poly2:
         return self.eval(z1, z2)
 
     def mul(self, other: "Poly2") -> "Poly2":
-        return Poly2(convolve2d(self.coeffs, other.coeffs))
+        return Poly2(_convolve(self.coeffs, other.coeffs))
 
     def scale(self, c: complex) -> "Poly2":
         return Poly2(self.coeffs * c)
@@ -185,7 +198,7 @@ class PowerSeries2:
 
     def mul(self, other: "PowerSeries2") -> "PowerSeries2":
         a, b = self.common_truncation(other)
-        full = convolve2d(a, b)
+        full = _convolve(a, b)
         return PowerSeries2(full[: a.shape[0], : a.shape[1]])
 
     def swap_variables(self) -> "PowerSeries2":
@@ -223,7 +236,7 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
         raise NearPoleError("denominator vanishes at the origin")
     m1, m2 = f.monomial
     inv = _series_inverse(p, n1, n2)
-    q = convolve2d(f.numerator.coeffs, inv)[: n1 + 1, : n2 + 1]
+    q = _convolve(f.numerator.coeffs, inv)[: n1 + 1, : n2 + 1]
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
     out[m1:, m2:] = q[: n1 + 1 - m1, : n2 + 1 - m2]
     return PowerSeries2(out)

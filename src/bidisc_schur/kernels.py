@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import numlin
-from .colligation import Colligation, transfer_grid
+from .colligation import Colligation, _resolvent_solve, transfer_grid
 from .errors import (
     GridMismatchError,
     IdentityViolatedError,
@@ -29,6 +29,15 @@ from .functions import PointGrid, as_evaluable
 from .numlin import DEFAULT_TOL, PsdFactorization, frob
 
 MAX_VALUE_DIM = 8
+
+
+def _as_gram(table: np.ndarray, dim: int) -> np.ndarray:
+    """(n e) x (n e) Gram matrix of a kernel table: the table itself for
+    scalar kernels (n x n), blocks K(z_i, z_j) at (i, j) for e x e values."""
+    if dim == 1:
+        return table
+    n = table.shape[0]
+    return table.transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
 
 
 class SampledKernel:
@@ -77,10 +86,7 @@ class SampledKernel:
 
     def gram(self) -> np.ndarray:
         """Full (n e) x (n e) Gram matrix over the grid."""
-        if self.dim == 1:
-            return self.values
-        n = len(self.grid)
-        return self.values.transpose(0, 2, 1, 3).reshape(n * self.dim, n * self.dim)
+        return _as_gram(self.values, self.dim)
 
     def at(self, i: int, j: int):
         return self.values[i, j]
@@ -120,17 +126,6 @@ def drury_arveson_gram(grid: PointGrid) -> np.ndarray:
 # Agler kernels of a co-isometric two-variable colligation
 
 
-def _state_rows(v: Colligation, grid: PointGrid) -> np.ndarray:
-    """Rows H(z) = B (I - E(z) D)^{-1} stacked over the grid (n x h)."""
-    pts = grid.points
-    reps = np.repeat(pts, v.partition, axis=1)
-    mats = np.eye(v.h) - (reps[:, :, None] * np.eye(v.h)) @ v.D
-    # H(z)^T = solve((I - E D)^T, B^T)
-    rhs = np.broadcast_to(v.B.T, (len(grid), v.h, 1))
-    sol = np.linalg.solve(np.transpose(mats, (0, 2, 1)), rhs)
-    return sol[:, :, 0]
-
-
 @dataclass(frozen=True)
 class AglerKernels:
     k1: SampledKernel
@@ -154,7 +149,9 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
         raise ValueError("agler_kernels_of needs a bidisc grid")
     if not v.classify(tol).is_coisometry:
         raise NotCoisometricError("colligation is not co-isometric at the given tolerance")
-    h = _state_rows(v, grid)
+    # state rows H(z) = B (I - E(z) D)^{-1}, from H(z)^T = (I - E(z) D)^{-T} B^T
+    reps = np.repeat(grid.points, v.partition, axis=1)
+    h = _resolvent_solve(v.D, reps, v.B.T, transpose=True)[:, :, 0]
     h1 = h[:, : v.partition[0]]
     h2 = h[:, v.partition[0]:]
     k1 = SampledKernel(grid, h1 @ h1.conj().T)
@@ -211,13 +208,6 @@ def _hadamard(scalars: np.ndarray, k: SampledKernel) -> np.ndarray:
     return scalars[:, :, None, None] * k.values
 
 
-def _gram_of(grid: PointGrid, table: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 1:
-        return table
-    n = len(grid)
-    return table.transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
-
-
 @dataclass(frozen=True)
 class DbrReport:
     is_dbr: bool
@@ -231,7 +221,7 @@ def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> DbrReport:
     if k.grid.nvars != 1:
         raise ValueError("dbr_test_disc needs a disc grid")
     table = _eye_like(k) - _hadamard(1.0 - _coordinate_products(k.grid, 0), k)
-    gram = _gram_of(k.grid, table, k.dim)
+    gram = _as_gram(table, k.dim)
     report = numlin.is_psd(gram, tol)
     fact = numlin.psd_factor(gram, tol) if report else None
     return DbrReport(report.is_psd, report.min_eigenvalue, fact)
@@ -255,8 +245,8 @@ def dbr_test_nf(k: SampledKernel, tol: float = DEFAULT_TOL) -> NormalizedFormRep
     else:
         dominated = s[:, :, None, None] * np.broadcast_to(
             np.eye(k.dim), k.values.shape) - k.values
-    g1 = _gram_of(k.grid, dominated, k.dim)
-    g2 = _gram_of(k.grid, _hadamard(1.0 / s, k), k.dim)
+    g1 = _as_gram(dominated, k.dim)
+    g2 = _as_gram(_hadamard(1.0 / s, k), k.dim)
     r1 = numlin.is_psd(g1, tol)
     r2 = numlin.is_psd(g2, tol)
     return NormalizedFormReport(r1.is_psd, r2.is_psd,
@@ -299,7 +289,7 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
         total = total + _hadamard(1.0 / weight, ki)
     sum_residual = float(np.max(np.abs(k.values - total), initial=0.0))
     table = _eye_like(k) - _hadamard(full, k)
-    report = numlin.is_psd(_gram_of(grid, table, k.dim), tol)
+    report = numlin.is_psd(_as_gram(table, k.dim), tol)
     passed = all(psd_flags) and sum_residual <= tol and report.is_psd
     return PolydiscReport(passed, psd_flags, sum_residual, report.min_eigenvalue)
 
@@ -315,7 +305,7 @@ def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> BallReport:
     if not k.grid.ambient.startswith("ball"):
         raise ValueError("dbr_test_ball needs a ball grid")
     table = _eye_like(k) - _hadamard(1.0 - _pair_products(k.grid), k)
-    report = numlin.is_psd(_gram_of(k.grid, table, k.dim), tol)
+    report = numlin.is_psd(_as_gram(table, k.dim), tol)
     return BallReport(report.is_psd, report.min_eigenvalue)
 
 
@@ -340,6 +330,9 @@ class ThetaRealization:
         self.e_star = int(e_star)
         self.e = self.A.shape[0]
         self.h = self.D.shape[0]
+        # largest entry of |K_T - K| on the grid, for a realization that
+        # dbr_reconstruct_disc rebuilt from a sampled kernel K
+        self.max_residual: Optional[float] = None
         if self.A.shape != (self.e, self.e_star) or self.B.shape != (self.e, self.h) \
                 or self.C.shape != (self.h, self.e_star) or self.D.shape != (self.h, self.h):
             raise ValueError("inconsistent block dimensions")
@@ -349,31 +342,27 @@ class ThetaRealization:
         vadj = v.conj().T
         return frob(vadj @ vadj.conj().T - np.eye(vadj.shape[0]))
 
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        """T at every point of the 1-d array z, stacked (n x e_star x e)."""
+        reps = np.repeat(z[:, None], self.h, axis=1)
+        resolvent = _resolvent_solve(self.D.conj().T, reps, self.B.conj().T)
+        return self.A.conj().T + (z[:, None, None] * self.C.conj().T) @ resolvent
+
     def theta(self, z: complex) -> np.ndarray:
         """Value of the symbol at z (an e_star x e matrix)."""
-        resolvent = np.linalg.solve(np.eye(self.h) - z * self.D.conj().T, self.B.conj().T)
-        return self.A.conj().T + z * self.C.conj().T @ resolvent
+        return self._values(np.array([z], dtype=np.complex128))[0]
 
     def kernel_values(self, grid: PointGrid) -> np.ndarray:
         """(I - T(z) T(w)*)/(1 - z conj(w)) tabulated on a disc grid."""
-        thetas = np.stack([self.theta(complex(z)) for z in grid.points[:, 0]])
-        n = len(grid)
+        n, e_star = len(grid), self.e_star
+        flat = self._values(grid.points[:, 0]).reshape(n * e_star, self.e)
+        products = (flat @ flat.conj().T).reshape(n, e_star, n, e_star).transpose(0, 2, 1, 3)
         denom = 1.0 - _coordinate_products(grid, 0)
-        if self.e_star == 1:
-            flat = thetas.reshape(n, self.e)
-            return (1.0 - flat @ flat.conj().T) / denom
-        out = np.empty((n, n, self.e_star, self.e_star), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = (np.eye(self.e_star) - thetas[i] @ thetas[j].conj().T) / denom[i, j]
-        return out
+        out = (np.eye(e_star) - products) / denom[:, :, None, None]
+        return out[:, :, 0, 0] if e_star == 1 else out
 
     def __repr__(self) -> str:
         return f"ThetaRealization(e_star={self.e_star}, e={self.e}, h={self.h})"
-
-
-def _block_rows(factor: np.ndarray, dim: int, i: int) -> np.ndarray:
-    return factor[i * dim:(i + 1) * dim, :]
 
 
 def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
@@ -409,16 +398,13 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
     g_fact = numlin.psd_factor(k.gram(), tol)
     rf, rg = f_fact.rank, g_fact.rank
 
-    # data columns of the partial isometry, one per (grid point, value direction)
-    dom = np.zeros((e + rg, n * e), dtype=np.complex128)
-    cod = np.zeros((rf + rg, n * e), dtype=np.complex128)
-    for i in range(n):
-        f_i = _block_rows(f_fact.factor, e, i)      # F(w_i): e x rf
-        g_i = _block_rows(g_fact.factor, e, i)      # G(w_i): e x rg
-        dom[:e, i * e:(i + 1) * e] = np.eye(e)
-        dom[e:, i * e:(i + 1) * e] = np.conj(w[i]) * g_i.conj().T
-        cod[:rf, i * e:(i + 1) * e] = f_i.conj().T
-        cod[rf:, i * e:(i + 1) * e] = g_i.conj().T
+    # data columns of the partial isometry, one per (grid point, value
+    # direction): block i is (I, conj(w_i) G(w_i)*) -> (F(w_i)*, G(w_i)*),
+    # where F(w_i) and G(w_i) are the i-th e-row blocks of the factors
+    f_adj = f_fact.factor.conj().T                  # rf x n e
+    g_adj = g_fact.factor.conj().T                  # rg x n e
+    dom = np.vstack([np.tile(np.eye(e), n), np.repeat(np.conj(w), e) * g_adj])
+    cod = np.vstack([f_adj, g_adj])
 
     u, sing, vh = np.linalg.svd(dom, full_matrices=True)
     scale = sing[0] if sing.size else 0.0
@@ -455,4 +441,5 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
     if residual > 10.0 * tol:
         raise IdentityViolatedError(
             f"reconstruction misses the sampled kernel (residual {residual:.3e})")
+    theta.max_residual = residual
     return theta

@@ -229,6 +229,18 @@ def parse_object(obj: dict):
         raise SchemaError(f"malformed {kind} object: {exc}") from exc
 
 
+def _jsonable(obj):
+    """What json cannot encode itself: complex numbers, numpy arrays and scalars."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return complex_to_json(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, shortest round-trip floats."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic JSON text: sorted keys, shortest round-trip floats.
+    numpy values and complex numbers ([re, im]) are converted while encoding."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)

@@ -2,22 +2,26 @@
 bidisc Hardy space, and the structured-colligation inner certificate.
 
 The infinite operator (block lower-triangular Toeplitz, with lower-
-triangular Toeplitz blocks) is represented by its leading M^2 x M^2
-compression.  Isometry statements are therefore window-restricted: the
-leading window x window corner of Y_i* Y_j is compared against delta_ij I,
-with window <= M/2 to keep edge effects out of the comparison.
+triangular Toeplitz blocks) is represented by its leading order-M
+compression, which the M x M table of the symbol's Taylor coefficients
+determines; the M^2 x M^2 matrix itself is never formed.  Isometry
+statements are window-restricted: the leading window x window corner of
+Y_i* Y_j is compared against delta_ij I, with window <= M/2 to keep edge
+effects out of the comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .colligation import (
     Colligation,
+    _require_structured,
     as_transfer_callable,
+    series_2d,
     structure_report,
     StructureReport,
 )
@@ -31,42 +35,21 @@ from .functions import PowerSeries2, boundary_modulus_test, make_grid
 from .numlin import DEFAULT_TOL, frob
 
 
-def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
-    """M x M lower-triangular Toeplitz matrix with the given first column."""
-    m = len(column)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for k, val in enumerate(column):
-        if val != 0:
-            out += val * np.eye(m, k=-k)
-    return out
-
-
 @dataclass
 class ToeplitzTruncation:
-    """Order-M compression: blocks Phi_0..Phi_{M-1} (each M x M) and the
-    assembled M^2 x M^2 block lower-triangular Toeplitz matrix."""
+    """Order-M compression, held as the M x M coefficient table of the
+    symbol: block Phi_k of the compression is the M x M lower-triangular
+    Toeplitz matrix whose first column is table[k]."""
 
     order: int
-    blocks: list
-    _assembled: Optional[np.ndarray] = field(default=None, repr=False)
+    table: np.ndarray
 
     @property
-    def assembled(self) -> np.ndarray:
-        if self._assembled is None:
-            m = self.order
-            t = np.zeros((m * m, m * m), dtype=np.complex128)
-            for i in range(m):
-                for k in range(i + 1):
-                    t[i * m:(i + 1) * m, k * m:(k + 1) * m] = self.blocks[i - k]
-            self._assembled = t
-        return self._assembled
-
-    def y_column(self, j: int) -> np.ndarray:
-        """Block column j of the assembled truncation (shift of column 0)."""
+    def blocks(self) -> np.ndarray:
+        """Phi_0..Phi_{M-1} stacked (M x M x M), built from the table.  No
+        computation here needs them; bench/toeplitz_series.py reads them."""
         m = self.order
-        if not 0 <= j < m:
-            raise IndexError(f"block column {j} out of range for order {m}")
-        return self.assembled[:, j * m:(j + 1) * m]
+        return np.tril(self.table[:, np.subtract.outer(np.arange(m), np.arange(m))])
 
 
 def toeplitz_truncate(series: PowerSeries2, order: int) -> ToeplitzTruncation:
@@ -76,45 +59,39 @@ def toeplitz_truncate(series: PowerSeries2, order: int) -> ToeplitzTruncation:
         raise InsufficientTruncationError(
             f"order-{order} truncation needs series orders >= {order - 1}, got {series.orders}"
         )
-    blocks = [_lower_toeplitz(series.coeffs[k, :order]) for k in range(order)]
-    return ToeplitzTruncation(order, blocks)
+    return ToeplitzTruncation(order, series.coeffs[:order, :order].copy())
 
 
 def phi_blocks_from_colligation(v: Colligation, order: int,
                                 tol: float = DEFAULT_TOL) -> ToeplitzTruncation:
-    """Blocks assembled directly from the triangular colligation:
-
-        Phi_0 first column  (a, B2 C2, B2 D3 C2, B2 D3^2 C2, ...)
-        Phi_j first column  (B1 D1^{j-1} C1, B1 D1^{j-1} D2 C2,
-                             B1 D1^{j-1} D2 D3 C2, ...)
-
-    Identical to toeplitz_truncate of the transfer series."""
-    from .colligation import series_coefficient_table  # same formulas, one source
-
-    table = series_coefficient_table(v, order - 1, order - 1, tol)
-    blocks = [_lower_toeplitz(table[k, :order]) for k in range(order)]
-    return ToeplitzTruncation(order, blocks)
+    """Truncation of the transfer series of a triangular colligation, whose
+    coefficients come straight from the blocks (series_coefficient_table)."""
+    return toeplitz_truncate(series_2d(v, order - 1, order - 1, tol), order)
 
 
 def isometry_defect(t: ToeplitzTruncation, window: int) -> float:
     """Windowed defect from being an isometry.
 
-    max over i, j < window of the Frobenius distance between the leading
-    window x window corner of Y_i* Y_j and delta_ij I.  Zero for aligned
-    truncations of inner symbols; tends to zero with the order for inner
-    symbols generally."""
+    max over i <= j < window of the Frobenius distance between the leading
+    window x window corner of Y_i* Y_j and delta_ij I, where Y_j is block
+    column j of the compression.  Zero for aligned truncations of inner
+    symbols; tends to zero with the order for inner symbols generally.
+
+    Column (k, q) of the compression is the coefficient table shifted down
+    by k rows and right by q columns (cut to M x M), so the w^2 columns with
+    k, q < w form an M^2 x w^2 matrix S, and every corner is a block of the
+    one Gram product S* S."""
     m = t.order
     if window < 1 or 2 * window > m:
         raise WindowTooLargeError(f"window must satisfy 1 <= window <= order/2 = {m / 2}")
-    cols = [t.y_column(j) for j in range(window)]
-    worst = 0.0
-    eye = np.eye(window)
-    for i in range(window):
-        for j in range(i, window):
-            corner = (cols[i].conj().T @ cols[j])[:window, :window]
-            target = eye if i == j else 0.0
-            worst = max(worst, frob(corner - target))
-    return worst
+    w = window
+    padded = np.zeros((m + w, m + w), dtype=np.complex128)
+    padded[w:, w:] = t.table
+    # shifts[k, q] = padded[w - k : w - k + m, w - q : w - q + m]
+    shifts = np.lib.stride_tricks.sliding_window_view(padded, (m, m))[w:0:-1, w:0:-1]
+    cols = shifts.reshape(w * w, m * m)
+    gram = (cols.conj() @ cols.T - np.eye(w * w)).reshape(w, w, w, w)
+    return max(frob(gram[i, :, j, :]) for i in range(w) for j in range(i, w))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +144,7 @@ def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
                       tol: float = DEFAULT_TOL) -> ProofDiagnostics:
     """Diagonal and cross diagnostics of the truncated column Gram matrices,
     computed from the colligation by truncated geometric sums (never from
-    the assembled compression, so truncation error enters only through the
+    a finite compression, so truncation error enters only through the
     geometric tails).
 
     With G1 = sum_l D1*^l B1* B1 D1^l and
@@ -183,8 +160,6 @@ def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
         c_k   = C2* D3*^{k-1} mix D1^{j+1} C1 + C2* D3*^k A_j C2
         c_{-k} = row D1^{j+1} D2 D3^{k-1} C2 + C2* A_j D3^k C2
     """
-    from .colligation import _require_structured
-
     _require_structured(v, tol)
     a = v.a
     b1, b2, c1, c2 = v.B1, v.B2, v.C1, v.C2

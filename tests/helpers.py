@@ -93,3 +93,32 @@ def model_matrices_boundary_oracle(constant, zeros, npts=4096):
         for j, ej in enumerate(basis):
             d_mat[j, k] = ip(back, ej)
     return a_entry, b_row.reshape(1, d), c_col.reshape(d, 1), d_mat
+
+
+def dense_toeplitz(t):
+    """Reference M^2 x M^2 assembly of a ToeplitzTruncation, entry by entry
+    from its coefficient table: block (i, k) is the lower-triangular Toeplitz
+    matrix with first column table[i - k] when i >= k, and zero otherwise."""
+    m = t.order
+    out = np.zeros((m * m, m * m), dtype=complex)
+    for i in range(m):
+        for k in range(i + 1):
+            for s in range(m):
+                for q in range(s + 1):
+                    out[i * m + s, k * m + q] = t.table[i - k, s - q]
+    return out
+
+
+def dense_isometry_defect(t, window):
+    """The windowed isometry defect taken on the dense assembly: max over
+    i <= j < window of || (Y_i* Y_j)[:window, :window] - delta_ij I ||_F."""
+    m = t.order
+    dense = dense_toeplitz(t)
+    cols = [dense[:, j * m:(j + 1) * m] for j in range(window)]
+    worst = 0.0
+    for i in range(window):
+        for j in range(i, window):
+            corner = (cols[i].conj().T @ cols[j])[:window, :window]
+            target = np.eye(window) if i == j else 0.0
+            worst = max(worst, float(np.linalg.norm(corner - target)))
+    return worst

@@ -298,6 +298,15 @@ def test_cli_emitted_json_reparses(tmp_path, capsys):
     assert serialize.dumps(again) == serialize.dumps(report["evidence"]["colligation"])
 
 
+def test_dumps_converts_numpy_and_complex_values():
+    native = {"flag": True, "n": 3, "x": 0.1, "z": [1.0, -2.0], "rows": [[0.5, 1.5]]}
+    numpy_valued = {"flag": np.bool_(True), "n": np.int64(3), "x": np.float64(0.1),
+                    "z": np.complex128(1 - 2j), "rows": np.array([[0.5, 1.5]])}
+    assert serialize.dumps(numpy_valued) == serialize.dumps(native)
+    with pytest.raises(TypeError):
+        serialize.dumps({"bad": object()})
+
+
 def test_cli_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

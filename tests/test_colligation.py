@@ -43,6 +43,18 @@ def test_transfer_1d_mobius():
     assert bs.transfer_1d(v, z) == pytest.approx((z + 0.5) / (1 + 0.5 * z))
 
 
+def test_transfer_grid_one_variable_mobius():
+    # one-variable points, as a column or as a flat array, take the same
+    # batched solve as two-variable ones
+    alpha = 0.3 - 0.4j
+    v = blaschke_section(alpha)
+    z = bs.make_grid("disc", 30, seed=9).points[:, 0]
+    expected = (z - alpha) / (1 - np.conj(alpha) * z)
+    for pts in (z[:, None], z):
+        assert np.max(np.abs(transfer_grid(v, pts) - expected)) < 1e-14
+    assert bs.transfer_1d(v, z[0]) == pytest.approx(expected[0], abs=1e-14)
+
+
 def test_transfer_1d_pole_guard():
     v = bs.Colligation(1.0, [[1.0]], [[1.0]], [[1.0]], [1])
     with pytest.raises(ResolventIllConditionedError):

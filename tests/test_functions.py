@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,3 +191,23 @@ def test_grid_validation():
         bs.PointGrid("bidisc", np.array([[1.0, 0.5]]))   # |z1| = 1 not interior
     with pytest.raises(ValueError):
         bs.PointGrid("torus2", np.array([[0.5, 1.0]]))
+
+
+def test_poly_mul_is_pointwise_product():
+    rng = np.random.default_rng(31)
+    p = bs.Poly2(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    q = bs.Poly2(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
+    z1, z2 = 0.7 * np.exp(2j * np.pi * rng.uniform(size=(2, 10)))
+    pq = p.mul(q)
+    assert pq.degree == (3, 4)
+    assert np.max(np.abs(pq.eval(z1, z2) - p.eval(z1, z2) * q.eval(z1, z2))) < 1e-13
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(bs.__file__))
+    code = ("import sys, bidisc_schur; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

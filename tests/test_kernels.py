@@ -316,6 +316,22 @@ def operator_theta(rng, e=2, h=3):
     return ThetaRealization(u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:], e)
 
 
+def test_kernel_values_match_pairwise_reference():
+    rng = np.random.default_rng(85)
+    grid = disc_grid(86, n=7)
+    for e in (1, 2, 3):
+        theta = operator_theta(rng, e=e, h=3)
+        z = grid.points[:, 0]
+        expected = np.empty((7, 7, e, e), dtype=complex)
+        for i in range(7):
+            for j in range(7):
+                ti, tj = theta.theta(z[i]), theta.theta(z[j])
+                expected[i, j] = (np.eye(e) - ti @ tj.conj().T) / (1 - z[i] * np.conj(z[j]))
+        values = theta.kernel_values(grid)
+        assert values.shape == ((7, 7) if e == 1 else (7, 7, e, e))
+        assert np.max(np.abs(values.reshape(expected.shape) - expected)) < 1e-13
+
+
 def test_dbr_disc_operator_valued():
     rng = np.random.default_rng(81)
     grid = disc_grid(82, n=6)

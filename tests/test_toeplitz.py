@@ -10,6 +10,8 @@ from bidisc_schur.errors import (
 )
 from helpers import (
     composed_blaschke,
+    dense_isometry_defect,
+    dense_toeplitz,
     permutation_colligation,
     vt_colligation,
 )
@@ -22,26 +24,39 @@ def series_table(entries, shape=(8, 8)):
     return bs.PowerSeries2(table)
 
 
+def phi(t, k):
+    """Block Phi_k of the compression: block row k of block column 0."""
+    m = t.order
+    return dense_toeplitz(t)[k * m:(k + 1) * m, :m]
+
+
 def test_truncate_monomial_z1z2():
     t = bs.toeplitz_truncate(series_table({(1, 1): 1.0}), 3)
-    assert np.allclose(t.blocks[0], 0.0)
-    assert np.allclose(t.blocks[1], np.eye(3, k=-1))   # truncated shift
-    assert np.allclose(t.blocks[2], 0.0)
-    assembled = t.assembled
+    assert np.allclose(phi(t, 0), 0.0)
+    assert np.allclose(phi(t, 1), np.eye(3, k=-1))     # truncated shift
+    assert np.allclose(phi(t, 2), 0.0)
+    assembled = dense_toeplitz(t)
     assert set(np.unique(np.abs(assembled))) <= {0.0, 1.0}
     assert np.count_nonzero(assembled) == 4            # partial permutation
 
 
 def test_truncate_constant():
     t = bs.toeplitz_truncate(series_table({(0, 0): 0.3}), 4)
-    assert np.allclose(t.assembled, 0.3 * np.eye(16))
+    assert np.allclose(dense_toeplitz(t), 0.3 * np.eye(16))
 
 
 def test_truncate_z2_diagonal_of_shifts():
     t = bs.toeplitz_truncate(series_table({(0, 1): 1.0}), 4)
-    assert np.allclose(t.blocks[0], np.eye(4, k=-1))
+    assert np.allclose(phi(t, 0), np.eye(4, k=-1))
     for k in range(1, 4):
-        assert np.allclose(t.blocks[k], 0.0)
+        assert np.allclose(phi(t, k), 0.0)
+
+
+def test_blocks_view_matches_dense_assembly():
+    rng = np.random.default_rng(71)
+    series = bs.PowerSeries2(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    t = bs.toeplitz_truncate(series, 6)
+    assert np.array_equal(t.blocks, [phi(t, k) for k in range(6)])
 
 
 def test_truncate_insufficient():
@@ -53,9 +68,9 @@ def test_blocks_from_permutation_match_series_route():
     v = permutation_colligation()
     direct = bs.phi_blocks_from_colligation(v, 3)
     via_series = bs.toeplitz_truncate(bs.series_2d(v, 2, 2), 3)
-    assert np.array_equal(direct.assembled, via_series.assembled)
-    assert np.allclose(direct.assembled,
-                       bs.toeplitz_truncate(series_table({(1, 1): 1.0}), 3).assembled)
+    assert np.array_equal(dense_toeplitz(direct), dense_toeplitz(via_series))
+    assert np.allclose(dense_toeplitz(direct),
+                       dense_toeplitz(bs.toeplitz_truncate(series_table({(1, 1): 1.0}), 3)))
 
 
 def test_blocks_from_composed_match_series_route():
@@ -64,14 +79,14 @@ def test_blocks_from_composed_match_series_route():
         v, _, _ = composed_blaschke(rng, max_degree=3, radius=0.7)
         direct = bs.phi_blocks_from_colligation(v, 6)
         via_series = bs.toeplitz_truncate(bs.series_2d(v, 5, 5), 6)
-        assert np.max(np.abs(direct.assembled - via_series.assembled)) < 1e-10
+        assert np.max(np.abs(dense_toeplitz(direct) - dense_toeplitz(via_series))) < 1e-10
 
 
 def test_blocks_state_free():
     v = bs.Colligation(0.6, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0, 0])
     t = bs.phi_blocks_from_colligation(v, 3)
-    assert np.allclose(t.blocks[0], 0.6 * np.eye(3))
-    assert np.allclose(t.blocks[1], 0.0)
+    assert np.allclose(phi(t, 0), 0.6 * np.eye(3))
+    assert np.allclose(phi(t, 1), 0.0)
 
 
 def test_blocks_require_structure():
@@ -110,16 +125,20 @@ def test_defect_window_guard():
         bs.isometry_defect(t, 5)
 
 
-def test_y_columns_are_shifted_copies():
+def test_defect_matches_dense_reference():
     rng = np.random.default_rng(70)
-    series = bs.PowerSeries2(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    t = bs.toeplitz_truncate(series, 6)
-    y0 = t.y_column(0)
-    m = t.order
-    for j in range(1, m):
-        shifted = np.zeros_like(y0)
-        shifted[j * m:, :] = y0[: (m - j) * m, :]
-        assert np.array_equal(t.y_column(j), shifted)
+    phi_mobius = bs.mobius_of_product(0.5)
+    for order in (12, 24):
+        symbols = [bs.series_of(phi_mobius, order - 1, order - 1)]
+        symbols += [bs.PowerSeries2(rng.normal(size=(order, order))
+                                    + 1j * rng.normal(size=(order, order)))
+                    for _ in range(3)]
+        for series in symbols:
+            t = bs.toeplitz_truncate(series, order)
+            for window in (1, order // 4, order // 2):
+                expected = dense_isometry_defect(t, window)
+                assert bs.isometry_defect(t, window) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-14)
 
 
 def test_symbol_calculus_on_truncations():
@@ -128,9 +147,9 @@ def test_symbol_calculus_on_truncations():
         a = bs.PowerSeries2(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         b = bs.PowerSeries2(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         order = 4
-        ta = bs.toeplitz_truncate(a, order).assembled
-        tb = bs.toeplitz_truncate(b, order).assembled
-        tab = bs.toeplitz_truncate(a.mul(b), order).assembled
+        ta = dense_toeplitz(bs.toeplitz_truncate(a, order))
+        tb = dense_toeplitz(bs.toeplitz_truncate(b, order))
+        tab = dense_toeplitz(bs.toeplitz_truncate(a.mul(b), order))
         assert np.max(np.abs(ta @ tb - tab)) < 1e-12
 
 
