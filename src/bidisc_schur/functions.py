@@ -6,8 +6,9 @@ Rational inner functions are stored in monomial-times-reflection form
     f(z) = u * z1^m1 * z2^m2 * p~(z) / p(z),
 
 where p has no zeros on the closed bidisc, p~ is its coefficient reflection
-and |u| = 1.  Zero-freeness of p is checked numerically on a dense grid of
-the closed bidisc; exact root isolation is out of scope.
+and |u| = 1.  Zero-freeness of p is decided by Huang's criterion, reduced to
+1-D root finding and the unimodular roots of a resultant (see
+RationalFunction2._check_zero_free); no grid is sampled.
 """
 
 from __future__ import annotations
@@ -23,8 +24,15 @@ from .errors import NearPoleError, ZeroPolynomialError
 # (I - E(z) D)^{-1} remain well conditioned
 INTERIOR_RADIUS = 0.95
 
-_ZERO_FREE_ANGLES = 50
-_ZERO_FREE_RADII = 10
+# A denominator is refused when a zero it is shown to have lies within this
+# distance of the closed bidisc, i.e. has modulus <= 1 + ZERO_FREE_MARGIN in
+# the coordinate that is tested; see RationalFunction2._check_zero_free.
+ZERO_FREE_MARGIN = 1e-8
+
+# resultant roots this close to the unit circle are checked as possible
+# torus zeros; the check decides, so the window only has to cover the
+# rounding of clustered roots, and widening it costs time, not soundness
+_TORUS_CANDIDATE_WINDOW = 1e-3
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,20 +129,73 @@ class RationalFunction2:
         if check_zero_free:
             self._check_zero_free()
 
-    def _check_zero_free(self, tol: float = 1e-8) -> None:
-        # closed-bidisc surrogate: polar grid with radii up to 1 inclusive
-        angles = np.exp(2j * np.pi * np.arange(_ZERO_FREE_ANGLES) / _ZERO_FREE_ANGLES)
-        radii = np.linspace(0.0, 1.0, _ZERO_FREE_RADII)
-        vals = (radii[:, None] * angles[None, :]).ravel()
-        z1, z2 = np.meshgrid(vals, vals, indexing="ij")
-        mags = np.abs(self.denominator.eval(z1, z2))
-        cut = tol * (1.0 + float(mags.max(initial=0.0)))
-        if mags.min() <= cut:
-            k = np.unravel_index(int(np.argmin(mags)), mags.shape)
-            raise ZeroPolynomialError(
-                "denominator vanishes on the closed bidisc near "
-                f"({z1[k]:.6g}, {z2[k]:.6g}); |p| = {mags[k]:.3e}"
-            )
+    def _check_zero_free(self) -> None:
+        """Refuse p unless p(z1, z2) != 0 for |z1| <= 1, |z2| <= 1.
+
+        Huang's criterion (Huang 1972; the resultant reduction follows
+        Knese, Analysis & PDE 2010): p is zero-free on the closed bidisc iff
+          (i)   every root of p(., 0) has modulus > 1,
+          (ii)  every root of p(1, .) has modulus > 1, and
+          (iii) p has no zero on the torus.
+        (ii) and (iii) together give p(w, .) != 0 on the closed disc for every
+        unimodular w, because the roots of p(w, .) can only enter the disc
+        across the torus.  For (iii), a torus zero (z1, z2) is a common root
+        z2 of p(z1, .) and reflect(p)(z1, .), so z1 is a root of the resultant
+        Res_{z2}(p, reflect(p)) = det S(z1), where S(z1), their Sylvester
+        matrix, is a matrix polynomial of degree d1 in z1.  Its roots are
+        taken as the eigenvalues of a companion pencil of S, not from the
+        resultant's coefficients, whose roots lose all accuracy by degree
+        (8, 8).  At each root z1 near the circle the roots of p(z1/|z1|, .)
+        are tested as in (ii).
+
+        Soundness: a zero is refused when its tested modulus is
+        <= 1 + ZERO_FREE_MARGIN, so the verdict is exact for every p whose
+        computed roots are within ZERO_FREE_MARGIN of the true ones, as
+        simple roots of p scaled to unit max coefficient are (rounding near
+        eps times their condition).  A root of multiplicity m on the circle
+        is computed as a cluster of radius about eps^(1/m) around it, and
+        the member of least modulus still falls within the margin.  The
+        pencil needs one well-conditioned S(w): p is also refused when
+        s_min / s_max of S(w) is <= ZERO_FREE_MARGIN at all 2 d1 d2 + 1
+        roots of unity w.  A p sharing a factor with its reflection has a
+        zero on the closed bidisc and always lands there, but so can a valid
+        p whose roots in z2 crowd the circle, e.g. (1 - z1/2)(1 - 0.999 z2)^3,
+        whose triple zero lies 1e-3 outside it.
+        """
+        c = self.denominator.coeffs / np.max(np.abs(self.denominator.coeffs))
+        d1, d2 = self.denominator.degree
+        if c[0, 0] == 0:
+            raise _refusal("(i), p(0, 0) = 0", 0.0, 0.0, "|z1|", 0.0)
+        z1 = _smallest_root(c[:, 0])
+        if z1 is not None and abs(z1) <= 1.0 + ZERO_FREE_MARGIN:
+            raise _refusal("(i), a root of p(., 0)", z1, 0.0, "|z1|", abs(z1))
+        _check_row(c, 1.0, "(ii), a root of p(1, .)")
+        if d1 == 0 or d2 == 0:
+            # (iii) then follows from (i) (d2 = 0) or from (ii) (d1 = 0)
+            return
+        # S(z1) = sum_k z1^k pencil[k], sampled where a nonzero det of
+        # degree <= 2 d1 d2 cannot vanish everywhere
+        pencil = _sylvester(c, np.conj(c[::-1, ::-1]))
+        n = 2 * d1 * d2 + 1
+        omega = np.exp(2j * np.pi * np.arange(n) / n)
+        sv = np.linalg.svd(np.tensordot(omega[:, None] ** np.arange(d1 + 1), pencil, axes=1),
+                           compute_uv=False)
+        ratio = sv[:, -1] / sv[:, 0]
+        best = int(np.argmax(ratio))
+        if ratio[best] <= ZERO_FREE_MARGIN:
+            found = [(abs(r), w, r) for w, r in zip(omega, map(_smallest_root, _rows_at(c, omega)))
+                     if r is not None]
+            _, w, z2 = min(found, key=lambda t: t[0], default=(0, 1.0, np.nan))
+            raise _refusal(
+                "(iii) undecided: the Sylvester matrices S(w) of p(w, .) and "
+                f"reflect(p)(w, .) at {n} roots of unity w have s_min / s_max "
+                f"<= {ratio[best]:.3e} <= ZERO_FREE_MARGIN (a factor shared with "
+                "reflect(p), or roots in z2 crowding the circle); nearest root of "
+                "p(w, .) there", w, z2, "|z2|", abs(z2))
+        for z in _pencil_eigenvalues(pencil, omega[best]):
+            if abs(abs(z) - 1.0) <= _TORUS_CANDIDATE_WINDOW:
+                _check_row(c, z / abs(z), "(iii), a torus zero at a unimodular "
+                           "root z1 of Res_z2(p, reflect(p))")
 
     def eval(self, z1, z2, pole_tol: float = 1e-12):
         den = self.denominator.eval(z1, z2)
@@ -157,6 +218,62 @@ class RationalFunction2:
     def __repr__(self) -> str:
         return (f"RationalFunction2(monomial={self.monomial}, "
                 f"den_degree={self.denominator.degree})")
+
+
+def _refusal(condition: str, z1, z2, which: str, modulus: float) -> ZeroPolynomialError:
+    side = "<=" if modulus <= 1.0 + ZERO_FREE_MARGIN else ">"
+    return ZeroPolynomialError(
+        f"denominator refused by condition {condition}: zero at (z1, z2) = "
+        f"({complex(z1):.10g}, {complex(z2):.10g}); {which} = {modulus:.10g} "
+        f"{side} 1 + ZERO_FREE_MARGIN (ZERO_FREE_MARGIN = {ZERO_FREE_MARGIN:g})")
+
+
+def _smallest_root(c: np.ndarray):
+    """The root of sum_k c[k] z^k (lowest degree first) of least modulus, or
+    None if it has none.  Leading coefficients at rounding level relative to
+    the largest are dropped first: they only add spurious huge roots and
+    inflate the companion matrix."""
+    big = np.flatnonzero(np.abs(c) > 64 * np.finfo(float).eps * np.max(np.abs(c), initial=0.0))
+    r = np.roots(c[: big[-1] + 1][::-1]) if big.size else np.zeros(0)
+    return r[np.argmin(np.abs(r))] if r.size else None
+
+
+def _rows_at(c: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Coefficients in z2 of p(z1, .) for each z1: one row per point."""
+    return (np.asarray(z1)[:, None] ** np.arange(c.shape[0])) @ c
+
+
+def _check_row(c: np.ndarray, w: complex, condition: str) -> None:
+    """Refuse p when p(w, .) has a root of modulus <= 1 + ZERO_FREE_MARGIN."""
+    z2 = _smallest_root(_rows_at(c, np.array([w]))[0])
+    if z2 is not None and abs(z2) <= 1.0 + ZERO_FREE_MARGIN:
+        raise _refusal(condition, w, z2, "|z2|", abs(z2))
+
+
+def _sylvester(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched Sylvester matrices of pairs of polynomials of formal degree
+    d (rows of a and b, lowest degree first): shape (n, 2d, 2d)."""
+    n, d = a.shape[0], a.shape[1] - 1
+    out = np.zeros((n, 2 * d, 2 * d), dtype=np.complex128)
+    shift = np.arange(d)[:, None]
+    cols = shift + np.arange(d + 1)[None, :]
+    out[:, shift, cols] = a[:, None, :]
+    out[:, d + shift, cols] = b[:, None, :]
+    return out
+
+
+def _pencil_eigenvalues(s: np.ndarray, sigma: complex) -> np.ndarray:
+    """Finite roots z of det(sum_k z^k s[k]), given sum_k sigma^k s[k]
+    invertible: the eigenvalues of the companion pencil z B - A, taken as
+    mu = 1/(z - sigma), the eigenvalues of (A - sigma B)^{-1} B.  Infinite
+    roots (a singular s[-1]) give mu = 0 and are dropped."""
+    d, m = s.shape[0] - 1, s.shape[1]
+    a = np.eye(d * m, k=-m, dtype=np.complex128)
+    a[:m] = -np.concatenate(s[d - 1::-1], axis=1)
+    b = np.eye(d * m, dtype=np.complex128)
+    b[:m, :m] = s[d]
+    mu = np.linalg.eigvals(np.linalg.solve(a - sigma * b, b))
+    return sigma + 1.0 / mu[mu != 0]
 
 
 def mobius_of_product(t: float) -> RationalFunction2:
@@ -208,37 +325,46 @@ class PowerSeries2:
         return f"PowerSeries2(orders={self.orders})"
 
 
-def _series_inverse(p: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Power-series inverse of p (p[0,0] != 0), truncated at (n1, n2)."""
-    inv = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
-    p0 = p[0, 0]
-    inv[0, 0] = 1.0 / p0
-    d1, d2 = p.shape
-    for i in range(n1 + 1):
-        for j in range(n2 + 1):
-            if i == 0 and j == 0:
-                continue
-            acc = 0.0 + 0.0j
-            for k in range(max(0, i - d1 + 1), i + 1):
-                for l in range(max(0, j - d2 + 1), j + 1):
-                    if k == i and l == j:
-                        continue
-                    acc += inv[k, l] * p[i - k, j - l]
-            inv[i, j] = -acc / p0
-    return inv
+def _inverse_1d(a: np.ndarray, n: int) -> np.ndarray:
+    """First n + 1 Taylor coefficients of 1/a(z), a[0] != 0, by Newton's
+    iteration q <- q + q (1 - a q), which doubles the correct length per step."""
+    a = np.concatenate([a[: n + 1], np.zeros(max(0, n + 1 - a.size), dtype=a.dtype)])
+    q = np.array([1.0 / a[0]])
+    while q.size <= n:
+        m = min(2 * q.size, n + 1)
+        # a q = 1 + z^s e(z) with s = q.size; the next coefficients are -(q e)
+        e = np.convolve(a[:m], q)[q.size:m]
+        q = np.concatenate([q, -np.convolve(q, e)[: m - q.size]])
+    return q
+
+
+def _divide(num: np.ndarray, p: np.ndarray, r1: int, r2: int) -> np.ndarray:
+    """The first r1 x r2 Taylor coefficients of num/p (p[0, 0] != 0), row by
+    row in z1: with N_i, P_i, F_i the coefficients of z1^i as series in z2,
+    F_i = (N_i - sum_{k >= 1} P_k F_{i-k}) / P_0, and 1/P_0 is inverted once."""
+    inv0 = _inverse_1d(p[0], r2 - 1)
+    out = np.zeros((r1, r2), dtype=np.complex128)
+    for i in range(r1):
+        acc = np.zeros(r2, dtype=np.complex128)
+        if i < num.shape[0]:
+            row = num[i, :r2]
+            acc[: row.size] = row
+        for k in range(1, min(i, p.shape[0] - 1) + 1):
+            acc -= np.convolve(p[k], out[i - k])[:r2]
+        out[i] = np.convolve(inv0, acc)[:r2]
+    return out
 
 
 def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
     """Taylor coefficients of f at the origin up to orders (n1, n2),
-    computed by recursive division of the reflected numerator by p."""
+    computed by row-wise division of the reflected numerator by p."""
     p = f.denominator.coeffs
     if abs(p[0, 0]) <= 1e-14:
         raise NearPoleError("denominator vanishes at the origin")
     m1, m2 = f.monomial
-    inv = _series_inverse(p, n1, n2)
-    q = _convolve(f.numerator.coeffs, inv)[: n1 + 1, : n2 + 1]
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
-    out[m1:, m2:] = q[: n1 + 1 - m1, : n2 + 1 - m2]
+    if m1 <= n1 and m2 <= n2:
+        out[m1:, m2:] = _divide(f.numerator.coeffs, p, n1 + 1 - m1, n2 + 1 - m2)
     return PowerSeries2(out)
 
 

@@ -122,3 +122,40 @@ def dense_isometry_defect(t, window):
             target = np.eye(window) if i == j else 0.0
             worst = max(worst, float(np.linalg.norm(corner - target)))
     return worst
+
+
+def loop_series_inverse(p, n1, n2):
+    """Reference power-series inverse of p (p[0,0] != 0) truncated at
+    (n1, n2): the coefficient recurrence, one (i, j, k, l) term at a time."""
+    inv = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
+    p0 = p[0, 0]
+    inv[0, 0] = 1.0 / p0
+    d1, d2 = p.shape
+    for i in range(n1 + 1):
+        for j in range(n2 + 1):
+            if i == 0 and j == 0:
+                continue
+            acc = 0.0 + 0.0j
+            for k in range(max(0, i - d1 + 1), i + 1):
+                for l in range(max(0, j - d2 + 1), j + 1):
+                    if k == i and l == j:
+                        continue
+                    acc += inv[k, l] * p[i - k, j - l]
+            inv[i, j] = -acc / p0
+    return inv
+
+
+def loop_series_of(f, n1, n2):
+    """Reference Taylor table of a RationalFunction2 to orders (n1, n2): the
+    loop inverse of the denominator times the numerator, shifted by the
+    monomial."""
+    inv = loop_series_inverse(f.denominator.coeffs, n1, n2)
+    num = f.numerator.coeffs
+    q = np.zeros((n1 + num.shape[0], n2 + num.shape[1]), dtype=np.complex128)
+    for (i, j), c in np.ndenumerate(num):
+        q[i:i + n1 + 1, j:j + n2 + 1] += c * inv
+    m1, m2 = f.monomial
+    out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
+    if m1 <= n1 and m2 <= n2:
+        out[m1:, m2:] = q[: n1 + 1 - m1, : n2 + 1 - m2]
+    return out

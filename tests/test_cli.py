@@ -333,6 +333,18 @@ def test_cli_precondition_error_exit_2(tmp_path, capsys):
     assert report["verdict"].startswith("ValueError")
 
 
+def test_cli_denominator_with_zero_inside_exit_2(tmp_path, capsys):
+    # 1 - e^{-0.0628i} z1 / 0.97 vanishes at radius 0.97: not an inner
+    # function's denominator, so toeplitz-check refuses it
+    p = bs.Poly2([[1.0], [-np.exp(-0.0628j) / 0.97]])
+    f = bs.RationalFunction2((0, 0), p, check_zero_free=False)
+    path = write(tmp_path, "f.json", serialize.rational_to_json(f))
+    code, report = run_cli(capsys, "toeplitz-check", path)
+    assert code == 2
+    assert report["verdict"].startswith("ZeroPolynomial: ")
+    assert "condition (i)" in report["verdict"]
+
+
 def test_cli_flags_after_subcommand(tmp_path, capsys):
     path = write(tmp_path, "perm.json",
                  serialize.colligation_to_json(permutation_colligation()))

@@ -7,7 +7,8 @@ import pytest
 
 import bidisc_schur as bs
 from bidisc_schur.errors import NearPoleError, ZeroPolynomialError
-from bidisc_schur.functions import INTERIOR_RADIUS, taylor_from_samples
+from bidisc_schur.functions import INTERIOR_RADIUS, ZERO_FREE_MARGIN, taylor_from_samples
+from helpers import loop_series_inverse, loop_series_of
 
 
 def test_reflect_constant():
@@ -78,6 +79,205 @@ def test_zero_free_check_rejects_boundary_zero():
         bs.RationalFunction2((0, 0), bs.Poly2([[1.0], [-1.0]]))
 
 
+def _refusal(coeffs) -> str:
+    with pytest.raises(ZeroPolynomialError) as info:
+        bs.RationalFunction2((0, 0), bs.Poly2(coeffs))
+    return str(info.value)
+
+
+def _reported_zero(msg: str) -> tuple[complex, complex]:
+    z1, z2 = msg.split("(z1, z2) = (")[1].split(")")[0].split(", ")
+    return complex(z1), complex(z2)
+
+
+_ROT = np.exp(-0.0628j)
+
+
+@pytest.mark.parametrize("radius", [0.97, 1.0])
+def test_zero_free_check_rejects_zero_near_positive_axis(radius):
+    # 1 - e^{-0.0628i} z1 / r: a zero at z1 = r e^{0.0628i}, once inside the
+    # disc and once on the circle; a polar grid scan accepted both
+    msg = _refusal([[1.0], [-_ROT / radius]])
+    assert "condition (i)" in msg
+    assert f"|z1| = {radius:.10g} <= 1 + ZERO_FREE_MARGIN" in msg
+    z1, z2 = _reported_zero(msg)
+    assert abs(z1 - radius / _ROT) < 1e-9 and z2 == 0
+
+
+def test_zero_free_check_finds_torus_zero():
+    # 1 + 0.6 z1 - 0.6 z2: p(., 0) and p(1, .) are zero-free on the closed
+    # disc, but p vanishes on the torus where z1 = -5/6 +- i sqrt(11)/6
+    c = np.array([[1.0, -0.6], [0.6, 0.0]])
+    assert np.min(np.abs(np.roots(c[::-1, 0]))) > 1.5
+    assert np.min(np.abs(np.roots(c.sum(axis=0)[::-1]))) > 1.5
+    msg = _refusal(c)
+    assert "condition (iii)" in msg and "|z2| = 1 <= 1 + ZERO_FREE_MARGIN" in msg
+    z1, z2 = _reported_zero(msg)
+    assert abs(z1 - complex(-5 / 6, np.sign(z1.imag) * np.sqrt(11) / 6)) < 1e-9
+    assert abs(1 + 0.6 * z1 - 0.6 * z2) < 1e-9 and abs(abs(z2) - 1) < 1e-9
+
+
+def test_zero_free_check_condition_ii():
+    # 1 - 0.5 z1 - 0.8 z2: p(., 0) vanishes only at z1 = 2, but p(1, .)
+    # vanishes at z2 = 0.625
+    msg = _refusal([[1.0, -0.8], [-0.5, 0.0]])
+    assert "condition (ii)" in msg and "|z2| = 0.625 <= 1 + ZERO_FREE_MARGIN" in msg
+
+
+@pytest.mark.parametrize("total", [1 - 1e-4, 1.0, 1 + 1e-6])
+def test_zero_free_check_linear_oracle(total):
+    # 1 - a z1 - b z2 is zero-free on the closed bidisc iff |a| + |b| < 1;
+    # the split of the total between a and b runs over both edges and 40
+    # seeded draws, each with random phases
+    rng = np.random.default_rng(int(total * 1e6))
+    splits = np.concatenate([[0.0, 1.0], rng.uniform(size=40)])
+    for split in splits:
+        alpha, beta = rng.uniform(0.0, 2 * np.pi, size=2)
+        a = total * split * np.exp(1j * alpha)
+        b = total * (1 - split) * np.exp(1j * beta)
+        p = bs.Poly2([[1.0, -b], [-a, 0.0]])
+        if total < 1:
+            bs.RationalFunction2((0, 0), p)
+        else:
+            with pytest.raises(ZeroPolynomialError):
+                bs.RationalFunction2((0, 0), p)
+
+
+@pytest.mark.parametrize("coeffs, accepted", [
+    ([[2.0 - 1.0j]], True),                    # constant
+    ([[1.0], [-0.5j], [0.2]], True),           # d2 = 0
+    ([[1.0], [0.0], [-1.2]], False),           # d2 = 0, zeros at +-1/sqrt(1.2)
+    ([[1.0, 0.3, -0.5j]], True),               # d1 = 0
+    ([[1.0, 0.0, -1.5]], False),               # d1 = 0, zeros at +-1/sqrt(1.5)
+])
+def test_zero_free_check_degenerate_shapes(coeffs, accepted):
+    if accepted:
+        bs.RationalFunction2((1, 0), bs.Poly2(coeffs))
+    else:
+        assert "<= 1 + ZERO_FREE_MARGIN" in _refusal(coeffs)
+
+
+def test_zero_free_check_accepts_zeros_near_the_circle():
+    # (1 - z1/2) prod_k (1 - a_k z2), |a_k| = 0.999 at three angles: zero-free,
+    # with the zeros in z2 1e-3 outside the circle and s_min / s_max of the
+    # Sylvester matrices far above ZERO_FREE_MARGIN
+    b = np.poly(0.999 * np.exp(2j * np.pi * np.arange(3) / 7))
+    f = bs.RationalFunction2((0, 0), bs.Poly2(np.outer([1.0, -0.5], b)))
+    grid = bs.make_grid("torus2", 32)
+    assert bs.boundary_modulus_test(f, grid, 1e-9).passed
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_zero_free_check_rejects_multiple_boundary_zero(m):
+    # (1 - u z1)^m (1 - 0.3 z2) and (1 - 0.4 z1)(1 - u z2)^m, |u| = 1: the
+    # computed roots form a cluster around 1/u, and one of them is refused
+    u = np.exp(0.7j)
+    power = np.poly(np.full(m, u))
+    assert "condition (i)" in _refusal(np.outer(power, [1.0, -0.3]))
+    assert "condition (ii)" in _refusal(np.outer([1.0, -0.4], power))
+
+
+def test_zero_free_check_refuses_crowded_zeros():
+    # (1 - z1/2)(1 - 0.999 z2)^3 is zero-free, but its triple zero 1e-3
+    # outside the circle makes every Sylvester matrix of p(w, .) and
+    # reflect(p)(w, .) singular to s_min / s_max <= ZERO_FREE_MARGIN: the
+    # torus test is undecided and p is refused, naming the ratio and the
+    # nearest root, which lies outside the margin
+    msg = _refusal(np.outer([1.0, -0.5], np.poly(np.full(3, 0.999))))
+    assert "condition (iii) undecided" in msg and "<= ZERO_FREE_MARGIN" in msg
+    assert "> 1 + ZERO_FREE_MARGIN" in msg
+    z1, z2 = _reported_zero(msg)
+    assert abs(abs(z1) - 1) < 1e-9 and abs(z2 - 1 / 0.999) < 1e-4
+
+
+def _factor(rng, total):
+    # 1 - a z1 - b z2 with |a| + |b| = total and random phases
+    split = rng.uniform(0.05, 0.95)
+    a = total * split * np.exp(2j * np.pi * rng.uniform())
+    b = total * (1 - split) * np.exp(2j * np.pi * rng.uniform())
+    return bs.Poly2([[1.0, -b], [-a, 0.0]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_free_check_degree_8(seed):
+    # products of eight linear factors, degree (8, 8): resultant roots of
+    # degree 128 near the circle.  Seven zero-free factors at |a| + |b| =
+    # 0.97 times an eighth that is zero-free (0.999), crosses into the
+    # bidisc (1.02, 1.001), or only touches the torus (1 + 0.6 z1 - 0.6 z2,
+    # which conditions (i) and (ii) pass)
+    rng = np.random.default_rng(seed)
+    base = bs.Poly2([[1.0]])
+    for _ in range(7):
+        base = base.mul(_factor(rng, 0.97))
+    bs.RationalFunction2((0, 0), base.mul(_factor(rng, 0.999)))
+    for last in [_factor(rng, 1.02), _factor(rng, 1.001), bs.Poly2([[1.0, -0.6], [0.6, 0.0]])]:
+        p = base.mul(last)
+        assert p.degree == (8, 8)
+        msg = _refusal(p.coeffs)
+        assert "condition (iii), a torus zero" in msg
+        zero = _reported_zero(msg)
+        # the message prints 10 significant digits
+        assert abs(abs(zero[0]) - 1) < 1e-9 and abs(abs(zero[1]) - 1) < 1e-8
+        assert abs(p.eval(*zero)) < 1e-8 * np.abs(p.coeffs).sum()
+
+
+def test_zero_free_check_rejects_zero_at_origin():
+    msg = _refusal([[0.0, 1.0], [1.0, 0.5]])
+    assert "p(0, 0) = 0" in msg and "(z1, z2) = (0+0j, 0+0j)" in msg
+
+
+def _polar(radii: int, angles: int) -> np.ndarray:
+    r = np.linspace(0.0, 1.0, radii)
+    return (r[:, None] * np.exp(2j * np.pi * np.arange(angles) / angles)).ravel()
+
+
+def test_zero_free_check_matches_dense_grid():
+    # Cross-check on seeded random denominators of degree up to (3, 3).
+    #  * On a polar grid of the closed bidisc every point lies within
+    #    delta of a node in each coordinate, and |dp/dz_k| <= L_k there,
+    #    so min |p| over the nodes > (L1 + L2) delta proves p zero-free:
+    #    such a p must be accepted.
+    #  * An accepted p has, for every z1 of a dense grid of the closed
+    #    disc, only roots of modulus > 1 in z2.
+    #  * A refused p is refused for a genuine zero within the margin of
+    #    the closed bidisc.
+    rng = np.random.default_rng(2024)
+    radii, angles = 13, 48
+    nodes = _polar(radii, angles)
+    delta = 0.5 / (radii - 1) + np.pi / angles
+    fine = _polar(21, 96)
+    verdicts = {"certified": 0, "accepted": 0, "refused": 0}
+    for _ in range(60):
+        d1, d2 = rng.integers(0, 4, size=2)
+        c = rng.normal(size=(d1 + 1, d2 + 1)) + 1j * rng.normal(size=(d1 + 1, d2 + 1))
+        c[0, 0] = rng.uniform(0.6, 1.6) * (np.abs(c).sum() - abs(c[0, 0]) + 1e-3)
+        p = bs.Poly2(c)
+        i, j = np.indices(c.shape)
+        lipschitz = np.sum((i + j) * np.abs(c))
+        # p at every pair of nodes, V1 c V2^T with Vandermonde matrices
+        on_grid = (nodes[:, None] ** np.arange(d1 + 1)) @ c @ (nodes[:, None] ** np.arange(d2 + 1)).T
+        certified = float(np.min(np.abs(on_grid))) > lipschitz * delta
+        try:
+            bs.RationalFunction2((0, 0), p)
+        except ZeroPolynomialError as exc:
+            assert not certified
+            zero = _reported_zero(str(exc))
+            assert max(abs(zero[0]), abs(zero[1])) <= 1 + ZERO_FREE_MARGIN
+            assert abs(p.eval(*zero)) <= 1e-8 * (1 + lipschitz)
+            verdicts["refused"] += 1
+            continue
+        if d2 > 0:
+            # roots of p(z1, .) for every z1 of the fine grid at once, as the
+            # eigenvalues of the companion matrices
+            rows = (fine[:, None] ** np.arange(d1 + 1)) @ c
+            companion = np.zeros((fine.size, d2, d2), dtype=complex)
+            companion[:, 0, :] = -rows[:, -2::-1] / rows[:, -1:]
+            companion[:, np.arange(1, d2), np.arange(d2 - 1)] = 1.0
+            assert np.min(np.abs(np.linalg.eigvals(companion))) > 1
+        verdicts["certified" if certified else "accepted"] += 1
+    assert min(verdicts.values()) >= 5, verdicts
+
+
 def test_boundary_modulus_monomial():
     grid = bs.make_grid("torus2", 64)
     phi = bs.RationalFunction2((1, 1), bs.Poly2([[1.0]]))
@@ -145,6 +345,43 @@ def test_series_partial_sums_converge_geometrically():
         2j * np.pi * rng.uniform(size=(12, 2)))
     for z1, z2 in pts:
         assert s.eval(z1, z2) == pytest.approx(phi.eval(z1, z2), abs=1e-6)
+
+
+def _zero_free_denominator(rng, d1, d2):
+    c = rng.normal(size=(d1 + 1, d2 + 1)) + 1j * rng.normal(size=(d1 + 1, d2 + 1))
+    c[0, 0] = 1.0 + 1.5 * (np.abs(c).sum() - abs(c[0, 0]))   # dominant: zero-free
+    return bs.Poly2(c)
+
+
+@pytest.mark.parametrize("orders", [(0, 0), (5, 9), (47, 47), (1, 4)])
+def test_series_of_matches_loop_reference(orders):
+    # (1, 4) with d1 = 3 covers a degree above the order (d1 > n1 + 1)
+    n1, n2 = orders
+    rng = np.random.default_rng(n1 * 100 + n2)
+    degrees = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 3), (3, 2), (3, 3)]
+    for (d1, d2), mono in zip(degrees, [(0, 0), (1, 2), (0, 1)] * 3):
+        p = _zero_free_denominator(rng, d1, d2)
+        f = bs.RationalFunction2(mono, p, unimodular=np.exp(2j * np.pi * rng.uniform()))
+        want = loop_series_of(f, n1, n2)
+        got = bs.series_of(f, n1, n2).coeffs
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=1.0)
+
+
+def test_series_of_inverse_matches_loop_reference():
+    # with numerator 1 the row-wise division is the plain series inverse
+    rng = np.random.default_rng(12)
+    p = _zero_free_denominator(rng, 3, 3)
+    f = bs.RationalFunction2((0, 0), p)
+    f.numerator = bs.Poly2([[1.0]])
+    want = loop_series_inverse(p.coeffs, 20, 30)
+    got = bs.series_of(f, 20, 30).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_series_of_monomial_beyond_order():
+    f = bs.RationalFunction2((3, 0), bs.mobius_of_product(0.5).denominator)
+    assert np.array_equal(bs.series_of(f, 2, 4).coeffs, np.zeros((3, 5)))
 
 
 def test_taylor_from_samples_matches_division():
