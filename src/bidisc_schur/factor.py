@@ -26,7 +26,7 @@ from .errors import (
     OriginZeroError,
 )
 from .functions import PointGrid, as_evaluable, make_grid
-from .kernels import SampledKernel
+from .kernels import SampledKernel, _tabulate
 from .numlin import DEFAULT_TOL, frob
 
 _CERT_GRID_SIZE = 30
@@ -277,15 +277,11 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
     ref = vals1[:, :1, :, :1]                       # second coordinates pinned
     invariance = float(np.max(np.abs(vals1 - ref), initial=0.0))
 
-    j0 = cgrid.origin2
-    i0 = cgrid.origin1
-    section = 0.0
-    col0 = k2.values[:, cgrid.index(i0, j0)]
-    for i, w1 in enumerate(cgrid.axis1):
-        coli = k2.values[:, cgrid.index(i, j0)]
-        fw = complex(np.asarray(fn(w1, 0.0)).reshape(()))
-        section = max(section, float(np.max(np.abs(
-            np.conj(origin) * coli - np.conj(fw) * col0), initial=0.0)))
+    # column (w1, 0) of K2 for every first-axis value w1, against the origin column
+    cols = k2.values[:, cgrid.index(np.arange(n1), cgrid.origin2)]
+    col0 = k2.values[:, cgrid.index(cgrid.origin1, cgrid.origin2), None]
+    fw = np.asarray(fn(cgrid.axis1, np.zeros_like(cgrid.axis1)), dtype=np.complex128)
+    section = float(np.max(np.abs(np.conj(origin) * cols - np.conj(fw) * col0), initial=0.0))
     return FactorizationConditions(
         invariance <= tol and section <= tol, invariance, section)
 
@@ -312,26 +308,16 @@ def difference_quotient_colligation(f, kernel1, kernel2,
     k(z, w) of two bidisc points.  Intended for cross-checking splits on
     kernels with finite-dimensional spaces (the sampled span is then the
     whole space and the matrices are exact up to round-off)."""
-    grid = cgrid.grid
-    pts = grid.points
-    n = len(grid)
+    pts = cgrid.grid.points
     fn = as_evaluable(f)
 
-    def gram_of(kernel):
-        g = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = kernel(pts[i], pts[j])
-        return g
-
-    fact1 = numlin.psd_factor(gram_of(kernel1), tol)
-    fact2 = numlin.psd_factor(gram_of(kernel2), tol)
+    fact1 = numlin.psd_factor(_tabulate(pts, kernel1), tol)
+    fact2 = numlin.psd_factor(_tabulate(pts, kernel2), tol)
     f1, f2 = fact1.factor, fact2.factor            # sample-value bases
 
     idx0 = cgrid.index(cgrid.origin1, cgrid.origin2)
-    proj1 = np.array([cgrid.index(i, cgrid.origin2)
-                      for i in range(len(cgrid.axis1))
-                      for _ in range(len(cgrid.axis2))])  # w -> (w1, 0)
+    proj1 = np.repeat(cgrid.index(np.arange(len(cgrid.axis1)), cgrid.origin2),
+                      len(cgrid.axis2))                   # w -> (w1, 0)
     w1 = pts[:, 0]
     w2 = pts[:, 1]
     rows1 = np.abs(w1) > 1e-13

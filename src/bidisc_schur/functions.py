@@ -197,9 +197,10 @@ class RationalFunction2:
                 _check_row(c, z / abs(z), "(iii), a torus zero at a unimodular "
                            "root z1 of Res_z2(p, reflect(p))")
 
-    def eval(self, z1, z2, pole_tol: float = 1e-12):
+    def eval(self, z1, z2):
+        # poles are judged relative to max|coeffs of p|, since f ignores the scale of p
         den = self.denominator.eval(z1, z2)
-        if np.min(np.abs(den)) <= pole_tol:
+        if np.min(np.abs(den)) <= 1e-12 * np.max(np.abs(self.denominator.coeffs)):
             raise NearPoleError("denominator vanishes at an evaluation point")
         m1, m2 = self.monomial
         z1 = np.asarray(z1, dtype=np.complex128)
@@ -359,7 +360,7 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
     """Taylor coefficients of f at the origin up to orders (n1, n2),
     computed by row-wise division of the reflected numerator by p."""
     p = f.denominator.coeffs
-    if abs(p[0, 0]) <= 1e-14:
+    if abs(p[0, 0]) <= 1e-14 * np.max(np.abs(p)):
         raise NearPoleError("denominator vanishes at the origin")
     m1, m2 = f.monomial
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)

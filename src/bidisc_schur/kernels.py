@@ -31,13 +31,22 @@ from .numlin import DEFAULT_TOL, PsdFactorization, frob
 MAX_VALUE_DIM = 8
 
 
+def _blocks(values: np.ndarray, dim: int) -> np.ndarray:
+    """The (n, n, e, e) view of a kernel table: block (i, j) is K(z_i, z_j),
+    a 1 x 1 block for scalar kernels stored as (n, n).  A reshape, not a copy."""
+    return values.reshape(values.shape[0], values.shape[1], dim, dim)
+
+
 def _as_gram(table: np.ndarray, dim: int) -> np.ndarray:
-    """(n e) x (n e) Gram matrix of a kernel table: the table itself for
-    scalar kernels (n x n), blocks K(z_i, z_j) at (i, j) for e x e values."""
-    if dim == 1:
-        return table
+    """(n e) x (n e) Gram matrix of a kernel table, blocks K(z_i, z_j) at (i, j)."""
     n = table.shape[0]
-    return table.transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
+    return _blocks(table, dim).transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
+
+
+def _tabulate(points: np.ndarray, fn) -> np.ndarray:
+    """fn(z_i, z_j) at every pair of points, as an (n, n) table of scalars
+    or an (n, n, e, e) table of e x e values."""
+    return np.array([[fn(z, w) for w in points] for z in points], dtype=np.complex128)
 
 
 class SampledKernel:
@@ -58,6 +67,8 @@ class SampledKernel:
         expect = (n, n) if dim == 1 else (n, n, dim, dim)
         if vals.shape != expect:
             raise ValueError(f"values shape {vals.shape}, expected {expect}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("kernel values must be finite")
         self.grid = grid
         self.values = vals
         self.dim = dim
@@ -70,19 +81,7 @@ class SampledKernel:
 
     @classmethod
     def from_function(cls, grid: PointGrid, fn, dim: int = 1, **kwargs) -> "SampledKernel":
-        n = len(grid)
-        pts = grid.points
-        if dim == 1:
-            vals = np.empty((n, n), dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    vals[i, j] = fn(pts[i], pts[j])
-        else:
-            vals = np.empty((n, n, dim, dim), dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    vals[i, j] = fn(pts[i], pts[j])
-        return cls(grid, vals, dim, **kwargs)
+        return cls(grid, _tabulate(grid.points, fn), dim, **kwargs)
 
     def gram(self) -> np.ndarray:
         """Full (n e) x (n e) Gram matrix over the grid."""
@@ -126,6 +125,16 @@ def drury_arveson_gram(grid: PointGrid) -> np.ndarray:
 # Agler kernels of a co-isometric two-variable colligation
 
 
+def _agler_residual(vals: np.ndarray, k1: SampledKernel, k2: SampledKernel) -> tuple:
+    """Largest entry of (1 - f(z) conj(f(w))) - sum_i (1 - z_i conj(w_i)) K_i(z, w)
+    over the shared grid of two scalar kernels, given the values of f there,
+    and the Frobenius norm of 1 - f(z) conj(f(w))."""
+    lhs = 1.0 - vals[:, None] * np.conj(vals)[None, :]
+    rhs = ((1.0 - _coordinate_products(k1.grid, 0)) * k1.values
+           + (1.0 - _coordinate_products(k1.grid, 1)) * k2.values)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0)), frob(lhs)
+
+
 @dataclass(frozen=True)
 class AglerKernels:
     k1: SampledKernel
@@ -156,12 +165,8 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
     h2 = h[:, v.partition[0]:]
     k1 = SampledKernel(grid, h1 @ h1.conj().T)
     k2 = SampledKernel(grid, h2 @ h2.conj().T)
-    vals = transfer_grid(v, grid.points)
-    lhs = 1.0 - vals[:, None] * np.conj(vals)[None, :]
-    rhs = ((1.0 - _coordinate_products(grid, 0)) * k1.values
-           + (1.0 - _coordinate_products(grid, 1)) * k2.values)
-    residual = float(np.max(np.abs(lhs - rhs), initial=0.0))
-    if residual > max(tol, 1e-12 * (1.0 + frob(lhs))):
+    residual, lhs_norm = _agler_residual(transfer_grid(v, grid.points), k1, k2)
+    if residual > max(tol, 1e-12 * (1.0 + lhs_norm)):
         raise IdentityViolatedError(
             f"decomposition identity violated (max residual {residual:.3e})")
     return AglerKernels(k1, k2, residual)
@@ -180,13 +185,9 @@ def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
         raise GridMismatchError("the two kernels are sampled on different grids")
     if k1.dim != 1 or k2.dim != 1:
         raise ValueError("decomposition verification is for scalar kernels")
-    grid = k1.grid
-    fn = as_evaluable(f)
-    vals = np.asarray(fn(grid.points[:, 0], grid.points[:, 1]), dtype=np.complex128)
-    lhs = 1.0 - vals[:, None] * np.conj(vals)[None, :]
-    rhs = ((1.0 - _coordinate_products(grid, 0)) * k1.values
-           + (1.0 - _coordinate_products(grid, 1)) * k2.values)
-    residual = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    pts = k1.grid.points
+    vals = np.asarray(as_evaluable(f)(pts[:, 0], pts[:, 1]), dtype=np.complex128)
+    residual, _ = _agler_residual(vals, k1, k2)
     return DecompositionReport(residual <= tol, residual)
 
 
@@ -194,18 +195,14 @@ def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
 # de Branges-Rovnyak tests
 
 
-def _eye_like(k: SampledKernel) -> np.ndarray:
-    if k.dim == 1:
-        return np.ones((len(k.grid), len(k.grid)), dtype=np.complex128)
-    n = len(k.grid)
-    return np.broadcast_to(np.eye(k.dim), (n, n, k.dim, k.dim)).copy()
-
-
-def _hadamard(scalars: np.ndarray, k: SampledKernel) -> np.ndarray:
-    """Pointwise-in-(z, w) scalar times (possibly matrix) kernel value."""
-    if k.dim == 1:
-        return scalars * k.values
-    return scalars[:, :, None, None] * k.values
+def _weighted_gram(k: SampledKernel, weight, identity=1.0) -> np.ndarray:
+    """Gram matrix of identity(z, w) I - weight(z, w) K(z, w) over the grid,
+    weight and identity scalar (n, n) tables or constants.  Every de
+    Branges-Rovnyak test is a PSD test of one of these, with the domain's
+    factor s(z, w) as the weight."""
+    ident = np.asarray(identity)[..., None, None] * np.eye(k.dim)
+    table = ident - np.asarray(weight)[..., None, None] * _blocks(k.values, k.dim)
+    return _as_gram(table, k.dim)
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,7 @@ def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> DbrReport:
     some Schur-class T?  Holds iff the Gram of I - (1 - z conj(w)) K is PSD."""
     if k.grid.nvars != 1:
         raise ValueError("dbr_test_disc needs a disc grid")
-    table = _eye_like(k) - _hadamard(1.0 - _coordinate_products(k.grid, 0), k)
-    gram = _as_gram(table, k.dim)
+    gram = _weighted_gram(k, 1.0 - _coordinate_products(k.grid, 0))
     report = numlin.is_psd(gram, tol)
     fact = numlin.psd_factor(gram, tol) if report else None
     return DbrReport(report.is_psd, report.min_eigenvalue, fact)
@@ -240,15 +236,8 @@ def dbr_test_nf(k: SampledKernel, tol: float = DEFAULT_TOL) -> NormalizedFormRep
     if k.grid.nvars != 1:
         raise ValueError("dbr_test_nf needs a disc grid")
     s = 1.0 / (1.0 - _coordinate_products(k.grid, 0))
-    if k.dim == 1:
-        dominated = s - k.values
-    else:
-        dominated = s[:, :, None, None] * np.broadcast_to(
-            np.eye(k.dim), k.values.shape) - k.values
-    g1 = _as_gram(dominated, k.dim)
-    g2 = _as_gram(_hadamard(1.0 / s, k), k.dim)
-    r1 = numlin.is_psd(g1, tol)
-    r2 = numlin.is_psd(g2, tol)
+    r1 = numlin.is_psd(_weighted_gram(k, 1.0, s), tol)
+    r2 = numlin.is_psd(_weighted_gram(k, -(1.0 / s), 0.0), tol)
     return NormalizedFormReport(r1.is_psd, r2.is_psd,
                                 (r1.min_eigenvalue, r2.min_eigenvalue))
 
@@ -283,13 +272,11 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
     coord = [1.0 - _coordinate_products(grid, i) for i in range(n)]
     full = np.prod(coord, axis=0)
     psd_flags = tuple(bool(ki.is_psd(tol)) for ki in components)
-    total = np.zeros_like(k.values)
-    for i, ki in enumerate(components):
-        weight = full / coord[i]   # prod_{j != i} (1 - z_j conj(w_j))
-        total = total + _hadamard(1.0 / weight, ki)
-    sum_residual = float(np.max(np.abs(k.values - total), initial=0.0))
-    table = _eye_like(k) - _hadamard(full, k)
-    report = numlin.is_psd(_as_gram(table, k.dim), tol)
+    # prod_{j != i} (1 - z_j conj(w_j)) is full / coord[i]
+    total = sum((1.0 / (full / c))[:, :, None, None] * _blocks(ki.values, ki.dim)
+                for c, ki in zip(coord, components))
+    sum_residual = float(np.max(np.abs(_blocks(k.values, k.dim) - total), initial=0.0))
+    report = numlin.is_psd(_weighted_gram(k, full), tol)
     passed = all(psd_flags) and sum_residual <= tol and report.is_psd
     return PolydiscReport(passed, psd_flags, sum_residual, report.min_eigenvalue)
 
@@ -304,8 +291,7 @@ def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> BallReport:
     """PSD test of the Gram of I - (1 - <z, w>) K on a ball grid."""
     if not k.grid.ambient.startswith("ball"):
         raise ValueError("dbr_test_ball needs a ball grid")
-    table = _eye_like(k) - _hadamard(1.0 - _pair_products(k.grid), k)
-    report = numlin.is_psd(_as_gram(table, k.dim), tol)
+    report = numlin.is_psd(_weighted_gram(k, 1.0 - _pair_products(k.grid)), tol)
     return BallReport(report.is_psd, report.min_eigenvalue)
 
 

@@ -1,8 +1,10 @@
 """JSON schemas for everything that crosses the CLI boundary.
 
-Complex scalars always serialize as [re, im] pairs, matrices as nested
-row-major lists of pairs.  Every structure carries a "kind" discriminator
-on output; on input the kind may be omitted and is inferred from the keys.
+Every complex array, whatever its shape, serializes as nested row-major
+lists of [re, im] pairs (a scalar is a bare pair); pairs_to_json and
+pairs_from_json are the one codec.  Every structure carries a "kind"
+discriminator on output; on input the kind may be omitted and is inferred
+from the keys.
 """
 
 from __future__ import annotations
@@ -18,30 +20,46 @@ from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2, reflec
 from .kernels import SampledKernel, ThetaRealization
 
 
+def pairs_to_json(a) -> list:
+    """Nested [re, im] lists of a complex array of any shape."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def pairs_from_json(obj, ndim: int) -> np.ndarray:
+    """Complex array with ndim axes from nested [re, im] lists.  The nesting
+    must be rectangular and every pair two finite numbers; an empty list
+    stands for an array without entries (the matrix [[]] is 1 x 0)."""
+    try:
+        arr = np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"expected nested [re, im] pairs: {exc}") from exc
+    if arr.size == 0 and arr.ndim <= ndim:
+        return np.zeros(arr.shape + (0,) * (ndim - arr.ndim), dtype=np.complex128)
+    if arr.shape[ndim:] != (2,):
+        raise SchemaError(f"expected [re, im] pairs nested {ndim} deep, got shape {arr.shape}")
+    # json.load reads NaN and Infinity literals, and null becomes NaN above
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError("array entries must be finite numbers")
+    # the view keeps every float as read, the sign of a zero included
+    return arr.view(np.complex128)[..., 0]
+
+
 def complex_to_json(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
 
 
 def complex_from_json(obj) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise SchemaError(f"expected [re, im], got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(pairs_from_json(obj, 0))
 
 
 def matrix_to_json(m) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return [[complex_to_json(v) for v in row] for row in m]
+    return pairs_to_json(np.atleast_2d(m))
 
 
 def matrix_from_json(obj, shape=None) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SchemaError("matrix must be a list of rows")
-    if len(obj) == 0:
-        out = np.zeros((0, 0), dtype=np.complex128)
-    else:
-        out = np.array([[complex_from_json(v) for v in row] for row in obj],
-                       dtype=np.complex128)
+    out = pairs_from_json(obj, 2)
     if shape is not None and out.size == 0:
         out = out.reshape(shape)
     return out
@@ -88,13 +106,12 @@ def grid_to_json(g: PointGrid) -> dict:
     return {
         "kind": "grid",
         "ambient": g.ambient,
-        "points": [[complex_to_json(z) for z in pt] for pt in g.points],
+        "points": pairs_to_json(g.points),
     }
 
 
 def grid_from_json(obj) -> PointGrid:
-    pts = [[complex_from_json(z) for z in pt] for pt in obj["points"]]
-    return PointGrid(obj["ambient"], np.array(pts, dtype=np.complex128))
+    return PointGrid(obj["ambient"], pairs_from_json(obj["points"], 2))
 
 
 def colligation_to_json(v: Colligation) -> dict:
@@ -121,36 +138,25 @@ def colligation_from_json(obj) -> Colligation:
 
 
 def kernel_to_json(k: SampledKernel) -> dict:
-    if k.dim == 1:
-        values = [[complex_to_json(v) for v in row] for row in k.values]
-    else:
-        values = [[matrix_to_json(k.values[i, j]) for j in range(len(k.grid))]
-                  for i in range(len(k.grid))]
-    return {"kind": "kernel", "grid": grid_to_json(k.grid), "dim": k.dim, "values": values}
+    return {"kind": "kernel", "grid": grid_to_json(k.grid), "dim": k.dim,
+            "values": pairs_to_json(k.values)}
 
 
 def kernel_from_json(obj) -> SampledKernel:
     grid = grid_from_json(obj["grid"])
     dim = int(obj.get("dim", 1))
-    n = len(grid)
-    if dim == 1:
-        vals = np.array([[complex_from_json(v) for v in row] for row in obj["values"]],
-                        dtype=np.complex128)
-    else:
-        vals = np.array([[matrix_from_json(obj["values"][i][j]) for j in range(n)]
-                         for i in range(n)], dtype=np.complex128)
-    return SampledKernel(grid, vals, dim)
+    return SampledKernel(grid, pairs_from_json(obj["values"], 2 if dim == 1 else 4), dim)
 
 
 def blaschke_from_json(obj) -> tuple:
     constant = complex_from_json(obj.get("constant", [1.0, 0.0]))
-    zeros = [complex_from_json(z) for z in obj.get("zeros", [])]
+    zeros = pairs_from_json(obj.get("zeros", []), 1).tolist()
     return constant, zeros
 
 
 def blaschke_to_json(constant, zeros) -> dict:
     return {"kind": "blaschke", "constant": complex_to_json(constant),
-            "zeros": [complex_to_json(z) for z in zeros]}
+            "zeros": pairs_to_json(zeros)}
 
 
 def theta_to_json(t: ThetaRealization) -> dict:

@@ -159,3 +159,35 @@ def loop_series_of(f, n1, n2):
     if m1 <= n1 and m2 <= n2:
         out[m1:, m2:] = q[: n1 + 1 - m1, : n2 + 1 - m2]
     return out
+
+
+def loop_defect_gram(k, weight, identity=None):
+    """Reference Gram matrix of identity(z, w) I - weight(z, w) K(z, w) on
+    the kernel's grid (identity defaults to 1), entry by entry: row
+    i e + a, column j e + b holds delta_ab identity[i, j] - weight[i, j]
+    K(z_i, z_j)[a, b]."""
+    n, e = len(k.grid), k.dim
+    vals = k.values.reshape(n, n, e, e)
+    ident = np.ones((n, n)) if identity is None else identity
+    out = np.empty((n * e, n * e), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for a in range(e):
+                for b in range(e):
+                    out[i * e + a, j * e + b] = \
+                        (ident[i, j] if a == b else 0.0) - weight[i, j] * vals[i, j, a, b]
+    return out
+
+
+def loop_section_residual(f, k2, cgrid):
+    """Reference section residual of the factorization conditions: one
+    first-axis value w1 at a time, max over the grid of
+    |conj(f(0,0)) K2(., (w1, 0)) - conj(f(w1, 0)) K2(., (0, 0))|."""
+    origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
+    col0 = k2.values[:, cgrid.index(cgrid.origin1, cgrid.origin2)]
+    worst = 0.0
+    for i, w1 in enumerate(cgrid.axis1):
+        coli = k2.values[:, cgrid.index(i, cgrid.origin2)]
+        fw = complex(np.asarray(f(w1, 0.0)).reshape(()))
+        worst = max(worst, float(np.max(np.abs(np.conj(origin) * coli - np.conj(fw) * col0))))
+    return worst

@@ -14,12 +14,26 @@ from helpers import permutation_colligation, random_theta, vt_colligation
 # -- serialization round trips ------------------------------------------------
 
 
-def test_colligation_roundtrip():
+def negative_zero_colligation():
+    # vt_colligation(0.5) with imaginary parts -0.0 in a and in B
     v = vt_colligation(0.5)
+    b = v.B.copy()
+    b.imag[0, 1] = -0.0
+    return bs.Colligation(complex(v.a.real, -0.0), b, v.C, v.D, v.partition)
+
+
+@pytest.mark.parametrize("v", [
+    vt_colligation(0.5),
+    bs.model_colligation(1.0, []),      # state dimension 0: B is [[]], C and D are []
+    negative_zero_colligation(),
+], ids=["vt", "state-dim-0", "negative-zero"])
+def test_colligation_roundtrip(v):
     obj = serialize.colligation_to_json(v)
     back = serialize.parse_object(json.loads(json.dumps(obj)))
     assert np.array_equal(back.V, v.V)
     assert back.partition == v.partition
+    assert np.array_equal(np.signbit(back.V.imag), np.signbit(v.V.imag))
+    assert serialize.dumps(serialize.colligation_to_json(back)) == serialize.dumps(obj)
 
 
 def test_rational_roundtrip():
@@ -45,18 +59,21 @@ def test_kernel_roundtrip():
     assert back.grid.ambient == "disc"
 
 
-def test_kernel_roundtrip_operator_valued():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_roundtrip_operator_valued(dim):
     grid = bs.make_grid("disc", 3, seed=73)
     rng = np.random.default_rng(74)
-    rows = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    vals = np.empty((3, 3, 2, 2), dtype=complex)
+    rows = rng.normal(size=(3 * dim, 2)) + 1j * rng.normal(size=(3 * dim, 2))
+    vals = np.empty((3, 3, dim, dim), dtype=complex)
     for i in range(3):
         for j in range(3):
-            vals[i, j] = rows[2 * i: 2 * i + 2] @ rows[2 * j: 2 * j + 2].conj().T
-    k = SampledKernel(grid, vals, dim=2)
-    back = serialize.parse_object(serialize.kernel_to_json(k))
-    assert back.dim == 2
+            vals[i, j] = rows[dim * i: dim * i + dim] @ rows[dim * j: dim * j + dim].conj().T
+    k = SampledKernel(grid, vals, dim=dim)
+    obj = serialize.kernel_to_json(k)
+    back = serialize.parse_object(json.loads(json.dumps(obj)))
+    assert back.dim == dim
     assert np.allclose(back.values, k.values)
+    assert serialize.dumps(serialize.kernel_to_json(back)) == serialize.dumps(obj)
 
 
 def test_theta_roundtrip():
@@ -321,6 +338,32 @@ def test_cli_schema_error_exit_2(tmp_path, capsys):
     code, report = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert report["verdict"].startswith("SchemaError")
+
+
+@pytest.mark.parametrize("where, literal", [
+    ("value", "[NaN, 0.0]"),
+    ("value", "[0.0, Infinity]"),
+    ("value", "[-Infinity, 1.0]"),
+    ("value", "[null, 0.0]"),
+    ("value", "[1.0]"),
+    ("value", "[1.0, 0.0, 0.0]"),
+    ("row", "[[1.0, 0.0]]"),            # a ragged row of the value table
+    ("point", "[NaN, 0.0]"),
+])
+def test_cli_malformed_array_entries_exit_2(tmp_path, capsys, where, literal):
+    grid = bs.make_grid("disc", 3, seed=1)
+    obj = serialize.kernel_to_json(SampledKernel(grid, szego_gram(grid)))
+    if where == "value":
+        obj["values"][0][1] = "@"
+    elif where == "row":
+        obj["values"][1] = "@"
+    else:
+        obj["grid"]["points"][2][0] = "@"
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(obj).replace('"@"', literal))
+    code, report = run_cli(capsys, "dbr-check", str(path))
+    assert code == 2
+    assert report["verdict"].startswith("SchemaError: ")
 
 
 def test_cli_precondition_error_exit_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from bidisc_schur.kernels import SampledKernel
 from helpers import (
     blaschke_callable,
     composed_blaschke,
+    loop_section_residual,
     mobius,
     permutation_colligation,
     random_blaschke,
@@ -262,6 +263,18 @@ def test_factorization_conditions_product_mobius_fails():
     rep = factor.agler_factorization_conditions(
         bs.mobius_of_product(0.5), pair.k1, pair.k2, cg, 1e-9)
     assert not rep.cond2
+
+
+def test_section_residual_matches_loop_reference():
+    cg = factor.product_grid(5, 5, seed=62)
+    f1, f2 = mobius(0.4), mobius(-0.2 + 0.3j)
+    k1, k2 = product_agler_kernels(f1, f2)
+    pair = bs.agler_kernels_of(vt_colligation(0.5), cg.grid)
+    cases = [(lambda z1, z2: f1(z1) * f2(z2), sample(k1, cg.grid), sample(k2, cg.grid)),
+             (bs.mobius_of_product(0.5), pair.k1, pair.k2)]
+    for f, sk1, sk2 in cases:
+        rep = factor.agler_factorization_conditions(f, sk1, sk2, cg, 1e-9)
+        assert rep.section_residual == loop_section_residual(f, sk2, cg)
 
 
 def test_factorization_conditions_origin_zero_routed():

@@ -73,6 +73,25 @@ def test_eval_near_pole_guard():
         phi.eval(2.0, 1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1e15])
+def test_pole_checks_are_scale_invariant(scale):
+    # p and scale * p define the same f; the zero-free check accepts both,
+    # and so must the pole checks of series_of and eval
+    p = np.array([[1.0, 0.0], [0.0, -0.5]])
+    f = bs.RationalFunction2((0, 0), bs.Poly2(p))
+    g = bs.RationalFunction2((0, 0), bs.Poly2(scale * p))
+    assert np.allclose(bs.series_of(g, 4, 4).coeffs, bs.series_of(f, 4, 4).coeffs,
+                       rtol=1e-13, atol=1e-15)
+    pts = bs.make_grid("bidisc", 6, seed=3).points
+    assert np.allclose(g.eval(pts[:, 0], pts[:, 1]), f.eval(pts[:, 0], pts[:, 1]),
+                       rtol=1e-13, atol=0.0)
+    assert g.eval(0.1, 0.2) == pytest.approx(f.eval(0.1, 0.2), rel=1e-13)
+    # the guard still fires at a pole of the scaled denominator
+    h = bs.RationalFunction2((0, 0), bs.Poly2(scale * p), check_zero_free=False)
+    with pytest.raises(NearPoleError):
+        h.eval(2.0, 1.0)
+
+
 def test_zero_free_check_rejects_boundary_zero():
     with pytest.raises(ZeroPolynomialError):
         # 1 - z1 vanishes at z1 = 1 on the closed bidisc

@@ -13,6 +13,7 @@ from bidisc_schur.kernels import (
 )
 from helpers import (
     composed_blaschke,
+    loop_defect_gram,
     permutation_colligation,
     random_theta,
     random_two_var_unitary,
@@ -386,3 +387,54 @@ def test_sampled_kernel_validation():
         SampledKernel(grid, bad)   # not Hermitian in the pair
     with pytest.raises(ValueError):
         SampledKernel(grid, np.ones((2, 2), dtype=complex))
+    operator_valued = np.zeros((3, 3, 2, 2))
+    operator_valued[1, 1, 0, 0] = np.inf
+    for values, dim in ((np.diag([1.0, np.nan, 1.0]), 1), (operator_valued, 2)):
+        with pytest.raises(ValueError, match="finite"):
+            SampledKernel(grid, values, dim)
+
+
+def random_kernel(rng, grid, dim):
+    """A PSD kernel of value dimension dim and rank 3 on the grid, of norm ~ 1."""
+    n = len(grid)
+    rows = (rng.normal(size=(n * dim, 3)) + 1j * rng.normal(size=(n * dim, 3))) / np.sqrt(n * dim)
+    vals = (rows @ rows.conj().T).reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
+    return SampledKernel(grid, vals[:, :, 0, 0] if dim == 1 else vals, dim)
+
+
+def smallest_eigenvalue(g):
+    return float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dbr_tests_match_loop_defect_gram(dim):
+    rng = np.random.default_rng(90 + dim)
+    products = lambda z: z[:, None] * np.conj(z)[None, :]
+
+    disc = random_kernel(rng, disc_grid(91, n=9), dim)
+    s = 1.0 - products(disc.grid.points[:, 0])
+    want = smallest_eigenvalue(loop_defect_gram(disc, s))
+    assert abs(bs.dbr_test_disc(disc).min_eigenvalue - want) <= 1e-12
+    nf = bs.dbr_test_nf(disc).min_eigenvalues
+    assert abs(nf[0] - smallest_eigenvalue(loop_defect_gram(disc, np.ones_like(s), 1.0 / s))) <= 1e-12
+    assert abs(nf[1] - smallest_eigenvalue(loop_defect_gram(disc, -s, np.zeros_like(s)))) <= 1e-12
+
+    poly = random_kernel(rng, bs.make_grid("polydisc-2", 8, seed=92), dim)
+    pts = poly.grid.points
+    full = (1.0 - products(pts[:, 0])) * (1.0 - products(pts[:, 1]))
+    rep = bs.dbr_test_polydisc(poly, [poly, poly])
+    assert abs(rep.hadamard_min_eigenvalue
+               - smallest_eigenvalue(loop_defect_gram(poly, full))) <= 1e-12
+
+    ball = random_kernel(rng, bs.make_grid("ball-2", 8, seed=93), dim)
+    pts = ball.grid.points
+    weight = 1.0 - pts @ pts.conj().T
+    assert abs(bs.dbr_test_ball(ball).min_eigenvalue
+               - smallest_eigenvalue(loop_defect_gram(ball, weight))) <= 1e-12
+
+
+def test_block_view_is_not_a_copy():
+    k = random_kernel(np.random.default_rng(94), disc_grid(95, n=4), 1)
+    assert k.values.shape == (4, 4)
+    blocks = kernels._blocks(k.values, k.dim)
+    assert blocks.shape == (4, 4, 1, 1) and np.shares_memory(blocks, k.values)
