@@ -93,8 +93,6 @@ def _as_function(obj):
     """Whatever came from JSON, viewed as an evaluable f(z1, z2) or f(z)."""
     if isinstance(obj, Colligation):
         return as_transfer_callable(obj)
-    if isinstance(obj, (RationalFunction2, PowerSeries2)):
-        return obj.eval
     if hasattr(obj, "eval"):
         return obj.eval
     raise SchemaError(f"input of type {type(obj).__name__} is not evaluable")

@@ -212,6 +212,15 @@ def _require_structured(v: Colligation, tol: float) -> None:
         )
 
 
+def _powers(d: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """c, D c, ..., D^{n-1} c stacked as n x h x k (c is h x k)."""
+    out = np.empty((n,) + c.shape, dtype=np.complex128)
+    out[:1] = c
+    for i in range(1, n):
+        out[i] = d @ out[i - 1]
+    return out
+
+
 def series_coefficient_table(v: Colligation, n1: int, n2: int,
                              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Raw coefficient table of the transfer expansion of a triangular
@@ -221,29 +230,14 @@ def series_coefficient_table(v: Colligation, n1: int, n2: int,
         phi_{ij} = B1 D1^{i-1} D2 D3^{j-1} C2.
     """
     _require_structured(v, tol)
-    b1, b2, c1, c2 = v.B1, v.B2, v.C1, v.C2
-    d1, d2, d3 = v.D1, v.D2, v.D4
-    out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
+    # rows of B1 D1^{i-1} and of (D3^{j-1} C2)^T
+    lefts = _powers(v.D1.T, v.B1.T, n1)[:, :, 0]
+    rights = _powers(v.D4, v.C2, n2)[:, :, 0]
+    out = np.empty((n1 + 1, n2 + 1), dtype=np.complex128)
     out[0, 0] = v.a
-    # rows of B1 D1^{i-1} and columns of D3^{j-1} C2, built by iteration
-    left = b1.copy()
-    lefts = []
-    for _ in range(n1):
-        lefts.append(left)
-        left = left @ d1
-    right = c2.copy()
-    rights = []
-    for _ in range(n2):
-        rights.append(right)
-        right = d3 @ right
-    for i, li in enumerate(lefts, start=1):
-        out[i, 0] = (li @ c1)[0, 0]
-    for j, rj in enumerate(rights, start=1):
-        out[0, j] = (b2 @ rj)[0, 0]
-    for i, li in enumerate(lefts, start=1):
-        mid = li @ d2
-        for j, rj in enumerate(rights, start=1):
-            out[i, j] = (mid @ rj)[0, 0]
+    out[1:, 0] = lefts @ v.C1[:, 0]
+    out[0, 1:] = rights @ v.B2[0]
+    out[1:, 1:] = lefts @ v.D2 @ rights.T
     return out
 
 

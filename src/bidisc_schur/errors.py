@@ -9,6 +9,11 @@ class DomainError(Exception):
     """Base class for all precondition and verdict failures."""
 
 
+class NonFiniteError(DomainError, ValueError):
+    """An input holds NaN or an infinity.  Also a ValueError, so callers
+    that catch ValueError keep working."""
+
+
 # -- matrix utilities ------------------------------------------------------
 
 class NonSquareError(DomainError):
@@ -48,7 +53,10 @@ class ResolventIllConditionedError(DomainError):
 
 
 class NotStructuredError(DomainError):
-    """The lower-left coupling block of D is not (numerically) zero."""
+    """The colligation lacks the triangular structure an operation needs:
+    the lower-left coupling block of D is not (numerically) zero, or, for
+    the proof sums, a diagonal D block has spectral radius >= 1 - tol, so
+    its powers do not tend to zero."""
 
 
 class ZeroOnBoundaryError(DomainError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .errors import NearPoleError, ZeroPolynomialError
+from .errors import NearPoleError, NonFiniteError, ZeroPolynomialError
 
 # interior sample grids stay inside radius 0.95 so downstream resolvents
 # (I - E(z) D)^{-1} remain well conditioned
@@ -424,6 +424,8 @@ class PointGrid:
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
         if pts.shape[1] != n:
             raise ValueError(f"{self.ambient} points need {n} coordinates, got {pts.shape[1]}")
+        if not np.all(np.isfinite(pts)):
+            raise NonFiniteError("grid points must be finite")
         object.__setattr__(self, "points", pts)
         mags = np.abs(pts)
         if self.ambient == "torus2":

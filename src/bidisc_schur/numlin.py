@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DeltaNotInvertibleError,
+    NonFiniteError,
     NonHermitianError,
     NonSquareError,
     NotPsdError,
@@ -35,7 +36,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteError("matrix entries must be finite")
     return m
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .colligation import (
     Colligation,
+    _powers,
     _require_structured,
     as_transfer_callable,
     series_2d,
@@ -32,7 +33,7 @@ from .errors import (
     WindowTooLargeError,
 )
 from .functions import PowerSeries2, boundary_modulus_test, make_grid
-from .numlin import DEFAULT_TOL, frob
+from .numlin import DEFAULT_TOL, frob, spectral_radius
 
 
 @dataclass
@@ -98,28 +99,35 @@ def isometry_defect(t: ToeplitzTruncation, window: int) -> float:
 # proof-quantity diagnostics
 
 
-def _geometric_sum(d: np.ndarray, x: np.ndarray, terms: int, term_tol: float) -> np.ndarray:
-    """sum_{k=0}^{terms} D*^k X D^k, stopping early once terms are negligible."""
-    acc = x.copy()
-    t = x.copy()
-    for _ in range(terms):
-        t = d.conj().T @ t @ d
-        acc += t
-        if frob(t) < term_tol:
+def _stein_sums(d: np.ndarray, x: np.ndarray, terms: Optional[int] = None) -> np.ndarray:
+    """sum_{k >= 0} D*^k X D^k for every X stacked along the leading axes of
+    x (shape (..., h, h)), by squared Smith doubling (R. A. Smith, SIAM J.
+    Appl. Math. 16, 1968): after n steps of
+    X <- X + A* X A, A <- A^2 (starting from A = D) the sum holds the first
+    2^n terms.  The rest of the sum is A* S A for the full sum S, so the loop
+    stops once ||A||^2 is below rounding, or once 2^n is the largest power of
+    two not above `terms`.  The caller ensures spectral radius < 1; 64
+    doublings bound the loop."""
+    a = d
+    for _ in range(64 if terms is None else min(64, int(terms).bit_length() - 1)):
+        if frob(a) ** 2 <= np.finfo(float).eps:
             break
-    return acc
+        x = x + a.conj().T @ x @ a
+        a = a @ a
+    return x
 
 
 @dataclass(frozen=True)
 class ProofDiagnostics:
-    """Truncated-sum versions of the scalar sequences that make the symbol's
-    multiplication operator an isometry: y_0 should be 1 and every other
-    y_k and every c coefficient should vanish.
+    """The scalar sequences that make the symbol's multiplication operator an
+    isometry: y_0 should be 1 and every other y_k and every c coefficient
+    should vanish.  The geometric sums behind them are exact Stein sums
+    (to rounding), or partial sums when proof_diagnostics caps `terms`.
 
-    For isometric colligations the two geometric sums themselves converge
-    to the identity; their truncated distances from I are reported as
-    partial_sum_defects (first-block sum of D1*^j B1* B1 D1^j, then the
-    second-block sum of D3*^j (B2* B2 + D2* D2) D3^j)."""
+    For isometric colligations the two geometric sums themselves equal the
+    identity; their distances from I are reported as partial_sum_defects
+    (first-block sum of D1*^j B1* B1 D1^j, then the second-block sum of
+    D3*^j (B2* B2 + D2* D2) D3^j)."""
 
     y0: float
     y_offdiag: np.ndarray        # y_1 .. y_kmax
@@ -135,17 +143,15 @@ class ProofDiagnostics:
         return float(np.max(np.abs(self.c_table), initial=0.0))
 
 
-def _scalar(m) -> complex:
-    return complex(np.asarray(m).reshape(()))
-
-
 def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
-                      terms: int = 64, term_tol: float = 1e-14,
+                      terms: Optional[int] = None,
                       tol: float = DEFAULT_TOL) -> ProofDiagnostics:
-    """Diagonal and cross diagnostics of the truncated column Gram matrices,
-    computed from the colligation by truncated geometric sums (never from
-    a finite compression, so truncation error enters only through the
-    geometric tails).
+    """Diagonal and cross diagnostics of the column Gram matrices, computed
+    from the colligation by geometric sums (never from a finite
+    compression).  The sums run to convergence, or, when `terms` is given,
+    over the largest power of two of terms not above it (at least one).
+    They exist only when both diagonal D blocks have spectral radius below
+    1 - tol; otherwise NotStructuredError is raised.
 
     With G1 = sum_l D1*^l B1* B1 D1^l and
     G3 = sum_r D3*^r (B2* B2 + D2* G1 D2) D3^r:
@@ -165,52 +171,38 @@ def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
     b1, b2, c1, c2 = v.B1, v.B2, v.C1, v.C2
     d1, d2, d3 = v.D1, v.D2, v.D4
     h1, h2 = v.partition
+    for name, block in (("D1", d1), ("D3", d3)):
+        radius = spectral_radius(block)
+        if radius >= 1.0 - tol:
+            raise NotStructuredError(
+                f"{name} has spectral radius {radius:.3e} >= 1 - tol; "
+                "the proof sums do not converge")
 
-    g1 = _geometric_sum(d1, b1.conj().T @ b1, terms, term_tol)
-    g3 = _geometric_sum(
-        d3, b2.conj().T @ b2 + d2.conj().T @ g1 @ d2, terms, term_tol)
-    sum2 = _geometric_sum(d3, b2.conj().T @ b2 + d2.conj().T @ d2, terms, term_tol)
+    g1 = _stein_sums(d1, b1.conj().T @ b1, terms)
+    # [row; mix] D1^{j+1} [C1, D2] for every shift j, as (jmax+1) blocks
+    rowmix = np.concatenate([np.conj(a) * b1 + c1.conj().T @ d1,
+                             b2.conj().T @ b1 + d2.conj().T @ d1])
+    shifted = _powers(d1.T, rowmix.T, jmax + 2)[1:].transpose(0, 2, 1) \
+        @ np.concatenate([c1, d2], axis=1)
+    b2sq = b2.conj().T @ b2
+    sums = _stein_sums(d3, np.concatenate(
+        [[b2sq + d2.conj().T @ g1 @ d2, b2sq + d2.conj().T @ d2], shifted[:, 1:, 1:]]), terms)
+    g3, sum2, acc = sums[0], sums[1], sums[2:]
     sum_defects = (frob(g1 - np.eye(h1)), frob(sum2 - np.eye(h2)))
 
-    y0 = abs(a) ** 2
-    if h1:
-        y0 += _scalar(c1.conj().T @ g1 @ c1).real
-    if h2:
-        y0 += _scalar(c2.conj().T @ g3 @ c2).real
+    y0 = abs(a) ** 2 + (c1.conj().T @ g1 @ c1).real[0, 0] + (c2.conj().T @ g3 @ c2).real[0, 0]
 
-    ys = np.zeros(kmax, dtype=np.complex128)
-    if h2:
-        pow_prev = np.eye(h2, dtype=np.complex128)  # D3^{k-1}
-        for k in range(1, kmax + 1):
-            left = c2.conj().T @ pow_prev.conj().T   # C2* D3*^{k-1}
-            val = a * _scalar(left @ b2.conj().T)
-            if h1:
-                val += _scalar(left @ d2.conj().T @ g1 @ c1)
-            val += _scalar(left @ d3.conj().T @ g3 @ c2)
-            ys[k - 1] = val
-            pow_prev = pow_prev @ d3
+    # row k of pows is D3^k C2, so pows.conj() @ x gives C2* D3*^k x
+    pows = _powers(d3, c2, kmax + 1)[:, :, 0]
+    ys = pows[:kmax].conj() @ (a * b2.conj().T + d2.conj().T @ g1 @ c1
+                               + d3.conj().T @ g3 @ c2)[:, 0]
 
-    cs = np.zeros((jmax + 1, 2 * kmax + 1), dtype=np.complex128)
-    if h1:
-        mix = b2.conj().T @ b1 + d2.conj().T @ d1    # h2 x h1
-        row = np.conj(a) * b1 + c1.conj().T @ d1     # 1 x h1
-        for j in range(jmax + 1):
-            d1j = np.linalg.matrix_power(d1, j + 1)
-            acc = _geometric_sum(d3, mix @ d1j @ d2, terms, term_tol) if h2 \
-                else np.zeros((0, 0), dtype=np.complex128)
-            cs[j, kmax] = _scalar(row @ d1j @ c1)
-            if h2:
-                cs[j, kmax] += _scalar(c2.conj().T @ acc @ c2)
-                pow_prev = np.eye(h2, dtype=np.complex128)  # D3^{k-1}
-                for k in range(1, kmax + 1):
-                    pow_k = pow_prev @ d3
-                    pos = _scalar(c2.conj().T @ pow_prev.conj().T @ mix @ d1j @ c1)
-                    pos += _scalar(c2.conj().T @ pow_k.conj().T @ acc @ c2)
-                    cs[j, kmax + k] = pos
-                    neg = _scalar(row @ d1j @ d2 @ pow_prev @ c2)
-                    neg += _scalar(c2.conj().T @ acc @ pow_k @ c2)
-                    cs[j, kmax - k] = neg
-                    pow_prev = pow_k
+    cs = np.empty((jmax + 1, 2 * kmax + 1), dtype=np.complex128)
+    cs[:, kmax] = shifted[:, 0, 0] + (c2.conj().T @ acc @ c2)[:, 0, 0]
+    cs[:, kmax + 1:] = shifted[:, 1:, 0] @ pows[:kmax].conj().T \
+        + (acc @ c2)[:, :, 0] @ pows[1:].conj().T
+    cs[:, :kmax] = (shifted[:, 0, 1:] @ pows[:kmax].T
+                    + (c2.conj().T @ acc)[:, 0, :] @ pows[1:].T)[:, ::-1]
     return ProofDiagnostics(float(y0), ys, cs, sum_defects)
 
 

@@ -51,6 +51,23 @@ def random_two_var_unitary(rng, hmax=6):
     return bs.Colligation(u[0, 0], u[:1, 1:], u[1:, :1], u[1:, 1:], [h1, h - h1])
 
 
+def random_triangular(rng, h1, h2, radius=0.7):
+    """Random colligation with a zero lower-left block and both diagonal D
+    blocks scaled to spectral radius `radius` (not isometric)."""
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def scaled(h):
+        m = cplx(h, h)
+        return radius * m / np.max(np.abs(np.linalg.eigvals(m)), initial=1.0)
+
+    d = np.zeros((h1 + h2, h1 + h2), dtype=complex)
+    d[:h1, :h1] = scaled(h1)
+    d[:h1, h1:] = cplx(h1, h2)
+    d[h1:, h1:] = scaled(h2)
+    return bs.Colligation(complex(cplx()), cplx(1, h1 + h2), cplx(h1 + h2, 1), d, [h1, h2])
+
+
 def random_theta(rng, hmax=5):
     h = int(rng.integers(1, hmax + 1))
     u = random_unitary(rng, 1 + h)
@@ -191,3 +208,73 @@ def loop_section_residual(f, k2, cgrid):
         fw = complex(np.asarray(f(w1, 0.0)).reshape(()))
         worst = max(worst, float(np.max(np.abs(np.conj(origin) * coli - np.conj(fw) * col0))))
     return worst
+
+
+def loop_geometric_sum(d, x, terms):
+    """Reference partial sum sum_{k=0}^{terms} D*^k X D^k, one term at a
+    time."""
+    acc = x.copy()
+    t = x.copy()
+    for _ in range(terms):
+        t = d.conj().T @ t @ d
+        acc += t
+    return acc
+
+
+def loop_series_coefficient_table(v, n1, n2):
+    """Reference transfer coefficient table of a triangular colligation,
+    one (i, j) entry at a time from B1 D1^{i-1}, D3^{j-1} C2 and D2."""
+    b1, b2, c1, c2 = v.B1, v.B2, v.C1, v.C2
+    d1, d2, d3 = v.D1, v.D2, v.D4
+    out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
+    out[0, 0] = v.a
+    lefts = [b1 @ np.linalg.matrix_power(d1, i) for i in range(n1)]
+    rights = [np.linalg.matrix_power(d3, j) @ c2 for j in range(n2)]
+    for i, li in enumerate(lefts, start=1):
+        out[i, 0] = (li @ c1)[0, 0]
+    for j, rj in enumerate(rights, start=1):
+        out[0, j] = (b2 @ rj)[0, 0]
+    for i, li in enumerate(lefts, start=1):
+        for j, rj in enumerate(rights, start=1):
+            out[i, j] = (li @ d2 @ rj)[0, 0]
+    return out
+
+
+def loop_proof_diagnostics(v, kmax, jmax, terms):
+    """Reference proof quantities of a triangular colligation: the formulas
+    of toeplitz.proof_diagnostics evaluated one k and one j at a time, with
+    every geometric sum cut at `terms` + 1 terms (loop_geometric_sum).
+    Returns (y0, y_offdiag, c_table, partial_sum_defects)."""
+    a = v.a
+    b1, b2, c1, c2 = v.B1, v.B2, v.C1, v.C2
+    d1, d2, d3 = v.D1, v.D2, v.D4
+    h1, h2 = v.partition
+
+    def scalar(m):
+        return complex(np.asarray(m).reshape(()))
+
+    g1 = loop_geometric_sum(d1, b1.conj().T @ b1, terms)
+    g3 = loop_geometric_sum(d3, b2.conj().T @ b2 + d2.conj().T @ g1 @ d2, terms)
+    sum2 = loop_geometric_sum(d3, b2.conj().T @ b2 + d2.conj().T @ d2, terms)
+    defects = (np.linalg.norm(g1 - np.eye(h1)), np.linalg.norm(sum2 - np.eye(h2)))
+    y0 = abs(a) ** 2 + scalar(c1.conj().T @ g1 @ c1).real + scalar(c2.conj().T @ g3 @ c2).real
+    ys = np.zeros(kmax, dtype=np.complex128)
+    for k in range(1, kmax + 1):
+        left = c2.conj().T @ np.linalg.matrix_power(d3, k - 1).conj().T
+        ys[k - 1] = (a * scalar(left @ b2.conj().T) + scalar(left @ d2.conj().T @ g1 @ c1)
+                     + scalar(left @ d3.conj().T @ g3 @ c2))
+    cs = np.zeros((jmax + 1, 2 * kmax + 1), dtype=np.complex128)
+    mix = b2.conj().T @ b1 + d2.conj().T @ d1
+    row = np.conj(a) * b1 + c1.conj().T @ d1
+    for j in range(jmax + 1):
+        d1j = np.linalg.matrix_power(d1, j + 1)
+        acc = loop_geometric_sum(d3, mix @ d1j @ d2, terms)
+        cs[j, kmax] = scalar(row @ d1j @ c1) + scalar(c2.conj().T @ acc @ c2)
+        for k in range(1, kmax + 1):
+            prev = np.linalg.matrix_power(d3, k - 1)
+            pow_k = prev @ d3
+            cs[j, kmax + k] = (scalar(c2.conj().T @ prev.conj().T @ mix @ d1j @ c1)
+                               + scalar(c2.conj().T @ pow_k.conj().T @ acc @ c2))
+            cs[j, kmax - k] = (scalar(row @ d1j @ d2 @ prev @ c2)
+                               + scalar(c2.conj().T @ acc @ pow_k @ c2))
+    return float(y0), ys, cs, defects

@@ -3,8 +3,10 @@ import pytest
 
 import bidisc_schur as bs
 from bidisc_schur.colligation import (
+    _powers,
     as_transfer_callable,
     blaschke_section,
+    series_coefficient_table,
     transfer_grid,
 )
 from bidisc_schur.errors import (
@@ -16,9 +18,11 @@ from bidisc_schur.errors import (
 from bidisc_schur.functions import taylor_from_samples
 from helpers import (
     blaschke_callable,
+    loop_series_coefficient_table,
     model_matrices_boundary_oracle,
     permutation_colligation,
     random_blaschke,
+    random_triangular,
     random_two_var_unitary,
     vt_colligation,
 )
@@ -129,6 +133,27 @@ def test_series_2d_state_free():
     s = bs.series_2d(v, 3, 3)
     assert s.coeffs[0, 0] == pytest.approx(0.4)
     assert np.max(np.abs(s.coeffs.ravel()[1:])) == 0.0
+
+
+@pytest.mark.parametrize("partition", [(3, 4), (6, 0), (0, 6)])
+@pytest.mark.parametrize("n1,n2", [(0, 0), (15, 15), (3, 9)])
+def test_series_table_matches_loop_reference(partition, n1, n2):
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        v = random_triangular(rng, *partition, radius=0.9)
+        table = series_coefficient_table(v, n1, n2)
+        reference = loop_series_coefficient_table(v, n1, n2)
+        assert table.shape == reference.shape
+        assert np.max(np.abs(table - reference)) <= 1e-12 * (1.0 + np.max(np.abs(reference)))
+
+
+def test_powers_stack():
+    rng = np.random.default_rng(25)
+    d = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    c = rng.normal(size=(4, 2))
+    for n in (0, 1, 2, 5, 8):
+        expected = np.array([np.linalg.matrix_power(d, i) @ c for i in range(n)]).reshape(n, 4, 2)
+        assert np.allclose(_powers(d, c, n), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_series_2d_needs_structure():

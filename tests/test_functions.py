@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur.errors import NearPoleError, ZeroPolynomialError
+from bidisc_schur.errors import NearPoleError, NonFiniteError, ZeroPolynomialError
 from bidisc_schur.functions import INTERIOR_RADIUS, ZERO_FREE_MARGIN, taylor_from_samples
 from helpers import loop_series_inverse, loop_series_of
 
@@ -447,6 +447,10 @@ def test_grid_validation():
         bs.PointGrid("bidisc", np.array([[1.0, 0.5]]))   # |z1| = 1 not interior
     with pytest.raises(ValueError):
         bs.PointGrid("torus2", np.array([[0.5, 1.0]]))
+    for ambient, pts in (("disc", [[np.nan], [0.5]]), ("bidisc", [[0.1, np.inf]]),
+                         ("ball-2", [[np.nan, 0.0]]), ("torus2", [[1.0, np.nan]])):
+        with pytest.raises(NonFiniteError):
+            bs.PointGrid(ambient, pts)
 
 
 def test_poly_mul_is_pointwise_product():

@@ -5,6 +5,8 @@ import bidisc_schur as bs
 from bidisc_schur import numlin
 from bidisc_schur.errors import (
     DeltaNotInvertibleError,
+    DomainError,
+    NonFiniteError,
     NonHermitianError,
     NonSquareError,
     NotPsdError,
@@ -166,3 +168,7 @@ def test_block_inverse_matches_direct_inversion():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         numlin.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+    # typed, and still a ValueError for callers that catch that
+    with pytest.raises(NonFiniteError):
+        numlin.as_matrix([[1.0, np.inf]])
+    assert issubclass(NonFiniteError, DomainError) and issubclass(NonFiniteError, ValueError)

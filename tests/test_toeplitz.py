@@ -12,7 +12,10 @@ from helpers import (
     composed_blaschke,
     dense_isometry_defect,
     dense_toeplitz,
+    loop_geometric_sum,
+    loop_proof_diagnostics,
     permutation_colligation,
+    random_triangular,
     vt_colligation,
 )
 
@@ -161,8 +164,76 @@ def test_proof_diagnostics_certified():
         assert diag.y0 == pytest.approx(1.0, abs=1e-9)
         assert diag.max_y_offdiag <= 1e-8
         assert diag.max_c <= 1e-8
-        # the truncated geometric sums converge to the identity
+        # the geometric sums equal the identity
         assert max(diag.partial_sum_defects) <= 1e-9
+
+
+def test_stein_sums_match_loop_reference():
+    rng = np.random.default_rng(21)
+    for h, radius in ((0, 0.5), (1, 0.5), (4, 0.9), (7, 0.95)):
+        m = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+        d = radius * m / np.max(np.abs(np.linalg.eigvals(m)), initial=1.0)
+        x = rng.normal(size=(3, h, h)) + 1j * rng.normal(size=(3, h, h))
+        x[0] = x[0] @ x[0].conj().T
+        exact = toeplitz._stein_sums(d, x)
+        reference = np.stack([loop_geometric_sum(d, xi, 3000) for xi in x])
+        assert np.max(np.abs(exact - reference), initial=0.0) <= \
+            1e-12 * (1.0 + np.max(np.abs(reference), initial=0.0))
+        # a cap sums the largest power of two of terms not above it
+        for terms, summed in ((1, 1), (5, 4), (64, 64)):
+            capped = toeplitz._stein_sums(d, x, terms)
+            reference = np.stack([loop_geometric_sum(d, xi, summed - 1) for xi in x])
+            assert np.max(np.abs(capped - reference), initial=0.0) <= \
+                1e-12 * (1.0 + np.max(np.abs(reference), initial=0.0))
+
+
+@pytest.mark.parametrize("partition", [(3, 4), (5, 0), (0, 5), (1, 1)])
+@pytest.mark.parametrize("kmax,jmax", [(8, 2), (0, 0), (3, 5)])
+def test_proof_diagnostics_match_loop_reference(partition, kmax, jmax):
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        v = random_triangular(rng, *partition, radius=0.7)
+        diag = toeplitz.proof_diagnostics(v, kmax=kmax, jmax=jmax)
+        y0, ys, cs, defects = loop_proof_diagnostics(v, kmax, jmax, 400)
+        scale = 1.0 + abs(y0) + np.max(np.abs(cs), initial=0.0)
+        assert abs(diag.y0 - y0) <= 1e-12 * scale
+        assert diag.y_offdiag.shape == ys.shape and diag.c_table.shape == cs.shape
+        assert np.max(np.abs(diag.y_offdiag - ys), initial=0.0) <= 1e-12 * scale
+        assert np.max(np.abs(diag.c_table - cs), initial=0.0) <= 1e-12 * scale
+        assert np.allclose(diag.partial_sum_defects, defects, rtol=1e-12, atol=1e-12)
+
+
+def _cascade_with_zero_modulus(rng, r, degree):
+    zeros = [r * np.exp(2j * np.pi * rng.uniform(size=degree)) for _ in range(2)]
+    consts = np.exp(2j * np.pi * rng.uniform(size=2))
+    return bs.compose_colligations(bs.model_colligation(consts[0], zeros[0]),
+                                   bs.model_colligation(consts[1], zeros[1]))
+
+
+@pytest.mark.parametrize("r", [0.9, 0.97, 0.99])
+def test_proof_quantities_exact_near_the_circle(r):
+    # certified degree-(6, 6) cascades whose zeros all have modulus r: the
+    # proof quantities are exact sums, so they vanish to rounding however
+    # slowly the powers of D decay
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        cert = bs.certify_inner(_cascade_with_zero_modulus(rng, r, 6))
+        assert cert.verdict == "certified"
+        diag = cert.diagnostics
+        assert abs(diag.y0 - 1.0) <= 1e-10
+        assert diag.max_y_offdiag <= 1e-10
+        assert diag.max_c <= 1e-10
+        assert max(diag.partial_sum_defects) <= 1e-10
+
+
+def test_proof_diagnostics_refuses_divergent_sum():
+    # D1 = 1 has spectral radius 1, so the first-block sum diverges
+    v = bs.Colligation(0.0, [[0.5, 0.0]], [[0.0], [0.0]], np.diag([1.0, 0.0]), [1, 1])
+    with pytest.raises(NotStructuredError, match="spectral radius"):
+        toeplitz.proof_diagnostics(v)
+    cert = bs.certify_inner(v)
+    assert cert.verdict == "refuted"
+    assert cert.diagnostics is None
 
 
 def test_proof_diagnostics_not_inner():
