@@ -9,6 +9,7 @@ seed: keys are sorted and floats print with shortest round-trip precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -34,14 +35,14 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .functions import (
-    PowerSeries2,
-    RationalFunction2,
-    boundary_modulus_test,
-    make_grid,
-    series_of,
+from .functions import PowerSeries2, RationalFunction2, make_grid, series_of
+from .toeplitz import (
+    boundary_scan,
+    certify_inner,
+    isometry_defect,
+    phi_blocks_from_colligation,
+    toeplitz_truncate,
 )
-from .toeplitz import certify_inner, isometry_defect, phi_blocks_from_colligation, toeplitz_truncate
 
 DEFAULT_TOL_ENV = "BIDISC_SCHUR_TOL"
 
@@ -60,6 +61,14 @@ def _load(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return serialize.parse_object(obj)
+
+
+def _load_as(path: str, kind, message: str):
+    """_load, refusing with SchemaError(message) what is not a `kind`."""
+    obj = _load(path)
+    if not isinstance(obj, kind):
+        raise SchemaError(message)
+    return obj
 
 
 def parse_grid_spec(spec: str, seed: int):
@@ -87,6 +96,28 @@ def parse_grid_spec(spec: str, seed: int):
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad grid spec {spec!r}: {exc}") from exc
     raise ParseError(f"bad grid spec {spec!r}")
+
+
+def _positive(flag: str, text) -> list:
+    """The comma-separated integers of a flag; each must be >= 1."""
+    try:
+        values = [int(x) for x in str(text).split(",")]
+    except ValueError:
+        values = [0]
+    if min(values) < 1:
+        raise ParseError(f"{flag} takes integers >= 1, got {text!r}")
+    return values
+
+
+def _tolerance(text) -> float:
+    """The tolerance given as text; it must pass numlin.sound_tol."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not numlin.sound_tol(tol):
+        raise ParseError(f"tolerance must be a finite number with 0 < tol < 1, got {text!r}")
+    return tol
 
 
 def _as_function(obj):
@@ -137,25 +168,15 @@ def _cmd_eval(args, tol, seed):
 
 
 def _cmd_classify(args, tol, seed):
-    obj = _load(args.input)
-    if not isinstance(obj, Colligation):
-        raise SchemaError("classify expects a colligation")
-    cls = obj.classify(tol)
-    evidence = {
-        "is_isometry": cls.is_isometry,
-        "is_coisometry": cls.is_coisometry,
-        "is_unitary": cls.is_unitary,
-        "is_contraction": cls.is_contraction,
-    }
+    obj = _load_as(args.input, Colligation, "classify expects a colligation")
+    evidence = dataclasses.asdict(obj.classify(tol))
     if obj.nvars == 2:
         evidence["structure"] = _structure_dict(structure_report(obj, tol))
     return "computed", evidence, 0
 
 
 def _cmd_inner_check(args, tol, seed):
-    v = _load(args.input)
-    if not isinstance(v, Colligation):
-        raise SchemaError("inner-check expects a colligation")
+    v = _load_as(args.input, Colligation, "inner-check expects a colligation")
     cert = certify_inner(v, tol)
     evidence = {
         "detail": cert.detail,
@@ -176,32 +197,25 @@ def _cmd_inner_check(args, tol, seed):
 
 def _cmd_toeplitz_check(args, tol, seed):
     obj = _load(args.input)
-    orders = [int(m) for m in args.orders.split(",")]
-    evidence = {"isometry_defect_by_M": {}}
+    orders = _positive("--orders", args.orders)
+    evidence = {"isometry_defect_by_M": {}, "structure": None, "radii": None,
+                "boundary_deviation": None}
     if isinstance(obj, Colligation):
         rep = structure_report(obj, tol)
         evidence["structure"] = _structure_dict(rep)
         evidence["radii"] = [rep.radius_block1, rep.radius_block2]
-        try:
-            boundary = boundary_modulus_test(
-                as_transfer_callable(obj), make_grid("torus2", 64), 10 * tol)
-            evidence["boundary_deviation"] = boundary.max_deviation
-        except DomainError:
-            evidence["boundary_deviation"] = None
+        boundary = boundary_scan(as_transfer_callable(obj), tol)
         builder = lambda m: phi_blocks_from_colligation(obj, m, tol)
+    elif isinstance(obj, RationalFunction2):
+        boundary = boundary_scan(obj, tol)
+        builder = lambda m: toeplitz_truncate(series_of(obj, m - 1, m - 1), m)
+    elif isinstance(obj, PowerSeries2):
+        boundary = None
+        builder = lambda m: toeplitz_truncate(obj, m)
     else:
-        evidence["structure"] = None
-        evidence["radii"] = None
-        if isinstance(obj, RationalFunction2):
-            boundary = boundary_modulus_test(obj, make_grid("torus2", 64), 10 * tol)
-            evidence["boundary_deviation"] = boundary.max_deviation
-            series = {m: series_of(obj, m - 1, m - 1) for m in orders}
-        elif isinstance(obj, PowerSeries2):
-            evidence["boundary_deviation"] = None
-            series = {m: obj for m in orders}
-        else:
-            raise SchemaError("toeplitz-check expects a colligation, rational2, or series2")
-        builder = lambda m: toeplitz_truncate(series[m], m)
+        raise SchemaError("toeplitz-check expects a colligation, rational2, or series2")
+    if boundary is not None:
+        evidence["boundary_deviation"] = boundary.max_deviation
     for m in orders:
         window = min(8, m // 2)
         evidence["isometry_defect_by_M"][str(m)] = isometry_defect(builder(m), window)
@@ -209,9 +223,7 @@ def _cmd_toeplitz_check(args, tol, seed):
 
 
 def _cmd_agler_kernels(args, tol, seed):
-    v = _load(args.input)
-    if not isinstance(v, Colligation):
-        raise SchemaError("agler-kernels expects a colligation")
+    v = _load_as(args.input, Colligation, "agler-kernels expects a colligation")
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     pair = kernels_mod.agler_kernels_of(v, grid, tol)
     evidence = {
@@ -230,10 +242,9 @@ def _cmd_agler_kernels(args, tol, seed):
 
 def _cmd_agler_verify(args, tol, seed):
     fn = _as_function(_load(args.function))
-    k1 = _load(args.k1)
-    k2 = _load(args.k2)
-    if not isinstance(k1, kernels_mod.SampledKernel) or not isinstance(k2, kernels_mod.SampledKernel):
-        raise SchemaError("agler-verify expects kernel JSON for K1 and K2")
+    k1, k2 = (_load_as(path, kernels_mod.SampledKernel,
+                       "agler-verify expects kernel JSON for K1 and K2")
+              for path in (args.k1, args.k2))
     for name, k in (("K1", k1), ("K2", k2)):
         if not k.is_psd(tol):
             return f"failed: {name} is not PSD", {"kernel": name}, 1
@@ -243,10 +254,7 @@ def _cmd_agler_verify(args, tol, seed):
 
 
 def _kernel_arg(path):
-    k = _load(path)
-    if not isinstance(k, kernels_mod.SampledKernel):
-        raise SchemaError(f"{path} does not contain a kernel")
-    return k
+    return _load_as(path, kernels_mod.SampledKernel, f"{path} does not contain a kernel")
 
 
 def _cmd_dbr_check(args, tol, seed):
@@ -258,12 +266,7 @@ def _cmd_dbr_check(args, tol, seed):
 def _cmd_dbr_nf_check(args, tol, seed):
     rep = kernels_mod.dbr_test_nf(_kernel_arg(args.input), tol)
     ok = rep.dominated_by_szego and rep.hadamard_psd
-    evidence = {
-        "dominated_by_szego": rep.dominated_by_szego,
-        "hadamard_psd": rep.hadamard_psd,
-        "min_eigenvalues": list(rep.min_eigenvalues),
-    }
-    return ("pass" if ok else "failed"), evidence, 0 if ok else 1
+    return ("pass" if ok else "failed"), dataclasses.asdict(rep), 0 if ok else 1
 
 
 def _cmd_dbr_reconstruct(args, tol, seed):
@@ -295,16 +298,22 @@ def _cmd_dbr_ball(args, tol, seed):
         {"min_eigenvalue": rep.min_eigenvalue}, 0 if rep.passed else 1
 
 
+def _split_report(v: Colligation, tol):
+    """split_colligation as a verdict; a failed condition exits 1."""
+    try:
+        result = factor_mod.split_colligation(v, tol)
+    except (ConditionFailedError, OriginZeroError) as exc:
+        return f"{type(exc).__name__.removesuffix('Error')}: {exc}", {}, 1
+    return "split", serialize.factorization_to_json(result), 0
+
+
 def _cmd_factor(args, tol, seed):
     obj = _load(args.input)
     if isinstance(obj, Colligation):
-        try:
-            result = factor_mod.split_colligation(obj, tol)
-        except (ConditionFailedError, OriginZeroError) as exc:
-            return f"{type(exc).__name__.removesuffix('Error')}: {exc}", {}, 1
-        evidence = serialize.factorization_to_json(result)
-        evidence["separable"] = True
-        return "separable", evidence, 0
+        verdict, evidence, code = _split_report(obj, tol)
+        if code == 0:
+            verdict, evidence["separable"] = "separable", True
+        return verdict, evidence, code
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     try:
         rep = factor_mod.separability_test(_as_function(obj), grid, tol)
@@ -317,30 +326,18 @@ def _cmd_factor(args, tol, seed):
 
 
 def _cmd_compose(args, tol, seed):
-    v1 = _load(args.first)
-    v2 = _load(args.second)
-    if not (isinstance(v1, Colligation) and isinstance(v2, Colligation)):
-        raise SchemaError("compose expects two colligations")
+    v1, v2 = (_load_as(path, Colligation, "compose expects two colligations")
+              for path in (args.first, args.second))
     out = factor_mod.compose_colligations(v1, v2, tol)
     return "composed", {"colligation": serialize.colligation_to_json(out)}, 0
 
 
 def _cmd_split(args, tol, seed):
-    v = _load(args.input)
-    if not isinstance(v, Colligation):
-        raise SchemaError("split expects a colligation")
-    try:
-        result = factor_mod.split_colligation(v, tol)
-    except (ConditionFailedError, OriginZeroError) as exc:
-        return f"{type(exc).__name__.removesuffix('Error')}: {exc}", {}, 1
-    return "split", serialize.factorization_to_json(result), 0
+    return _split_report(_load_as(args.input, Colligation, "split expects a colligation"), tol)
 
 
 def _cmd_model(args, tol, seed):
-    obj = _load(args.input)
-    if not isinstance(obj, tuple):
-        raise SchemaError("model expects Blaschke data {constant, zeros}")
-    constant, zeros = obj
+    constant, zeros = _load_as(args.input, tuple, "model expects Blaschke data {constant, zeros}")
     v = model_colligation(constant, zeros)
     unit = numlin.classify(v.V, tol)
     return "computed", {
@@ -350,11 +347,11 @@ def _cmd_model(args, tol, seed):
 
 
 def _cmd_strip(args, tol, seed):
-    obj = _load(args.input)
-    if not isinstance(obj, (RationalFunction2, PowerSeries2)):
-        raise SchemaError("strip expects a rational2 or series2 input")
+    obj = _load_as(args.input, (RationalFunction2, PowerSeries2),
+                   "strip expects a rational2 or series2 input")
     try:
-        p, stripped = strip_monomial(obj, truncation=args.truncation, tol=tol)
+        p, stripped = strip_monomial(
+            obj, truncation=_positive("--truncation", args.truncation)[0], tol=tol)
     except NotDivisibleError as exc:
         return f"NotDivisible: {exc}", {}, 1
     if isinstance(stripped, RationalFunction2):
@@ -389,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bidisc-schur",
         description="Colligation realizations, inner certificates, Agler "
                     "decompositions and de Branges-Rovnyak kernel tests.")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", default=None,
                         help="tolerance (default 1e-9, or env BIDISC_SCHUR_TOL)")
     parser.add_argument("--seed", type=int, default=0, help="seed for random grids")
     parser.add_argument("--out", default=None,
@@ -397,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--tol", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,44 +438,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get(DEFAULT_TOL_ENV, numlin.DEFAULT_TOL))
 
-    inputs = {}
-    for attr in ("input", "function", "k1", "k2", "kernel", "first", "second"):
-        path = getattr(args, attr, None)
-        if path:
-            inputs[path] = None
-    if getattr(args, "components", None):
-        for path in args.components:
-            inputs[path] = None
+    paths = [getattr(args, attr, None)
+             for attr in ("input", "function", "k1", "k2", "kernel", "first", "second")]
+    inputs = dict.fromkeys(p for p in paths + (getattr(args, "components", None) or []) if p)
 
-    report = {"command": args.command, "tol": tol, "seed": args.seed}
+    # --tol, else BIDISC_SCHUR_TOL, else the default
+    given = args.tol if args.tol is not None else os.environ.get(DEFAULT_TOL_ENV, numlin.DEFAULT_TOL)
+    report = {"command": args.command, "tol": given, "seed": args.seed}
     try:
+        tol = report["tol"] = _tolerance(given)
         for path in inputs:
             inputs[path] = _digest(path)
         report["inputs_digest"] = inputs
         verdict, evidence, code = _COMMANDS[args.command](args, tol, args.seed)
-    except (ParseError, SchemaError) as exc:
-        report["verdict"] = f"{type(exc).__name__}: {exc}"
-        report["evidence"] = {}
-        code = 2
-    except DomainError as exc:
-        report["verdict"] = f"{type(exc).__name__.removesuffix('Error')}: {exc}"
-        report["evidence"] = {}
-        code = 2
-    except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
-        report["verdict"] = f"{type(exc).__name__}: {exc}"
-        report["evidence"] = {}
-        code = 2
-    except OSError as exc:
-        report["verdict"] = f"IOError: {exc}"
-        report["evidence"] = {}
-        code = 2
-    else:
-        report["verdict"] = verdict
-        report["evidence"] = evidence
+    except (DomainError, ValueError, TypeError, np.linalg.LinAlgError, OSError) as exc:
+        # ParseError and SchemaError keep their names, other DomainErrors
+        # drop the Error suffix
+        name = "IOError" if isinstance(exc, OSError) else type(exc).__name__
+        if isinstance(exc, DomainError) and not isinstance(exc, (ParseError, SchemaError)):
+            name = name.removesuffix("Error")
+        verdict, evidence, code = f"{name}: {exc}", {}, 2
+    report["verdict"] = verdict
+    report["evidence"] = evidence
 
     text = serialize.dumps(report)
     print(text)

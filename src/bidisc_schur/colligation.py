@@ -18,7 +18,7 @@ from .errors import (
     ZeroOnBoundaryError,
 )
 from .functions import PowerSeries2, RationalFunction2, series_of
-from .numlin import DEFAULT_TOL, as_matrix, frob
+from .numlin import DEFAULT_TOL, RESIDUAL_GUARD, as_matrix, bound, frob
 
 
 class Colligation:
@@ -78,42 +78,14 @@ class Colligation:
             raise ValueError("block views need a two-variable colligation")
         return self.partition[0]
 
-    @property
-    def B1(self) -> np.ndarray:
-        return self.B[:, : self._h1()]
-
-    @property
-    def B2(self) -> np.ndarray:
-        return self.B[:, self._h1():]
-
-    @property
-    def C1(self) -> np.ndarray:
-        return self.C[: self._h1(), :]
-
-    @property
-    def C2(self) -> np.ndarray:
-        return self.C[self._h1():, :]
-
-    @property
-    def D1(self) -> np.ndarray:
-        k = self._h1()
-        return self.D[:k, :k]
-
-    @property
-    def D2(self) -> np.ndarray:
-        k = self._h1()
-        return self.D[:k, k:]
-
-    @property
-    def lower_left(self) -> np.ndarray:
-        k = self._h1()
-        return self.D[k:, :k]
-
-    @property
-    def D4(self) -> np.ndarray:
-        k = self._h1()
-        return self.D[k:, k:]
-
+    B1 = property(lambda self: self.B[:, : self._h1()])
+    B2 = property(lambda self: self.B[:, self._h1():])
+    C1 = property(lambda self: self.C[: self._h1(), :])
+    C2 = property(lambda self: self.C[self._h1():, :])
+    D1 = property(lambda self: self.D[: self._h1(), : self._h1()])
+    D2 = property(lambda self: self.D[: self._h1(), self._h1():])
+    lower_left = property(lambda self: self.D[self._h1():, : self._h1()])
+    D4 = property(lambda self: self.D[self._h1():, self._h1():])
     # triangular-form alias for the lower-right block
     D3 = D4
 
@@ -132,7 +104,7 @@ def _resolvent_solve(d: np.ndarray, reps: np.ndarray, rhs: np.ndarray,
     reps is n x h (row p holds the diagonal of E at point p, for example
     E(z) = z1 I (+) z2 I along a state partition) and rhs is h x k or
     n x h x k; the result is n x h x k.  A singular system, a non-finite
-    solution or a residual above 1e-6 (1 + ||x||) raises
+    solution or a residual above bound(RESIDUAL_GUARD, ||x||) raises
     ResolventIllConditionedError: the point is too close to a pole."""
     mats = np.eye(d.shape[0]) - reps[:, :, None] * d
     if transpose:
@@ -143,7 +115,7 @@ def _resolvent_solve(d: np.ndarray, reps: np.ndarray, rhs: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise ResolventIllConditionedError(str(exc)) from exc
     resid = np.linalg.norm(mats @ x - rhs, axis=(1, 2))
-    if not np.all(np.isfinite(x)) or np.any(resid > 1e-6 * (1.0 + np.linalg.norm(x, axis=(1, 2)))):
+    if not np.all(np.isfinite(x)) or np.any(resid > bound(RESIDUAL_GUARD, np.linalg.norm(x, axis=(1, 2)))):
         raise ResolventIllConditionedError("resolvent ill conditioned at a grid point")
     return x
 
@@ -203,10 +175,14 @@ def as_transfer_callable(v: Colligation):
     return fn1
 
 
+def _lower_left_zero(v: Colligation, tol: float) -> bool:
+    return frob(v.lower_left) <= bound(tol, frob(v.D))
+
+
 def _require_structured(v: Colligation, tol: float) -> None:
     if v.nvars != 2:
         raise NotStructuredError("structured form needs a two-variable colligation")
-    if frob(v.lower_left) > tol * (1.0 + frob(v.D)):
+    if not _lower_left_zero(v, tol):
         raise NotStructuredError(
             f"lower-left D block is nonzero (norm {frob(v.lower_left):.3e})"
         )
@@ -264,19 +240,18 @@ def structure_report(v: Colligation, tol: float = DEFAULT_TOL) -> StructureRepor
     """Structural predicates of a two-variable colligation.
 
     Membership of a finite matrix in the class of contractions with powers
-    tending to zero is decided by spectral radius < 1 - tol.
+    tending to zero is decided by numlin.below_one (spectral radius < 1 - tol).
     """
     if v.nvars != 2:
         raise ValueError("structure_report needs a two-variable colligation")
     cls = v.classify(tol)
-    scale = 1.0 + frob(v.D)
-    lower_zero = frob(v.lower_left) <= tol * scale
     r1 = numlin.spectral_radius(v.D1)
     r2 = numlin.spectral_radius(v.D4)
-    cond = frob(v.a * v.D2 - v.C1 @ v.B2) <= tol * scale
+    cond = frob(v.a * v.D2 - v.C1 @ v.B2) <= bound(tol, frob(v.D))
     return StructureReport(
         cls.is_isometry, cls.is_coisometry, cls.is_unitary, cls.is_contraction,
-        lower_zero, r1, r2, r1 < 1.0 - tol, r2 < 1.0 - tol, cond,
+        _lower_left_zero(v, tol), r1, r2, numlin.below_one(r1, tol),
+        numlin.below_one(r2, tol), cond,
     )
 
 
@@ -331,7 +306,7 @@ def model_colligation(constant: complex, zeros) -> Colligation:
     one-zero unitary sections and folding the unimodular constant last.
     """
     constant = complex(constant)
-    if abs(abs(constant) - 1.0) > 1e-12:
+    if abs(abs(constant) - 1.0) > numlin.EXACT_GUARD:
         raise ValueError(f"leading constant must be unimodular, got |c| = {abs(constant)}")
     v = Colligation(1.0, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0])
     for alpha in zeros:
@@ -342,14 +317,6 @@ def model_colligation(constant: complex, zeros) -> Colligation:
 
 # ---------------------------------------------------------------------------
 # monomial stripping
-
-
-def _strip_series_table(coeffs: np.ndarray, tol_abs: float):
-    nz = np.abs(coeffs) > tol_abs
-    if not nz.any():
-        raise NotDivisibleError("series vanishes identically to truncation")
-    p = int(np.argwhere(nz)[:, 0].min())
-    return p
 
 
 def strip_monomial(f, truncation: int = 16, tol: float = DEFAULT_TOL):
@@ -367,10 +334,13 @@ def strip_monomial(f, truncation: int = 16, tol: float = DEFAULT_TOL):
         table = f.coeffs
     else:
         raise TypeError("strip_monomial needs a rational function or a power series")
-    tol_abs = tol * (1.0 + float(np.abs(table).max(initial=0.0)))
+    tol_abs = bound(tol, float(np.abs(table).max(initial=0.0)))
     if abs(table[0, 0]) > tol_abs:
         return 0, f
-    p = _strip_series_table(table, tol_abs)
+    rows = np.flatnonzero(np.any(np.abs(table) > tol_abs, axis=1))
+    if rows.size == 0:
+        raise NotDivisibleError("series vanishes identically to truncation")
+    p = int(rows[0])
     if p == 0:
         raise NotDivisibleError(
             "value at the origin vanishes but no power of the first variable "

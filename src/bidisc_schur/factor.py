@@ -27,7 +27,7 @@ from .errors import (
 )
 from .functions import PointGrid, as_evaluable, make_grid
 from .kernels import SampledKernel, _tabulate
-from .numlin import DEFAULT_TOL, frob
+from .numlin import DEFAULT_TOL, EXACT_GUARD, RESIDUAL_GUARD, bound, frob
 
 _CERT_GRID_SIZE = 30
 _CERT_GRID_SEED = 20260810
@@ -97,6 +97,16 @@ def product_residual(v: Colligation, v1: Colligation, v2: Colligation,
     return float(np.max(np.abs(vals - vals1 * vals2), initial=0.0))
 
 
+def _product_certificate(v: Colligation, v1: Colligation, v2: Colligation,
+                         tol: float, failure: str) -> float:
+    """product_residual on the certificate grid, at most numlin.floored(tol, 0)."""
+    grid = make_grid("bidisc", _CERT_GRID_SIZE, _CERT_GRID_SEED)
+    residual = product_residual(v, v1, v2, grid)
+    if residual > numlin.floored(tol, 0.0):
+        raise IdentityViolatedError(f"{failure} (residual {residual:.3e})")
+    return residual
+
+
 def split_colligation(v: Colligation, tol: float = DEFAULT_TOL) -> FactorizationResult:
     """Split a colligation satisfying check_condition_4 into
 
@@ -111,6 +121,11 @@ def split_colligation(v: Colligation, tol: float = DEFAULT_TOL) -> Factorization
         raise ConditionFailedError(
             "colligation fails the splittability condition "
             "(co-isometry, zero lower-left block, a D2 = C1 B2)")
+    return _split(v, tol)
+
+
+def _split(v: Colligation, tol: float) -> FactorizationResult:
+    """The split of a colligation already known to satisfy check_condition_4."""
     b1_norm_sq = float(np.linalg.norm(v.B1) ** 2)
     y = complex(np.sqrt(max(1.0 - b1_norm_sq, 0.0)))
     if abs(y) <= tol:
@@ -119,12 +134,8 @@ def split_colligation(v: Colligation, tol: float = DEFAULT_TOL) -> Factorization
     h1, h2 = v.partition
     v1 = Colligation(y, v.B1, v.C1 / x, v.D1, [h1])
     v2 = Colligation(x, v.B2 / y, v.C2, v.D4, [h2])
-    grid = make_grid("bidisc", _CERT_GRID_SIZE, _CERT_GRID_SEED)
-    certificate = product_residual(v, v1, v2, grid)
-    if certificate > max(tol, 1e-10):
-        raise IdentityViolatedError(
-            f"split factors do not reproduce the transfer function "
-            f"(residual {certificate:.3e})")
+    certificate = _product_certificate(
+        v, v1, v2, tol, "split factors do not reproduce the transfer function")
     return FactorizationResult(v1, v2, y, x, certificate)
 
 
@@ -142,11 +153,7 @@ def compose_colligations(v1: Colligation, v2: Colligation,
             "factors must share a class: both isometric or both co-isometric")
     a, b, c, d, h1, h2 = cascade_blocks(v1, v2)
     out = Colligation(a, b, c, d, [h1, h2])
-    grid = make_grid("bidisc", _CERT_GRID_SIZE, _CERT_GRID_SEED)
-    residual = product_residual(out, v1, v2, grid)
-    if residual > max(tol, 1e-10):
-        raise IdentityViolatedError(
-            f"composition does not realize the product (residual {residual:.3e})")
+    _product_certificate(out, v1, v2, tol, "composition does not realize the product")
     return out
 
 
@@ -164,11 +171,12 @@ class ConverseReport:
 def weak_converse_check(v: Colligation, tol: float = DEFAULT_TOL) -> ConverseReport:
     """Execute the converse pipeline for a finite-dimensional unitary
     colligation with nonzero constant term, zero lower-left block and both
-    diagonal D-blocks of spectral radius < 1:
+    diagonal D-blocks of spectral radius < 1 - tol:
 
     compute (a D - C B)^{-1} blockwise, verify the adjoint identity
     D* = a (a D - C B)^{-1} (the Schur complement of the scalar corner of V
-    is a^{-1}(a D - C B)), confirm a D2 - C1 B2 = 0, then split."""
+    is a^{-1}(a D - C B)), confirm a D2 - C1 B2 = 0, then split.  The identity
+    is exact for unitary V: a miss of numlin.inverse_bound is IdentityViolatedError."""
     if v.nvars != 2:
         raise ValueError("weak_converse_check needs a two-variable colligation")
     report = structure_report(v, tol)
@@ -178,9 +186,9 @@ def weak_converse_check(v: Colligation, tol: float = DEFAULT_TOL) -> ConverseRep
         raise OriginZeroError("precondition failed: constant term vanishes")
     if not report.lower_left_zero:
         raise ConditionFailedError("precondition failed: lower-left D block is nonzero")
-    if not (report.radius_block1 < 1.0 and report.radius_block2 < 1.0):
+    if not (report.c0dot_block1 and report.c0dot_block2):
         raise ConditionFailedError(
-            "precondition failed: a diagonal D block has spectral radius >= 1")
+            "precondition failed: a diagonal D block has spectral radius >= 1 - tol")
     a = v.a
     p = a * v.D1 - v.C1 @ v.B1
     q = a * v.D2 - v.C1 @ v.B2
@@ -188,15 +196,14 @@ def weak_converse_check(v: Colligation, tol: float = DEFAULT_TOL) -> ConverseRep
     s = a * v.D4 - v.C2 @ v.B2
     inv = numlin.block_inverse_2x2(p, q, r, s, tol)
     identity_residual = frob(v.D.conj().T - a * inv)
-    if identity_residual > tol * (1.0 + frob(v.D)):
-        raise ConditionFailedError(
+    if identity_residual > numlin.inverse_bound(tol, np.block([[p, q], [r, s]]), frob(v.D)):
+        raise IdentityViolatedError(
             f"adjoint identity D* = a (aD - CB)^{{-1}} fails "
             f"(residual {identity_residual:.3e})")
-    coupling = frob(q)
-    if coupling > tol * (1.0 + frob(v.D)):
+    if not report.factorization_condition:
         raise ConditionFailedError(
-            f"coupling condition a D2 = C1 B2 fails (norm {coupling:.3e})")
-    return ConverseReport(identity_residual, coupling, split_colligation(v, tol))
+            f"coupling condition a D2 = C1 B2 fails (norm {frob(q):.3e})")
+    return ConverseReport(identity_residual, frob(q), _split(v, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +219,8 @@ class CompanionedGrid:
     axis2: np.ndarray
     grid: PointGrid
 
-    @property
-    def origin1(self) -> int:
-        return int(np.argmin(np.abs(self.axis1)))
-
-    @property
-    def origin2(self) -> int:
-        return int(np.argmin(np.abs(self.axis2)))
+    origin1 = property(lambda self: int(np.argmin(np.abs(self.axis1))))
+    origin2 = property(lambda self: int(np.argmin(np.abs(self.axis2))))
 
     def index(self, i: int, j: int) -> int:
         return i * len(self.axis2) + j
@@ -227,19 +229,20 @@ class CompanionedGrid:
 def companioned_grid(axis1, axis2) -> CompanionedGrid:
     a1 = np.asarray(axis1, dtype=np.complex128).ravel()
     a2 = np.asarray(axis2, dtype=np.complex128).ravel()
-    if not (np.abs(a1).min(initial=np.inf) < 1e-14 and np.abs(a2).min(initial=np.inf) < 1e-14):
+    if not (np.abs(a1).min(initial=np.inf) <= EXACT_GUARD
+            and np.abs(a2).min(initial=np.inf) <= EXACT_GUARD):
         raise GridNotCompanionedError("both axes must contain the origin")
     z1, z2 = np.meshgrid(a1, a2, indexing="ij")
     grid = PointGrid("bidisc", np.column_stack([z1.ravel(), z2.ravel()]))
     return CompanionedGrid(a1, a2, grid)
 
 
-def product_grid(n1: int, n2: int, seed: int = 0, radius: float = 0.6) -> CompanionedGrid:
-    """Companioned grid with n1 x n2 random interior axis values plus 0."""
+def product_grid(n1: int, n2: int, seed: int = 0) -> CompanionedGrid:
+    """Companioned grid with n1 x n2 random axis values of modulus < 0.6, plus 0."""
     rng = np.random.default_rng(seed)
 
     def axis(n):
-        vals = radius * np.sqrt(rng.uniform(size=n - 1)) \
+        vals = 0.6 * np.sqrt(rng.uniform(size=n - 1)) \
             * np.exp(2j * np.pi * rng.uniform(size=n - 1))
         return np.concatenate([[0.0 + 0.0j], vals])
 
@@ -320,14 +323,14 @@ def difference_quotient_colligation(f, kernel1, kernel2,
                       len(cgrid.axis2))                   # w -> (w1, 0)
     w1 = pts[:, 0]
     w2 = pts[:, 1]
-    rows1 = np.abs(w1) > 1e-13
-    rows2 = np.abs(w2) > 1e-13
+    rows1 = np.abs(w1) > EXACT_GUARD
+    rows2 = np.abs(w2) > EXACT_GUARD
 
     def coords(basis, numer, denom, rows):
         samples = np.atleast_2d(numer[rows]) / denom[rows, None]
         sol, _, _, _ = np.linalg.lstsq(basis[rows], samples, rcond=None)
         recon = basis[rows] @ sol
-        if np.max(np.abs(recon - samples), initial=0.0) > 1e-7 * (1.0 + np.max(np.abs(samples))):
+        if np.max(np.abs(recon - samples), initial=0.0) > bound(RESIDUAL_GUARD, np.abs(samples).max()):
             raise IdentityViolatedError(
                 "difference-quotient action leaves the sampled span")
         return sol

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
 from .errors import NearPoleError, NonFiniteError, ZeroPolynomialError
+from .numlin import DEFAULT_TOL, EXACT_GUARD
 
 # interior sample grids stay inside radius 0.95 so downstream resolvents
 # (I - E(z) D)^{-1} remain well conditioned
@@ -80,8 +81,7 @@ class Poly2:
     def eval(self, z1, z2):
         return polyval2d(z1, z2, self.coeffs)
 
-    def __call__(self, z1, z2):
-        return self.eval(z1, z2)
+    __call__ = eval
 
     def mul(self, other: "Poly2") -> "Poly2":
         return Poly2(_convolve(self.coeffs, other.coeffs))
@@ -120,7 +120,7 @@ class RationalFunction2:
         if m1 < 0 or m2 < 0:
             raise ValueError("monomial exponents must be nonnegative")
         u = complex(unimodular)
-        if abs(abs(u) - 1.0) > 1e-12:
+        if abs(abs(u) - 1.0) > EXACT_GUARD:
             raise ValueError(f"constant must be unimodular, got |u| = {abs(u)}")
         self.monomial = (m1, m2)
         self.denominator = denominator
@@ -200,7 +200,7 @@ class RationalFunction2:
     def eval(self, z1, z2):
         # poles are judged relative to max|coeffs of p|, since f ignores the scale of p
         den = self.denominator.eval(z1, z2)
-        if np.min(np.abs(den)) <= 1e-12 * np.max(np.abs(self.denominator.coeffs)):
+        if np.min(np.abs(den)) <= EXACT_GUARD * np.max(np.abs(self.denominator.coeffs)):
             raise NearPoleError("denominator vanishes at an evaluation point")
         m1, m2 = self.monomial
         z1 = np.asarray(z1, dtype=np.complex128)
@@ -208,8 +208,7 @@ class RationalFunction2:
         out = (z1 ** m1) * (z2 ** m2) * self.numerator.eval(z1, z2) / den
         return out[()] if out.ndim == 0 else out
 
-    def __call__(self, z1, z2):
-        return self.eval(z1, z2)
+    __call__ = eval
 
     def swap_variables(self) -> "RationalFunction2":
         m1, m2 = self.monomial
@@ -306,8 +305,7 @@ class PowerSeries2:
         """Value of the truncation (not of the underlying function)."""
         return polyval2d(z1, z2, self.coeffs)
 
-    def __call__(self, z1, z2):
-        return self.eval(z1, z2)
+    __call__ = eval
 
     def common_truncation(self, other: "PowerSeries2") -> tuple[np.ndarray, np.ndarray]:
         n1 = min(self.coeffs.shape[0], other.coeffs.shape[0])
@@ -360,7 +358,7 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
     """Taylor coefficients of f at the origin up to orders (n1, n2),
     computed by row-wise division of the reflected numerator by p."""
     p = f.denominator.coeffs
-    if abs(p[0, 0]) <= 1e-14 * np.max(np.abs(p)):
+    if abs(p[0, 0]) <= EXACT_GUARD * np.max(np.abs(p)):
         raise NearPoleError("denominator vanishes at the origin")
     m1, m2 = f.monomial
     out = np.zeros((n1 + 1, n2 + 1), dtype=np.complex128)
@@ -369,14 +367,14 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
     return PowerSeries2(out)
 
 
-def taylor_from_samples(f, n1: int, n2: int, radius: float = 0.5,
-                        fft_size: int = 64) -> PowerSeries2:
-    """Numerical Taylor coefficients via FFT on a torus of the given radius.
+def taylor_from_samples(f, n1: int, n2: int) -> PowerSeries2:
+    """Numerical Taylor coefficients via FFT on the torus of radius 1/2.
 
     For Schur-class f the coefficients are bounded by 1, so aliasing decays
-    like radius**fft_size; the defaults keep it at machine level.
+    like radius**m with m >= 64 samples per circle: machine level.
     """
-    m = max(fft_size, 2 * (max(n1, n2) + 1))
+    radius = 0.5
+    m = max(64, 2 * (max(n1, n2) + 1))
     w = radius * np.exp(2j * np.pi * np.arange(m) / m)
     z1, z2 = np.meshgrid(w, w, indexing="ij")
     samples = np.asarray(f(z1, z2), dtype=np.complex128)
@@ -429,7 +427,7 @@ class PointGrid:
         object.__setattr__(self, "points", pts)
         mags = np.abs(pts)
         if self.ambient == "torus2":
-            if mags.size and np.max(np.abs(mags - 1.0)) > 1e-12:
+            if mags.size and np.max(np.abs(mags - 1.0)) > EXACT_GUARD:
                 raise ValueError("torus points must have unimodular coordinates")
         elif self.ambient.startswith("ball"):
             norms = np.sqrt(np.sum(mags ** 2, axis=1))
@@ -446,13 +444,8 @@ class PointGrid:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def coordinate(self, k: int) -> np.ndarray:
-        return self.points[:, k]
-
-    def same_points(self, other: "PointGrid", tol: float = 0.0) -> bool:
-        return (self.ambient == other.ambient
-                and self.points.shape == other.points.shape
-                and float(np.max(np.abs(self.points - other.points), initial=0.0)) <= tol)
+    def same_points(self, other: "PointGrid") -> bool:
+        return self.ambient == other.ambient and np.array_equal(self.points, other.points)
 
 
 def make_grid(ambient: str, size: int, seed: int = 0) -> PointGrid:
@@ -496,8 +489,9 @@ def as_evaluable(f):
     raise TypeError(f"not evaluable: {type(f).__name__}")
 
 
-def boundary_modulus_test(f, grid: PointGrid, tol: float = 1e-9) -> ModulusReport:
-    """Max of | |f| - 1 | over a torus grid, with the offending point."""
+def boundary_modulus_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> ModulusReport:
+    """Max of | |f| - 1 | over a torus grid, with the offending point; it
+    passes when at most tol."""
     if grid.ambient != "torus2":
         raise ValueError("boundary modulus test needs a torus2 grid")
     if len(grid) == 0:

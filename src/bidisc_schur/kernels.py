@@ -26,9 +26,11 @@ from .errors import (
     RankOverflowError,
 )
 from .functions import PointGrid, as_evaluable
-from .numlin import DEFAULT_TOL, PsdFactorization, frob
+from .numlin import DEFAULT_TOL, RESIDUAL_GUARD, PsdFactorization, bound, frob
 
 MAX_VALUE_DIM = 8
+# largest number of fresh defect directions an isometric extension may add
+MAX_PADDING = 64
 
 
 def _blocks(values: np.ndarray, dim: int) -> np.ndarray:
@@ -54,12 +56,10 @@ class SampledKernel:
 
     values has shape (n, n) for scalar kernels and (n, n, e, e) for
     operator-valued ones; entry (i, j) is K(z_i, z_j).  Hermitian pair
-    symmetry is enforced on construction; pass verify_psd=True to also
-    check the full Gram matrix.
+    symmetry is enforced on construction to numlin.RESIDUAL_GUARD.
     """
 
-    def __init__(self, grid: PointGrid, values, dim: int = 1,
-                 verify_psd: bool = False, tol: float = DEFAULT_TOL):
+    def __init__(self, grid: PointGrid, values, dim: int = 1):
         if dim < 1 or dim > MAX_VALUE_DIM:
             raise ValueError(f"value dimension must be in 1..{MAX_VALUE_DIM}")
         n = len(grid)
@@ -73,22 +73,16 @@ class SampledKernel:
         self.values = vals
         self.dim = dim
         g = self.gram()
-        scale = 1.0 + frob(g)
-        if frob(g - g.conj().T) > 1e-8 * scale:
+        if frob(g - g.conj().T) > bound(RESIDUAL_GUARD, frob(g)):
             raise ValueError("kernel values are not Hermitian-symmetric in the point pair")
-        if verify_psd and not numlin.is_psd(g, tol):
-            raise ValueError("kernel Gram matrix is not PSD")
 
     @classmethod
-    def from_function(cls, grid: PointGrid, fn, dim: int = 1, **kwargs) -> "SampledKernel":
-        return cls(grid, _tabulate(grid.points, fn), dim, **kwargs)
+    def from_function(cls, grid: PointGrid, fn, dim: int = 1) -> "SampledKernel":
+        return cls(grid, _tabulate(grid.points, fn), dim)
 
     def gram(self) -> np.ndarray:
         """Full (n e) x (n e) Gram matrix over the grid."""
         return _as_gram(self.values, self.dim)
-
-    def at(self, i: int, j: int):
-        return self.values[i, j]
 
     def is_psd(self, tol: float = DEFAULT_TOL) -> numlin.PsdReport:
         return numlin.is_psd(self.gram(), tol)
@@ -166,7 +160,7 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
     k1 = SampledKernel(grid, h1 @ h1.conj().T)
     k2 = SampledKernel(grid, h2 @ h2.conj().T)
     residual, lhs_norm = _agler_residual(transfer_grid(v, grid.points), k1, k2)
-    if residual > max(tol, 1e-12 * (1.0 + lhs_norm)):
+    if residual > numlin.floored(tol, lhs_norm):
         raise IdentityViolatedError(
             f"decomposition identity violated (max residual {residual:.3e})")
     return AglerKernels(k1, k2, residual)
@@ -185,6 +179,8 @@ def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
         raise GridMismatchError("the two kernels are sampled on different grids")
     if k1.dim != 1 or k2.dim != 1:
         raise ValueError("decomposition verification is for scalar kernels")
+    if k1.grid.ambient != "bidisc":
+        raise ValueError("decomposition verification needs kernels on a bidisc grid")
     pts = k1.grid.points
     vals = np.asarray(as_evaluable(f)(pts[:, 0], pts[:, 1]), dtype=np.complex128)
     residual, _ = _agler_residual(vals, k1, k2)
@@ -351,8 +347,7 @@ class ThetaRealization:
         return f"ThetaRealization(e_star={self.e_star}, e={self.e}, h={self.h})"
 
 
-def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
-                         pad_cap: int = 64) -> ThetaRealization:
+def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRealization:
     """Reconstruct a Schur-class T with K = (I - T(z)T(w)*)/(1 - z conj(w))
     on the sample grid.
 
@@ -364,7 +359,7 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
     on the span of the data, and extend it by sending an orthonormal basis
     of the domain complement to fresh defect directions.  The returned
     realization reproduces K on the grid (interpolation; no claim is made
-    off the grid beyond Schur-class membership)."""
+    off the grid beyond Schur-class membership) to numlin.sampled(tol)."""
     if k.grid.nvars != 1:
         raise ValueError("dbr_reconstruct_disc needs a disc grid")
     disc_report = dbr_test_disc(k, tol)
@@ -401,13 +396,14 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
     # with the pseudoinverse cut at the same rank as the basis
     image = cod @ (vh.conj().T[:, :rank] / sing[:rank])
     ortho_defect = frob(image.conj().T @ image - np.eye(rank))
-    if ortho_defect > 1e-6 * (1.0 + rank):
+    if ortho_defect > bound(RESIDUAL_GUARD, rank):
         raise IdentityViolatedError(
             f"data map is not isometric on its span (defect {ortho_defect:.3e})")
 
     pad = complement.shape[1]
-    if pad > pad_cap:
-        raise RankOverflowError(f"isometric extension needs {pad} padded directions, cap {pad_cap}")
+    if pad > MAX_PADDING:
+        raise RankOverflowError(
+            f"isometric extension needs {pad} padded directions, cap {MAX_PADDING}")
 
     # codomain layout: [original defect rows; padded defect rows; state rows]
     f_dim = rf + pad
@@ -424,7 +420,7 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL,
     theta = ThetaRealization(a, b, c, d, e)
 
     residual = float(np.max(np.abs(theta.kernel_values(k.grid) - k.values), initial=0.0))
-    if residual > 10.0 * tol:
+    if residual > numlin.sampled(tol):
         raise IdentityViolatedError(
             f"reconstruction misses the sampled kernel (residual {residual:.3e})")
     theta.max_residual = residual

@@ -1,8 +1,13 @@
-"""Dense complex-matrix utilities consumed by every other module.
+"""Dense complex-matrix utilities consumed by every other module, and the
+package's one tolerance policy.
 
-Matrices are plain numpy complex128 arrays.  Every tolerance is relative:
-a tolerance ``tol`` applied to a matrix A means ``tol * (1 + ||A||_F)``.
-The default tolerance is 1e-9; matrices here are small and well scaled.
+Matrices are plain numpy complex128 arrays.  The rule: the residual of an
+identity that holds in exact arithmetic passes when it is at most
+bound(tol, s) = tol (1 + s), s the Frobenius norm of the sides compared
+(||A||_F for a test on A, ||I||_F = sqrt(n) for V* V = I, 0 for a scalar
+against 0).  The default tol is 1e-9; the CLI accepts finite 0 < tol < 1.
+A spectral radius counts as < 1 when it is < 1 - tol.  Every other
+threshold is one of the named guards below, each with its reason.
 """
 
 from __future__ import annotations
@@ -24,6 +29,48 @@ DEFAULT_TOL = 1e-9
 
 # condition-number guard for explicit inversions: reject beyond 1/(100*tol)
 _COND_GUARD = 100.0
+# a value exact in its input or closed form (a unimodular constant, a torus
+# coordinate, a zero axis value, a denominator value relative to its largest
+# coefficient) is off only by the rounding of that input
+EXACT_GUARD = 1e-12
+# a residual re-checked after a solve or fit whose conditioning is not
+# controlled (resolvents near a pole, sampled spans) only catches failures
+RESIDUAL_GUARD = 1e-6
+# a residual summing the rounding of a few interior resolvent solves is
+# never held below this, whatever tol is
+ROUNDING_FLOOR = 1e-10
+# a verdict read off sampled values (the torus scan, a rebuilt kernel)
+# carries each sample's solve rounding, worst where the resolvent is worst
+# conditioned; 10 tol keeps rounding alone from refuting an inner function
+SAMPLED_SLACK = 10.0
+
+
+def sound_tol(tol: float) -> bool:
+    return bool(np.isfinite(tol) and 0.0 < tol < 1.0)
+
+
+def bound(tol: float, scale):
+    """The rule: tol (1 + scale), scale the norm of the sides compared."""
+    return tol * (1.0 + scale)
+
+
+def floored(tol: float, scale) -> float:
+    return max(tol, bound(ROUNDING_FLOOR, scale))
+
+
+def sampled(tol: float) -> float:
+    return SAMPLED_SLACK * tol
+
+
+def below_one(radius: float, tol: float) -> bool:
+    """Spectral radius test: the powers of the matrix tend to zero."""
+    return radius < 1.0 - tol
+
+
+def inverse_bound(tol: float, m: np.ndarray, scale: float) -> float:
+    """Threshold for X - c M^{-1}, ||c M^{-1}||_F near scale: the rule plus
+    the inversion's own rounding eps cond(M) scale."""
+    return bound(tol, scale) + np.finfo(float).eps * np.linalg.cond(m) * scale
 
 
 def as_matrix(a) -> np.ndarray:
@@ -86,14 +133,14 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> PsdReport:
     _require_square(a, "is_psd")
     if a.size == 0:
         return PsdReport(True, 0.0)
-    scale = 1.0 + frob(a)
-    if frob(a - a.conj().T) > tol * scale:
+    cut = bound(tol, frob(a))
+    if frob(a - a.conj().T) > cut:
         raise NonHermitianError(
             f"matrix is not Hermitian within tolerance ({frob(a - a.conj().T):.3e})"
         )
     herm = (a + a.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(herm)[0])
-    return PsdReport(lam_min >= -tol * scale, lam_min)
+    return PsdReport(lam_min >= -cut, lam_min)
 
 
 def psd_factor(a, tol: float = DEFAULT_TOL) -> PsdFactorization:
@@ -111,24 +158,22 @@ def psd_factor(a, tol: float = DEFAULT_TOL) -> PsdFactorization:
         return PsdFactorization(0, np.zeros((0, 0), dtype=np.complex128), 0.0)
     herm = (a + a.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
-    cut = tol * (1.0 + frob(a))
-    keep = vals > cut
+    keep = vals > bound(tol, frob(a))
     factor = vecs[:, keep] * np.sqrt(vals[keep])
     residual = frob(a - factor @ factor.conj().T)
     return PsdFactorization(int(keep.sum()), factor, residual)
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> OperatorClass:
-    """Isometry / co-isometry / unitary / contraction classification."""
+    """Isometry / co-isometry / unitary / contraction classification: V* V
+    against I_cols at bound(tol, sqrt(cols)), V V* against I_rows at
+    bound(tol, sqrt(rows)), and the largest singular value against 1."""
     v = as_matrix(v)
     rows, cols = v.shape
-    iso = bool(frob(v.conj().T @ v - np.eye(cols)) <= tol * np.sqrt(max(cols, 1)))
-    coiso = bool(frob(v @ v.conj().T - np.eye(rows)) <= tol * np.sqrt(max(rows, 1)))
-    if v.size:
-        smax = float(np.linalg.svd(v, compute_uv=False)[0])
-    else:
-        smax = 0.0
-    return OperatorClass(iso, coiso, iso and coiso, smax <= 1.0 + tol)
+    iso = bool(frob(v.conj().T @ v - np.eye(cols)) <= bound(tol, np.sqrt(cols)))
+    coiso = bool(frob(v @ v.conj().T - np.eye(rows)) <= bound(tol, np.sqrt(rows)))
+    smax = float(np.linalg.svd(v, compute_uv=False)[0]) if v.size else 0.0
+    return OperatorClass(iso, coiso, iso and coiso, smax <= 1.0 + bound(tol, 1.0))
 
 
 def spectral_radius(d) -> float:

@@ -32,8 +32,12 @@ from .errors import (
     ResolventIllConditionedError,
     WindowTooLargeError,
 )
-from .functions import PowerSeries2, boundary_modulus_test, make_grid
-from .numlin import DEFAULT_TOL, frob, spectral_radius
+from .functions import ModulusReport, PowerSeries2, boundary_modulus_test, make_grid
+from .numlin import DEFAULT_TOL, below_one, frob, sampled, spectral_radius
+
+# side of the boundary scan's torus grid; order of certify_inner's defect
+TORUS_SCAN = 64
+DEFECT_ORDER = 16
 
 
 @dataclass
@@ -173,7 +177,7 @@ def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
     h1, h2 = v.partition
     for name, block in (("D1", d1), ("D3", d3)):
         radius = spectral_radius(block)
-        if radius >= 1.0 - tol:
+        if not below_one(radius, tol):
             raise NotStructuredError(
                 f"{name} has spectral radius {radius:.3e} >= 1 - tol; "
                 "the proof sums do not converge")
@@ -223,8 +227,17 @@ class InnerCertificate:
     diagnostics: Optional[ProofDiagnostics]
 
 
-def certify_inner(v: Colligation, tol: float = DEFAULT_TOL,
-                  torus_resolution: int = 64, defect_order: int = 16) -> InnerCertificate:
+def boundary_scan(f, tol: float) -> Optional[ModulusReport]:
+    """boundary_modulus_test on the TORUS_SCAN x TORUS_SCAN torus grid at
+    numlin.sampled(tol), or None when a colligation's resolvent is too ill
+    conditioned on the torus to evaluate there."""
+    try:
+        return boundary_modulus_test(f, make_grid("torus2", TORUS_SCAN), sampled(tol))
+    except ResolventIllConditionedError:
+        return None
+
+
+def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     """Certify, refute, or decline to decide whether the transfer function
     is inner.
 
@@ -239,20 +252,16 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL,
     certified = (report.is_isometry and report.lower_left_zero
                  and report.c0dot_block1 and report.c0dot_block2)
 
-    grid = make_grid("torus2", torus_resolution)
-    try:
-        boundary = boundary_modulus_test(as_transfer_callable(v), grid, 10.0 * tol)
-        bdev: Optional[float] = boundary.max_deviation
-        bpass: Optional[bool] = boundary.passed
-    except ResolventIllConditionedError:
-        bdev, bpass = None, None
+    boundary = boundary_scan(as_transfer_callable(v), tol)
+    bdev = boundary.max_deviation if boundary else None
+    bpass = boundary.passed if boundary else None
 
     defect = None
     diagnostics = None
     if report.lower_left_zero:
         try:
             defect = isometry_defect(
-                phi_blocks_from_colligation(v, defect_order, tol), defect_order // 2)
+                phi_blocks_from_colligation(v, DEFECT_ORDER, tol), DEFECT_ORDER // 2)
             diagnostics = proof_diagnostics(v, tol=tol)
         except NotStructuredError:  # borderline coupling block
             pass

@@ -8,6 +8,7 @@ from bidisc_schur.errors import (
     ClassMismatchError,
     ConditionFailedError,
     GridNotCompanionedError,
+    IdentityViolatedError,
     OriginZeroError,
 )
 from bidisc_schur.kernels import SampledKernel
@@ -213,6 +214,39 @@ def test_weak_converse_composed():
         assert rep.adjoint_identity_residual <= 1e-9
         assert rep.coupling_residual <= 1e-9
         assert rep.factorization.certificate <= 1e-9
+
+
+def tiny_constant_cascade():
+    # two degree-12 Blaschke products, every zero of modulus 0.44: a unitary
+    # cascade with f(0) = 0.44^24 = 2.8e-9 and cond(aD - CB) = 3.6e8
+    rng = np.random.default_rng(7)
+    zeros = [0.44 * np.exp(2j * np.pi * rng.uniform(size=12)) for _ in range(2)]
+    return bs.compose_colligations(*(bs.model_colligation(1.0, z) for z in zeros)), zeros
+
+
+def test_weak_converse_tiny_constant_term():
+    # the adjoint identity misses tol (1 + ||D||) = 5.8e-9 by rounding alone
+    # (residual near 8e-9); the inversion's rounding bound admits it
+    v, zeros = tiny_constant_cascade()
+    assert abs(v.a) < 3e-9 and v.classify().is_unitary
+    rep = factor.weak_converse_check(v)
+    assert rep.adjoint_identity_residual > 1e-9 * (1.0 + np.linalg.norm(v.D))
+    assert rep.factorization.certificate <= 1e-12
+    z = bs.make_grid("disc", 20, seed=9).points[:, 0]
+    for u, zs in zip((rep.factorization.v1, rep.factorization.v2), zeros):
+        got = transfer_grid(u, z[:, None])
+        want = blaschke_callable(1.0, zs)(z)
+        gauge = np.vdot(want, got) / np.vdot(want, want)
+        assert np.max(np.abs(got - gauge * want)) <= 1e-9
+
+
+def test_weak_converse_identity_miss_is_identity_violated(monkeypatch):
+    # a unitary V satisfies the identity exactly, so a miss is numerical
+    v, _, _ = composed_blaschke(np.random.default_rng(61), max_degree=3, radius=0.8)
+    exact = bs.numlin.block_inverse_2x2
+    monkeypatch.setattr(bs.numlin, "block_inverse_2x2", lambda *args: 1.01 * exact(*args))
+    with pytest.raises(IdentityViolatedError, match="adjoint identity"):
+        factor.weak_converse_check(v)
 
 
 def test_weak_converse_rejects_vt():

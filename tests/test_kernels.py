@@ -275,7 +275,7 @@ def test_polydisc_from_agler_kernels():
         v = random_two_var_unitary(rng, hmax=4)
         pair = bs.agler_kernels_of(v, grid)
         vals = np.asarray(as_transfer_callable(v)(grid.points[:, 0], grid.points[:, 1]))
-        s2inv = np.prod([1.0 - grid.coordinate(i)[:, None] * np.conj(grid.coordinate(i))[None, :]
+        s2inv = np.prod([1.0 - grid.points[:, i, None] * np.conj(grid.points[None, :, i])
                          for i in range(2)], axis=0)
         k = SampledKernel(grid, (1.0 - vals[:, None] * np.conj(vals)[None, :]) / s2inv)
         rep = bs.dbr_test_polydisc(k, [pair.k1, pair.k2], 1e-9)

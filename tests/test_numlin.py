@@ -172,3 +172,25 @@ def test_as_matrix_rejects_nonfinite():
     with pytest.raises(NonFiniteError):
         numlin.as_matrix([[1.0, np.inf]])
     assert issubclass(NonFiniteError, DomainError) and issubclass(NonFiniteError, ValueError)
+
+
+def test_classify_follows_the_rule():
+    # c I_4 has ||V* V - I||_F = 2 |c^2 - 1|; the isometry test passes at
+    # bound(tol, ||I_4||_F) = 3 tol, so a defect of 2.8 tol passes
+    tol = 1e-6
+    v = np.sqrt(1.0 + 1.4e-6) * np.eye(4)
+    assert numlin.bound(tol, np.sqrt(4)) == pytest.approx(3e-6)
+    assert numlin.classify(v, tol).is_unitary
+    assert not numlin.classify(np.sqrt(1.0 + 1.6e-6) * np.eye(4), tol).is_isometry
+    # the largest singular value against 1, at bound(tol, 1) = 2 tol
+    assert numlin.classify((1.0 + 1.9e-6) * np.eye(2), tol).is_contraction
+    assert not numlin.classify((1.0 + 2.1e-6) * np.eye(2), tol).is_contraction
+
+
+def test_inverse_bound_adds_the_inversions_rounding():
+    m = np.diag([1.0, 1e-8])
+    eps = np.finfo(float).eps
+    assert numlin.inverse_bound(1e-9, m, 2.0) == pytest.approx(3e-9 + eps * 1e8 * 2.0)
+    assert numlin.floored(1e-12, 0.0) == numlin.ROUNDING_FLOOR
+    assert numlin.floored(1e-9, 0.0) == 1e-9
+    assert numlin.below_one(1.0 - 2e-9, 1e-9) and not numlin.below_one(1.0 - 1e-9, 1e-9)
