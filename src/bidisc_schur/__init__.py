@@ -14,6 +14,7 @@ from .colligation import (
     transfer_1d,
     transfer_2d,
     transfer_grid,
+    transfer_torus,
 )
 from .factor import (
     check_condition_4,

@@ -204,7 +204,7 @@ def _cmd_toeplitz_check(args, tol, seed):
         rep = structure_report(obj, tol)
         evidence["structure"] = _structure_dict(rep)
         evidence["radii"] = [rep.radius_block1, rep.radius_block2]
-        boundary = boundary_scan(as_transfer_callable(obj), tol)
+        boundary = boundary_scan(obj, tol)
         builder = lambda m: phi_blocks_from_colligation(obj, m, tol)
     elif isinstance(obj, RationalFunction2):
         boundary = boundary_scan(obj, tol)

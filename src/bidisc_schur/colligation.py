@@ -99,17 +99,25 @@ class Colligation:
 def _resolvent_solve(d: np.ndarray, reps: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray:
     """Solve (I - E D) x = rhs, or (I - E D)^T x = rhs, for every diagonal
-    E = diag(reps[p]) at once.
+    E = diag(reps[p]) at once, through _checked_solve.
 
     reps is n x h (row p holds the diagonal of E at point p, for example
     E(z) = z1 I (+) z2 I along a state partition) and rhs is h x k or
-    n x h x k; the result is n x h x k.  A singular system, a non-finite
-    solution or a residual above bound(RESIDUAL_GUARD, ||x||) raises
-    ResolventIllConditionedError: the point is too close to a pole."""
-    mats = np.eye(d.shape[0]) - reps[:, :, None] * d
+    n x h x k; the result is n x h x k."""
+    n, h = reps.shape
+    mats = np.multiply(reps[:, :, None], -d, out=np.empty((n, h, h), dtype=np.complex128))
+    mats.reshape(n, h * h)[:, :: h + 1] += 1.0          # a view: mats is C-contiguous
     if transpose:
         mats = mats.transpose(0, 2, 1)
-    rhs = np.broadcast_to(rhs, (len(reps),) + rhs.shape[-2:])
+    return _checked_solve(mats, rhs)
+
+
+def _checked_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mats[p] x = rhs (h x k, or n x h x k) for every p: the one pole
+    guard.  A singular system, a non-finite solution or a residual above
+    bound(RESIDUAL_GUARD, ||x||) raises ResolventIllConditionedError: the
+    point is too close to a pole."""
+    rhs = np.broadcast_to(rhs, mats.shape[:1] + rhs.shape[-2:])
     try:
         x = np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError as exc:
@@ -130,15 +138,80 @@ def transfer_grid(v: Colligation, points) -> np.ndarray:
 
     E(z) = z1 I (+) z2 I along the state partition (z I for one variable).
     points holds one point per row; a flat array is read as a list of
-    one-variable points, or as a single two-variable point."""
+    one-variable points, or as a single two-variable point.  A state whose
+    E entry vanishes at every point has x = 0 there, so it is dropped and
+    the principal block of the live states is solved."""
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim < 2:
         pts = pts.reshape(-1, v.nvars)
-    if _is_constant(v):
-        return np.full(pts.shape[0], v.a, dtype=np.complex128)
     reps = np.repeat(pts, v.partition, axis=1)
-    x = _resolvent_solve(v.D, reps, reps[:, :, None] * v.C)
-    return v.a + (v.B @ x)[:, 0, 0]
+    live = np.repeat(np.any(pts != 0, axis=0), v.partition)
+    if _is_constant(v) or not live.any():
+        return np.full(pts.shape[0], v.a, dtype=np.complex128)
+    b, c, d = v.B, v.C, v.D
+    if not live.all():
+        reps, b, c, d = reps[:, live], b[:, live], c[live], d[np.ix_(live, live)]
+    x = _resolvent_solve(d, reps, reps[:, :, None] * c)
+    return v.a + (b @ x)[:, 0, 0]
+
+
+def transfer_torus(v: Colligation, m: int) -> np.ndarray:
+    """The m x m table f(w^j, w^k), w = exp(2 pi i / m), of a two-variable
+    transfer function: row j is z1 = w^j and column k is z2 = w^k, the
+    order of make_grid("torus2", m).
+
+    At each z1 one batched solve with I - z1 D1 eliminates the first state
+    block and leaves the one-variable realization
+        a' + B' z2 (I - z2 D')^{-1} C'.
+    Where z^m = 1 the identity
+        z (I - z D')^{-1} = sum_{r=1}^{m} z^r D'^{r-1} (I - D'^m)^{-1}
+    is exact, so with y = (I - D'^m)^{-1} C' the row is a' plus the length-m
+    DFT of the aliased coefficients B' D'^{r-1} y: no series is truncated.
+    Both solves pass _checked_solve's pole guard, and a rounding bound on
+    the aliased sums, m (h2 + 1) eps max_r ||B' D'^r|| ||y||, above
+    bound(RESIDUAL_GUARD, max_k |f(z1, w^k)|) raises
+    ResolventIllConditionedError as well."""
+    if v.nvars != 2:
+        raise ValueError("transfer_torus needs a two-variable colligation")
+    if m < 1:
+        raise ValueError("the torus grid needs m >= 1")
+    if _is_constant(v):
+        return np.full((m, m), v.a, dtype=np.complex128)
+    h1, h2 = v.partition
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    # x1 = z1 (I - z1 D1)^{-1} (C1 + D2 x2) for every z1 at once
+    w = roots[:, None, None] * _resolvent_solve(
+        v.D1, np.repeat(roots[:, None], h1, axis=1), np.concatenate([v.C1, v.D2], axis=1))
+    a1 = v.a + (v.B1 @ w[:, :, :1])[:, 0, 0]
+    b1 = v.B2 + v.B1 @ w[:, :, 1:]
+    c1 = v.C2 + v.lower_left @ w[:, :, :1]
+    d1 = v.D4 + v.lower_left @ w[:, :, 1:]
+    rows, dm = _power_rows(b1, d1, m)
+    y = _checked_solve(np.eye(h2) - dm, c1)
+    coeffs = (rows @ y)[:, :, 0]                      # B' D'^{r-1} y, r = 1..m
+    # r = m aliases to frequency 0; the DFT of the rest is m ifft
+    table = a1[:, None] + m * np.fft.ifft(np.roll(coeffs, 1, axis=1), axis=1)
+    growth = np.linalg.norm(rows, axis=2).max(axis=1, initial=0.0)
+    rounding = m * (h2 + 1) * np.finfo(float).eps * growth * np.linalg.norm(y, axis=(1, 2))
+    if np.any(rounding > bound(RESIDUAL_GUARD, np.abs(table).max(axis=1))):
+        raise ResolventIllConditionedError(
+            "aliased torus sums lose more than the residual guard to rounding")
+    return table
+
+
+def _power_rows(b: np.ndarray, d: np.ndarray, m: int):
+    """Rows b, b d, ..., b d^{m-1} stacked along axis 1, and d^m, for
+    stacks b (n x 1 x h) and d (n x h x h), by doubling: about 2 log2(m)
+    batched products."""
+    rows, p, dm = b, d, None
+    for k in range(int(m).bit_length()):
+        if k:
+            p = p @ p                                  # d^(2^k)
+        if m >> k & 1:
+            dm = p if dm is None else dm @ p
+        if rows.shape[1] < m:
+            rows = np.concatenate([rows, rows @ p], axis=1)
+    return rows[:, :m], dm
 
 
 def transfer_1d(v: Colligation, z: complex) -> complex:

@@ -420,6 +420,8 @@ class PointGrid:
     def __post_init__(self):
         n = _ambient_nvars(self.ambient)
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
+        if pts.size == 0:
+            raise ValueError(f"{self.ambient} grid is empty")
         if pts.shape[1] != n:
             raise ValueError(f"{self.ambient} points need {n} coordinates, got {pts.shape[1]}")
         if not np.all(np.isfinite(pts)):
@@ -492,13 +494,14 @@ def as_evaluable(f):
 def boundary_modulus_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> ModulusReport:
     """Max of | |f| - 1 | over a torus grid, with the offending point; it
     passes when at most tol."""
+    fn = as_evaluable(f)
+    return modulus_report(fn(grid.points[:, 0], grid.points[:, 1]), grid, tol)
+
+
+def modulus_report(values, grid: PointGrid, tol: float) -> ModulusReport:
+    """Max of | |f| - 1 | over the values of f at the points of a torus grid."""
     if grid.ambient != "torus2":
         raise ValueError("boundary modulus test needs a torus2 grid")
-    if len(grid) == 0:
-        raise ValueError("grid is empty")
-    fn = as_evaluable(f)
-    vals = np.asarray(fn(grid.points[:, 0], grid.points[:, 1]), dtype=np.complex128)
-    dev = np.abs(np.abs(vals) - 1.0)
+    dev = np.abs(np.abs(np.asarray(values, dtype=np.complex128)) - 1.0)
     k = int(np.argmax(dev))
-    point = tuple(grid.points[k])
-    return ModulusReport(bool(dev[k] <= tol), float(dev[k]), point)
+    return ModulusReport(bool(dev[k] <= tol), float(dev[k]), tuple(grid.points[k]))

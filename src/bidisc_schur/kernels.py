@@ -51,6 +51,11 @@ def _tabulate(points: np.ndarray, fn) -> np.ndarray:
     return np.array([[fn(z, w) for w in points] for z in points], dtype=np.complex128)
 
 
+def check_value_dim(dim: int) -> None:
+    if dim < 1 or dim > MAX_VALUE_DIM:
+        raise ValueError(f"value dimension must be in 1..{MAX_VALUE_DIM}")
+
+
 class SampledKernel:
     """Kernel evaluated on a finite point set.
 
@@ -60,8 +65,7 @@ class SampledKernel:
     """
 
     def __init__(self, grid: PointGrid, values, dim: int = 1):
-        if dim < 1 or dim > MAX_VALUE_DIM:
-            raise ValueError(f"value dimension must be in 1..{MAX_VALUE_DIM}")
+        check_value_dim(dim)
         n = len(grid)
         vals = np.asarray(values, dtype=np.complex128)
         expect = (n, n) if dim == 1 else (n, n, dim, dim)

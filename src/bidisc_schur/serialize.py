@@ -17,7 +17,7 @@ from .colligation import Colligation
 from .errors import SchemaError
 from .factor import FactorizationResult
 from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2, reflect
-from .kernels import SampledKernel, ThetaRealization
+from .kernels import SampledKernel, ThetaRealization, check_value_dim
 
 
 def pairs_to_json(a) -> list:
@@ -145,6 +145,7 @@ def kernel_to_json(k: SampledKernel) -> dict:
 def kernel_from_json(obj) -> SampledKernel:
     grid = grid_from_json(obj["grid"])
     dim = int(obj.get("dim", 1))
+    check_value_dim(dim)  # before the values, whose nesting depth dim sets
     return SampledKernel(grid, pairs_from_json(obj["values"], 2 if dim == 1 else 4), dim)
 
 

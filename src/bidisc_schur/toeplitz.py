@@ -25,6 +25,7 @@ from .colligation import (
     series_2d,
     structure_report,
     StructureReport,
+    transfer_torus,
 )
 from .errors import (
     InsufficientTruncationError,
@@ -32,7 +33,8 @@ from .errors import (
     ResolventIllConditionedError,
     WindowTooLargeError,
 )
-from .functions import ModulusReport, PowerSeries2, boundary_modulus_test, make_grid
+from .functions import (ModulusReport, PowerSeries2, boundary_modulus_test, make_grid,
+                        modulus_report)
 from .numlin import DEFAULT_TOL, below_one, frob, sampled, spectral_radius
 
 # side of the boundary scan's torus grid; order of certify_inner's defect
@@ -228,11 +230,22 @@ class InnerCertificate:
 
 
 def boundary_scan(f, tol: float) -> Optional[ModulusReport]:
-    """boundary_modulus_test on the TORUS_SCAN x TORUS_SCAN torus grid at
-    numlin.sampled(tol), or None when a colligation's resolvent is too ill
-    conditioned on the torus to evaluate there."""
+    """The boundary modulus test on the TORUS_SCAN x TORUS_SCAN torus grid
+    at numlin.sampled(tol), or None when a colligation's resolvent is too
+    ill conditioned on the torus to evaluate there.
+
+    A colligation is evaluated by transfer_torus.  Where that refuses (a
+    pole on the grid, or growing powers of the reduced D that defeat the
+    aliased sums) the per-point resolvent solves decide, as for any other
+    function given as a callable."""
+    grid = make_grid("torus2", TORUS_SCAN)
+    if isinstance(f, Colligation):
+        try:
+            return modulus_report(transfer_torus(f, TORUS_SCAN).ravel(), grid, sampled(tol))
+        except ResolventIllConditionedError:
+            f = as_transfer_callable(f)
     try:
-        return boundary_modulus_test(f, make_grid("torus2", TORUS_SCAN), sampled(tol))
+        return boundary_modulus_test(f, grid, sampled(tol))
     except ResolventIllConditionedError:
         return None
 
@@ -252,7 +265,7 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     certified = (report.is_isometry and report.lower_left_zero
                  and report.c0dot_block1 and report.c0dot_block2)
 
-    boundary = boundary_scan(as_transfer_callable(v), tol)
+    boundary = boundary_scan(v, tol)
     bdev = boundary.max_deviation if boundary else None
     bpass = boundary.passed if boundary else None
 

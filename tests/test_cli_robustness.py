@@ -5,7 +5,8 @@ A plain seeded loop: for each command, the input files of one kind are
 replaced by a corrupted copy (a NaN entry at a seeded position, a bad partition, a
 kernel of value dimension 0 or 9, a grid point on the boundary, an empty
 grid, a valid kernel on the wrong domain), and the integer flags are set to
-values <= 0."""
+values <= 0.  A kernel dim outside 1..8 and an empty grid must be reported
+as such, not by a symptom such as a shape mismatch."""
 
 import json
 import math
@@ -68,6 +69,12 @@ BAD_FLAGS = {
     "toeplitz-check": [["--orders", "0"], ["--orders", "-8"], ["--orders", "8,0"]],
     "strip": [["--truncation", "0"], ["--truncation", "-1"]],
 }
+# corruptions whose report must name the fault itself, not a symptom of it
+MESSAGES = {
+    "dim-0": "value dimension must be in 1..8",
+    "dim-9": "value dimension must be in 1..8",
+    "empty-grid": "grid is empty",
+}
 ARRAY_KEYS = ("a", "B", "C", "D", "values", "points", "coeffs", "constant", "zeros")
 
 
@@ -118,15 +125,16 @@ def cases():
         for command, kinds, flags in COMMANDS:
             for kind in dict.fromkeys(kinds):
                 for name, obj in corruptions(kind, rng):
-                    yield f"{command}-{kind}-{name}-seed{seed}", command, kinds, kind, obj, flags
+                    yield (f"{command}-{kind}-{name}-seed{seed}", name, command, kinds,
+                           kind, obj, flags)
             if seed == SEEDS[0]:
                 for bad in BAD_FLAGS.get(command, []):
-                    yield f"{command}-{'='.join(bad)}", command, kinds, None, None, bad
+                    yield f"{command}-{'='.join(bad)}", None, command, kinds, None, None, bad
 
 
 def test_every_command_reports_bad_input_with_exit_2(tmp_path, capsys):
     seen = set()
-    for label, command, kinds, corrupted, bad, flags in cases():
+    for label, name, command, kinds, corrupted, bad, flags in cases():
         paths = []
         for i, kind in enumerate(kinds):
             path = tmp_path / f"{label}-{i}.json"
@@ -137,6 +145,7 @@ def test_every_command_reports_bad_input_with_exit_2(tmp_path, capsys):
         assert code == 2, f"{label}: exit {code}, verdict {report['verdict']!r}"
         assert report["command"] == command and report["evidence"] == {}, label
         assert isinstance(report["verdict"], str) and report["verdict"], label
+        assert MESSAGES.get(name, "") in report["verdict"], f"{label}: {report['verdict']!r}"
         seen.add(command)
     assert seen == {c for c, _, _ in COMMANDS}
 

@@ -8,6 +8,7 @@ from bidisc_schur.colligation import (
     blaschke_section,
     series_coefficient_table,
     transfer_grid,
+    transfer_torus,
 )
 from bidisc_schur.errors import (
     NotDivisibleError,
@@ -16,6 +17,7 @@ from bidisc_schur.errors import (
     ZeroOnBoundaryError,
 )
 from bidisc_schur.functions import taylor_from_samples
+from bidisc_schur.toeplitz import boundary_scan
 from helpers import (
     blaschke_callable,
     loop_series_coefficient_table,
@@ -24,6 +26,7 @@ from helpers import (
     random_blaschke,
     random_triangular,
     random_two_var_unitary,
+    random_unitary,
     vt_colligation,
 )
 
@@ -72,6 +75,87 @@ def test_transfer_constant_when_ports_vanish():
     assert bs.transfer_1d(v, 1.0) == pytest.approx(0.3j)
     v2 = bs.Colligation(1.0, np.zeros((1, 2)), np.zeros((2, 1)), np.eye(2), [1, 1])
     assert bs.transfer_2d(v2, (1.0, 1.0)) == pytest.approx(1.0)
+
+
+def contraction(rng, h1, h2, zero_lower_left=False, norm=1.0):
+    """Random two-variable colligation V with ||V|| = norm, optionally with
+    a zero lower-left D block."""
+    h = h1 + h2
+    m = rng.normal(size=(1 + h, 1 + h)) + 1j * rng.normal(size=(1 + h, 1 + h))
+    if zero_lower_left:
+        m[1 + h1:, 1:1 + h1] = 0.0
+    m *= norm / np.linalg.norm(m, 2)
+    return bs.Colligation(m[0, 0], m[:1, 1:], m[1:, :1], m[1:, 1:], [h1, h2])
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 64, 100])
+def test_transfer_torus_matches_transfer_grid(m):
+    rng = np.random.default_rng(m)
+    cases = [contraction(rng, h1, h2, zero) for h1, h2, zero in
+             ((7, 0, False), (0, 9, False), (12, 12, False), (12, 12, True),
+              (5, 19, False), (5, 19, True))]
+    u = random_unitary(rng, 25)
+    cases.append(bs.Colligation(u[0, 0], u[:1, 1:], u[1:, :1], u[1:, 1:], [10, 14]))
+    points = bs.make_grid("torus2", m).points
+    for v in cases:
+        want = transfer_grid(v, points).reshape(m, m)
+        got = transfer_torus(v, m)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), v.partition
+
+
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_transfer_torus_pole_guard(m):
+    # z1 z2 / (1 - z1 z2): a pole at (1, 1), a point of every torus grid
+    v = bs.Colligation(0, [[1, 0]], [[0], [1]], [[0, 1], [1, 0]], [1, 1])
+    with pytest.raises(ResolventIllConditionedError):
+        transfer_torus(v, m)
+
+
+def test_transfer_torus_refuses_growing_powers():
+    # D = S diag(3, 1/2) S^-1 has no pole on the torus, so the per-point
+    # solves succeed; but its powers mix a growing and a decaying direction,
+    # and the rounding bound of the aliased sums refuses them
+    s = np.array([[1.0, 1.0], [0.0, 1.0]])
+    d = s @ np.diag([3.0, 0.5]) @ np.linalg.inv(s)
+    v = bs.Colligation(0.0, [[1.0, 0.0]], [[0.0], [1.0]], d, [0, 2])
+    grid = bs.make_grid("torus2", 64)
+    assert np.all(np.isfinite(transfer_grid(v, grid.points)))
+    with pytest.raises(ResolventIllConditionedError, match="rounding"):
+        transfer_torus(v, 64)
+    # the boundary scan then falls back to the per-point solves
+    assert boundary_scan(v, 1e-9) == bs.boundary_modulus_test(
+        as_transfer_callable(v), grid, 1e-8)
+
+
+def test_transfer_torus_non_contractive_agrees_or_refuses():
+    rng = np.random.default_rng(5)
+    points = bs.make_grid("torus2", 64).points
+    outcomes = set()
+    for _ in range(12):
+        h1, h2 = (int(k) for k in rng.integers(1, 7, size=2))
+        v = contraction(rng, h1, h2, norm=rng.uniform(1.2, 3.0))
+        try:
+            got = transfer_torus(v, 64)
+        except ResolventIllConditionedError:
+            outcomes.add("refused")
+            continue
+        want = transfer_grid(v, points).reshape(64, 64)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+        outcomes.add("agreed")
+    assert outcomes == {"agreed", "refused"}
+
+
+def test_transfer_grid_on_an_axis_is_the_one_variable_factor():
+    # where z2 = 0 the second block's states have x = 0 and are dropped, so
+    # f(z1, 0) is computed exactly as the colligation [[a, B1], [C1, D1]]
+    v = contraction(np.random.default_rng(11), 5, 7)
+    z = bs.make_grid("disc", 40, seed=2).points
+    zero = np.zeros_like(z)
+    first = bs.Colligation(v.a, v.B1, v.C1, v.D1, [5])
+    second = bs.Colligation(v.a, v.B2, v.C2, v.D4, [7])
+    assert np.array_equal(transfer_grid(v, np.hstack([z, zero])), transfer_grid(first, z))
+    assert np.array_equal(transfer_grid(v, np.hstack([zero, z])), transfer_grid(second, z))
+    assert np.array_equal(transfer_grid(v, np.zeros((3, 2))), np.full(3, v.a))
 
 
 def test_transfer_2d_permutation():

@@ -259,6 +259,15 @@ def test_certify_vt_inconclusive_but_inner_by_sampling():
     assert not cert.structure.lower_left_zero
 
 
+def test_certify_boundary_sampling_unavailable():
+    # z1 z2 / (1 - z1 z2) has a pole at (1, 1), a point of the scan grid
+    v = bs.Colligation(0, [[1, 0]], [[0], [1]], [[0, 1], [1, 0]], [1, 1])
+    cert = bs.certify_inner(v)
+    assert cert.verdict == "inconclusive"
+    assert cert.detail == "inconclusive-by-structure, boundary sampling unavailable"
+    assert cert.boundary_deviation is None and cert.boundary_passed is None
+
+
 def test_certify_refutes_half_z1():
     # contractive realization of z1/2 through an isometrically embedded
     # state column; |tau| = 1/2 on the torus, so sampling refutes
