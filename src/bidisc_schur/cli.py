@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -226,17 +227,18 @@ def _cmd_agler_kernels(args, tol, seed):
     v = _load_as(args.input, Colligation, "agler-kernels expects a colligation")
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     pair = kernels_mod.agler_kernels_of(v, grid, tol)
+    # each kernel is formatted once, for its file and for the report
     evidence = {
         "max_residual": pair.max_residual,
-        "K1": serialize.kernel_to_json(pair.k1),
-        "K2": serialize.kernel_to_json(pair.k2),
+        "K1": serialize.RawJSON(serialize.dumps(serialize.kernel_to_json(pair.k1))),
+        "K2": serialize.RawJSON(serialize.dumps(serialize.kernel_to_json(pair.k2))),
     }
     # bare kernel files chain directly into agler-verify / dbr commands
     for attr, key in (("out_k1", "K1"), ("out_k2", "K2")):
         path = getattr(args, attr, None)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize.dumps(evidence[key]) + "\n")
+                fh.write(evidence[key] + "\n")
     return "computed", evidence, 0
 
 
@@ -381,7 +383,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and reused: parse_args
+    leaves it unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="bidisc-schur",
         description="Colligation realizations, inner certificates, Agler "
@@ -463,10 +468,16 @@ def main(argv=None) -> int:
     report["evidence"] = evidence
 
     text = serialize.dumps(report)
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        # written before anything is printed, so a path that cannot be
+        # written gives one error report
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            report["verdict"], report["evidence"], code = f"IOError: {exc}", {}, 2
+            text = serialize.dumps(report)
+    print(text)
     return code
 
 

@@ -5,11 +5,23 @@ lists of [re, im] pairs (a scalar is a bare pair); pairs_to_json and
 pairs_from_json are the one codec.  Every structure carries a "kind"
 discriminator on output; on input the kind may be omitted and is inferred
 from the keys.
+
+Reports are written by dumps, whose text is exactly that of
+json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
+converted.  One fast path: a list that is a rectangular nest of Python
+floats (every leaf of type float, no empty axis) is formatted with one
+float.__repr__ per leaf and one join; everything else, numpy scalars, ints,
+bools, ragged nests and [[]] included, takes the generic recursive path.
+RawJSON is text dumps already produced; embedded at indent level L its
+newlines gain 2 L spaces, which is exact because encoded JSON holds no raw
+newline inside a string.  So a table written to a file and also embedded in
+a report is formatted once.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -247,7 +259,129 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+class RawJSON(str):
+    """Text that dumps already produced.  Inside a larger value dumps
+    re-indents it instead of encoding it again, so a table that is written
+    both to a file and into a report is formatted once."""
+
+
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(o):
+    """The text of a str, None, bool, int or float, tested in json's order
+    (bools before ints); None for any other value."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _SPECIAL.get(text, text)
+    return None
+
+
+def _float_nest(o):
+    """(shape, leaves) of a rectangular nest of lists and tuples whose leaves
+    are all of type float and whose axes are all non-empty, else None."""
+    shape, items = [], [o]
+    while True:
+        kinds = set(map(type, items))
+        if kinds == {float}:
+            return shape, items
+        if not kinds <= {list, tuple}:
+            return None
+        sizes = set(map(len, items))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        items = list(chain.from_iterable(items))
+
+
+def _float_block(shape, leaves, level: int) -> str:
+    """The nest of _float_nest at indent level `level`, in one join: each
+    float formatted once, and between two leaves the separator that closes
+    and reopens the axes ending there."""
+    n, ndim = len(leaves), len(shape)
+    ind = ["\n" + "  " * (level + a) for a in range(ndim + 1)]
+
+    def close(a):
+        return "".join(ind[b] + "]" for b in reversed(range(a, ndim)))
+
+    def reopen(a):
+        return "".join("[" + ind[b + 1] for b in range(a, ndim))
+
+    parts = ["," + ind[ndim]] * (2 * n + 1)
+    parts[1::2] = map(float.__repr__, leaves)
+    stride = 1
+    for a in range(ndim - 1, 0, -1):
+        # axes a and deeper end after every stride-th leaf
+        stride *= shape[a]
+        sep = close(a) + "," + ind[a] + reopen(a)
+        parts[2 * stride:2 * n:2 * stride] = [sep] * (n // stride - 1)
+    parts[0], parts[-1] = reopen(0), close(0)
+    text = "".join(parts)
+    # repr spells the non-finite floats nan, inf and -inf; no finite one has an "n"
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _encode(o, level: int, out: list) -> None:
+    """Append the text of o at indent level `level` to out, in pieces that
+    dumps joins once."""
+    if isinstance(o, RawJSON):
+        out.append(o.replace("\n", "\n" + "  " * level))
+        return
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        nest = _float_nest(o)
+        if nest is not None:
+            out.append(_float_block(*nest, level))
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("[" + inner)
+        for i, value in enumerate(o):
+            if i:
+                out.append("," + inner)
+            _encode(value, level + 1, out)
+        out.append(inner[:-2] + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("{" + inner)
+        for i, (key, value) in enumerate(sorted(o.items())):
+            text = _scalar(key)
+            if text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            if not isinstance(key, str):
+                text = '"' + text + '"'     # a number, true, false or null as a key
+            out.append(("," + inner if i else "") + text + ": ")
+            _encode(value, level + 1, out)
+        out.append(inner[:-2] + "}")
+    else:
+        _encode(_jsonable(o), level, out)
+
+
 def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, shortest round-trip floats.
-    numpy values and complex numbers ([re, im]) are converted while encoding."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
+    numpy values and complex numbers ([re, im]) are converted while encoding.
+    The text is exactly json.dumps(obj, sort_keys=True, indent=2,
+    default=_jsonable), which with an indent runs the pure-Python encoder up
+    to Python 3.12; this encoder formats each float once (see the module
+    docstring) and embeds RawJSON without encoding it again."""
+    out = []
+    _encode(obj, 0, out)
+    return "".join(out)

@@ -1,14 +1,17 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import serialize
-from bidisc_schur.cli import main, parse_grid_spec
+from bidisc_schur import numlin, serialize
+from bidisc_schur.cli import build_parser, main, parse_grid_spec
 from bidisc_schur.errors import ParseError, SchemaError
 from bidisc_schur.kernels import SampledKernel, szego_gram
 from helpers import permutation_colligation, random_theta, vt_colligation
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
 
 
 # -- serialization round trips ------------------------------------------------
@@ -181,7 +184,9 @@ def test_cli_agler_pipeline(tmp_path, capsys):
                            "--grid", "bidisc:rand:12:seed=5",
                            "--out-k1", k1, "--out-k2", k2)
     assert code == 0
-    assert json.loads((tmp_path / "k1.json").read_text()) == report["evidence"]["K1"]
+    # the files hold the report's K1 and K2 at top level, byte for byte
+    for name, key in (("k1.json", "K1"), ("k2.json", "K2")):
+        assert (tmp_path / name).read_text() == serialize.dumps(report["evidence"][key]) + "\n"
     code, report = run_cli(capsys, "agler-verify", vpath, k1, k2)
     assert code == 0
     assert report["verdict"] == "pass"
@@ -415,3 +420,20 @@ def test_cli_out_file(tmp_path, capsys):
     code, report = run_cli(capsys, "--out", str(out), "classify", path)
     assert code == 0
     assert json.loads(out.read_text()) == report
+
+
+def test_cli_reused_parser_keeps_no_flags(tmp_path, capsys, monkeypatch):
+    # build_parser is built once per process; a flag given to one call, before
+    # or after the subcommand, must not reach the next call
+    monkeypatch.delenv("BIDISC_SCHUR_TOL", raising=False)
+    kernel = os.path.join(EXAMPLES, "dbr_kernel.json")
+    out = tmp_path / "r.json"
+    flags = ["--tol", "1e-6", "--seed", "5", "--out", str(out)]
+    for first in (flags + ["dbr-check", kernel], ["dbr-check", kernel] + flags):
+        code, report = run_cli(capsys, *first)
+        assert code == 0 and report["tol"] == 1e-6 and report["seed"] == 5 and out.exists()
+        out.unlink()
+        code, report = run_cli(capsys, "dbr-check", kernel)
+        assert code == 0 and report["tol"] == numlin.DEFAULT_TOL and report["seed"] == 0
+        assert not out.exists()
+    assert build_parser() is build_parser()

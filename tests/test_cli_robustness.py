@@ -165,3 +165,17 @@ def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, sourc
     assert code == 2
     assert report["verdict"].startswith("ParseError: ")
     assert report["evidence"] == {} and report["tol"] == value
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_unwritable_out_is_an_io_error(tmp_path, capsys, where):
+    # the report is written before it is printed, so stdout holds one report
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(VALID["disc"]))
+    flag = ["--out", str(tmp_path / "missing" / "r.json")]
+    command = ["dbr-check", str(path)]
+    code = main(flag + command if where == "before" else command + flag)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verdict"].startswith("IOError: ") and "r.json" in report["verdict"]
+    assert report["evidence"] == {}

@@ -1,0 +1,147 @@
+"""serialize.dumps against its oracle, the running interpreter's own
+json.dumps(obj, sort_keys=True, indent=2, default=serialize._jsonable): the
+two texts must be equal byte for byte, on every kind of value the encoder
+treats apart (the float-table fast path, the generic path, the default hook,
+dict keys, escapes, RawJSON) and on the reports of the README commands."""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from bidisc_schur import serialize
+from bidisc_schur.serialize import RawJSON, dumps, pairs_to_json
+from test_golden import run_all
+
+NAN, INF = float("nan"), float("inf")
+
+
+def stdlib(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, default=serialize._jsonable)
+
+
+def thaw(obj):
+    """obj with every RawJSON replaced by the value its text encodes."""
+    if isinstance(obj, RawJSON):
+        return json.loads(obj)
+    if isinstance(obj, dict):
+        return {key: thaw(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [thaw(value) for value in obj]
+    return obj
+
+
+def kernel_values(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, n, dim, dim)
+    return pairs_to_json(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+CASES = {
+    "nan": NAN,
+    "inf": INF,
+    "-inf": -INF,
+    "negative-zero": -0.0,
+    "subnormal": 5e-324,
+    "large": 1e300,
+    "non-finite-table": [[NAN, 1.0], [-INF, INF], [-0.0, 5e-324]],
+    "float-list": [0.1, 1e-7, 1e22, 123456789.0],
+    "empty-list": [],
+    "empty-dict": {},
+    "empty-row": [[]],
+    "empty-rows": [[], []],
+    "ragged": [[1.0], [2.0, 3.0]],
+    "ragged-depth": [[1.0, 2.0], [[3.0], 4.0]],
+    "int-and-float": [1, 2.0],
+    "bool-and-float": [True, 1.5],
+    "none-and-float": [[None, 1.0]],
+    "tuples": (1.0, (2.0, 3.0)),
+    "tuple-rows": [(1.0, 2.0), [3.0, 4.0]],
+    "float-subclass": [np.float64(0.1), 0.2],
+    "numpy-scalars": {"b": np.bool_(False), "i": np.int32(-7), "f": np.float32(0.1),
+                      "d": np.float64(-0.0), "c": np.complex64(1 - 2j)},
+    "numpy-arrays": {"m": np.arange(6.0).reshape(2, 3), "i": np.arange(3),
+                     "c": np.array([1j, 2.0]), "empty": np.zeros((1, 0))},
+    "numpy-array-in-list": [np.array([0.5, 1.5]), [2.5, 3.5]],
+    "complex": [1 + 2j, complex(-0.0, INF), np.complex128(0.25)],
+    "int-keys": {3: 0, 1: 1, -2: 2},
+    "float-keys": {0.5: 1, INF: 2, -0.0: 3, NAN: 4},
+    "bool-and-number-keys": {2: "two", True: "one", 0.5: "half", False: "zero"},
+    "none-key": {None: 1},
+    "text": {"\u043a\u043b\u044e\u0447": "na\u00efve \u2028 snow\u2603 \U0001F600",
+             "escapes": "quote\" backslash\\ newline\n tab\t nul\x00 del\x7f"},
+    "kernel-scalar": pairs_to_json(np.arange(9).reshape(3, 3) * (0.1 + 0.3j)),
+    "kernel-depth-5": kernel_values(3, 2, 2),
+    "mixed": {"a": [None, "s", [1.0, 2.0], {"k": [], "l": [[0.5]]}], "b": [[1.0, 2.0], 3]},
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_dumps_equals_stdlib(name):
+    assert dumps(CASES[name]) == stdlib(CASES[name])
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3, 3)])
+def test_every_pairs_array_takes_the_fast_path(shape):
+    values = np.arange(np.prod(shape, dtype=int)).reshape(shape) * (0.5 - 0.25j)
+    nest = serialize._float_nest(pairs_to_json(values))
+    assert nest is not None and nest[0] == [*shape, 2]
+
+
+def random_value(rng, depth):
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        return rng.choice([rng.random(), -rng.random() * 1e-8, 3, -0.0, True, None, "x\n",
+                           NAN, INF, np.float64(0.1), np.int64(2), 1j])
+    if roll < 0.45:
+        # a rectangular table, the fast path's case
+        shape = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        return np.random.default_rng(rng.randint(0, 999)).normal(size=shape).tolist()
+    if roll < 0.7:
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {rng.choice("abcd") + str(i): random_value(rng, depth + 1)
+            for i in range(rng.randint(0, 3))}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dumps_equals_stdlib_on_random_nests(seed):
+    rng = random.Random(seed)
+    for _ in range(250):
+        value = random_value(rng, 0)
+        assert dumps(value) == stdlib(value)
+
+
+@pytest.mark.parametrize("bad", [{"bad": object()}, [object()], {(1, 2): 0}, {1: 0, "a": 1}],
+                         ids=["object-value", "object-item", "tuple-key", "unsortable-keys"])
+def test_dumps_refuses_what_stdlib_refuses(bad):
+    with pytest.raises(TypeError):
+        stdlib(bad)
+    with pytest.raises(TypeError):
+        dumps(bad)
+
+
+@pytest.mark.parametrize("name", ["kernel-depth-5", "text", "mixed", "empty-dict", "nan"])
+def test_raw_json_embeds_exactly(name):
+    value = CASES[name]
+    raw = RawJSON(dumps(value))
+    assert dumps(raw) == dumps(value)
+    nested = {"a": {"b": [raw, 1.0]}, "c": raw}
+    assert dumps(nested) == dumps({"a": {"b": [value, 1.0]}, "c": value})
+
+
+def test_readme_reports_equal_stdlib(tmp_path, monkeypatch):
+    """Every text cli.main formats for the README commands, the kernel
+    files and the reports that embed them included."""
+    seen = []
+    real = serialize.dumps
+
+    def spy(obj):
+        text = real(obj)
+        seen.append((obj, text))
+        return text
+    monkeypatch.setattr(serialize, "dumps", spy)
+    run_all(str(tmp_path))
+    assert any(isinstance(v, RawJSON) for obj, _ in seen for v in obj.get("evidence", {}).values())
+    for obj, text in seen:
+        assert text == stdlib(thaw(obj))
