@@ -218,8 +218,7 @@ def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> DbrReport:
     if k.grid.nvars != 1:
         raise ValueError("dbr_test_disc needs a disc grid")
     gram = _weighted_gram(k, 1.0 - _coordinate_products(k.grid, 0))
-    report = numlin.is_psd(gram, tol)
-    fact = numlin.psd_factor(gram, tol) if report else None
+    report, fact = numlin._psd_and_factor(gram, tol)
     return DbrReport(report.is_psd, report.min_eigenvalue, fact)
 
 
@@ -370,7 +369,7 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     if not disc_report.is_dbr:
         raise NotDbrError(
             f"defect Gram not PSD (lambda_min = {disc_report.min_eigenvalue:.3e})")
-    kernel_psd = k.is_psd(tol)
+    kernel_psd, g_fact = numlin._psd_and_factor(k.gram(), tol)
     if not kernel_psd:
         raise NotDbrError(
             f"kernel Gram not PSD (lambda_min = {kernel_psd.min_eigenvalue:.3e})")
@@ -380,7 +379,6 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     w = k.grid.points[:, 0]
 
     f_fact = disc_report.factorization
-    g_fact = numlin.psd_factor(k.gram(), tol)
     rf, rg = f_fact.rank, g_fact.rank
 
     # data columns of the partial isometry, one per (grid point, value

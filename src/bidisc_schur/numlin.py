@@ -150,18 +150,28 @@ def psd_factor(a, tol: float = DEFAULT_TOL) -> PsdFactorization:
     matrices of sampled kernels gracefully: rank is the number of
     eigenvalues above tol*(1 + ||A||_F).
     """
+    report, fact = _psd_and_factor(a, tol)
+    if fact is None:
+        raise NotPsdError(f"matrix is not PSD (lambda_min = {report.min_eigenvalue:.3e})")
+    return fact
+
+
+def _psd_and_factor(a, tol: float):
+    """(is_psd(a, tol), psd_factor(a, tol)), the factor None when the test
+    fails: for callers that need the report even then, so that the test's
+    eigenvalues are computed once."""
     a = as_matrix(a)
     report = is_psd(a, tol)
     if not report:
-        raise NotPsdError(f"matrix is not PSD (lambda_min = {report.min_eigenvalue:.3e})")
+        return report, None
     if a.size == 0:
-        return PsdFactorization(0, np.zeros((0, 0), dtype=np.complex128), 0.0)
+        return report, PsdFactorization(0, np.zeros((0, 0), dtype=np.complex128), 0.0)
     herm = (a + a.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
     keep = vals > bound(tol, frob(a))
     factor = vecs[:, keep] * np.sqrt(vals[keep])
     residual = frob(a - factor @ factor.conj().T)
-    return PsdFactorization(int(keep.sum()), factor, residual)
+    return report, PsdFactorization(int(keep.sum()), factor, residual)
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> OperatorClass:

@@ -141,6 +141,23 @@ def dense_isometry_defect(t, window):
     return worst
 
 
+def shifted_copy_isometry_defect(t, window):
+    """The windowed isometry defect from one Gram product, for orders too
+    large for dense_isometry_defect: column (k, q) of the compression is the
+    coefficient table shifted down by k rows and right by q columns (cut to
+    M x M), so the window^2 columns with k, q < window, flattened, are the
+    rows of a window^2 x M^2 matrix S, and corner (i, j) is block (i, j) of
+    conj(S) S^T."""
+    m, w = t.order, window
+    padded = np.zeros((m + w, m + w), dtype=complex)
+    padded[w:, w:] = t.table
+    cols = np.array([padded[w - k:w - k + m, w - q:w - q + m].ravel()
+                     for k in range(w) for q in range(w)])
+    gram = (cols.conj() @ cols.T - np.eye(w * w)).reshape(w, w, w, w)
+    return max(float(np.linalg.norm(gram[i, :, j, :]))
+               for i in range(w) for j in range(i, w))
+
+
 def loop_series_inverse(p, n1, n2):
     """Reference power-series inverse of p (p[0,0] != 0) truncated at
     (n1, n2): the coefficient recurrence, one (i, j, k, l) term at a time."""

@@ -186,6 +186,24 @@ def test_dbr_reconstruct_operator_valued():
     assert np.max(np.abs(rebuilt.kernel_values(grid) - k.values)) <= 1e-7
 
 
+def test_dbr_grams_decomposed_once(monkeypatch):
+    # one eigvalsh (the PSD test) and one eigh (the factor) per Gram: the
+    # defect Gram in dbr_test_disc, and the kernel Gram too on reconstruction
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    theta = random_theta(np.random.default_rng(39))
+    grid = disc_grid(40, n=12)
+    k = SampledKernel(grid, theta.kernel_values(grid))
+    bs.dbr_test_disc(k)
+    assert calls == {"eigvalsh": 1, "eigh": 1}
+    bs.dbr_reconstruct_disc(k)
+    assert calls == {"eigvalsh": 3, "eigh": 3}
+
+
 def test_reconstruction_gauge_covariance():
     # composing the defect space with a unitary is another valid extension;
     # the kernel it generates on the grid is unchanged

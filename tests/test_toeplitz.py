@@ -16,6 +16,7 @@ from helpers import (
     loop_proof_diagnostics,
     permutation_colligation,
     random_triangular,
+    shifted_copy_isometry_defect,
     vt_colligation,
 )
 
@@ -129,17 +130,23 @@ def test_defect_window_guard():
 
 
 def test_defect_matches_dense_reference():
+    # the dense assembly up to order 24 and the shifted-copy Gram above it;
+    # odd orders, window 1 (no rows past the head) and order = 2 window; the
+    # product-Moebius symbol at t = 0.9 is near inner, its defect small
     rng = np.random.default_rng(70)
-    phi_mobius = bs.mobius_of_product(0.5)
-    for order in (12, 24):
-        symbols = [bs.series_of(phi_mobius, order - 1, order - 1)]
+    for order, reference in ((12, dense_isometry_defect), (13, dense_isometry_defect),
+                             (17, dense_isometry_defect), (24, dense_isometry_defect),
+                             (32, shifted_copy_isometry_defect),
+                             (48, shifted_copy_isometry_defect)):
+        symbols = [bs.series_of(bs.mobius_of_product(c), order - 1, order - 1)
+                   for c in (0.5, 0.9)]
         symbols += [bs.PowerSeries2(rng.normal(size=(order, order))
                                     + 1j * rng.normal(size=(order, order)))
                     for _ in range(3)]
         for series in symbols:
             t = bs.toeplitz_truncate(series, order)
             for window in (1, order // 4, order // 2):
-                expected = dense_isometry_defect(t, window)
+                expected = reference(t, window)
                 assert bs.isometry_defect(t, window) == pytest.approx(
                     expected, rel=1e-12, abs=1e-14)
 
