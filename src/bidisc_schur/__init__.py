@@ -7,7 +7,6 @@ from .colligation import (
     Colligation,
     as_transfer_callable,
     model_colligation,
-    series_2d,
     strip_monomial,
     strip_monomial_var2,
     structure_report,

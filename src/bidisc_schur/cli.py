@@ -23,7 +23,6 @@ from . import kernels as kernels_mod
 from . import numlin, serialize
 from .colligation import (
     Colligation,
-    as_transfer_callable,
     model_colligation,
     strip_monomial,
     structure_report,
@@ -122,12 +121,11 @@ def _tolerance(text) -> float:
 
 
 def _as_function(obj):
-    """Whatever came from JSON, viewed as an evaluable f(z1, z2) or f(z)."""
-    if isinstance(obj, Colligation):
-        return as_transfer_callable(obj)
-    if hasattr(obj, "eval"):
-        return obj.eval
-    raise SchemaError(f"input of type {type(obj).__name__} is not evaluable")
+    """Whatever came from JSON, if it is a function f(z1, z2) or f(z): every
+    function kind, colligations included, is callable."""
+    if not callable(obj):
+        raise SchemaError(f"input of type {type(obj).__name__} is not evaluable")
+    return obj
 
 
 def _structure_dict(rep) -> dict:
@@ -148,24 +146,19 @@ def _structure_dict(rep) -> dict:
 
 
 def _cmd_eval(args, tol, seed):
-    obj = _load(args.input)
-    fn = _as_function(obj)
+    fn = _as_function(_load(args.input))
     if args.at:
         try:
             raw = json.loads(args.at)
-            point = [serialize.complex_from_json(z) for z in raw]
+            points = np.array([[serialize.complex_from_json(z) for z in raw]], dtype=np.complex128)
         except (json.JSONDecodeError, SchemaError, TypeError) as exc:
             raise ParseError(f"bad --at value: {exc}") from exc
-        values = [fn(*point)] if len(point) > 1 else [fn(point[0])]
-        points = [point]
     else:
-        grid = parse_grid_spec(args.grid or "bidisc:rand:20", seed)
-        points = [list(p) for p in grid.points]
-        if grid.nvars == 1:
-            values = [fn(p[0]) for p in grid.points]
-        else:
-            values = list(np.asarray(fn(grid.points[:, 0], grid.points[:, 1])).ravel())
-    return "computed", {"points": points, "values": values}, 0
+        points = parse_grid_spec(args.grid or "bidisc:rand:20", seed).points
+    if points.shape[1] != fn.nvars:
+        raise ParseError(f"points have {points.shape[1]} coordinate(s), but the "
+                         f"function takes {fn.nvars}")
+    return "computed", {"points": points, "values": fn(*points.T)}, 0
 
 
 def _cmd_classify(args, tol, seed):

@@ -89,6 +89,16 @@ class Colligation:
     # triangular-form alias for the lower-right block
     D3 = D4
 
+    def __call__(self, *z):
+        """The transfer function at broadcast coordinates: v(z1, z2) for two
+        variables, v(z) for one, through one transfer_grid call."""
+        if len(z) != self.nvars:
+            raise ValueError(f"a {self.nvars}-variable colligation takes {self.nvars} "
+                             f"coordinate(s), got {len(z)}")
+        z = np.broadcast_arrays(*(np.asarray(c, dtype=np.complex128) for c in z))
+        out = transfer_grid(self, np.stack([c.ravel() for c in z], axis=1)).reshape(z[0].shape)
+        return out[()] if out.ndim == 0 else out
+
     def classify(self, tol: float = DEFAULT_TOL) -> numlin.OperatorClass:
         return numlin.classify(self.V, tol)
 
@@ -215,37 +225,19 @@ def _power_rows(b: np.ndarray, d: np.ndarray, m: int):
 
 
 def transfer_1d(v: Colligation, z: complex) -> complex:
-    """a + z B (I - z D)^{-1} C for a one-variable colligation."""
-    if v.nvars != 1:
-        raise ValueError("transfer_1d needs a one-variable colligation")
-    return complex(transfer_grid(v, [[z]])[0])
+    """a + z B (I - z D)^{-1} C for a one-variable colligation: v(z)."""
+    return complex(v(z))
 
 
 def transfer_2d(v: Colligation, z) -> complex:
-    """a + B (I - E(z) D)^{-1} E(z) C for a two-variable colligation."""
-    if v.nvars != 2:
-        raise ValueError("transfer_2d needs a two-variable colligation")
-    return complex(transfer_grid(v, [z])[0])
+    """a + B (I - E(z) D)^{-1} E(z) C for a two-variable colligation: v(*z)."""
+    return complex(v(*z))
 
 
-def as_transfer_callable(v: Colligation):
-    """The transfer function as a vectorized callable f(z1, z2) or f(z)."""
-    if v.nvars == 2:
-        def fn(z1, z2):
-            z1 = np.asarray(z1, dtype=np.complex128)
-            z2 = np.asarray(z2, dtype=np.complex128)
-            shape = np.broadcast_shapes(z1.shape, z2.shape)
-            pts = np.column_stack([np.broadcast_to(z1, shape).ravel(),
-                                   np.broadcast_to(z2, shape).ravel()])
-            out = transfer_grid(v, pts).reshape(shape)
-            return out[()] if out.ndim == 0 else out
-        return fn
-
-    def fn1(z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = transfer_grid(v, z.ravel()[:, None]).reshape(z.shape)
-        return out[()] if out.ndim == 0 else out
-    return fn1
+def as_transfer_callable(v: Colligation) -> Colligation:
+    """The transfer function as a vectorized callable: the colligation itself,
+    which is one (kept by name for the benchmark scripts)."""
+    return v
 
 
 def _lower_left_zero(v: Colligation, tol: float) -> bool:
@@ -288,11 +280,6 @@ def series_coefficient_table(v: Colligation, n1: int, n2: int,
     out[0, 1:] = rights @ v.B2[0]
     out[1:, 1:] = lefts @ v.D2 @ rights.T
     return out
-
-
-def series_2d(v: Colligation, n1: int, n2: int, tol: float = DEFAULT_TOL) -> PowerSeries2:
-    """Transfer power series of a triangular colligation, truncated at (n1, n2)."""
-    return PowerSeries2(series_coefficient_table(v, n1, n2, tol))
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from .errors import (
     IdentityViolatedError,
     OriginZeroError,
 )
-from .functions import PointGrid, as_evaluable, make_grid
-from .kernels import SampledKernel, _tabulate
-from .numlin import DEFAULT_TOL, EXACT_GUARD, RESIDUAL_GUARD, bound, frob
+from .functions import PointGrid, make_grid
+from .kernels import SampledKernel
+from .numlin import DEFAULT_TOL, EXACT_GUARD, frob
 
 _CERT_GRID_SIZE = 30
 _CERT_GRID_SEED = 20260810
@@ -51,16 +51,15 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     fixed so that f1 is positive real at its largest-modulus sample."""
     if grid.ambient != "bidisc":
         raise ValueError("separability_test needs a bidisc grid")
-    fn = as_evaluable(f)
-    origin = complex(np.asarray(fn(0.0, 0.0)).reshape(()))
+    origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
     if abs(origin) <= tol:
         raise OriginZeroError(
             "value at the origin vanishes; strip monomial factors first")
     z1 = grid.points[:, 0]
     z2 = grid.points[:, 1]
-    vals = np.asarray(fn(z1, z2), dtype=np.complex128)
-    sec1 = np.asarray(fn(z1, np.zeros_like(z2)), dtype=np.complex128)
-    sec2 = np.asarray(fn(np.zeros_like(z1), z2), dtype=np.complex128)
+    vals = np.asarray(f(z1, z2), dtype=np.complex128)
+    sec1 = np.asarray(f(z1, np.zeros_like(z2)), dtype=np.complex128)
+    sec2 = np.asarray(f(np.zeros_like(z1), z2), dtype=np.complex128)
     residual = float(np.max(np.abs(vals * origin - sec1 * sec2), initial=0.0))
     k = int(np.argmax(np.abs(sec1)))
     gauge = sec1[k] / abs(sec1[k]) if abs(sec1[k]) > 0 else 1.0 + 0.0j
@@ -270,8 +269,7 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
         raise GridMismatchError("kernels must be sampled on the companioned grid")
     if k1.dim != 1 or k2.dim != 1:
         raise ValueError("factorization conditions are for scalar kernels")
-    fn = as_evaluable(f)
-    origin = complex(np.asarray(fn(0.0, 0.0)).reshape(()))
+    origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
     if abs(origin) <= tol:
         raise OriginZeroError("value at the origin vanishes; strip monomials first")
 
@@ -283,73 +281,7 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
     # column (w1, 0) of K2 for every first-axis value w1, against the origin column
     cols = k2.values[:, cgrid.index(np.arange(n1), cgrid.origin2)]
     col0 = k2.values[:, cgrid.index(cgrid.origin1, cgrid.origin2), None]
-    fw = np.asarray(fn(cgrid.axis1, np.zeros_like(cgrid.axis1)), dtype=np.complex128)
+    fw = np.asarray(f(cgrid.axis1, np.zeros_like(cgrid.axis1)), dtype=np.complex128)
     section = float(np.max(np.abs(np.conj(origin) * cols - np.conj(fw) * col0), initial=0.0))
     return FactorizationConditions(
         invariance <= tol and section <= tol, invariance, section)
-
-
-# ---------------------------------------------------------------------------
-# difference-quotient fixture: explicit colligation action on kernel columns
-
-
-def difference_quotient_colligation(f, kernel1, kernel2,
-                                    cgrid: CompanionedGrid,
-                                    tol: float = DEFAULT_TOL) -> Colligation:
-    """Assemble the colligation whose blocks act on the reproducing-kernel
-    spaces of the two Agler kernels by difference quotients:
-
-        (D1 g)(w) = (g(w) - g(0,0)) / w1          on the first space,
-        (D2 g)(w) = (g(w1, 0) - g(0,0)) / w1      second space -> first,
-        (D4 g)(w) = (g(w) - g(w1, 0)) / w2        on the second space,
-        (C1 1)(w) = (f(w1, 0) - f(0,0)) / w1,
-        (C2 1)(w) = (f(w) - f(w1, 0)) / w2,
-        (B g)    = g(0,0),
-
-    with matrices taken in the coordinates of low-rank factorizations of
-    the sampled kernel Gram matrices.  kernel1/kernel2 are callables
-    k(z, w) of two bidisc points.  Intended for cross-checking splits on
-    kernels with finite-dimensional spaces (the sampled span is then the
-    whole space and the matrices are exact up to round-off)."""
-    pts = cgrid.grid.points
-    fn = as_evaluable(f)
-
-    fact1 = numlin.psd_factor(_tabulate(pts, kernel1), tol)
-    fact2 = numlin.psd_factor(_tabulate(pts, kernel2), tol)
-    f1, f2 = fact1.factor, fact2.factor            # sample-value bases
-
-    idx0 = cgrid.index(cgrid.origin1, cgrid.origin2)
-    proj1 = np.repeat(cgrid.index(np.arange(len(cgrid.axis1)), cgrid.origin2),
-                      len(cgrid.axis2))                   # w -> (w1, 0)
-    w1 = pts[:, 0]
-    w2 = pts[:, 1]
-    rows1 = np.abs(w1) > EXACT_GUARD
-    rows2 = np.abs(w2) > EXACT_GUARD
-
-    def coords(basis, numer, denom, rows):
-        samples = np.atleast_2d(numer[rows]) / denom[rows, None]
-        sol, _, _, _ = np.linalg.lstsq(basis[rows], samples, rcond=None)
-        recon = basis[rows] @ sol
-        if np.max(np.abs(recon - samples), initial=0.0) > bound(RESIDUAL_GUARD, np.abs(samples).max()):
-            raise IdentityViolatedError(
-                "difference-quotient action leaves the sampled span")
-        return sol
-
-    d1 = coords(f1, f1 - f1[idx0], w1, rows1)
-    d2 = coords(f1, f2[proj1] - f2[idx0], w1, rows1)
-    d4 = coords(f2, f2 - f2[proj1], w2, rows2)
-    fvals = np.asarray(fn(w1, w2), dtype=np.complex128)
-    fsec = fvals[proj1]
-    c1 = coords(f1, (fsec - fvals[idx0])[:, None], w1, rows1)
-    c2 = coords(f2, (fvals - fsec)[:, None], w2, rows2)
-    b1 = f1[idx0][None, :]
-    b2 = f2[idx0][None, :]
-
-    h1, h2 = fact1.rank, fact2.rank
-    d = np.zeros((h1 + h2, h1 + h2), dtype=np.complex128)
-    d[:h1, :h1] = d1
-    d[:h1, h1:] = d2
-    d[h1:, h1:] = d4
-    b = np.concatenate([b1, b2], axis=1)
-    c = np.concatenate([c1, c2], axis=0)
-    return Colligation(fvals[idx0], b, c, d, [h1, h2])

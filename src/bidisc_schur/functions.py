@@ -65,6 +65,8 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 class Poly2:
     """Bivariate polynomial sum_{i,j} c[i,j] z1^i z2^j with trimmed table."""
 
+    nvars = 2
+
     def __init__(self, coeffs):
         self.coeffs = _trim(coeffs)
         if not np.all(np.isfinite(self.coeffs)):
@@ -113,6 +115,8 @@ def reflect(p: Poly2) -> Poly2:
 
 class RationalFunction2:
     """Rational inner function u * z1^m1 z2^m2 * reflect(p)/p on the bidisc."""
+
+    nvars = 2
 
     def __init__(self, monomial, denominator: Poly2, unimodular: complex = 1.0,
                  check_zero_free: bool = True):
@@ -290,6 +294,8 @@ class PowerSeries2:
     zero; comparisons between series only use the common truncation.
     """
 
+    nvars = 2
+
     def __init__(self, coeffs):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
         if self.coeffs.ndim != 2:
@@ -365,23 +371,6 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
     if m1 <= n1 and m2 <= n2:
         out[m1:, m2:] = _divide(f.numerator.coeffs, p, n1 + 1 - m1, n2 + 1 - m2)
     return PowerSeries2(out)
-
-
-def taylor_from_samples(f, n1: int, n2: int) -> PowerSeries2:
-    """Numerical Taylor coefficients via FFT on the torus of radius 1/2.
-
-    For Schur-class f the coefficients are bounded by 1, so aliasing decays
-    like radius**m with m >= 64 samples per circle: machine level.
-    """
-    radius = 0.5
-    m = max(64, 2 * (max(n1, n2) + 1))
-    w = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    z1, z2 = np.meshgrid(w, w, indexing="ij")
-    samples = np.asarray(f(z1, z2), dtype=np.complex128)
-    coeffs = np.fft.fft2(samples) / (m * m)
-    i = np.arange(n1 + 1)[:, None]
-    j = np.arange(n2 + 1)[None, :]
-    return PowerSeries2(coeffs[: n1 + 1, : n2 + 1] / radius ** (i + j))
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +471,10 @@ class ModulusReport:
     argmax_point: tuple
 
 
-def as_evaluable(f):
-    """Normalize the many function spellings to a callable f(z1, z2)."""
-    if callable(f):
-        return f
-    if hasattr(f, "eval"):
-        return f.eval
-    raise TypeError(f"not evaluable: {type(f).__name__}")
-
-
 def boundary_modulus_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> ModulusReport:
     """Max of | |f| - 1 | over a torus grid, with the offending point; it
     passes when at most tol."""
-    fn = as_evaluable(f)
-    return modulus_report(fn(grid.points[:, 0], grid.points[:, 1]), grid, tol)
+    return modulus_report(f(grid.points[:, 0], grid.points[:, 1]), grid, tol)
 
 
 def modulus_report(values, grid: PointGrid, tol: float) -> ModulusReport:

@@ -25,7 +25,7 @@ from .errors import (
     NotDbrError,
     RankOverflowError,
 )
-from .functions import PointGrid, as_evaluable
+from .functions import PointGrid
 from .numlin import DEFAULT_TOL, RESIDUAL_GUARD, PsdFactorization, bound, frob
 
 MAX_VALUE_DIM = 8
@@ -186,7 +186,7 @@ def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
     if k1.grid.ambient != "bidisc":
         raise ValueError("decomposition verification needs kernels on a bidisc grid")
     pts = k1.grid.points
-    vals = np.asarray(as_evaluable(f)(pts[:, 0], pts[:, 1]), dtype=np.complex128)
+    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=np.complex128)
     residual, _ = _agler_residual(vals, k1, k2)
     return DecompositionReport(residual <= tol, residual)
 

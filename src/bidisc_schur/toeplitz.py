@@ -22,8 +22,7 @@ from .colligation import (
     Colligation,
     _powers,
     _require_structured,
-    as_transfer_callable,
-    series_2d,
+    series_coefficient_table,
     structure_report,
     StructureReport,
     transfer_torus,
@@ -74,7 +73,8 @@ def phi_blocks_from_colligation(v: Colligation, order: int,
                                 tol: float = DEFAULT_TOL) -> ToeplitzTruncation:
     """Truncation of the transfer series of a triangular colligation, whose
     coefficients come straight from the blocks (series_coefficient_table)."""
-    return toeplitz_truncate(series_2d(v, order - 1, order - 1, tol), order)
+    return toeplitz_truncate(
+        PowerSeries2(series_coefficient_table(v, order - 1, order - 1, tol)), order)
 
 
 def isometry_defect(t: ToeplitzTruncation, window: int) -> float:
@@ -260,14 +260,14 @@ def boundary_scan(f, tol: float) -> Optional[ModulusReport]:
 
     A colligation is evaluated by transfer_torus.  Where that refuses (a
     pole on the grid, or growing powers of the reduced D that defeat the
-    aliased sums) the per-point resolvent solves decide, as for any other
-    function given as a callable."""
+    aliased sums) the per-point resolvent solves of its call decide, as for
+    any other function kind."""
     grid = make_grid("torus2", TORUS_SCAN)
     if isinstance(f, Colligation):
         try:
             return modulus_report(transfer_torus(f, TORUS_SCAN).ravel(), grid, sampled(tol))
         except ResolventIllConditionedError:
-            f = as_transfer_callable(f)
+            pass
     try:
         return boundary_modulus_test(f, grid, sampled(tol))
     except ResolventIllConditionedError:

@@ -3,7 +3,10 @@
 import numpy as np
 
 import bidisc_schur as bs
+from bidisc_schur import kernels, numlin
+from bidisc_schur.errors import IdentityViolatedError
 from bidisc_schur.kernels import ThetaRealization
+from bidisc_schur.numlin import DEFAULT_TOL, EXACT_GUARD, RESIDUAL_GUARD, bound
 
 
 def random_unitary(rng, n):
@@ -295,3 +298,79 @@ def loop_proof_diagnostics(v, kmax, jmax, terms):
             cs[j, kmax - k] = (scalar(row @ d1j @ d2 @ prev @ c2)
                                + scalar(c2.conj().T @ acc @ pow_k @ c2))
     return float(y0), ys, cs, defects
+
+
+def taylor_from_samples(f, n1, n2):
+    """Numerical Taylor coefficients via FFT on the torus of radius 1/2.
+
+    For Schur-class f the coefficients are bounded by 1, so aliasing decays
+    like radius**m with m >= 64 samples per circle: machine level.
+    """
+    radius = 0.5
+    m = max(64, 2 * (max(n1, n2) + 1))
+    w = radius * np.exp(2j * np.pi * np.arange(m) / m)
+    z1, z2 = np.meshgrid(w, w, indexing="ij")
+    samples = np.asarray(f(z1, z2), dtype=np.complex128)
+    coeffs = np.fft.fft2(samples) / (m * m)
+    i = np.arange(n1 + 1)[:, None]
+    j = np.arange(n2 + 1)[None, :]
+    return bs.PowerSeries2(coeffs[: n1 + 1, : n2 + 1] / radius ** (i + j))
+
+
+def difference_quotient_colligation(f, kernel1, kernel2, cgrid, tol=DEFAULT_TOL):
+    """Assemble the colligation whose blocks act on the reproducing-kernel
+    spaces of the two Agler kernels by difference quotients:
+
+        (D1 g)(w) = (g(w) - g(0,0)) / w1          on the first space,
+        (D2 g)(w) = (g(w1, 0) - g(0,0)) / w1      second space -> first,
+        (D4 g)(w) = (g(w) - g(w1, 0)) / w2        on the second space,
+        (C1 1)(w) = (f(w1, 0) - f(0,0)) / w1,
+        (C2 1)(w) = (f(w) - f(w1, 0)) / w2,
+        (B g)    = g(0,0),
+
+    with matrices taken in the coordinates of low-rank factorizations of
+    the sampled kernel Gram matrices.  kernel1/kernel2 are callables
+    k(z, w) of two bidisc points.  Intended for cross-checking splits on
+    kernels with finite-dimensional spaces (the sampled span is then the
+    whole space and the matrices are exact up to round-off)."""
+    pts = cgrid.grid.points
+
+    fact1 = numlin.psd_factor(kernels._tabulate(pts, kernel1), tol)
+    fact2 = numlin.psd_factor(kernels._tabulate(pts, kernel2), tol)
+    f1, f2 = fact1.factor, fact2.factor            # sample-value bases
+
+    idx0 = cgrid.index(cgrid.origin1, cgrid.origin2)
+    proj1 = np.repeat(cgrid.index(np.arange(len(cgrid.axis1)), cgrid.origin2),
+                      len(cgrid.axis2))                   # w -> (w1, 0)
+    w1 = pts[:, 0]
+    w2 = pts[:, 1]
+    rows1 = np.abs(w1) > EXACT_GUARD
+    rows2 = np.abs(w2) > EXACT_GUARD
+
+    def coords(basis, numer, denom, rows):
+        samples = np.atleast_2d(numer[rows]) / denom[rows, None]
+        sol, _, _, _ = np.linalg.lstsq(basis[rows], samples, rcond=None)
+        recon = basis[rows] @ sol
+        if np.max(np.abs(recon - samples), initial=0.0) > bound(RESIDUAL_GUARD, np.abs(samples).max()):
+            raise IdentityViolatedError(
+                "difference-quotient action leaves the sampled span")
+        return sol
+
+    d1 = coords(f1, f1 - f1[idx0], w1, rows1)
+    d2 = coords(f1, f2[proj1] - f2[idx0], w1, rows1)
+    d4 = coords(f2, f2 - f2[proj1], w2, rows2)
+    fvals = np.asarray(f(w1, w2), dtype=np.complex128)
+    fsec = fvals[proj1]
+    c1 = coords(f1, (fsec - fvals[idx0])[:, None], w1, rows1)
+    c2 = coords(f2, (fvals - fsec)[:, None], w2, rows2)
+    b1 = f1[idx0][None, :]
+    b2 = f2[idx0][None, :]
+
+    h1, h2 = fact1.rank, fact2.rank
+    d = np.zeros((h1 + h2, h1 + h2), dtype=np.complex128)
+    d[:h1, :h1] = d1
+    d[:h1, h1:] = d2
+    d[h1:, h1:] = d4
+    b = np.concatenate([b1, b2], axis=1)
+    c = np.concatenate([c1, c2], axis=0)
+    return bs.Colligation(fvals[idx0], b, c, d, [h1, h2])

@@ -7,7 +7,7 @@ import pytest
 
 import bidisc_schur as bs
 from bidisc_schur import factor, toeplitz
-from bidisc_schur.colligation import as_transfer_callable, transfer_grid
+from bidisc_schur.colligation import transfer_grid
 from bidisc_schur.errors import ConditionFailedError
 from bidisc_schur.kernels import SampledKernel, drury_arveson_gram, szego_gram
 from helpers import (
@@ -51,7 +51,7 @@ def test_criterion_02_certificate_soundness():
     for _ in range(50):
         v, _, _ = composed_blaschke(rng, max_degree=4, radius=0.8)
         cert = bs.certify_inner(v)
-        boundary = bs.boundary_modulus_test(as_transfer_callable(v), torus, 1e-8)
+        boundary = bs.boundary_modulus_test(v, torus, 1e-8)
         worst_dev = max(worst_dev, boundary.max_deviation)
         ok = ok and cert.verdict == "certified" and boundary.passed
     report(2, "50 composed unitary colligations certified; |transfer| = 1 on the torus",
@@ -104,8 +104,7 @@ def test_criterion_05_agler_decomposition_identity():
         grid = bs.make_grid("bidisc", 40, seed=1000 + i)
         pair = bs.agler_kernels_of(v, grid, 1e-9)
         psd = pair.k1.is_psd(1e-9) and pair.k2.is_psd(1e-9)
-        rep = bs.verify_agler_decomposition(as_transfer_callable(v),
-                                            pair.k1, pair.k2, 1e-9)
+        rep = bs.verify_agler_decomposition(v, pair.k1, pair.k2, 1e-9)
         worst = max(worst, rep.max_residual)
         ok = ok and psd and rep.passed
     report(5, "50 co-isometric colligations: PSD kernels, identity residual <= 1e-9",

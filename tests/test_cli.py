@@ -280,6 +280,74 @@ def test_cli_eval_on_grid(tmp_path, capsys):
     assert np.allclose(got, expected)
 
 
+# each report below against the library call made directly
+
+
+def reparsed(evidence):
+    """evidence as it reads back from a report."""
+    return json.loads(serialize.dumps(evidence))
+
+
+@pytest.mark.parametrize("f,verdict", [
+    (bs.mobius_of_product(0.5), "not-separable"),
+    (bs.Poly2([[1.0, -0.3], [0.5, -0.15]]), "separable"),      # (1 + z1/2)(1 - 0.3 z2)
+], ids=["rational", "poly"])
+def test_cli_factor_function_input(tmp_path, capsys, f, verdict):
+    obj = serialize.rational_to_json(f) if isinstance(f, bs.RationalFunction2) \
+        else serialize.poly_to_json(f)
+    path = write(tmp_path, "f.json", obj)
+    code, report = run_cli(capsys, "factor", path, "--grid", "bidisc:rand:12:seed=3")
+    rep = bs.separability_test(f, bs.make_grid("bidisc", 12, seed=3), numlin.DEFAULT_TOL)
+    assert report["verdict"] == verdict == ("separable" if rep.separable else "not-separable")
+    assert code == (0 if rep.separable else 1)
+    assert report["evidence"] == reparsed({"separable": rep.separable, "V1": None, "V2": None,
+                                           "max_residual": rep.max_residual})
+
+
+def test_cli_factor_function_vanishing_at_origin(tmp_path, capsys):
+    path = write(tmp_path, "z2.json", serialize.poly_to_json(bs.Poly2([[0.0, 1.0]])))
+    code, report = run_cli(capsys, "factor", path)
+    assert code == 1
+    assert report["verdict"].startswith("OriginZero: ") and report["evidence"] == {}
+
+
+def test_cli_toeplitz_check_series_input(tmp_path, capsys):
+    path = write(tmp_path, "s.json",
+                 serialize.series_to_json(bs.series_of(bs.mobius_of_product(0.5), 15, 15)))
+    code, report = run_cli(capsys, "toeplitz-check", path, "--orders", "8,16")
+    with open(path, encoding="utf-8") as fh:
+        s = serialize.parse_object(json.load(fh))
+    defects = {str(m): bs.isometry_defect(bs.toeplitz_truncate(s, m), min(8, m // 2))
+               for m in (8, 16)}
+    assert code == 0 and report["verdict"] == "computed"
+    assert report["evidence"] == reparsed({"isometry_defect_by_M": defects, "structure": None,
+                                           "radii": None, "boundary_deviation": None})
+
+
+def test_cli_strip_series_input(tmp_path, capsys):
+    f = bs.RationalFunction2((2, 0), bs.mobius_of_product(0.5).denominator)
+    s = bs.series_of(f, 8, 8)
+    path = write(tmp_path, "s.json", serialize.series_to_json(s))
+    code, report = run_cli(capsys, "strip", path)
+    p, stripped = bs.strip_monomial(s, tol=numlin.DEFAULT_TOL)
+    assert code == 0 and report["verdict"] == "stripped" and p == 2
+    assert report["evidence"] == reparsed({"power": p,
+                                           "function": serialize.series_to_json(stripped)})
+    back = serialize.parse_object(report["evidence"]["function"])
+    assert np.array_equal(back.coeffs, stripped.coeffs)
+
+
+def test_cli_eval_one_variable_colligation_on_disc_grid(tmp_path, capsys):
+    v = bs.model_colligation(1.0, [0.5, 0.25j])
+    path = write(tmp_path, "v.json", serialize.colligation_to_json(v))
+    code, report = run_cli(capsys, "eval", path, "--grid", "disc:rand:7:seed=2")
+    z = bs.make_grid("disc", 7, seed=2).points
+    assert code == 0 and report["verdict"] == "computed"
+    assert report["evidence"] == reparsed({"points": z, "values": v(z[:, 0])})
+    got = [complex(re, im) for re, im in report["evidence"]["values"]]
+    assert np.allclose(got, [bs.transfer_1d(v, w) for w in z[:, 0]], rtol=0, atol=1e-14)
+
+
 def test_cli_agler_verify_failure(tmp_path, capsys):
     vpath = write(tmp_path, "perm.json",
                   serialize.colligation_to_json(permutation_colligation()))

@@ -4,9 +4,11 @@ error report with exit code 2, never in a traceback.
 A plain seeded loop: for each command, the input files of one kind are
 replaced by a corrupted copy (a NaN entry at a seeded position, a bad partition, a
 kernel of value dimension 0 or 9, a grid point on the boundary, an empty
-grid, a valid kernel on the wrong domain), and the integer flags are set to
-values <= 0.  A kernel dim outside 1..8 and an empty grid must be reported
-as such, not by a symptom such as a shape mismatch."""
+grid, a valid kernel on the wrong domain), the integer flags are set to
+values <= 0, and functions are evaluated at points with the wrong number of
+coordinates.  A kernel dim outside 1..8, an empty grid and a flag or point
+of the wrong shape must be reported as such (the last two as a ParseError),
+not by a symptom such as a shape mismatch or a missing argument."""
 
 import json
 import math
@@ -65,10 +67,20 @@ COMMANDS = [
     ("model", ["blaschke"], []),
     ("strip", ["rational"], []),
 ]
-BAD_FLAGS = {
-    "toeplitz-check": [["--orders", "0"], ["--orders", "-8"], ["--orders", "8,0"]],
-    "strip": [["--truncation", "0"], ["--truncation", "-1"]],
-}
+# command, its positional inputs, flags that make it a ParseError, and what
+# the verdict must name
+BAD_FLAGS = [
+    ("toeplitz-check", ["colligation"], ["--orders", "0"], "--orders"),
+    ("toeplitz-check", ["colligation"], ["--orders", "-8"], "--orders"),
+    ("toeplitz-check", ["colligation"], ["--orders", "8,0"], "--orders"),
+    ("strip", ["rational"], ["--truncation", "0"], "--truncation"),
+    ("strip", ["rational"], ["--truncation", "-1"], "--truncation"),
+    ("eval", ["colligation"], ["--at", "[[0.3,0]]"], "have 1 coordinate(s), but the function takes 2"),
+    ("eval", ["colligation1"], ["--grid", "bidisc:rand:3"],
+     "have 2 coordinate(s), but the function takes 1"),
+    ("eval", ["rational"], ["--grid", "disc:rand:3"], "have 1 coordinate(s), but the function takes 2"),
+    ("eval", ["rational"], ["--at", "[]"], "have 0 coordinate(s), but the function takes 2"),
+]
 # corruptions whose report must name the fault itself, not a symptom of it
 MESSAGES = {
     "dim-0": "value dimension must be in 1..8",
@@ -120,21 +132,23 @@ def corruptions(kind, rng):
 
 
 def cases():
+    """(label, command, kinds, corrupted kind, its corrupted object, flags,
+    verdict prefix, text the verdict must contain)."""
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         for command, kinds, flags in COMMANDS:
             for kind in dict.fromkeys(kinds):
                 for name, obj in corruptions(kind, rng):
-                    yield (f"{command}-{kind}-{name}-seed{seed}", name, command, kinds,
-                           kind, obj, flags)
-            if seed == SEEDS[0]:
-                for bad in BAD_FLAGS.get(command, []):
-                    yield f"{command}-{'='.join(bad)}", None, command, kinds, None, None, bad
+                    yield (f"{command}-{kind}-{name}-seed{seed}", command, kinds, kind, obj,
+                           flags, "", MESSAGES.get(name, ""))
+    for command, kinds, flags, message in BAD_FLAGS:
+        yield (f"{command}-{'='.join(kinds + flags)}", command, kinds, None, None, flags,
+               "ParseError: ", message)
 
 
 def test_every_command_reports_bad_input_with_exit_2(tmp_path, capsys):
     seen = set()
-    for label, name, command, kinds, corrupted, bad, flags in cases():
+    for label, command, kinds, corrupted, bad, flags, prefix, message in cases():
         paths = []
         for i, kind in enumerate(kinds):
             path = tmp_path / f"{label}-{i}.json"
@@ -145,7 +159,8 @@ def test_every_command_reports_bad_input_with_exit_2(tmp_path, capsys):
         assert code == 2, f"{label}: exit {code}, verdict {report['verdict']!r}"
         assert report["command"] == command and report["evidence"] == {}, label
         assert isinstance(report["verdict"], str) and report["verdict"], label
-        assert MESSAGES.get(name, "") in report["verdict"], f"{label}: {report['verdict']!r}"
+        assert report["verdict"].startswith(prefix) and message in report["verdict"], \
+            f"{label}: {report['verdict']!r}"
         seen.add(command)
     assert seen == {c for c, _, _ in COMMANDS}
 

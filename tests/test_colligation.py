@@ -4,7 +4,6 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur.colligation import (
     _powers,
-    as_transfer_callable,
     blaschke_section,
     series_coefficient_table,
     transfer_grid,
@@ -16,7 +15,6 @@ from bidisc_schur.errors import (
     ResolventIllConditionedError,
     ZeroOnBoundaryError,
 )
-from bidisc_schur.functions import taylor_from_samples
 from bidisc_schur.toeplitz import boundary_scan
 from helpers import (
     blaschke_callable,
@@ -27,6 +25,7 @@ from helpers import (
     random_triangular,
     random_two_var_unitary,
     random_unitary,
+    taylor_from_samples,
     vt_colligation,
 )
 
@@ -123,8 +122,7 @@ def test_transfer_torus_refuses_growing_powers():
     with pytest.raises(ResolventIllConditionedError, match="rounding"):
         transfer_torus(v, 64)
     # the boundary scan then falls back to the per-point solves
-    assert boundary_scan(v, 1e-9) == bs.boundary_modulus_test(
-        as_transfer_callable(v), grid, 1e-8)
+    assert boundary_scan(v, 1e-9) == bs.boundary_modulus_test(v, grid, 1e-8)
 
 
 def test_transfer_torus_non_contractive_agrees_or_refuses():
@@ -187,8 +185,55 @@ def test_transfer_grid_matches_pointwise():
     assert np.allclose(batched, single, atol=1e-12)
 
 
+def test_colligation_call_broadcasts_like_transfer_grid():
+    v = random_two_var_unitary(np.random.default_rng(9))
+    z1 = 0.6 * np.exp(1j * np.arange(12)).reshape(3, 4)
+    z2 = 0.5 * np.exp(-2j * np.arange(4))
+    vals = v(z1, z2)
+    assert vals.shape == (3, 4)
+    pts = np.column_stack([z1.ravel(), np.broadcast_to(z2, (3, 4)).ravel()])
+    assert np.array_equal(vals.ravel(), transfer_grid(v, pts))
+    assert np.ndim(v(0.3, -0.2j)) == 0
+    assert v(0.3, -0.2j) == bs.transfer_2d(v, (0.3, -0.2j))
+    assert bs.as_transfer_callable(v) is v
+
+
+def test_colligation_call_one_variable():
+    v = bs.model_colligation(1.0, [0.5, -0.25j])
+    z = np.array([[0.0, 0.3], [-0.4 + 0.5j, 0.9j]])
+    vals = v(z)
+    assert vals.shape == (2, 2)
+    assert np.allclose(vals, [[bs.transfer_1d(v, w) for w in row] for row in z], atol=1e-15)
+    assert v(0.3) == bs.transfer_1d(v, 0.3)
+
+
+@pytest.mark.parametrize("v,coords", [
+    (permutation_colligation(), (0.3,)),
+    (permutation_colligation(), (0.3, 0.1, 0.2)),
+    (bs.model_colligation(1.0, [0.5]), (0.3, 0.1)),
+])
+def test_colligation_call_needs_one_coordinate_per_variable(v, coords):
+    with pytest.raises(ValueError, match=f"{v.nvars}-variable colligation takes"):
+        v(*coords)
+
+
+def test_colligation_call_is_one_module_transfer_grid_call(monkeypatch):
+    # the call looks transfer_grid up when it runs, so a wrapper installed
+    # on the module (as a tracer does) sees every evaluation
+    from bidisc_schur import colligation
+    calls = []
+    original = colligation.transfer_grid
+
+    def counting(v, points):
+        calls.append(np.shape(points))
+        return original(v, points)
+    monkeypatch.setattr(colligation, "transfer_grid", counting)
+    permutation_colligation()(np.zeros(5), np.ones(5) / 2)
+    assert calls == [(5, 2)]
+
+
 def test_series_2d_permutation():
-    s = bs.series_2d(permutation_colligation(), 4, 4)
+    s = bs.PowerSeries2(series_coefficient_table(permutation_colligation(), 4, 4))
     expected = np.zeros((5, 5))
     expected[1, 1] = 1.0
     assert np.allclose(s.coeffs, expected)
@@ -207,14 +252,14 @@ def test_series_2d_composed_product_series():
     a1, a2 = 0.5, -1 / 3
     v = bs.compose_colligations(bs.model_colligation(1.0, [a1]),
                                 bs.model_colligation(1.0, [a2]))
-    s = bs.series_2d(v, 8, 8)
+    s = bs.PowerSeries2(series_coefficient_table(v, 8, 8))
     expected = np.outer(mobius_series(a1, 8), mobius_series(a2, 8))
     assert np.max(np.abs(s.coeffs - expected)) < 1e-12
 
 
 def test_series_2d_state_free():
     v = bs.Colligation(0.4, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0, 0])
-    s = bs.series_2d(v, 3, 3)
+    s = bs.PowerSeries2(series_coefficient_table(v, 3, 3))
     assert s.coeffs[0, 0] == pytest.approx(0.4)
     assert np.max(np.abs(s.coeffs.ravel()[1:])) == 0.0
 
@@ -242,7 +287,7 @@ def test_powers_stack():
 
 def test_series_2d_needs_structure():
     with pytest.raises(NotStructuredError):
-        bs.series_2d(vt_colligation(0.5), 4, 4)
+        series_coefficient_table(vt_colligation(0.5), 4, 4)
 
 
 def test_series_2d_matches_fft_taylor():
@@ -252,8 +297,8 @@ def test_series_2d_matches_fft_taylor():
         c2, z2 = random_blaschke(rng, 3, 0.7)
         v = bs.compose_colligations(bs.model_colligation(c1, z1),
                                     bs.model_colligation(c2, z2))
-        direct = bs.series_2d(v, 8, 8)
-        sampled = taylor_from_samples(as_transfer_callable(v), 8, 8)
+        direct = bs.PowerSeries2(series_coefficient_table(v, 8, 8))
+        sampled = taylor_from_samples(v, 8, 8)
         assert np.max(np.abs(direct.coeffs - sampled.coeffs)) < 1e-7
 
 

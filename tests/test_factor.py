@@ -15,6 +15,7 @@ from bidisc_schur.kernels import SampledKernel
 from helpers import (
     blaschke_callable,
     composed_blaschke,
+    difference_quotient_colligation,
     loop_section_residual,
     mobius,
     permutation_colligation,
@@ -324,7 +325,7 @@ def test_difference_quotient_colligation_cross_check():
     f1, f2 = mobius(0.5), mobius(-1 / 3)
     f = lambda z1, z2: f1(z1) * f2(z2)
     k1, k2 = product_agler_kernels(f1, f2)
-    v = factor.difference_quotient_colligation(f, k1, k2, cg)
+    v = difference_quotient_colligation(f, k1, k2, cg)
     assert v.partition == (1, 1)
     assert v.classify(1e-8).is_coisometry
     assert bs.check_condition_4(v, 1e-8)
@@ -343,7 +344,7 @@ def test_difference_quotient_higher_degree():
     f2 = blaschke_callable(c2, zeros2)
     f = lambda z1, z2: f1(z1) * f2(z2)
     k1, k2 = product_agler_kernels(f1, f2)
-    v = factor.difference_quotient_colligation(f, k1, k2, cg)
+    v = difference_quotient_colligation(f, k1, k2, cg)
     assert v.partition == (2, 1)
     pts = bs.make_grid("bidisc", 30, seed=68).points
     assert np.max(np.abs(transfer_grid(v, pts) - f(pts[:, 0], pts[:, 1]))) < 1e-9

@@ -7,8 +7,8 @@ import pytest
 
 import bidisc_schur as bs
 from bidisc_schur.errors import NearPoleError, NonFiniteError, ZeroPolynomialError
-from bidisc_schur.functions import INTERIOR_RADIUS, ZERO_FREE_MARGIN, taylor_from_samples
-from helpers import loop_series_inverse, loop_series_of
+from bidisc_schur.functions import INTERIOR_RADIUS, ZERO_FREE_MARGIN
+from helpers import loop_series_inverse, loop_series_of, taylor_from_samples
 
 
 def test_reflect_constant():

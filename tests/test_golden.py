@@ -9,8 +9,12 @@ files they are written to) and the digests of those files.
 
 Regenerate after an intended change of a report, from the repository root:
     PYTHONPATH=src python tests/test_golden.py
+
+The README's Python session is run as well, and the values of its bare
+expressions are checked against what its comments say.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -25,6 +29,7 @@ from bidisc_schur.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 EXAMPLES = os.path.join(HERE, os.pardir, "docs", "examples")
+README = os.path.join(HERE, os.pardir, "README.md")
 ANY = "*"
 
 # the README's CLI block, in order: agler-verify reads agler-kernels' files
@@ -109,6 +114,25 @@ def test_report_matches_golden(fresh, name):
     assert got["exit"] == golden["exit"], f"{name}: exit {got['exit']}"
     assert got["report"]["verdict"] == golden["report"]["verdict"]
     compare(golden["report"], got["report"], name)
+
+
+
+def test_readme_python_session():
+    with open(README, encoding="utf-8") as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    # run the statements in order, keeping the value of each bare expression
+    ns, values = {}, []
+    for node in ast.parse(blocks[0].split("```", 1)[0]).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), README, "eval"), ns))
+        else:
+            exec(compile(ast.Module([node], []), README, "exec"), ns)
+    verdict, certificate, passed, value = values
+    assert verdict == "certified"
+    assert certificate < 1e-12
+    assert passed
+    assert value == pytest.approx(ns["v1"](0.3) * ns["v2"](-0.2j), abs=1e-14)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@ import pytest
 
 import bidisc_schur as bs
 from bidisc_schur import kernels
-from bidisc_schur.colligation import as_transfer_callable
 from bidisc_schur.errors import GridMismatchError, NotCoisometricError, NotDbrError
 from bidisc_schur.kernels import (
     SampledKernel,
@@ -97,8 +96,7 @@ def test_roundtrip_random_coisometric():
         pair = bs.agler_kernels_of(v, grid)
         assert pair.k1.is_psd(1e-9)
         assert pair.k2.is_psd(1e-9)
-        rep = bs.verify_agler_decomposition(as_transfer_callable(v),
-                                            pair.k1, pair.k2, 1e-9)
+        rep = bs.verify_agler_decomposition(v, pair.k1, pair.k2, 1e-9)
         assert rep.passed
 
 
@@ -292,7 +290,7 @@ def test_polydisc_from_agler_kernels():
     for _ in range(3):
         v = random_two_var_unitary(rng, hmax=4)
         pair = bs.agler_kernels_of(v, grid)
-        vals = np.asarray(as_transfer_callable(v)(grid.points[:, 0], grid.points[:, 1]))
+        vals = v(grid.points[:, 0], grid.points[:, 1])
         s2inv = np.prod([1.0 - grid.points[:, i, None] * np.conj(grid.points[None, :, i])
                          for i in range(2)], axis=0)
         k = SampledKernel(grid, (1.0 - vals[:, None] * np.conj(vals)[None, :]) / s2inv)

@@ -3,6 +3,7 @@ import pytest
 
 import bidisc_schur as bs
 from bidisc_schur import toeplitz
+from bidisc_schur.colligation import series_coefficient_table
 from bidisc_schur.errors import (
     InsufficientTruncationError,
     NotStructuredError,
@@ -71,7 +72,7 @@ def test_truncate_insufficient():
 def test_blocks_from_permutation_match_series_route():
     v = permutation_colligation()
     direct = bs.phi_blocks_from_colligation(v, 3)
-    via_series = bs.toeplitz_truncate(bs.series_2d(v, 2, 2), 3)
+    via_series = bs.toeplitz_truncate(bs.PowerSeries2(series_coefficient_table(v, 2, 2)), 3)
     assert np.array_equal(dense_toeplitz(direct), dense_toeplitz(via_series))
     assert np.allclose(dense_toeplitz(direct),
                        dense_toeplitz(bs.toeplitz_truncate(series_table({(1, 1): 1.0}), 3)))
@@ -82,7 +83,7 @@ def test_blocks_from_composed_match_series_route():
     for _ in range(5):
         v, _, _ = composed_blaschke(rng, max_degree=3, radius=0.7)
         direct = bs.phi_blocks_from_colligation(v, 6)
-        via_series = bs.toeplitz_truncate(bs.series_2d(v, 5, 5), 6)
+        via_series = bs.toeplitz_truncate(bs.PowerSeries2(series_coefficient_table(v, 5, 5)), 6)
         assert np.max(np.abs(dense_toeplitz(direct) - dense_toeplitz(via_series))) < 1e-10
 
 
