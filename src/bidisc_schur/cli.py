@@ -90,7 +90,7 @@ def parse_grid_spec(spec: str, seed: int):
             return make_grid("torus2", int(body[0]))
         if kind == "product":
             n1, n2 = (int(x) for x in body[0].split("x"))
-            return factor_mod.product_grid(n1, n2, seed=use_seed)
+            return factor_mod.product_grid(n1, n2, seed=use_seed).grid
         if body and body[0] == "rand":
             return make_grid(kind, int(body[1]), seed=use_seed)
     except (IndexError, ValueError) as exc:

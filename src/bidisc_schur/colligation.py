@@ -108,34 +108,87 @@ class Colligation:
 
 def _resolvent_solve(d: np.ndarray, reps: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray:
-    """Solve (I - E D) x = rhs, or (I - E D)^T x = rhs, for every diagonal
-    E = diag(reps[p]) at once, through _checked_solve.
+    """Solve (I - E D) x = rhs, or (I - E D)^T x = (I - D^T E) x = rhs, for
+    every diagonal E = diag(reps[p]) at once.
 
     reps is n x h (row p holds the diagonal of E at point p, for example
     E(z) = z1 I (+) z2 I along a state partition) and rhs is h x k or
-    n x h x k; the result is n x h x k."""
+    n x h x k; the result is n x h x k.  When D is upper triangular (the D
+    of every cascade, model realization and Blaschke section) the systems
+    are triangular and are solved by substitution over the stacked points;
+    any other D takes one batched LU solve.  Both pass _pole_guard."""
     n, h = reps.shape
-    mats = np.multiply(reps[:, :, None], -d, out=np.empty((n, h, h), dtype=np.complex128))
-    mats.reshape(n, h * h)[:, :: h + 1] += 1.0          # a view: mats is C-contiguous
+    rhs = np.broadcast_to(rhs, (n,) + rhs.shape[-2:])
+    if np.tril(d, -1).any():
+        mats = np.multiply(reps[:, :, None], -d, out=np.empty((n, h, h), dtype=np.complex128))
+        mats.reshape(n, h * h)[:, :: h + 1] += 1.0      # a view: mats is C-contiguous
+        x = _lu_solve(mats.transpose(0, 2, 1) if transpose else mats, rhs)
+    else:
+        x = _substitute(d, reps, rhs, transpose)
+    # the residual x - E (D x) - rhs, or x - D^T (E x) - rhs, with one product
+    xs, e = x.transpose(1, 0, 2), reps.T[:, :, None]    # state-major: h x n x k
+    resid = xs - (_apply(d.T, e * xs) if transpose else e * _apply(d, xs))
+    resid -= rhs.transpose(1, 0, 2)
+    return _pole_guard(x, resid.transpose(1, 0, 2))
+
+
+def _apply(d: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """d applied at every point of a state-major stack xs (h x n x k)."""
+    h, n, k = xs.shape
+    return (d @ xs.reshape(h, n * k)).reshape(h, n, k)
+
+
+def _substitute(d: np.ndarray, reps: np.ndarray, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+    """_resolvent_solve for an upper-triangular D, one state at a time over
+    all points: back substitution for I - E D,
+        x_i = (rhs_i + e_i sum_{j>i} D_ij x_j) / (1 - e_i D_ii),
+    and forward substitution for I - D^T E,
+        x_i = (rhs_i + sum_{j<i} D_ji e_j x_j) / (1 - e_i D_ii).
+    An exact zero pivot is a singular system."""
+    n, h = reps.shape
+    k = rhs.shape[-1]
+    e = reps.T[:, :, None]
+    pivots = 1.0 - e * np.diagonal(d)[:, None, None]
+    if not pivots.all():
+        raise ResolventIllConditionedError("singular resolvent: zero pivot at a grid point")
+    rhs = rhs.transpose(1, 0, 2)
+    x = np.empty((h, n, k), dtype=np.complex128)        # state-major: x[i] is state i
     if transpose:
-        mats = mats.transpose(0, 2, 1)
-    return _checked_solve(mats, rhs)
+        ex = np.empty_like(x)                            # E x, the states D^T sees
+        for i in range(h):
+            x[i] = (rhs[i] + (d[:i, i] @ ex[:i].reshape(i, n * k)).reshape(n, k)) / pivots[i]
+            ex[i] = e[i] * x[i]
+    else:
+        for i in range(h - 1, -1, -1):
+            tail = (d[i, i + 1:] @ x[i + 1:].reshape(h - 1 - i, n * k)).reshape(n, k)
+            x[i] = (rhs[i] + e[i] * tail) / pivots[i]
+    return x.transpose(1, 0, 2)
+
+
+def _lu_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(mats, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ResolventIllConditionedError(str(exc)) from exc
+
+
+def _pole_guard(x: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """The one pole guard of every solve, after its singular case (an exact
+    zero pivot, or LAPACK's): a non-finite x, or at some point p a residual
+    resid[p] above bound(RESIDUAL_GUARD, ||x[p]||), raises
+    ResolventIllConditionedError: the point is too close to a pole."""
+    if not np.all(np.isfinite(x)) or np.any(np.linalg.norm(resid, axis=(1, 2)) > bound(
+            RESIDUAL_GUARD, np.linalg.norm(x, axis=(1, 2)))):
+        raise ResolventIllConditionedError("resolvent ill conditioned at a grid point")
+    return x
 
 
 def _checked_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mats[p] x = rhs (h x k, or n x h x k) for every p: the one pole
-    guard.  A singular system, a non-finite solution or a residual above
-    bound(RESIDUAL_GUARD, ||x||) raises ResolventIllConditionedError: the
-    point is too close to a pole."""
+    """Solve mats[p] x = rhs (h x k, or n x h x k) for every p under
+    _pole_guard."""
     rhs = np.broadcast_to(rhs, mats.shape[:1] + rhs.shape[-2:])
-    try:
-        x = np.linalg.solve(mats, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventIllConditionedError(str(exc)) from exc
-    resid = np.linalg.norm(mats @ x - rhs, axis=(1, 2))
-    if not np.all(np.isfinite(x)) or np.any(resid > bound(RESIDUAL_GUARD, np.linalg.norm(x, axis=(1, 2)))):
-        raise ResolventIllConditionedError("resolvent ill conditioned at a grid point")
-    return x
+    x = _lu_solve(mats, rhs)
+    return _pole_guard(x, mats @ x - rhs)
 
 
 def _is_constant(v: Colligation) -> bool:
@@ -177,8 +230,8 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
         z (I - z D')^{-1} = sum_{r=1}^{m} z^r D'^{r-1} (I - D'^m)^{-1}
     is exact, so with y = (I - D'^m)^{-1} C' the row is a' plus the length-m
     DFT of the aliased coefficients B' D'^{r-1} y: no series is truncated.
-    Both solves pass _checked_solve's pole guard, and a rounding bound on
-    the aliased sums, m (h2 + 1) eps max_r ||B' D'^r|| ||y||, above
+    Both solves pass _pole_guard, and a rounding bound on the aliased sums,
+    m (h2 + 1) eps max_r ||B' D'^r|| ||y||, above
     bound(RESIDUAL_GUARD, max_k |f(z1, w^k)|) raises
     ResolventIllConditionedError as well."""
     if v.nvars != 2:

@@ -87,6 +87,48 @@ def composed_blaschke(rng, max_degree=4, radius=0.8):
     return v, f1, f2
 
 
+def dense_resolvent_solve(d, reps, rhs, transpose=False):
+    """Reference for colligation._resolvent_solve, point by point: assemble
+    I - E D with E = diag(reps[p]) and solve it (or its transpose) densely."""
+    n, h = reps.shape
+    rhs = np.broadcast_to(rhs, (n,) + np.shape(rhs)[-2:])
+    out = np.array(rhs, dtype=complex)              # h = 0: nothing to solve
+    for p in range(n if h else 0):
+        mat = np.eye(h) - np.diag(reps[p]) @ d
+        out[p] = np.linalg.solve(mat.T if transpose else mat, rhs[p])
+    return out
+
+
+def count_linalg_solves(monkeypatch):
+    """Count the calls of np.linalg.solve from here on; returns the list
+    that each call appends to."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def dense_transfer(v, points):
+    """a + B (I - E(z) D)^{-1} E(z) C at each row of points, by dense_resolvent_solve."""
+    pts = np.asarray(points, dtype=complex).reshape(-1, v.nvars)
+    reps = np.repeat(pts, v.partition, axis=1)
+    return v.a + (v.B @ dense_resolvent_solve(v.D, reps, reps[:, :, None] * v.C))[:, 0, 0]
+
+
+def random_upper_triangular(rng, h, radius=0.9):
+    """Random complex upper-triangular h x h matrix with diagonal entries of
+    modulus at most radius."""
+    d = np.triu(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))) / np.sqrt(h + 1)
+    d[np.diag_indices(h)] = radius * np.sqrt(rng.uniform(size=h)) \
+        * np.exp(2j * np.pi * rng.uniform(size=h))
+    return d
+
+
 def model_matrices_boundary_oracle(constant, zeros, npts=4096):
     """Model-space colligation entries by H^2 boundary integrals against the
     Takenaka-Malmquist basis, independent of the library's construction."""

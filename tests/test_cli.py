@@ -97,8 +97,9 @@ def test_grid_spec_parsing():
     g = parse_grid_spec("bidisc:rand:40:seed=7", 0)
     assert len(g) == 40 and g.ambient == "bidisc"
     assert np.array_equal(g.points, bs.make_grid("bidisc", 40, seed=7).points)
-    cg = parse_grid_spec("product:4x5", 3)
-    assert len(cg.grid) == 20
+    g = parse_grid_spec("product:4x5", 3)
+    assert len(g) == 20 and g.ambient == "bidisc"
+    assert np.any(g.points[:, 0] == 0) and np.any(g.points[:, 1] == 0)
     assert len(parse_grid_spec("ball-2:rand:10", 1)) == 10
     with pytest.raises(ParseError):
         parse_grid_spec("nonsense", 0)
@@ -278,6 +279,15 @@ def test_cli_eval_on_grid(tmp_path, capsys):
     expected = bs.mobius_of_product(0.5).eval(grid.points[:, 0], grid.points[:, 1])
     got = [complex(re, im) for re, im in report["evidence"]["values"]]
     assert np.allclose(got, expected)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("eval", "product_mobius_rational.json"),
+    ("agler-kernels", "product_mobius_colligation.json"),
+])
+def test_cli_product_grid_spec(capsys, command, name):
+    code, report = run_cli(capsys, command, os.path.join(EXAMPLES, name), "--grid", "product:3x3")
+    assert code == 0, report
 
 
 # each report below against the library call made directly

@@ -4,6 +4,7 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur.colligation import (
     _powers,
+    _resolvent_solve,
     blaschke_section,
     series_coefficient_table,
     transfer_grid,
@@ -18,6 +19,10 @@ from bidisc_schur.errors import (
 from bidisc_schur.toeplitz import boundary_scan
 from helpers import (
     blaschke_callable,
+    composed_blaschke,
+    count_linalg_solves,
+    dense_resolvent_solve,
+    dense_transfer,
     loop_series_coefficient_table,
     model_matrices_boundary_oracle,
     permutation_colligation,
@@ -25,6 +30,7 @@ from helpers import (
     random_triangular,
     random_two_var_unitary,
     random_unitary,
+    random_upper_triangular,
     taylor_from_samples,
     vt_colligation,
 )
@@ -67,6 +73,67 @@ def test_transfer_1d_pole_guard():
         bs.transfer_1d(v, 1.0)
 
 
+def close(got, want):
+    return got.shape == want.shape and np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+def bidisc_points(rng, n):
+    pts = 0.95 * np.sqrt(rng.uniform(size=(n, 2))) * np.exp(2j * np.pi * rng.uniform(size=(n, 2)))
+    pts[:3, 0] = 0.0                    # states whose E entry vanishes
+    pts[3:5, 1] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("h", [0, 1, 7, 24])
+@pytest.mark.parametrize("split", ["first", "second", "both"])
+def test_resolvent_substitution_matches_dense_reference(h, split, transpose, monkeypatch):
+    rng = np.random.default_rng(100 * h + len(split) + transpose)
+    h1 = {"first": h, "second": 0, "both": (h + 1) // 2}[split]
+    h2 = h - h1
+    d = random_upper_triangular(rng, h)
+    n = 40
+    reps = np.repeat(bidisc_points(rng, n), [h1, h2], axis=1)
+    for k in sorted({1, 1 + h2}):
+        rhs = rng.normal(size=(n, h, k)) + 1j * rng.normal(size=(n, h, k))
+        for r in (rhs, rhs[0]):                         # n x h x k, and one h x k for all
+            want = dense_resolvent_solve(d, reps, r, transpose)
+            calls = count_linalg_solves(monkeypatch)
+            assert close(_resolvent_solve(d, reps, r, transpose), want), (k, r.ndim)
+            assert calls == []
+
+
+def test_resolvent_pole_guard_on_both_paths(monkeypatch):
+    # 1 - z D_11 = 0 at z = 0.5: an exact pole, first with a triangular D,
+    # then behind a below-diagonal entry, where I - z D is singular as well
+    tri = bs.Colligation(0, [[1]], [[1]], [[2.0]], [1])
+    full = bs.Colligation(0, [[1, 0]], [[1], [0]], [[2.0, 0], [1.0, 0]], [2])
+    for v, solves in ((tri, False), (full, True)):
+        calls = count_linalg_solves(monkeypatch)
+        with pytest.raises(ResolventIllConditionedError):
+            v(0.5)
+        for transpose in (False, True):
+            with pytest.raises(ResolventIllConditionedError):
+                _resolvent_solve(v.D, np.full((3, v.h), 0.5), np.ones((v.h, 1)), transpose)
+        assert bool(calls) == solves
+        assert np.isfinite(v(0.25))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_resolvent_tiny_below_diagonal_entry_takes_lu(transpose, monkeypatch):
+    rng = np.random.default_rng(8)
+    d = random_upper_triangular(rng, 7)
+    reps = np.repeat(bidisc_points(rng, 30), [3, 4], axis=1)
+    rhs = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+    want = _resolvent_solve(d, reps, rhs, transpose)
+    d[5, 2] = 1e-300
+    calls = count_linalg_solves(monkeypatch)
+    got = _resolvent_solve(d, reps, rhs, transpose)
+    assert calls
+    assert close(got, want)
+    assert close(got, dense_resolvent_solve(d, reps, rhs, transpose))
+
+
 def test_transfer_constant_when_ports_vanish():
     # B = 0 or C = 0 forces a constant transfer; no resolvent is needed even
     # where I - z D is singular
@@ -95,11 +162,17 @@ def test_transfer_torus_matches_transfer_grid(m):
               (5, 19, False), (5, 19, True))]
     u = random_unitary(rng, 25)
     cases.append(bs.Colligation(u[0, 0], u[:1, 1:], u[1:, :1], u[1:, 1:], [10, 14]))
+    cascades = [composed_blaschke(rng, max_degree=12)[0] for _ in range(2)]
     points = bs.make_grid("torus2", m).points
-    for v in cases:
+    for v in cases + cascades:
         want = transfer_grid(v, points).reshape(m, m)
         got = transfer_torus(v, m)
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), v.partition
+    # cascades are solved by substitution: both against the dense reference
+    for v in cascades:
+        want = dense_transfer(v, points).reshape(m, m)
+        assert close(transfer_grid(v, points).reshape(m, m), want), v.partition
+        assert close(transfer_torus(v, m), want), v.partition
 
 
 @pytest.mark.parametrize("m", [1, 3, 64])

@@ -15,6 +15,7 @@ from bidisc_schur.kernels import SampledKernel
 from helpers import (
     blaschke_callable,
     composed_blaschke,
+    count_linalg_solves,
     difference_quotient_colligation,
     loop_section_residual,
     mobius,
@@ -61,6 +62,19 @@ def test_separability_constant(bidisc_grid):
 def test_separability_origin_zero(bidisc_grid):
     with pytest.raises(OriginZeroError):
         bs.separability_test(lambda z1, z2: z1 * z2, bidisc_grid)
+
+
+def test_separability_solves_cascades_by_substitution(bidisc_grid, monkeypatch):
+    # a cascade's D is upper triangular: no LU solve; V_t's coupling entry
+    # t sits below the diagonal, so its solves are LU solves
+    v, f1, f2 = composed_blaschke(np.random.default_rng(53), max_degree=6)
+    calls = count_linalg_solves(monkeypatch)
+    rep = bs.separability_test(v, bidisc_grid)
+    assert rep.separable and calls == []
+    z1, z2 = bidisc_grid.points[:, 0], bidisc_grid.points[:, 1]
+    assert np.allclose(rep.factor1_samples * rep.factor2_samples, f1(z1) * f2(z2))
+    assert not bs.separability_test(vt_colligation(0.5), bidisc_grid).separable
+    assert calls
 
 
 def test_condition4_composed():

@@ -12,6 +12,7 @@ from bidisc_schur.kernels import (
 )
 from helpers import (
     composed_blaschke,
+    dense_resolvent_solve,
     loop_defect_gram,
     permutation_colligation,
     random_theta,
@@ -57,6 +58,13 @@ def test_agler_kernels_composed_blaschke_closed_forms():
             / (1 - z2[:, None] * np.conj(z2)[None, :])
         assert np.max(np.abs(pair.k1.values - k1_closed)) < 1e-9
         assert np.max(np.abs(pair.k2.values - k2_closed)) < 1e-9
+        # the state rows H(z) = B (I - E(z) D)^{-1}, solved densely point by point
+        reps = np.repeat(grid.points, v.partition, axis=1)
+        rows = dense_resolvent_solve(v.D, reps, v.B.T, transpose=True)[:, :, 0]
+        h1 = v.partition[0]
+        for got, r in ((pair.k1.values, rows[:, :h1]), (pair.k2.values, rows[:, h1:])):
+            want = r @ r.conj().T
+            assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
 
 def test_agler_kernels_rejects_non_coisometric():
