@@ -226,12 +226,16 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
     At each z1 one batched solve with I - z1 D1 eliminates the first state
     block and leaves the one-variable realization
         a' + B' z2 (I - z2 D')^{-1} C'.
-    Where z^m = 1 the identity
+    When the lower-left coupling block is exactly zero (every cascade and
+    model realization), D' = D4 and C' = C2 do not depend on z1: one solve
+    gives x2 = z2 (I - z2 D4)^{-1} C2 at the m roots, and the table is the
+    outer product a' + B' x2, exact, with no aliasing and no rounding gate.
+    Otherwise, where z^m = 1 the identity
         z (I - z D')^{-1} = sum_{r=1}^{m} z^r D'^{r-1} (I - D'^m)^{-1}
     is exact, so with y = (I - D'^m)^{-1} C' the row is a' plus the length-m
     DFT of the aliased coefficients B' D'^{r-1} y: no series is truncated.
-    Both solves pass _pole_guard, and a rounding bound on the aliased sums,
-    m (h2 + 1) eps max_r ||B' D'^r|| ||y||, above
+    Every solve passes _pole_guard, and on the aliased path a rounding bound
+    on the sums, m (h2 + 1) eps max_r ||B' D'^r|| ||y||, above
     bound(RESIDUAL_GUARD, max_k |f(z1, w^k)|) raises
     ResolventIllConditionedError as well."""
     if v.nvars != 2:
@@ -247,6 +251,11 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
         v.D1, np.repeat(roots[:, None], h1, axis=1), np.concatenate([v.C1, v.D2], axis=1))
     a1 = v.a + (v.B1 @ w[:, :, :1])[:, 0, 0]
     b1 = v.B2 + v.B1 @ w[:, :, 1:]
+    if not v.lower_left.any():
+        # f(z1, z2) = a1(z1) + b1(z1) x2(z2), x2 = z2 (I - z2 D4)^{-1} C2
+        x2 = roots[:, None, None] * _resolvent_solve(
+            v.D4, np.repeat(roots[:, None], h2, axis=1), v.C2)
+        return a1[:, None] + b1[:, 0, :] @ x2[:, :, 0].T
     c1 = v.C2 + v.lower_left @ w[:, :, :1]
     d1 = v.D4 + v.lower_left @ w[:, :, 1:]
     rows, dm = _power_rows(b1, d1, m)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
+from bidisc_schur import colligation
 from bidisc_schur.colligation import (
     _powers,
     _resolvent_solve,
@@ -184,18 +185,81 @@ def test_transfer_torus_pole_guard(m):
 
 
 def test_transfer_torus_refuses_growing_powers():
-    # D = S diag(3, 1/2) S^-1 has no pole on the torus, so the per-point
-    # solves succeed; but its powers mix a growing and a decaying direction,
-    # and the rounding bound of the aliased sums refuses them
+    # D4 = S diag(3, 1/2) S^-1 has no pole on the torus, so the per-point
+    # solves succeed; but its powers mix a growing and a decaying direction.
+    # Behind a nonzero coupling block (D1 = D2 = 0 and C1 = 0, so D' = D4
+    # and C' = C2 at every z1) the aliased sums run, and their rounding bound
+    # refuses them
     s = np.array([[1.0, 1.0], [0.0, 1.0]])
-    d = s @ np.diag([3.0, 0.5]) @ np.linalg.inv(s)
-    v = bs.Colligation(0.0, [[1.0, 0.0]], [[0.0], [1.0]], d, [0, 2])
+    d4 = s @ np.diag([3.0, 0.5]) @ np.linalg.inv(s)
+    d = np.zeros((3, 3))
+    d[1, 0] = 1.0
+    d[1:, 1:] = d4
+    v = bs.Colligation(0.0, [[0.0, 1.0, 0.0]], [[0.0], [0.0], [1.0]], d, [1, 2])
     grid = bs.make_grid("torus2", 64)
     assert np.all(np.isfinite(transfer_grid(v, grid.points)))
     with pytest.raises(ResolventIllConditionedError, match="rounding"):
         transfer_torus(v, 64)
     # the boundary scan then falls back to the per-point solves
     assert boundary_scan(v, 1e-9) == bs.boundary_modulus_test(v, grid, 1e-8)
+    # with no coupling block the outer product needs no aliased sums
+    v = bs.Colligation(0.0, [[1.0, 0.0]], [[0.0], [1.0]], d4, [0, 2])
+    want = transfer_grid(v, grid.points).reshape(64, 64)
+    assert close(transfer_torus(v, 64), want)
+
+
+def triangular_contraction(rng, h1, h2):
+    """Random two-variable colligation of norm 1 with an upper-triangular D
+    (so a zero lower-left block), solved by substitution throughout."""
+    h = h1 + h2
+    m = rng.normal(size=(1 + h, 1 + h)) + 1j * rng.normal(size=(1 + h, 1 + h))
+    m[1:, 1:] = np.triu(m[1:, 1:])
+    m /= np.linalg.norm(m, 2)
+    return bs.Colligation(m[0, 0], m[:1, 1:], m[1:, :1], m[1:, 1:], [h1, h2])
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+@pytest.mark.parametrize("partition", [(0, 0), (1, 0), (24, 0), (0, 1), (0, 24),
+                                       (1, 1), (3, 9), (12, 12), (20, 4)])
+def test_transfer_torus_zero_coupling_matches_dense_reference(partition, m):
+    rng = np.random.default_rng(1000 * m + 31 * partition[0] + partition[1])
+    points = bs.make_grid("torus2", m).points
+    for v in (triangular_contraction(rng, *partition),
+              contraction(rng, *partition, zero_lower_left=True)):
+        assert close(transfer_torus(v, m), dense_transfer(v, points).reshape(m, m))
+
+
+def test_transfer_torus_pole_in_the_second_block():
+    # z2 / (1 - z2): a pole at z2 = 1, met by the zero-coupling solve
+    v = bs.Colligation(0, [[1]], [[1]], [[1.0]], [0, 1])
+    with pytest.raises(ResolventIllConditionedError):
+        transfer_torus(v, 64)
+    assert boundary_scan(v, 1e-9) is None
+
+
+def test_transfer_torus_zero_coupling_takes_no_power_rows_and_no_lu(monkeypatch):
+    rng = np.random.default_rng(13)
+    cascade = composed_blaschke(rng, max_degree=12)[0]
+    want = transfer_grid(cascade, bs.make_grid("torus2", 64).points).reshape(64, 64)
+
+    def refuse(*args):
+        raise AssertionError("zero coupling took the aliased sums")
+
+    monkeypatch.setattr(colligation, "_power_rows", refuse)
+    calls = count_linalg_solves(monkeypatch)
+    assert close(transfer_torus(cascade, 64), want)
+    assert calls == []
+    # a (10, 2) cascade: certify_inner makes no LU solve either
+    v = bs.compose_colligations(bs.model_colligation(1.0, 0.6 * np.exp(0.7j * np.arange(10))),
+                                bs.model_colligation(-1.0, [0.5, -0.3j]))
+    assert v.partition == (10, 2)
+    assert bs.certify_inner(v).verdict == "certified"
+    assert calls == []
+    monkeypatch.undo()
+    # V_t has a coupling block: the aliased path and its LU solve of I - D'^m
+    calls = count_linalg_solves(monkeypatch)
+    transfer_torus(vt_colligation(0.5), 64)
+    assert calls
 
 
 def test_transfer_torus_non_contractive_agrees_or_refuses():

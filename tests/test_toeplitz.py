@@ -9,6 +9,7 @@ from bidisc_schur.errors import (
     NotStructuredError,
     WindowTooLargeError,
 )
+from bidisc_schur.functions import modulus_report
 from helpers import (
     composed_blaschke,
     dense_isometry_defect,
@@ -274,6 +275,24 @@ def test_certify_boundary_sampling_unavailable():
     assert cert.verdict == "inconclusive"
     assert cert.detail == "inconclusive-by-structure, boundary sampling unavailable"
     assert cert.boundary_deviation is None and cert.boundary_passed is None
+
+
+def test_boundary_scan_grid_is_built_once():
+    # one read-only grid shared by every scan; reports, argmax point
+    # included, equal those on a freshly built grid
+    grid = toeplitz._scan_grid(toeplitz.TORUS_SCAN)
+    assert grid is toeplitz._scan_grid(toeplitz.TORUS_SCAN)
+    assert not grid.points.flags.writeable
+    fresh = bs.make_grid("torus2", toeplitz.TORUS_SCAN)
+    assert grid.same_points(fresh)
+    v = composed_blaschke(np.random.default_rng(23))[0]
+    scaled = bs.Colligation(0.9 * v.a, 0.9 * v.B, 0.9 * v.C, 0.9 * v.D, v.partition)
+    f = bs.mobius_of_product(0.5)
+    assert toeplitz.boundary_scan(f, 1e-9) == bs.boundary_modulus_test(f, fresh, 1e-8)
+    for v in (vt_colligation(0.5), scaled):
+        report = toeplitz.boundary_scan(v, 1e-9)
+        assert report == modulus_report(bs.transfer_torus(v, 64).ravel(), fresh, 1e-8)
+    assert report.argmax_point != tuple(fresh.points[0])
 
 
 def test_certify_refutes_half_z1():
