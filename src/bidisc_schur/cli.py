@@ -356,26 +356,6 @@ def _cmd_strip(args, tol, seed):
     return "stripped", {"power": p, "function": out}, 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "inner-check": _cmd_inner_check,
-    "toeplitz-check": _cmd_toeplitz_check,
-    "agler-kernels": _cmd_agler_kernels,
-    "agler-verify": _cmd_agler_verify,
-    "dbr-check": _cmd_dbr_check,
-    "dbr-nf-check": _cmd_dbr_nf_check,
-    "dbr-reconstruct": _cmd_dbr_reconstruct,
-    "dbr-polydisc": _cmd_dbr_polydisc,
-    "dbr-ball": _cmd_dbr_ball,
-    "factor": _cmd_factor,
-    "compose": _cmd_compose,
-    "split": _cmd_split,
-    "model": _cmd_model,
-    "strip": _cmd_strip,
-}
-
-
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and reused: parse_args
@@ -397,38 +377,43 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, inputs=("input",)):
+    def add(name, handler, help_, inputs=("input",), last_nargs=None):
+        """A subcommand run by handler(args, tol, seed), whose positional
+        arguments `inputs` name input files (the last one taking last_nargs)."""
         p = sub.add_parser(name, help=help_, parents=[common])
-        for arg in inputs:
+        for arg in inputs[:-1]:
             p.add_argument(arg)
+        p.add_argument(inputs[-1], nargs=last_nargs)
+        p.set_defaults(handler=handler, inputs=inputs)
         return p
 
-    p = add("eval", "evaluate a function or transfer function")
+    p = add("eval", _cmd_eval, "evaluate a function or transfer function")
     p.add_argument("--at", help='point as JSON, e.g. "[[0.3,0],[0.1,0.2]]"')
     p.add_argument("--grid", help="grid spec when --at is absent")
-    add("classify", "isometry/co-isometry/unitary/contraction classification")
-    add("inner-check", "certify, refute, or decline inner-ness of a transfer function")
-    p = add("toeplitz-check", "Toeplitz truncation diagnostics")
+    add("classify", _cmd_classify, "isometry/co-isometry/unitary/contraction classification")
+    add("inner-check", _cmd_inner_check,
+        "certify, refute, or decline inner-ness of a transfer function")
+    p = add("toeplitz-check", _cmd_toeplitz_check, "Toeplitz truncation diagnostics")
     p.add_argument("--orders", default="8,16,24", help="comma-separated truncation orders")
-    p = add("agler-kernels", "extract Agler kernels of a co-isometric colligation")
+    p = add("agler-kernels", _cmd_agler_kernels,
+            "extract Agler kernels of a co-isometric colligation")
     p.add_argument("--grid", help='grid spec, e.g. "bidisc:rand:40:seed=7"')
     p.add_argument("--out-k1", help="write the first kernel as a bare kernel JSON")
     p.add_argument("--out-k2", help="write the second kernel as a bare kernel JSON")
-    add("agler-verify", "verify an Agler decomposition", ("function", "k1", "k2"))
-    add("dbr-check", "de Branges-Rovnyak kernel test on the disc")
-    add("dbr-nf-check", "normalized-form kernel test (Szego domination pair)")
-    add("dbr-reconstruct", "reconstruct a Schur symbol from a disc kernel")
-    p = sub.add_parser("dbr-polydisc", help="polydisc kernel certificate verifier",
-                       parents=[common])
-    p.add_argument("kernel")
-    p.add_argument("components", nargs="+")
-    add("dbr-ball", "ball kernel test")
-    p = add("factor", "separability test / co-isometric split")
+    add("agler-verify", _cmd_agler_verify, "verify an Agler decomposition",
+        ("function", "k1", "k2"))
+    add("dbr-check", _cmd_dbr_check, "de Branges-Rovnyak kernel test on the disc")
+    add("dbr-nf-check", _cmd_dbr_nf_check, "normalized-form kernel test (Szego domination pair)")
+    add("dbr-reconstruct", _cmd_dbr_reconstruct, "reconstruct a Schur symbol from a disc kernel")
+    add("dbr-polydisc", _cmd_dbr_polydisc, "polydisc kernel certificate verifier",
+        ("kernel", "components"), last_nargs="+")
+    add("dbr-ball", _cmd_dbr_ball, "ball kernel test")
+    p = add("factor", _cmd_factor, "separability test / co-isometric split")
     p.add_argument("--grid", help="grid spec for the separability residual")
-    add("compose", "compose one-variable colligations", ("first", "second"))
-    add("split", "split a colligation into one-variable factors")
-    add("model", "model-space colligation of a finite Blaschke product")
-    p = add("strip", "strip powers of the first variable")
+    add("compose", _cmd_compose, "compose one-variable colligations", ("first", "second"))
+    add("split", _cmd_split, "split a colligation into one-variable factors")
+    add("model", _cmd_model, "model-space colligation of a finite Blaschke product")
+    p = add("strip", _cmd_strip, "strip powers of the first variable")
     p.add_argument("--truncation", type=int, default=16)
     return parser
 
@@ -437,9 +422,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    paths = [getattr(args, attr, None)
-             for attr in ("input", "function", "k1", "k2", "kernel", "first", "second")]
-    inputs = dict.fromkeys(p for p in paths + (getattr(args, "components", None) or []) if p)
+    paths = []
+    for attr in args.inputs:
+        value = getattr(args, attr)
+        paths += value if isinstance(value, list) else [value]
+    inputs = dict.fromkeys(p for p in paths if p)
 
     # --tol, else BIDISC_SCHUR_TOL, else the default
     given = args.tol if args.tol is not None else os.environ.get(DEFAULT_TOL_ENV, numlin.DEFAULT_TOL)
@@ -449,7 +436,7 @@ def main(argv=None) -> int:
         for path in inputs:
             inputs[path] = _digest(path)
         report["inputs_digest"] = inputs
-        verdict, evidence, code = _COMMANDS[args.command](args, tol, args.seed)
+        verdict, evidence, code = args.handler(args, tol, args.seed)
     except (DomainError, ValueError, TypeError, np.linalg.LinAlgError, OSError) as exc:
         # ParseError and SchemaError keep their names, other DomainErrors
         # drop the Error suffix

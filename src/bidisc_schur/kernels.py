@@ -23,10 +23,11 @@ from .errors import (
     IdentityViolatedError,
     NotCoisometricError,
     NotDbrError,
+    NotPsdError,
     RankOverflowError,
 )
 from .functions import PointGrid
-from .numlin import DEFAULT_TOL, RESIDUAL_GUARD, PsdFactorization, bound, frob
+from .numlin import DEFAULT_TOL, RESIDUAL_GUARD, bound, frob
 
 MAX_VALUE_DIM = 8
 # largest number of fresh defect directions an isometric extension may add
@@ -205,11 +206,15 @@ def _weighted_gram(k: SampledKernel, weight, identity=1.0) -> np.ndarray:
     return _as_gram(table, k.dim)
 
 
+def _defect_gram(k: SampledKernel) -> np.ndarray:
+    """Gram of I - (1 - z conj(w)) K on a disc grid."""
+    return _weighted_gram(k, 1.0 - _coordinate_products(k.grid, 0))
+
+
 @dataclass(frozen=True)
 class DbrReport:
     is_dbr: bool
     min_eigenvalue: float
-    factorization: Optional[PsdFactorization]
 
 
 def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> DbrReport:
@@ -217,9 +222,8 @@ def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> DbrReport:
     some Schur-class T?  Holds iff the Gram of I - (1 - z conj(w)) K is PSD."""
     if k.grid.nvars != 1:
         raise ValueError("dbr_test_disc needs a disc grid")
-    gram = _weighted_gram(k, 1.0 - _coordinate_products(k.grid, 0))
-    report, fact = numlin._psd_and_factor(gram, tol)
-    return DbrReport(report.is_psd, report.min_eigenvalue, fact)
+    report = numlin.is_psd(_defect_gram(k), tol)
+    return DbrReport(report.is_psd, report.min_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -350,6 +354,16 @@ class ThetaRealization:
         return f"ThetaRealization(e_star={self.e_star}, e={self.e}, h={self.h})"
 
 
+def _dbr_factor(gram: np.ndarray, name: str, tol: float) -> numlin.PsdFactorization:
+    """numlin.psd_factor of a Gram of the reconstruction; NotDbrError, with
+    is_psd's least eigenvalue, when it is not PSD."""
+    try:
+        return numlin.psd_factor(gram, tol)
+    except NotPsdError:
+        lam_min = numlin.is_psd(gram, tol).min_eigenvalue
+        raise NotDbrError(f"{name} Gram not PSD (lambda_min = {lam_min:.3e})") from None
+
+
 def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRealization:
     """Reconstruct a Schur-class T with K = (I - T(z)T(w)*)/(1 - z conj(w))
     on the sample grid.
@@ -365,20 +379,12 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     off the grid beyond Schur-class membership) to numlin.sampled(tol)."""
     if k.grid.nvars != 1:
         raise ValueError("dbr_reconstruct_disc needs a disc grid")
-    disc_report = dbr_test_disc(k, tol)
-    if not disc_report.is_dbr:
-        raise NotDbrError(
-            f"defect Gram not PSD (lambda_min = {disc_report.min_eigenvalue:.3e})")
-    kernel_psd, g_fact = numlin._psd_and_factor(k.gram(), tol)
-    if not kernel_psd:
-        raise NotDbrError(
-            f"kernel Gram not PSD (lambda_min = {kernel_psd.min_eigenvalue:.3e})")
+    f_fact = _dbr_factor(_defect_gram(k), "defect", tol)
+    g_fact = _dbr_factor(k.gram(), "kernel", tol)
 
     e = k.dim
     n = len(k.grid)
     w = k.grid.points[:, 0]
-
-    f_fact = disc_report.factorization
     rf, rg = f_fact.rank, g_fact.rank
 
     # data columns of the partial isometry, one per (grid point, value

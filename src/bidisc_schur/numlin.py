@@ -111,7 +111,6 @@ class PsdFactorization:
 
     rank: int
     factor: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -122,23 +121,30 @@ class OperatorClass:
     is_contraction: bool
 
 
+def _hermitian_part(a, tol: float, op: str):
+    """(A + A*)/2 and the cut bound(tol, ||A||_F) of a square matrix A.
+
+    Raises NonHermitianError when ||A - A*||_F exceeds the cut."""
+    a = as_matrix(a)
+    _require_square(a, op)
+    cut = bound(tol, frob(a))
+    skew = frob(a - a.conj().T)
+    if skew > cut:
+        raise NonHermitianError(f"matrix is not Hermitian within tolerance ({skew:.3e})")
+    return (a + a.conj().T) / 2.0, cut
+
+
 def is_psd(a, tol: float = DEFAULT_TOL) -> PsdReport:
-    """Hermitian PSD test via eigendecomposition of the Hermitian part.
+    """Hermitian PSD test: the least eigenvalue of the Hermitian part against
+    -tol*(1 + ||A||_F).
 
     Raises NonHermitianError when ||A - A*||_F exceeds tol*(1 + ||A||_F);
     the eigenvalue report is kept so callers can surface lambda_min in
     diagnostics.
     """
-    a = as_matrix(a)
-    _require_square(a, "is_psd")
-    if a.size == 0:
+    herm, cut = _hermitian_part(a, tol, "is_psd")
+    if herm.size == 0:
         return PsdReport(True, 0.0)
-    cut = bound(tol, frob(a))
-    if frob(a - a.conj().T) > cut:
-        raise NonHermitianError(
-            f"matrix is not Hermitian within tolerance ({frob(a - a.conj().T):.3e})"
-        )
-    herm = (a + a.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(herm)[0])
     return PsdReport(lam_min >= -cut, lam_min)
 
@@ -146,32 +152,18 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> PsdReport:
 def psd_factor(a, tol: float = DEFAULT_TOL) -> PsdFactorization:
     """Eigen-truncated factorization A ~ F F* with F of shape (n, rank).
 
+    One eigendecomposition of the Hermitian part gives both the PSD test of
+    is_psd (NotPsdError below -tol*(1 + ||A||_F)) and the factor.
     Eigen-truncation (rather than Cholesky) handles the rank-deficient Gram
     matrices of sampled kernels gracefully: rank is the number of
     eigenvalues above tol*(1 + ||A||_F).
     """
-    report, fact = _psd_and_factor(a, tol)
-    if fact is None:
-        raise NotPsdError(f"matrix is not PSD (lambda_min = {report.min_eigenvalue:.3e})")
-    return fact
-
-
-def _psd_and_factor(a, tol: float):
-    """(is_psd(a, tol), psd_factor(a, tol)), the factor None when the test
-    fails: for callers that need the report even then, so that the test's
-    eigenvalues are computed once."""
-    a = as_matrix(a)
-    report = is_psd(a, tol)
-    if not report:
-        return report, None
-    if a.size == 0:
-        return report, PsdFactorization(0, np.zeros((0, 0), dtype=np.complex128), 0.0)
-    herm = (a + a.conj().T) / 2.0
+    herm, cut = _hermitian_part(a, tol, "psd_factor")
     vals, vecs = np.linalg.eigh(herm)
-    keep = vals > bound(tol, frob(a))
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
-    residual = frob(a - factor @ factor.conj().T)
-    return report, PsdFactorization(int(keep.sum()), factor, residual)
+    if vals.size and vals[0] < -cut:
+        raise NotPsdError(f"matrix is not PSD (lambda_min = {vals[0]:.3e})")
+    keep = vals > cut
+    return PsdFactorization(int(keep.sum()), vecs[:, keep] * np.sqrt(vals[keep]))
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> OperatorClass:

@@ -302,15 +302,15 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     bdev = boundary.max_deviation if boundary else None
     bpass = boundary.passed if boundary else None
 
+    # the truncation needs the zero coupling block, the proof sums also
+    # both radii below 1 - tol: the report's own tests, so neither refuses
     defect = None
     diagnostics = None
     if report.lower_left_zero:
-        try:
-            defect = isometry_defect(
-                phi_blocks_from_colligation(v, DEFECT_ORDER, tol), DEFECT_ORDER // 2)
+        defect = isometry_defect(
+            phi_blocks_from_colligation(v, DEFECT_ORDER, tol), DEFECT_ORDER // 2)
+        if report.c0dot_block1 and report.c0dot_block2:
             diagnostics = proof_diagnostics(v, tol=tol)
-        except NotStructuredError:  # borderline coupling block
-            pass
 
     if certified:
         return InnerCertificate("certified", "structural hypotheses verified",

@@ -92,6 +92,58 @@ def test_kind_inference():
     assert isinstance(serialize.parse_object(obj), bs.Colligation)
 
 
+def _kinded_objects():
+    """kind -> (JSON object with "kind", emitter) for every kind but poly2."""
+    grid = bs.make_grid("disc", 4, seed=77)
+    theta = random_theta(np.random.default_rng(78))
+    f = bs.mobius_of_product(0.25)
+    return {
+        "series2": (serialize.series_to_json(bs.PowerSeries2(np.arange(6.0).reshape(2, 3))),
+                    serialize.series_to_json),
+        "rational2": (serialize.rational_to_json(f), serialize.rational_to_json),
+        "grid": (serialize.grid_to_json(grid), serialize.grid_to_json),
+        "colligation": (serialize.colligation_to_json(vt_colligation(0.5)),
+                        serialize.colligation_to_json),
+        "kernel": (serialize.kernel_to_json(SampledKernel(grid, szego_gram(grid))),
+                   serialize.kernel_to_json),
+        "blaschke": (serialize.blaschke_to_json(1j, [0.5, -0.25j]),
+                     lambda pair: serialize.blaschke_to_json(*pair)),
+        "theta": (serialize.theta_to_json(theta), serialize.theta_to_json),
+    }
+
+
+@pytest.mark.parametrize("kind", ["series2", "rational2", "grid", "colligation",
+                                  "kernel", "blaschke", "theta"])
+def test_kindless_object_parses_as_its_kind(kind):
+    obj, emit = _kinded_objects()[kind]
+    kindless = {key: val for key, val in obj.items() if key != "kind"}
+    with_kind, without = serialize.parse_object(obj), serialize.parse_object(kindless)
+    assert type(without) is type(with_kind)
+    assert serialize.dumps(emit(without)) == serialize.dumps(emit(with_kind))
+    assert emit(without)["kind"] == kind
+
+
+def test_kindless_poly_reads_as_series():
+    obj = serialize.poly_to_json(bs.Poly2([[1.0, 0.5], [0.25j, 0.0]]))
+    del obj["kind"]
+    back = serialize.parse_object(obj)
+    assert isinstance(back, bs.PowerSeries2)
+    assert np.array_equal(back.coeffs, [[1.0, 0.5], [0.25j, 0.0]])
+
+
+def test_unknown_keys_and_bare_numbers_are_schema_errors():
+    with pytest.raises(SchemaError, match="cannot infer object kind"):
+        serialize.parse_object({"a": [1.0, 0.0], "rows": 2})
+    # numbers where [re, im] pairs belong
+    for obj, ndim in ((0.5, 0), ([0.5, 0.25, 1.0], 1), ([[0.5], [0.25]], 2)):
+        with pytest.raises(SchemaError, match=r"\[re, im\] pairs nested"):
+            serialize.pairs_from_json(obj, ndim)
+    obj = serialize.colligation_to_json(vt_colligation(0.5))
+    obj["a"] = 0.5
+    with pytest.raises(SchemaError, match=r"\[re, im\] pairs nested"):
+        serialize.parse_object(obj)
+
+
 def test_grid_spec_parsing():
     assert len(parse_grid_spec("torus2:8", 0)) == 64
     g = parse_grid_spec("bidisc:rand:40:seed=7", 0)
@@ -150,6 +202,16 @@ def test_cli_eval_product_mobius_origin(tmp_path, capsys):
     code, report = run_cli(capsys, "eval", path, "--at", "[[0,0],[0,0]]")
     assert code == 0
     assert report["evidence"]["values"][0] == [-0.5, 0.0]
+
+
+def test_cli_factor_separable_colligation_is_split_plus_flag(capsys):
+    path = os.path.join(EXAMPLES, "separable_colligation.json")
+    code, report = run_cli(capsys, "factor", path)
+    assert code == 0 and report["verdict"] == "separable"
+    with open(path, encoding="utf-8") as fh:
+        v = serialize.parse_object(json.load(fh))
+    split = serialize.factorization_to_json(bs.split_colligation(v, numlin.DEFAULT_TOL))
+    assert report["evidence"] == dict(json.loads(serialize.dumps(split)), separable=True)
 
 
 def test_cli_split_and_compose_roundtrip(tmp_path, capsys):

@@ -237,6 +237,16 @@ def test_transfer_torus_pole_in_the_second_block():
     assert boundary_scan(v, 1e-9) is None
 
 
+@pytest.mark.parametrize("v,m,message", [
+    (bs.model_colligation(1.0, [0.5]), 8, "two-variable"),
+    (permutation_colligation(), 0, "m >= 1"),
+    (permutation_colligation(), -3, "m >= 1"),
+])
+def test_transfer_torus_refuses_one_variable_and_empty_grids(v, m, message):
+    with pytest.raises(ValueError, match=message):
+        transfer_torus(v, m)
+
+
 def test_transfer_torus_zero_coupling_takes_no_power_rows_and_no_lu(monkeypatch):
     rng = np.random.default_rng(13)
     cascade = composed_blaschke(rng, max_degree=12)[0]
@@ -496,6 +506,12 @@ def test_model_colligation_constant():
     v = bs.model_colligation(c, [])
     assert v.h == 0
     assert v.a == pytest.approx(c)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0 + 1e-9, 2j, 0.0])
+def test_model_colligation_refuses_non_unimodular_constant(c):
+    with pytest.raises(ValueError, match="unimodular"):
+        bs.model_colligation(c, [0.5])
 
 
 def test_model_colligation_zero_on_boundary():

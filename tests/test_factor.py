@@ -269,6 +269,15 @@ def test_weak_converse_rejects_vt():
         factor.weak_converse_check(vt_colligation(0.5))
 
 
+def test_weak_converse_rejects_non_unitary_contraction():
+    # 0.9 times a certified cascade: a contraction, no longer unitary
+    v, _, _ = composed_blaschke(np.random.default_rng(62), max_degree=3, radius=0.8)
+    scaled = bs.Colligation(0.9 * v.a, 0.9 * v.B, 0.9 * v.C, 0.9 * v.D, v.partition)
+    assert bs.classify(scaled.V).is_contraction and not bs.classify(scaled.V).is_unitary
+    with pytest.raises(ConditionFailedError, match="not unitary"):
+        factor.weak_converse_check(scaled)
+
+
 def test_weak_converse_rejects_zero_constant():
     with pytest.raises(OriginZeroError):
         factor.weak_converse_check(permutation_colligation())

@@ -51,7 +51,7 @@ def test_psd_factor_zero_matrix():
     fact = bs.psd_factor(np.zeros((3, 3)))
     assert fact.rank == 0
     assert fact.factor.shape == (3, 0)
-    assert fact.residual == pytest.approx(0.0)
+    assert np.allclose(fact.factor @ fact.factor.conj().T, 0.0, atol=1e-12)
 
 
 def test_psd_factor_rank_one():
@@ -73,6 +73,45 @@ def test_psd_factor_szego_rank():
 def test_psd_factor_rejects_indefinite():
     with pytest.raises(NotPsdError):
         bs.psd_factor(np.array([[1, 2], [2, 1]], dtype=complex))
+
+
+def _hermitian_cases(rng):
+    """(name, matrix) pairs: PSD of full rank, rank-deficient PSD, and
+    indefinite Hermitian matrices, a few sizes each."""
+    for n in (1, 4, 9):
+        for rank in (n, max(n // 2, 1), 0):
+            m = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            yield f"psd-{n}-rank{rank}", m @ m.conj().T
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        yield f"hermitian-{n}", h + h.conj().T
+        # PSD but for one eigenvalue just below and one just above the cut
+        q = np.linalg.qr(h)[0]
+        cut = 1e-9 * (1.0 + np.sqrt(n))
+        for lam in (-2.0 * cut, -0.25 * cut):
+            vals = np.ones(n)
+            vals[0] = lam
+            yield f"edge-{n}-{lam:+.0e}", (q * vals) @ q.conj().T
+
+
+def test_psd_factor_raises_exactly_when_is_psd_fails():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for name, a in _hermitian_cases(rng):
+        report = bs.is_psd(a)
+        seen.add(report.is_psd)
+        if report.is_psd:
+            fact = bs.psd_factor(a)
+            assert fact.factor.shape == (a.shape[0], fact.rank), name
+            assert np.linalg.norm(fact.factor @ fact.factor.conj().T - a) \
+                <= 1e-8 * (1.0 + np.linalg.norm(a)), name
+        else:
+            with pytest.raises(NotPsdError):
+                bs.psd_factor(a)
+    assert seen == {True, False}
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    for fn in (bs.is_psd, bs.psd_factor):
+        with pytest.raises(NonHermitianError):
+            fn(skew)
 
 
 def test_psd_factor_idempotent_rank():

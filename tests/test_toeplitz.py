@@ -245,6 +245,25 @@ def test_proof_diagnostics_refuses_divergent_sum():
     assert cert.diagnostics is None
 
 
+@pytest.mark.parametrize("d1", [1.0, 1.0 - 1e-10])
+def test_certify_borderline_radius_gets_defect_but_no_diagnostics(d1):
+    # unitary, lower-left block zero, transfer z2 (d1 - z1)/(1 - d1 z1); the
+    # radius d1 of D1 is not below 1 - tol, so the proof sums are refused
+    # while the truncation, which needs only the zero block, is still taken
+    b1 = np.sqrt(1.0 - d1 ** 2)
+    v = bs.Colligation(0.0, [[b1, d1]], [[0.0], [1.0]], [[d1, -b1], [0.0, 0.0]], [1, 1])
+    with pytest.raises(NotStructuredError, match="spectral radius"):
+        toeplitz.proof_diagnostics(v)
+    cert = bs.certify_inner(v)
+    assert cert.structure.is_unitary and cert.structure.lower_left_zero
+    assert not cert.structure.c0dot_block1 and cert.structure.c0dot_block2
+    assert cert.verdict != "certified"
+    assert cert.diagnostics is None
+    order = toeplitz.DEFECT_ORDER
+    assert cert.defect == bs.isometry_defect(
+        toeplitz.phi_blocks_from_colligation(v, order), order // 2)
+
+
 def test_proof_diagnostics_not_inner():
     # isometric column embedding of z1/2 misses the defect identities
     v = bs.Colligation(0.0, [[0.5, 0.0]], [[1.0], [0.0]],
