@@ -437,10 +437,13 @@ def main(argv=None) -> int:
             inputs[path] = _digest(path)
         report["inputs_digest"] = inputs
         verdict, evidence, code = args.handler(args, tol, args.seed)
-    except (DomainError, ValueError, TypeError, np.linalg.LinAlgError, OSError) as exc:
-        # ParseError and SchemaError keep their names, other DomainErrors
-        # drop the Error suffix
-        name = "IOError" if isinstance(exc, OSError) else type(exc).__name__
+    except (DomainError, ValueError, TypeError, np.linalg.LinAlgError, OSError,
+            MemoryError) as exc:
+        # OSError reads as IOError and numpy's _ArrayMemoryError as
+        # MemoryError; ParseError and SchemaError keep their names, other
+        # DomainErrors drop the Error suffix
+        name = "IOError" if isinstance(exc, OSError) else \
+            "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         if isinstance(exc, DomainError) and not isinstance(exc, (ParseError, SchemaError)):
             name = name.removesuffix("Error")
         verdict, evidence, code = f"{name}: {exc}", {}, 2

@@ -27,9 +27,10 @@ class Colligation:
     a is a scalar, B is 1 x h, C is h x 1, D is h x h, and partition lists
     the state-block dimensions (one entry per variable; only one or two
     variables are supported).  For two variables the D sub-blocks follow
-    the usual labels: D1 (upper-left), D2 (upper-right), D4 (lower-right,
-    also exposed as D3, the label used in the triangular form where the
-    lower-left block vanishes), and lower_left for the coupling block.
+    the usual labels: D1 (upper-left), D2 (upper-right), D4 (lower-right)
+    and lower_left for the coupling block.  Formulas for the triangular form,
+    where the lower-left block vanishes, write D3 for the lower-right block
+    D4.
     """
 
     def __init__(self, a, B, C, D, partition):
@@ -86,8 +87,6 @@ class Colligation:
     D2 = property(lambda self: self.D[: self._h1(), self._h1():])
     lower_left = property(lambda self: self.D[self._h1():, : self._h1()])
     D4 = property(lambda self: self.D[self._h1():, self._h1():])
-    # triangular-form alias for the lower-right block
-    D3 = D4
 
     def __call__(self, *z):
         """The transfer function at broadcast coordinates: v(z1, z2) for two

@@ -36,20 +36,6 @@ ZERO_FREE_MARGIN = 1e-8
 _TORUS_CANDIDATE_WINDOW = 1e-3
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient table of the product of two bivariate polynomials (the
-    full 2-d convolution): a sum of shifted copies of the larger table, one
-    per nonzero entry of the smaller."""
-    if a.size > b.size:
-        a, b = b, a
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-                   dtype=np.result_type(a, b))
-    for (i, j), aij in np.ndenumerate(a):
-        if aij != 0:
-            out[i:i + b.shape[0], j:j + b.shape[1]] += aij * b
-    return out
-
-
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Drop trailing all-zero rows/columns (canonical degree)."""
     c = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
@@ -84,9 +70,6 @@ class Poly2:
         return polyval2d(z1, z2, self.coeffs)
 
     __call__ = eval
-
-    def mul(self, other: "Poly2") -> "Poly2":
-        return Poly2(_convolve(self.coeffs, other.coeffs))
 
     def scale(self, c: complex) -> "Poly2":
         return Poly2(self.coeffs * c)
@@ -291,7 +274,7 @@ class PowerSeries2:
     """Truncated coefficient table of a power series on the bidisc.
 
     The tail beyond the truncation orders is unknown, never implicitly
-    zero; comparisons between series only use the common truncation.
+    zero.
     """
 
     nvars = 2
@@ -312,16 +295,6 @@ class PowerSeries2:
         return polyval2d(z1, z2, self.coeffs)
 
     __call__ = eval
-
-    def common_truncation(self, other: "PowerSeries2") -> tuple[np.ndarray, np.ndarray]:
-        n1 = min(self.coeffs.shape[0], other.coeffs.shape[0])
-        n2 = min(self.coeffs.shape[1], other.coeffs.shape[1])
-        return self.coeffs[:n1, :n2], other.coeffs[:n1, :n2]
-
-    def mul(self, other: "PowerSeries2") -> "PowerSeries2":
-        a, b = self.common_truncation(other)
-        full = _convolve(a, b)
-        return PowerSeries2(full[: a.shape[0], : a.shape[1]])
 
     def swap_variables(self) -> "PowerSeries2":
         return PowerSeries2(self.coeffs.T)
@@ -375,9 +348,6 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
 
 # ---------------------------------------------------------------------------
 # point grids
-
-
-_AMBIENTS = ("disc", "bidisc", "torus2", "polydisc", "ball")
 
 
 def _ambient_nvars(ambient: str) -> int:

@@ -46,12 +46,6 @@ def _as_gram(table: np.ndarray, dim: int) -> np.ndarray:
     return _blocks(table, dim).transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
 
 
-def _tabulate(points: np.ndarray, fn) -> np.ndarray:
-    """fn(z_i, z_j) at every pair of points, as an (n, n) table of scalars
-    or an (n, n, e, e) table of e x e values."""
-    return np.array([[fn(z, w) for w in points] for z in points], dtype=np.complex128)
-
-
 def check_value_dim(dim: int) -> None:
     if dim < 1 or dim > MAX_VALUE_DIM:
         raise ValueError(f"value dimension must be in 1..{MAX_VALUE_DIM}")
@@ -81,10 +75,6 @@ class SampledKernel:
         if frob(g - g.conj().T) > bound(RESIDUAL_GUARD, frob(g)):
             raise ValueError("kernel values are not Hermitian-symmetric in the point pair")
 
-    @classmethod
-    def from_function(cls, grid: PointGrid, fn, dim: int = 1) -> "SampledKernel":
-        return cls(grid, _tabulate(grid.points, fn), dim)
-
     def gram(self) -> np.ndarray:
         """Full (n e) x (n e) Gram matrix over the grid."""
         return _as_gram(self.values, self.dim)
@@ -105,19 +95,6 @@ def _pair_products(grid: PointGrid) -> np.ndarray:
 def _coordinate_products(grid: PointGrid, k: int) -> np.ndarray:
     zk = grid.points[:, k]
     return zk[:, None] * np.conj(zk)[None, :]
-
-
-def szego_gram(grid: PointGrid) -> np.ndarray:
-    """Product Szego kernel values Prod_k 1/(1 - z_k conj(w_k)) on the grid."""
-    out = np.ones((len(grid), len(grid)), dtype=np.complex128)
-    for k in range(grid.nvars):
-        out /= 1.0 - _coordinate_products(grid, k)
-    return out
-
-
-def drury_arveson_gram(grid: PointGrid) -> np.ndarray:
-    """Kernel values 1/(1 - <z, w>) on a ball grid."""
-    return 1.0 / (1.0 - _pair_products(grid))
 
 
 # ---------------------------------------------------------------------------

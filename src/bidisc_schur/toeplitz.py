@@ -41,6 +41,9 @@ from .numlin import DEFAULT_TOL, below_one, frob, sampled, spectral_radius
 # side of the boundary scan's torus grid; order of certify_inner's defect
 TORUS_SCAN = 64
 DEFECT_ORDER = 16
+# the proof quantities' window: lags k = 1..PROOF_LAGS, shifts j = 0..PROOF_SHIFTS
+PROOF_LAGS = 8
+PROOF_SHIFTS = 2
 
 
 @dataclass
@@ -130,17 +133,16 @@ def isometry_defect(t: ToeplitzTruncation, window: int) -> float:
 # proof-quantity diagnostics
 
 
-def _stein_sums(d: np.ndarray, x: np.ndarray, terms: Optional[int] = None) -> np.ndarray:
+def _stein_sums(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_{k >= 0} D*^k X D^k for every X stacked along the leading axes of
     x (shape (..., h, h)), by squared Smith doubling (R. A. Smith, SIAM J.
     Appl. Math. 16, 1968): after n steps of
     X <- X + A* X A, A <- A^2 (starting from A = D) the sum holds the first
     2^n terms.  The rest of the sum is A* S A for the full sum S, so the loop
-    stops once ||A||^2 is below rounding, or once 2^n is the largest power of
-    two not above `terms`.  The caller ensures spectral radius < 1; 64
-    doublings bound the loop."""
+    stops once ||A||^2 is below rounding.  The caller ensures spectral
+    radius < 1; 64 doublings bound the loop."""
     a = d
-    for _ in range(64 if terms is None else min(64, int(terms).bit_length() - 1)):
+    for _ in range(64):
         if frob(a) ** 2 <= np.finfo(float).eps:
             break
         x = x + a.conj().T @ x @ a
@@ -153,7 +155,7 @@ class ProofDiagnostics:
     """The scalar sequences that make the symbol's multiplication operator an
     isometry: y_0 should be 1 and every other y_k and every c coefficient
     should vanish.  The geometric sums behind them are exact Stein sums
-    (to rounding), or partial sums when proof_diagnostics caps `terms`.
+    (to rounding).
 
     For isometric colligations the two geometric sums themselves equal the
     identity; their distances from I are reported as partial_sum_defects
@@ -161,8 +163,8 @@ class ProofDiagnostics:
     D3*^j (B2* B2 + D2* D2) D3^j)."""
 
     y0: float
-    y_offdiag: np.ndarray        # y_1 .. y_kmax
-    c_table: np.ndarray          # c[j, kmax + k] for j >= 0 shifts, -kmax <= k <= kmax
+    y_offdiag: np.ndarray        # y_1 .. y_K, K = PROOF_LAGS
+    c_table: np.ndarray          # c[j, K + k] for shifts 0 <= j <= PROOF_SHIFTS, -K <= k <= K
     partial_sum_defects: tuple
 
     @property
@@ -174,15 +176,13 @@ class ProofDiagnostics:
         return float(np.max(np.abs(self.c_table), initial=0.0))
 
 
-def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
-                      terms: Optional[int] = None,
-                      tol: float = DEFAULT_TOL) -> ProofDiagnostics:
+def proof_diagnostics(v: Colligation, tol: float = DEFAULT_TOL) -> ProofDiagnostics:
     """Diagonal and cross diagnostics of the column Gram matrices, computed
     from the colligation by geometric sums (never from a finite
-    compression).  The sums run to convergence, or, when `terms` is given,
-    over the largest power of two of terms not above it (at least one).
-    They exist only when both diagonal D blocks have spectral radius below
-    1 - tol; otherwise NotStructuredError is raised.
+    compression), for lags k <= PROOF_LAGS and shifts j <= PROOF_SHIFTS.
+    The sums run to convergence.  They exist only when both diagonal D
+    blocks have spectral radius below 1 - tol; otherwise NotStructuredError
+    is raised.
 
     With G1 = sum_l D1*^l B1* B1 D1^l and
     G3 = sum_r D3*^r (B2* B2 + D2* G1 D2) D3^r:
@@ -209,7 +209,8 @@ def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
                 f"{name} has spectral radius {radius:.3e} >= 1 - tol; "
                 "the proof sums do not converge")
 
-    g1 = _stein_sums(d1, b1.conj().T @ b1, terms)
+    kmax, jmax = PROOF_LAGS, PROOF_SHIFTS
+    g1 = _stein_sums(d1, b1.conj().T @ b1)
     # [row; mix] D1^{j+1} [C1, D2] for every shift j, as (jmax+1) blocks
     rowmix = np.concatenate([np.conj(a) * b1 + c1.conj().T @ d1,
                              b2.conj().T @ b1 + d2.conj().T @ d1])
@@ -217,7 +218,7 @@ def proof_diagnostics(v: Colligation, kmax: int = 8, jmax: int = 2,
         @ np.concatenate([c1, d2], axis=1)
     b2sq = b2.conj().T @ b2
     sums = _stein_sums(d3, np.concatenate(
-        [[b2sq + d2.conj().T @ g1 @ d2, b2sq + d2.conj().T @ d2], shifted[:, 1:, 1:]]), terms)
+        [[b2sq + d2.conj().T @ g1 @ d2, b2sq + d2.conj().T @ d2], shifted[:, 1:, 1:]]))
     g3, sum2, acc = sums[0], sums[1], sums[2:]
     sum_defects = (frob(g1 - np.eye(h1)), frob(sum2 - np.eye(h2)))
 

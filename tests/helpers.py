@@ -9,6 +9,59 @@ from bidisc_schur.kernels import ThetaRealization
 from bidisc_schur.numlin import DEFAULT_TOL, EXACT_GUARD, RESIDUAL_GUARD, bound
 
 
+def tabulate(points, fn):
+    """fn(z_i, z_j) at every pair of points, as an (n, n) table of scalars
+    or an (n, n, e, e) table of e x e values: one call per pair."""
+    return np.array([[fn(z, w) for w in points] for z in points], dtype=np.complex128)
+
+
+def szego_gram(grid):
+    """Product Szego kernel values Prod_k 1/(1 - z_k conj(w_k)) on the grid."""
+    out = np.ones((len(grid), len(grid)), dtype=np.complex128)
+    for k in range(grid.nvars):
+        out /= 1.0 - kernels._coordinate_products(grid, k)
+    return out
+
+
+def drury_arveson_gram(grid):
+    """Kernel values 1/(1 - <z, w>) on a ball grid."""
+    return 1.0 / (1.0 - kernels._pair_products(grid))
+
+
+def convolve(a, b):
+    """Coefficient table of the product of two bivariate polynomials (the
+    full 2-d convolution): a sum of shifted copies of the larger table, one
+    per nonzero entry of the smaller."""
+    if a.size > b.size:
+        a, b = b, a
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+                   dtype=np.result_type(a, b))
+    for (i, j), aij in np.ndenumerate(a):
+        if aij != 0:
+            out[i:i + b.shape[0], j:j + b.shape[1]] += aij * b
+    return out
+
+
+def poly_mul(p, q):
+    """The product of two Poly2."""
+    return bs.Poly2(convolve(p.coeffs, q.coeffs))
+
+
+def common_truncation(a, b):
+    """The coefficient tables of two PowerSeries2 cut to their common
+    orders: a series' tail beyond its orders is unknown, not zero."""
+    n1 = min(a.coeffs.shape[0], b.coeffs.shape[0])
+    n2 = min(a.coeffs.shape[1], b.coeffs.shape[1])
+    return a.coeffs[:n1, :n2], b.coeffs[:n1, :n2]
+
+
+def series_mul(a, b):
+    """The product of two PowerSeries2, to their common orders."""
+    ca, cb = common_truncation(a, b)
+    full = convolve(ca, cb)
+    return bs.PowerSeries2(full[: ca.shape[0], : ca.shape[1]])
+
+
 def random_unitary(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(m)
@@ -377,8 +430,8 @@ def difference_quotient_colligation(f, kernel1, kernel2, cgrid, tol=DEFAULT_TOL)
     whole space and the matrices are exact up to round-off)."""
     pts = cgrid.grid.points
 
-    fact1 = numlin.psd_factor(kernels._tabulate(pts, kernel1), tol)
-    fact2 = numlin.psd_factor(kernels._tabulate(pts, kernel2), tol)
+    fact1 = numlin.psd_factor(tabulate(pts, kernel1), tol)
+    fact2 = numlin.psd_factor(tabulate(pts, kernel2), tol)
     f1, f2 = fact1.factor, fact2.factor            # sample-value bases
 
     idx0 = cgrid.index(cgrid.origin1, cgrid.origin2)

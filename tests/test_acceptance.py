@@ -9,13 +9,15 @@ import bidisc_schur as bs
 from bidisc_schur import factor, toeplitz
 from bidisc_schur.colligation import transfer_grid
 from bidisc_schur.errors import ConditionFailedError
-from bidisc_schur.kernels import SampledKernel, drury_arveson_gram, szego_gram
+from bidisc_schur.kernels import SampledKernel
 from helpers import (
     blaschke_callable,
     composed_blaschke,
+    drury_arveson_gram,
     random_blaschke,
     random_theta,
     random_two_var_unitary,
+    szego_gram,
     vt_colligation,
 )
 
@@ -77,7 +79,7 @@ def test_criterion_04_toeplitz_diagnostics():
     for _ in range(20):
         v, _, _ = composed_blaschke(rng, max_degree=3, radius=0.1)
         assert bs.certify_inner(v).verdict == "certified"
-        diag = toeplitz.proof_diagnostics(v, kmax=8, terms=64)
+        diag = toeplitz.proof_diagnostics(v)
         defect = bs.isometry_defect(bs.phi_blocks_from_colligation(v, 16), 8)
         worst["y0"] = max(worst["y0"], abs(diag.y0 - 1.0))
         worst["yk"] = max(worst["yk"], diag.max_y_offdiag)

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import numlin, serialize
+from bidisc_schur import cli, numlin, serialize, toeplitz
 from bidisc_schur.cli import build_parser, main, parse_grid_spec
 from bidisc_schur.errors import ParseError, SchemaError
-from bidisc_schur.kernels import SampledKernel, szego_gram
-from helpers import permutation_colligation, random_theta, vt_colligation
+from bidisc_schur.kernels import SampledKernel
+from helpers import (
+    composed_blaschke,
+    permutation_colligation,
+    random_theta,
+    szego_gram,
+    vt_colligation,
+)
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
 
@@ -187,6 +193,21 @@ def test_cli_inner_check_vt_inconclusive(tmp_path, capsys):
     assert code == 1
     assert report["verdict"] == "inconclusive"
     assert report["evidence"]["boundary_passed"] is True
+
+
+def test_cli_inner_check_reports_the_library_proof_window(tmp_path, capsys):
+    v, _, _ = composed_blaschke(np.random.default_rng(173), max_degree=4, radius=0.8)
+    path = write(tmp_path, "cascade.json", serialize.colligation_to_json(v))
+    code, report = run_cli(capsys, "inner-check", path)
+    assert code == 0 and report["verdict"] == "certified"
+    quantities = report["evidence"]["proof_quantities"]
+    diag = toeplitz.proof_diagnostics(v)
+    assert quantities["y0"] == diag.y0
+    assert quantities["max_y_offdiag"] == diag.max_y_offdiag
+    assert quantities["max_c"] == diag.max_c
+    assert quantities["partial_sum_defects"] == list(diag.partial_sum_defects)
+    assert diag.y_offdiag.shape == (toeplitz.PROOF_LAGS,)
+    assert diag.c_table.shape == (toeplitz.PROOF_SHIFTS + 1, 2 * toeplitz.PROOF_LAGS + 1)
 
 
 def test_cli_factor_vt_condition_failed(tmp_path, capsys):
@@ -509,6 +530,31 @@ def test_cli_malformed_array_entries_exit_2(tmp_path, capsys, where, literal):
     code, report = run_cli(capsys, "dbr-check", str(path))
     assert code == 2
     assert report["verdict"].startswith("SchemaError: ")
+
+
+@pytest.mark.parametrize("patched,command,flags", [
+    ("make_grid", "eval", ["--grid", "torus2:4"]),
+    ("series_of", "toeplitz-check", ["--orders", "8"]),
+])
+def test_cli_memory_error_exit_2(capsys, monkeypatch, patched, command, flags):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, patched, exhausted)
+    code, report = run_cli(capsys, command,
+                           os.path.join(EXAMPLES, "product_mobius_rational.json"), *flags)
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"] == "MemoryError: Unable to allocate 1.00 TiB"
+
+
+def test_cli_oversized_order_exit_2(capsys):
+    # the first allocation, a 4e6 x 4e6 complex table, exceeds a 47-bit
+    # address space, so it fails at once
+    code, report = run_cli(capsys, "toeplitz-check",
+                           os.path.join(EXAMPLES, "product_mobius_rational.json"),
+                           "--orders", "4000000")
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"].startswith("MemoryError: ")
 
 
 def test_cli_precondition_error_exit_2(tmp_path, capsys):

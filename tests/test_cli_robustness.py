@@ -20,7 +20,8 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import serialize
 from bidisc_schur.cli import main
-from bidisc_schur.kernels import SampledKernel, drury_arveson_gram, szego_gram
+from bidisc_schur.kernels import SampledKernel
+from helpers import drury_arveson_gram, szego_gram
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
 SEEDS = (0, 1, 2)

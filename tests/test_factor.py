@@ -21,6 +21,7 @@ from helpers import (
     mobius,
     permutation_colligation,
     random_blaschke,
+    tabulate,
     vt_colligation,
 )
 
@@ -300,7 +301,7 @@ def product_agler_kernels(f1, f2):
 
 
 def sample(kernel, grid):
-    return SampledKernel.from_function(grid, kernel)
+    return SampledKernel(grid, tabulate(grid.points, kernel))
 
 
 def test_factorization_conditions_separable():

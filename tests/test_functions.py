@@ -8,7 +8,13 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur.errors import NearPoleError, NonFiniteError, ZeroPolynomialError
 from bidisc_schur.functions import INTERIOR_RADIUS, ZERO_FREE_MARGIN
-from helpers import loop_series_inverse, loop_series_of, taylor_from_samples
+from helpers import (
+    common_truncation,
+    loop_series_inverse,
+    loop_series_of,
+    poly_mul,
+    taylor_from_samples,
+)
 
 
 def test_reflect_constant():
@@ -227,10 +233,10 @@ def test_zero_free_check_degree_8(seed):
     rng = np.random.default_rng(seed)
     base = bs.Poly2([[1.0]])
     for _ in range(7):
-        base = base.mul(_factor(rng, 0.97))
-    bs.RationalFunction2((0, 0), base.mul(_factor(rng, 0.999)))
+        base = poly_mul(base, _factor(rng, 0.97))
+    bs.RationalFunction2((0, 0), poly_mul(base, _factor(rng, 0.999)))
     for last in [_factor(rng, 1.02), _factor(rng, 1.001), bs.Poly2([[1.0, -0.6], [0.6, 0.0]])]:
-        p = base.mul(last)
+        p = poly_mul(base, last)
         assert p.degree == (8, 8)
         msg = _refusal(p.coeffs)
         assert "condition (iii), a torus zero" in msg
@@ -413,7 +419,7 @@ def test_taylor_from_samples_matches_division():
 def test_series_tail_is_unknown_not_zero():
     a = bs.PowerSeries2(np.ones((3, 3)))
     b = bs.PowerSeries2(np.ones((5, 5)))
-    ca, cb = a.common_truncation(b)
+    ca, cb = common_truncation(a, b)
     assert ca.shape == cb.shape == (3, 3)
 
 
@@ -458,7 +464,7 @@ def test_poly_mul_is_pointwise_product():
     p = bs.Poly2(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
     q = bs.Poly2(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
     z1, z2 = 0.7 * np.exp(2j * np.pi * rng.uniform(size=(2, 10)))
-    pq = p.mul(q)
+    pq = poly_mul(p, q)
     assert pq.degree == (3, 4)
     assert np.max(np.abs(pq.eval(z1, z2) - p.eval(z1, z2) * q.eval(z1, z2))) < 1e-13
 

@@ -4,20 +4,17 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import kernels
 from bidisc_schur.errors import GridMismatchError, NotCoisometricError, NotDbrError
-from bidisc_schur.kernels import (
-    SampledKernel,
-    ThetaRealization,
-    drury_arveson_gram,
-    szego_gram,
-)
+from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import (
     composed_blaschke,
     dense_resolvent_solve,
+    drury_arveson_gram,
     loop_defect_gram,
     permutation_colligation,
     random_theta,
     random_two_var_unitary,
     random_unitary,
+    szego_gram,
 )
 
 
