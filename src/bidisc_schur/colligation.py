@@ -217,19 +217,42 @@ def transfer_grid(v: Colligation, points) -> np.ndarray:
     return v.a + (b @ x)[:, 0, 0]
 
 
+def _zero_coupling_parts(v: Colligation, z1: np.ndarray, z2: np.ndarray):
+    """For a two-variable colligation whose lower-left coupling block is
+    exactly zero, and coordinate arrays z1 and z2: f(z1, 0), the rows
+    B2 + r D2 at z1 and the columns x2 at z2, where
+        r = z1 B1 (I - z1 D1)^{-1},   x2 = z2 (I - z2 D4)^{-1} C2,
+    each from one guarded solve with one right-hand column.  Then, exactly,
+        f(z1, 0) = a + r C1,   f(0, z2) = a + B2 x2,
+        f(z1, z2) = a + r C1 + (B2 + r D2) x2.
+    With B = 0 or C = 0 nothing is solved: r = 0 and x2 = 0."""
+    h1, h2 = v.partition
+    if _is_constant(v):
+        r = np.zeros((len(z1), h1), dtype=np.complex128)
+        x2 = np.zeros((len(z2), h2), dtype=np.complex128)
+    else:
+        r = z1[:, None] * _resolvent_solve(
+            v.D1, np.repeat(z1[:, None], h1, axis=1), v.B1.T, transpose=True)[:, :, 0]
+        x2 = z2[:, None] * _resolvent_solve(
+            v.D4, np.repeat(z2[:, None], h2, axis=1), v.C2)[:, :, 0]
+    return v.a + r @ v.C1[:, 0], v.B2 + r @ v.D2, x2
+
+
 def transfer_torus(v: Colligation, m: int) -> np.ndarray:
     """The m x m table f(w^j, w^k), w = exp(2 pi i / m), of a two-variable
     transfer function: row j is z1 = w^j and column k is z2 = w^k, the
     order of make_grid("torus2", m).
 
-    At each z1 one batched solve with I - z1 D1 eliminates the first state
-    block and leaves the one-variable realization
-        a' + B' z2 (I - z2 D')^{-1} C'.
     When the lower-left coupling block is exactly zero (every cascade and
-    model realization), D' = D4 and C' = C2 do not depend on z1: one solve
-    gives x2 = z2 (I - z2 D4)^{-1} C2 at the m roots, and the table is the
-    outer product a' + B' x2, exact, with no aliasing and no rounding gate.
-    Otherwise, where z^m = 1 the identity
+    model realization), the table is the outer product
+        a + r C1 + (B2 + r D2) x2,   r = z1 B1 (I - z1 D1)^{-1},
+                                     x2 = z2 (I - z2 D4)^{-1} C2,
+    from one row solve with I - z1 D1 and one column solve with I - z2 D4
+    at the m roots (_zero_coupling_parts): exact, with no aliasing and no
+    rounding gate.  Otherwise, at each z1 one batched solve with I - z1 D1
+    eliminates the first state block and leaves the one-variable realization
+        a' + B' z2 (I - z2 D')^{-1} C',
+    and where z^m = 1 the identity
         z (I - z D')^{-1} = sum_{r=1}^{m} z^r D'^{r-1} (I - D'^m)^{-1}
     is exact, so with y = (I - D'^m)^{-1} C' the row is a' plus the length-m
     DFT of the aliased coefficients B' D'^{r-1} y: no series is truncated.
@@ -245,16 +268,14 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
         return np.full((m, m), v.a, dtype=np.complex128)
     h1, h2 = v.partition
     roots = np.exp(2j * np.pi * np.arange(m) / m)
+    if not v.lower_left.any():
+        first, rows, x2 = _zero_coupling_parts(v, roots, roots)
+        return first[:, None] + rows @ x2.T
     # x1 = z1 (I - z1 D1)^{-1} (C1 + D2 x2) for every z1 at once
     w = roots[:, None, None] * _resolvent_solve(
         v.D1, np.repeat(roots[:, None], h1, axis=1), np.concatenate([v.C1, v.D2], axis=1))
     a1 = v.a + (v.B1 @ w[:, :, :1])[:, 0, 0]
     b1 = v.B2 + v.B1 @ w[:, :, 1:]
-    if not v.lower_left.any():
-        # f(z1, z2) = a1(z1) + b1(z1) x2(z2), x2 = z2 (I - z2 D4)^{-1} C2
-        x2 = roots[:, None, None] * _resolvent_solve(
-            v.D4, np.repeat(roots[:, None], h2, axis=1), v.C2)
-        return a1[:, None] + b1[:, 0, :] @ x2[:, :, 0].T
     c1 = v.C2 + v.lower_left @ w[:, :, :1]
     d1 = v.D4 + v.lower_left @ w[:, :, 1:]
     rows, dm = _power_rows(b1, d1, m)

@@ -13,6 +13,7 @@ import numpy as np
 from . import numlin
 from .colligation import (
     Colligation,
+    _zero_coupling_parts,
     cascade_blocks,
     structure_report,
     transfer_grid,
@@ -47,8 +48,12 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
 
     For f(0,0) != 0 this is equivalent to the cross-section identity
     f(z1, z2) f(0, 0) = f(z1, 0) f(0, z2) on the grid, which is what gets
-    tested.  When it holds, factor samples are returned with the gauge
-    fixed so that f1 is positive real at its largest-modulus sample."""
+    tested.  A two-variable Colligation whose lower-left coupling block is
+    exactly zero gives all three arrays from one row solve in z1 and one
+    column solve in z2 (colligation._zero_coupling_parts); any other f is
+    called three times.  When the identity holds, factor samples are
+    returned with the gauge fixed so that f1 is positive real at its
+    largest-modulus sample."""
     if grid.ambient != "bidisc":
         raise ValueError("separability_test needs a bidisc grid")
     origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
@@ -57,9 +62,14 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
             "value at the origin vanishes; strip monomial factors first")
     z1 = grid.points[:, 0]
     z2 = grid.points[:, 1]
-    vals = np.asarray(f(z1, z2), dtype=np.complex128)
-    sec1 = np.asarray(f(z1, np.zeros_like(z2)), dtype=np.complex128)
-    sec2 = np.asarray(f(np.zeros_like(z1), z2), dtype=np.complex128)
+    if isinstance(f, Colligation) and f.nvars == 2 and not f.lower_left.any():
+        sec1, rows, x2 = _zero_coupling_parts(f, z1, z2)
+        sec2 = f.a + x2 @ f.B2[0]
+        vals = sec1 + np.einsum("ij,ij->i", rows, x2)
+    else:
+        vals = np.asarray(f(z1, z2), dtype=np.complex128)
+        sec1 = np.asarray(f(z1, np.zeros_like(z2)), dtype=np.complex128)
+        sec2 = np.asarray(f(np.zeros_like(z1), z2), dtype=np.complex128)
     residual = float(np.max(np.abs(vals * origin - sec1 * sec2), initial=0.0))
     k = int(np.argmax(np.abs(sec1)))
     gauge = sec1[k] / abs(sec1[k]) if abs(sec1[k]) > 0 else 1.0 + 0.0j
@@ -238,6 +248,8 @@ def companioned_grid(axis1, axis2) -> CompanionedGrid:
 
 def product_grid(n1: int, n2: int, seed: int = 0) -> CompanionedGrid:
     """Companioned grid with n1 x n2 random axis values of modulus < 0.6, plus 0."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("size must be >= 1")
     rng = np.random.default_rng(seed)
 
     def axis(n):

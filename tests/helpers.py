@@ -152,18 +152,45 @@ def dense_resolvent_solve(d, reps, rhs, transpose=False):
     return out
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name from here
+    on; returns the list that each call appends to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def count_linalg_solves(monkeypatch):
     """Count the calls of np.linalg.solve from here on; returns the list
     that each call appends to."""
-    calls = []
-    solve = np.linalg.solve
+    return count_calls(monkeypatch, np.linalg, "solve")
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    return calls
+def contraction(rng, h1, h2, zero_lower_left=False, norm=1.0):
+    """Random two-variable colligation V with ||V|| = norm, optionally with
+    a zero lower-left D block."""
+    h = h1 + h2
+    m = rng.normal(size=(1 + h, 1 + h)) + 1j * rng.normal(size=(1 + h, 1 + h))
+    if zero_lower_left:
+        m[1 + h1:, 1:1 + h1] = 0.0
+    m *= norm / np.linalg.norm(m, 2)
+    return bs.Colligation(m[0, 0], m[:1, 1:], m[1:, :1], m[1:, 1:], [h1, h2])
+
+
+def triangular_contraction(rng, h1, h2):
+    """Random two-variable colligation of norm 1 with an upper-triangular D
+    (so a zero lower-left block), solved by substitution throughout."""
+    h = h1 + h2
+    m = rng.normal(size=(1 + h, 1 + h)) + 1j * rng.normal(size=(1 + h, 1 + h))
+    m[1:, 1:] = np.triu(m[1:, 1:])
+    m /= np.linalg.norm(m, 2)
+    return bs.Colligation(m[0, 0], m[:1, 1:], m[1:, :1], m[1:, 1:], [h1, h2])
 
 
 def dense_transfer(v, points):

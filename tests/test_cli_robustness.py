@@ -183,6 +183,18 @@ def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, sourc
     assert report["evidence"] == {} and report["tol"] == value
 
 
+@pytest.mark.parametrize("spec", ["product:0x3", "product:3x0"])
+def test_empty_product_grid_is_a_parse_error(tmp_path, capsys, spec):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(VALID["rational"]))
+    code = main(["factor", str(path), "--grid", spec])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"] == f"ParseError: bad grid spec {spec!r}: size must be >= 1"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["before", "after"])
 def test_unwritable_out_is_an_io_error(tmp_path, capsys, where):
     # the report is written before it is printed, so stdout holds one report

@@ -21,6 +21,8 @@ from bidisc_schur.toeplitz import boundary_scan
 from helpers import (
     blaschke_callable,
     composed_blaschke,
+    contraction,
+    count_calls,
     count_linalg_solves,
     dense_resolvent_solve,
     dense_transfer,
@@ -33,6 +35,7 @@ from helpers import (
     random_unitary,
     random_upper_triangular,
     taylor_from_samples,
+    triangular_contraction,
     vt_colligation,
 )
 
@@ -144,17 +147,6 @@ def test_transfer_constant_when_ports_vanish():
     assert bs.transfer_2d(v2, (1.0, 1.0)) == pytest.approx(1.0)
 
 
-def contraction(rng, h1, h2, zero_lower_left=False, norm=1.0):
-    """Random two-variable colligation V with ||V|| = norm, optionally with
-    a zero lower-left D block."""
-    h = h1 + h2
-    m = rng.normal(size=(1 + h, 1 + h)) + 1j * rng.normal(size=(1 + h, 1 + h))
-    if zero_lower_left:
-        m[1 + h1:, 1:1 + h1] = 0.0
-    m *= norm / np.linalg.norm(m, 2)
-    return bs.Colligation(m[0, 0], m[:1, 1:], m[1:, :1], m[1:, 1:], [h1, h2])
-
-
 @pytest.mark.parametrize("m", [1, 3, 5, 64, 100])
 def test_transfer_torus_matches_transfer_grid(m):
     rng = np.random.default_rng(m)
@@ -208,16 +200,6 @@ def test_transfer_torus_refuses_growing_powers():
     assert close(transfer_torus(v, 64), want)
 
 
-def triangular_contraction(rng, h1, h2):
-    """Random two-variable colligation of norm 1 with an upper-triangular D
-    (so a zero lower-left block), solved by substitution throughout."""
-    h = h1 + h2
-    m = rng.normal(size=(1 + h, 1 + h)) + 1j * rng.normal(size=(1 + h, 1 + h))
-    m[1:, 1:] = np.triu(m[1:, 1:])
-    m /= np.linalg.norm(m, 2)
-    return bs.Colligation(m[0, 0], m[:1, 1:], m[1:, :1], m[1:, 1:], [h1, h2])
-
-
 @pytest.mark.parametrize("m", [1, 2, 7, 64])
 @pytest.mark.parametrize("partition", [(0, 0), (1, 0), (24, 0), (0, 1), (0, 24),
                                        (1, 1), (3, 9), (12, 12), (20, 4)])
@@ -257,8 +239,14 @@ def test_transfer_torus_zero_coupling_takes_no_power_rows_and_no_lu(monkeypatch)
 
     monkeypatch.setattr(colligation, "_power_rows", refuse)
     calls = count_linalg_solves(monkeypatch)
+    solves = count_calls(monkeypatch, colligation, "_resolvent_solve")
     assert close(transfer_torus(cascade, 64), want)
     assert calls == []
+    # one row solve with D1 and one column solve with D4, one right-hand
+    # column each
+    h1, h2 = cascade.partition
+    assert [(args[0].shape, np.shape(args[2])) for args in solves] == \
+        [((h1, h1), (h1, 1)), ((h2, h2), (h2, 1))]
     # a (10, 2) cascade: certify_inner makes no LU solve either
     v = bs.compose_colligations(bs.model_colligation(1.0, 0.6 * np.exp(0.7j * np.arange(10))),
                                 bs.model_colligation(-1.0, [0.5, -0.3j]))

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import factor
-from bidisc_schur.colligation import transfer_grid
+from bidisc_schur import colligation, factor
+from bidisc_schur.colligation import _zero_coupling_parts, transfer_grid, transfer_torus
 from bidisc_schur.errors import (
     ClassMismatchError,
     ConditionFailedError,
     GridNotCompanionedError,
     IdentityViolatedError,
     OriginZeroError,
+    ResolventIllConditionedError,
 )
 from bidisc_schur.kernels import SampledKernel
 from helpers import (
     blaschke_callable,
     composed_blaschke,
+    contraction,
+    count_calls,
     count_linalg_solves,
     difference_quotient_colligation,
     loop_section_residual,
@@ -22,6 +25,7 @@ from helpers import (
     permutation_colligation,
     random_blaschke,
     tabulate,
+    triangular_contraction,
     vt_colligation,
 )
 
@@ -70,12 +74,93 @@ def test_separability_solves_cascades_by_substitution(bidisc_grid, monkeypatch):
     # t sits below the diagonal, so its solves are LU solves
     v, f1, f2 = composed_blaschke(np.random.default_rng(53), max_degree=6)
     calls = count_linalg_solves(monkeypatch)
+    solves = count_calls(monkeypatch, colligation, "_resolvent_solve")
+    grids = count_calls(monkeypatch, colligation, "transfer_grid")
     rep = bs.separability_test(v, bidisc_grid)
     assert rep.separable and calls == []
+    # zero coupling: one row solve and one column solve, and transfer_grid
+    # only for f(0, 0), which solves nothing
+    assert len(solves) == 2 and len(grids) <= 1
+    assert all(np.all(args[1] == 0) for args in grids)
     z1, z2 = bidisc_grid.points[:, 0], bidisc_grid.points[:, 1]
     assert np.allclose(rep.factor1_samples * rep.factor2_samples, f1(z1) * f2(z2))
+    del grids[:]
     assert not bs.separability_test(vt_colligation(0.5), bidisc_grid).separable
     assert calls
+    # V_t has a coupling block: f(0, 0), f and its two sections
+    assert len(grids) == 4
+
+
+def agree(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+def zero_coupling_cases(rng, partition):
+    """A triangular D (substitution) and full diagonal blocks D1 and D4
+    (LU, wherever a block is larger than 1 x 1)."""
+    v = contraction(rng, *partition, zero_lower_left=True)
+    assert all(len(d) < 2 or np.tril(d, -1).any() for d in (v.D1, v.D4))
+    return triangular_contraction(rng, *partition), v
+
+
+@pytest.mark.parametrize("partition", [(0, 6), (6, 0), (1, 1), (3, 5), (12, 12)])
+def test_zero_coupling_separability_matches_transfer_grid(partition):
+    rng = np.random.default_rng(17 * partition[0] + partition[1])
+    grid = bs.make_grid("bidisc", 200, seed=9)
+    z1, z2 = grid.points[:, 0], grid.points[:, 1]
+    zero = np.zeros_like(z1)
+    torus = bs.make_grid("torus2", 16).points
+    for v in zero_coupling_cases(rng, partition):
+        sec1, rows, x2 = _zero_coupling_parts(v, z1, z2)
+        assert agree(sec1 + np.einsum("ij,ij->i", rows, x2), transfer_grid(v, grid.points))
+        assert agree(sec1, transfer_grid(v, np.column_stack([z1, zero])))
+        assert agree(v.a + x2 @ v.B2[0], transfer_grid(v, np.column_stack([zero, z2])))
+        # the report against the generic path, which a plain callable takes
+        fast = bs.separability_test(v, grid)
+        slow = bs.separability_test(lambda *z: v(*z), grid)
+        assert agree(fast.max_residual, slow.max_residual)
+        assert agree(fast.gauge, slow.gauge)
+        assert agree(fast.factor1_samples, slow.factor1_samples)
+        assert agree(fast.factor2_samples, slow.factor2_samples)
+        assert agree(transfer_torus(v, 16), transfer_grid(v, torus).reshape(16, 16))
+
+
+def test_zero_coupling_constant_ignores_poles():
+    # B = 0: the transfer function is the constant a although I - z D is
+    # singular at (1/2, 1/2) and on the torus at (1, 1)
+    v = bs.Colligation(0.4, [[0.0, 0.0]], [[1.0], [1.0]], [[2.0, 1.0], [0.0, 2.0]], [1, 1])
+    grid = bs.PointGrid("bidisc", [[0.5, 0.5], [0.1, -0.2j]])
+    rep = bs.separability_test(v, grid)
+    assert rep.separable and rep.max_residual == 0.0
+    assert np.all(rep.factor1_samples * rep.factor2_samples == 0.4)
+    assert np.all(transfer_torus(bs.Colligation(0.4, v.B, v.C, v.D / 2, [1, 1]), 8) == 0.4)
+
+
+@pytest.mark.parametrize("d1,d4", [
+    ([[2.0]], [[0.5]]), ([[0.5]], [[2.0]]),                       # substitution
+    ([[1.0, 1.0], [1.0, 1.0]], [[0.5]]), ([[0.5]], [[1.0, 1.0], [1.0, 1.0]]),   # LU
+])
+def test_zero_coupling_pole_in_either_block_raises(d1, d4):
+    # a pole at z = 1/2 in one diagonal block, met at the grid point (1/2, 1/2);
+    # at twice the scale the same pole sits at z = 1 on the torus
+    d1, d4 = np.array(d1), np.array(d4)
+    h1, h2 = len(d1), len(d4)
+    d = np.zeros((h1 + h2, h1 + h2))
+    d[:h1, :h1], d[h1:, h1:], d[:h1, h1:] = d1, d4, 0.3
+    v = bs.Colligation(0.5, np.ones((1, h1 + h2)), np.ones((h1 + h2, 1)), d, [h1, h2])
+    grid = bs.PointGrid("bidisc", [[0.1, 0.2], [0.5, 0.5]])
+    with pytest.raises(ResolventIllConditionedError):
+        bs.separability_test(v, grid)
+    with pytest.raises(ResolventIllConditionedError):
+        bs.separability_test(lambda *z: v(*z), grid)
+    with pytest.raises(ResolventIllConditionedError):
+        transfer_torus(bs.Colligation(0.5, v.B, v.C, v.D / 2, [h1, h2]), 8)
+
+
+def test_separability_refuses_a_one_variable_colligation(bidisc_grid):
+    with pytest.raises(ValueError, match="1-variable colligation"):
+        bs.separability_test(bs.model_colligation(1.0, [0.5]), bidisc_grid)
 
 
 def test_condition4_composed():
@@ -282,6 +367,12 @@ def test_weak_converse_rejects_non_unitary_contraction():
 def test_weak_converse_rejects_zero_constant():
     with pytest.raises(OriginZeroError):
         factor.weak_converse_check(permutation_colligation())
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 3), (3, 0), (-1, 2)])
+def test_product_grid_refuses_empty_axes(n1, n2):
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        factor.product_grid(n1, n2)
 
 
 def test_companioned_grid_requires_origin():
