@@ -73,26 +73,19 @@ def _load_as(path: str, kind, message: str):
 
 def parse_grid_spec(spec: str, seed: int):
     """Grid specs: "torus2:64", "bidisc:rand:40:seed=7", "disc:rand:12",
-    "ball-2:rand:10", "polydisc-3:rand:20", "product:8x8[:seed=N]"."""
-    parts = spec.split(":")
-    kind = parts[0]
-    opts = {}
-    body = []
-    for p in parts[1:]:
-        if "=" in p:
-            key, val = p.split("=", 1)
-            opts[key] = val
-        else:
-            body.append(p)
-    use_seed = int(opts.get("seed", seed))
+    "ball-2:rand:10", "polydisc-3:rand:20", "product:8x8[:seed=N]".  An
+    optional seed=N field comes last; any other field is a ParseError."""
+    kind, *body = spec.split(":")
     try:
-        if kind == "torus2":
+        if body and body[-1].startswith("seed="):
+            seed = int(body.pop()[len("seed="):])
+        if kind == "torus2" and len(body) == 1:
             return make_grid("torus2", int(body[0]))
-        if kind == "product":
+        if kind == "product" and len(body) == 1:
             n1, n2 = (int(x) for x in body[0].split("x"))
-            return factor_mod.product_grid(n1, n2, seed=use_seed).grid
-        if body and body[0] == "rand":
-            return make_grid(kind, int(body[1]), seed=use_seed)
+            return factor_mod.product_grid(n1, n2, seed=seed).grid
+        if len(body) == 2 and body[0] == "rand":
+            return make_grid(kind, int(body[1]), seed=seed)
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad grid spec {spec!r}: {exc}") from exc
     raise ParseError(f"bad grid spec {spec!r}")
@@ -121,9 +114,9 @@ def _tolerance(text) -> float:
 
 
 def _as_function(obj):
-    """Whatever came from JSON, if it is a function f(z1, z2) or f(z): every
-    function kind, colligations included, is callable."""
-    if not callable(obj):
+    """Whatever came from JSON, if it is a function f(z1, z2) or f(z) of
+    nvars coordinates: not a ThetaRealization, whose T(z) is a symbol."""
+    if not (callable(obj) and hasattr(obj, "nvars")):
         raise SchemaError(f"input of type {type(obj).__name__} is not evaluable")
     return obj
 
@@ -304,12 +297,12 @@ def _split_report(v: Colligation, tol):
 
 def _cmd_factor(args, tol, seed):
     obj = _load(args.input)
+    grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     if isinstance(obj, Colligation):
         verdict, evidence, code = _split_report(obj, tol)
         if code == 0:
             verdict, evidence["separable"] = "separable", True
         return verdict, evidence, code
-    grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     try:
         rep = factor_mod.separability_test(_as_function(obj), grid, tol)
     except OriginZeroError as exc:

@@ -182,14 +182,6 @@ def _pole_guard(x: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mats[p] x = rhs (h x k, or n x h x k) for every p under
-    _pole_guard."""
-    rhs = np.broadcast_to(rhs, mats.shape[:1] + rhs.shape[-2:])
-    x = _lu_solve(mats, rhs)
-    return _pole_guard(x, mats @ x - rhs)
-
-
 def _is_constant(v: Colligation) -> bool:
     # with B = 0 or C = 0 the transfer is the constant a, whatever D does
     return v.h == 0 or not v.B.any() or not v.C.any()
@@ -279,7 +271,10 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
     c1 = v.C2 + v.lower_left @ w[:, :, :1]
     d1 = v.D4 + v.lower_left @ w[:, :, 1:]
     rows, dm = _power_rows(b1, d1, m)
-    y = _checked_solve(np.eye(h2) - dm, c1)
+    rows = rows[:, :, 0]
+    mats = np.eye(h2) - dm
+    y = _lu_solve(mats, c1)
+    _pole_guard(y, mats @ y - c1)
     coeffs = (rows @ y)[:, :, 0]                      # B' D'^{r-1} y, r = 1..m
     # r = m aliases to frequency 0; the DFT of the rest is m ifft
     table = a1[:, None] + m * np.fft.ifft(np.roll(coeffs, 1, axis=1), axis=1)
@@ -292,18 +287,21 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
 
 
 def _power_rows(b: np.ndarray, d: np.ndarray, m: int):
-    """Rows b, b d, ..., b d^{m-1} stacked along axis 1, and d^m, for
-    stacks b (n x 1 x h) and d (n x h x h), by doubling: about 2 log2(m)
-    batched products."""
+    """The blocks b, b d, ..., b d^{m-1} stacked along a new axis -3, and
+    d^m (None for m = 0), for a block b of k rows (... x k x h) and d
+    (... x h x h) of the same leading shape, by doubling: about 2 log2(m)
+    products.  The blocks are kept end to end as rows, so each doubling
+    multiplies all of them by d^(2^i) in one product."""
+    k, h = b.shape[-2:]
     rows, p, dm = b, d, None
-    for k in range(int(m).bit_length()):
-        if k:
-            p = p @ p                                  # d^(2^k)
-        if m >> k & 1:
+    for i in range(int(m).bit_length()):
+        if i:
+            p = p @ p                                  # d^(2^i)
+        if m >> i & 1:
             dm = p if dm is None else dm @ p
-        if rows.shape[1] < m:
-            rows = np.concatenate([rows, rows @ p], axis=1)
-    return rows[:, :m], dm
+        if rows.shape[-2] < m * k:
+            rows = np.concatenate([rows, rows @ p], axis=-2)
+    return rows[..., :m * k, :].reshape(b.shape[:-2] + (m, k, h)), dm
 
 
 def transfer_1d(v: Colligation, z: complex) -> complex:
@@ -335,15 +333,6 @@ def _require_structured(v: Colligation, tol: float) -> None:
         )
 
 
-def _powers(d: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """c, D c, ..., D^{n-1} c stacked as n x h x k (c is h x k)."""
-    out = np.empty((n,) + c.shape, dtype=np.complex128)
-    out[:1] = c
-    for i in range(1, n):
-        out[i] = d @ out[i - 1]
-    return out
-
-
 def series_coefficient_table(v: Colligation, n1: int, n2: int,
                              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Raw coefficient table of the transfer expansion of a triangular
@@ -354,8 +343,8 @@ def series_coefficient_table(v: Colligation, n1: int, n2: int,
     """
     _require_structured(v, tol)
     # rows of B1 D1^{i-1} and of (D3^{j-1} C2)^T
-    lefts = _powers(v.D1.T, v.B1.T, n1)[:, :, 0]
-    rights = _powers(v.D4, v.C2, n2)[:, :, 0]
+    lefts = _power_rows(v.B1, v.D1, n1)[0][:, 0]
+    rights = _power_rows(v.C2.T, v.D4.T, n2)[0][:, 0]
     out = np.empty((n1 + 1, n2 + 1), dtype=np.complex128)
     out[0, 0] = v.a
     out[1:, 0] = lefts @ v.C1[:, 0]
@@ -496,7 +485,7 @@ def strip_monomial(f, truncation: int = 16, tol: float = DEFAULT_TOL):
             )
         stripped = RationalFunction2((m1 - p, m2), f.denominator, f.unimodular,
                                      check_zero_free=False)
-        origin = complex(stripped.eval(0.0, 0.0))
+        origin = complex(stripped(0.0, 0.0))
     else:
         stripped = PowerSeries2(f.coeffs[p:, :])
         origin = complex(stripped.coeffs[0, 0])

@@ -66,10 +66,8 @@ class Poly2:
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0))
 
-    def eval(self, z1, z2):
+    def __call__(self, z1, z2):
         return polyval2d(z1, z2, self.coeffs)
-
-    __call__ = eval
 
     def scale(self, c: complex) -> "Poly2":
         return Poly2(self.coeffs * c)
@@ -184,18 +182,16 @@ class RationalFunction2:
                 _check_row(c, z / abs(z), "(iii), a torus zero at a unimodular "
                            "root z1 of Res_z2(p, reflect(p))")
 
-    def eval(self, z1, z2):
+    def __call__(self, z1, z2):
         # poles are judged relative to max|coeffs of p|, since f ignores the scale of p
-        den = self.denominator.eval(z1, z2)
+        den = self.denominator(z1, z2)
         if np.min(np.abs(den)) <= EXACT_GUARD * np.max(np.abs(self.denominator.coeffs)):
             raise NearPoleError("denominator vanishes at an evaluation point")
         m1, m2 = self.monomial
         z1 = np.asarray(z1, dtype=np.complex128)
         z2 = np.asarray(z2, dtype=np.complex128)
-        out = (z1 ** m1) * (z2 ** m2) * self.numerator.eval(z1, z2) / den
+        out = (z1 ** m1) * (z2 ** m2) * self.numerator(z1, z2) / den
         return out[()] if out.ndim == 0 else out
-
-    __call__ = eval
 
     def swap_variables(self) -> "RationalFunction2":
         m1, m2 = self.monomial
@@ -290,11 +286,9 @@ class PowerSeries2:
     def orders(self) -> tuple[int, int]:
         return (self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1)
 
-    def eval(self, z1, z2):
+    def __call__(self, z1, z2):
         """Value of the truncation (not of the underlying function)."""
         return polyval2d(z1, z2, self.coeffs)
-
-    __call__ = eval
 
     def swap_variables(self) -> "PowerSeries2":
         return PowerSeries2(self.coeffs.T)

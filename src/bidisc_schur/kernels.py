@@ -308,20 +308,20 @@ class ThetaRealization:
         vadj = v.conj().T
         return frob(vadj @ vadj.conj().T - np.eye(vadj.shape[0]))
 
-    def _values(self, z: np.ndarray) -> np.ndarray:
-        """T at every point of the 1-d array z, stacked (n x e_star x e)."""
-        reps = np.repeat(z[:, None], self.h, axis=1)
-        resolvent = _resolvent_solve(self.D.conj().T, reps, self.B.conj().T)
-        return self.A.conj().T + (z[:, None, None] * self.C.conj().T) @ resolvent
-
-    def theta(self, z: complex) -> np.ndarray:
-        """Value of the symbol at z (an e_star x e matrix)."""
-        return self._values(np.array([z], dtype=np.complex128))[0]
+    def __call__(self, z) -> np.ndarray:
+        """T(z), an e_star x e matrix, at every point of z by one batched
+        solve: shape z.shape + (e_star, e)."""
+        z = np.asarray(z, dtype=np.complex128)
+        flat = z.reshape(-1, 1)
+        resolvent = _resolvent_solve(self.D.conj().T, np.repeat(flat, self.h, axis=1),
+                                     self.B.conj().T)
+        out = self.A.conj().T + (flat[:, :, None] * self.C.conj().T) @ resolvent
+        return out.reshape(z.shape + out.shape[1:])
 
     def kernel_values(self, grid: PointGrid) -> np.ndarray:
         """(I - T(z) T(w)*)/(1 - z conj(w)) tabulated on a disc grid."""
         n, e_star = len(grid), self.e_star
-        flat = self._values(grid.points[:, 0]).reshape(n * e_star, self.e)
+        flat = self(grid.points[:, 0]).reshape(n * e_star, self.e)
         products = (flat @ flat.conj().T).reshape(n, e_star, n, e_star).transpose(0, 2, 1, 3)
         denom = 1.0 - _coordinate_products(grid, 0)
         out = (np.eye(e_star) - products) / denom[:, :, None, None]

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .colligation import (
     Colligation,
-    _powers,
+    _power_rows,
     _require_structured,
     series_coefficient_table,
     structure_report,
@@ -214,8 +214,7 @@ def proof_diagnostics(v: Colligation, tol: float = DEFAULT_TOL) -> ProofDiagnost
     # [row; mix] D1^{j+1} [C1, D2] for every shift j, as (jmax+1) blocks
     rowmix = np.concatenate([np.conj(a) * b1 + c1.conj().T @ d1,
                              b2.conj().T @ b1 + d2.conj().T @ d1])
-    shifted = _powers(d1.T, rowmix.T, jmax + 2)[1:].transpose(0, 2, 1) \
-        @ np.concatenate([c1, d2], axis=1)
+    shifted = _power_rows(rowmix, d1, jmax + 2)[0][1:] @ np.concatenate([c1, d2], axis=1)
     b2sq = b2.conj().T @ b2
     sums = _stein_sums(d3, np.concatenate(
         [[b2sq + d2.conj().T @ g1 @ d2, b2sq + d2.conj().T @ d2], shifted[:, 1:, 1:]]))
@@ -225,7 +224,7 @@ def proof_diagnostics(v: Colligation, tol: float = DEFAULT_TOL) -> ProofDiagnost
     y0 = abs(a) ** 2 + (c1.conj().T @ g1 @ c1).real[0, 0] + (c2.conj().T @ g3 @ c2).real[0, 0]
 
     # row k of pows is D3^k C2, so pows.conj() @ x gives C2* D3*^k x
-    pows = _powers(d3, c2, kmax + 1)[:, :, 0]
+    pows = _power_rows(c2.T, d3.T, kmax + 1)[0][:, 0]
     ys = pows[:kmax].conj() @ (a * b2.conj().T + d2.conj().T @ g1 @ c1
                                + d3.conj().T @ g3 @ c2)[:, 0]
 

@@ -40,7 +40,7 @@ def test_criterion_01_realization_fidelity():
         v = vt_colligation(t)
         phi = bs.mobius_of_product(t)
         vals = transfer_grid(v, pts)
-        worst = max(worst, float(np.max(np.abs(vals - phi.eval(pts[:, 0], pts[:, 1])))))
+        worst = max(worst, float(np.max(np.abs(vals - phi(pts[:, 0], pts[:, 1])))))
     report(1, "transfer matches the closed form at 100 bidisc points",
            worst <= 1e-10, f"max error {worst:.2e}")
 

@@ -161,6 +161,11 @@ def test_grid_spec_parsing():
     assert len(parse_grid_spec("ball-2:rand:10", 1)) == 10
     with pytest.raises(ParseError):
         parse_grid_spec("nonsense", 0)
+    # a seed that is no integer, a surplus field and an option other than seed
+    for spec in ("bidisc:rand:5:seed=abc", "torus2:4:extra", "bidisc:rand:3:junk",
+                 "product:3x3:junk", "disc:rand:4:size=4"):
+        with pytest.raises(ParseError, match="bad grid spec"):
+            parse_grid_spec(spec, 0)
 
 
 # -- CLI commands --------------------------------------------------------------
@@ -359,7 +364,7 @@ def test_cli_eval_on_grid(tmp_path, capsys):
     assert code == 0
     assert len(report["evidence"]["values"]) == 5
     grid = bs.make_grid("bidisc", 5, seed=2)
-    expected = bs.mobius_of_product(0.5).eval(grid.points[:, 0], grid.points[:, 1])
+    expected = bs.mobius_of_product(0.5)(grid.points[:, 0], grid.points[:, 1])
     got = [complex(re, im) for re, im in report["evidence"]["values"]]
     assert np.allclose(got, expected)
 
@@ -438,7 +443,7 @@ def test_cli_eval_one_variable_colligation_on_disc_grid(tmp_path, capsys):
     assert code == 0 and report["verdict"] == "computed"
     assert report["evidence"] == reparsed({"points": z, "values": v(z[:, 0])})
     got = [complex(re, im) for re, im in report["evidence"]["values"]]
-    assert np.allclose(got, [bs.transfer_1d(v, w) for w in z[:, 0]], rtol=0, atol=1e-14)
+    assert np.allclose(got, [v(w) for w in z[:, 0]], rtol=0, atol=1e-14)
 
 
 def test_cli_agler_verify_failure(tmp_path, capsys):

@@ -20,7 +20,7 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import serialize
 from bidisc_schur.cli import main
-from bidisc_schur.kernels import SampledKernel
+from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import drury_arveson_gram, szego_gram
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
@@ -81,6 +81,12 @@ BAD_FLAGS = [
      "have 2 coordinate(s), but the function takes 1"),
     ("eval", ["rational"], ["--grid", "disc:rand:3"], "have 1 coordinate(s), but the function takes 2"),
     ("eval", ["rational"], ["--at", "[]"], "have 0 coordinate(s), but the function takes 2"),
+    ("eval", ["rational"], ["--grid", "bidisc:rand:5:seed=abc"],
+     "bad grid spec 'bidisc:rand:5:seed=abc': invalid literal"),
+    ("eval", ["rational"], ["--grid", "torus2:4:extra"], "bad grid spec 'torus2:4:extra'"),
+    ("eval", ["rational"], ["--grid", "bidisc:rand:3:junk"], "bad grid spec 'bidisc:rand:3:junk'"),
+    ("factor", ["colligation"], ["--grid", "bidisc:rand:3:size=3"],
+     "bad grid spec 'bidisc:rand:3:size=3'"),
 ]
 # corruptions whose report must name the fault itself, not a symptom of it
 MESSAGES = {
@@ -185,13 +191,34 @@ def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, sourc
 
 @pytest.mark.parametrize("spec", ["product:0x3", "product:3x0"])
 def test_empty_product_grid_is_a_parse_error(tmp_path, capsys, spec):
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps(VALID["rational"]))
-    code = main(["factor", str(path), "--grid", spec])
+    # a colligation input, which factor splits without the grid, too
+    for kind in ("rational", "colligation"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(VALID[kind]))
+        code = main(["factor", str(path), "--grid", spec])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert code == 2 and report["evidence"] == {}, kind
+        assert report["verdict"] == f"ParseError: bad grid spec {spec!r}: size must be >= 1"
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,kernels", [
+    ("eval", []), ("agler-verify", ["bidisc", "bidisc"]), ("factor", [])])
+def test_symbol_realization_is_not_evaluable(tmp_path, capsys, command, kernels):
+    # a ThetaRealization is callable, T(z), but it is a symbol, not a
+    # function of the bidisc
+    r = math.sqrt(3) / 2
+    theta = serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1))
+    paths = []
+    for i, obj in enumerate([theta] + [VALID[kind] for kind in kernels]):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    code = main([command, *map(str, paths)])
     out, err = capsys.readouterr()
     report = json.loads(out)
     assert code == 2 and report["evidence"] == {}
-    assert report["verdict"] == f"ParseError: bad grid spec {spec!r}: size must be >= 1"
+    assert report["verdict"] == "SchemaError: input of type ThetaRealization is not evaluable"
     assert "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import colligation
 from bidisc_schur.colligation import (
-    _powers,
+    _power_rows,
     _resolvent_solve,
     blaschke_section,
     series_coefficient_table,
@@ -43,20 +43,20 @@ from helpers import (
 def test_transfer_1d_shift():
     v = bs.Colligation(0.0, [[1.0]], [[1.0]], [[0.0]], [1])
     for z in (0.3, -0.5j, 0.1 + 0.2j):
-        assert bs.transfer_1d(v, z) == pytest.approx(z)
+        assert v(z) == pytest.approx(z)
 
 
 def test_transfer_1d_identity_colligation():
     v = bs.Colligation(1.0, [[0.0, 0.0]], [[0.0], [0.0]], np.eye(2), [2])
-    assert bs.transfer_1d(v, 0.4) == pytest.approx(1.0)
+    assert v(0.4) == pytest.approx(1.0)
 
 
 def test_transfer_1d_mobius():
     r = np.sqrt(3) / 2
     v = bs.Colligation(0.5, [[r]], [[r]], [[-0.5]], [1])
-    assert bs.transfer_1d(v, 0.3) == pytest.approx(0.8 / 1.15)
+    assert v(0.3) == pytest.approx(0.8 / 1.15)
     z = 0.2 - 0.6j
-    assert bs.transfer_1d(v, z) == pytest.approx((z + 0.5) / (1 + 0.5 * z))
+    assert v(z) == pytest.approx((z + 0.5) / (1 + 0.5 * z))
 
 
 def test_transfer_grid_one_variable_mobius():
@@ -68,13 +68,13 @@ def test_transfer_grid_one_variable_mobius():
     expected = (z - alpha) / (1 - np.conj(alpha) * z)
     for pts in (z[:, None], z):
         assert np.max(np.abs(transfer_grid(v, pts) - expected)) < 1e-14
-    assert bs.transfer_1d(v, z[0]) == pytest.approx(expected[0], abs=1e-14)
+    assert v(z[0]) == pytest.approx(expected[0], abs=1e-14)
 
 
 def test_transfer_1d_pole_guard():
     v = bs.Colligation(1.0, [[1.0]], [[1.0]], [[1.0]], [1])
     with pytest.raises(ResolventIllConditionedError):
-        bs.transfer_1d(v, 1.0)
+        v(1.0)
 
 
 def close(got, want):
@@ -142,9 +142,9 @@ def test_transfer_constant_when_ports_vanish():
     # B = 0 or C = 0 forces a constant transfer; no resolvent is needed even
     # where I - z D is singular
     v = bs.Colligation(0.3j, [[0.0]], [[1.0]], [[1.0]], [1])
-    assert bs.transfer_1d(v, 1.0) == pytest.approx(0.3j)
+    assert v(1.0) == pytest.approx(0.3j)
     v2 = bs.Colligation(1.0, np.zeros((1, 2)), np.zeros((2, 1)), np.eye(2), [1, 1])
-    assert bs.transfer_2d(v2, (1.0, 1.0)) == pytest.approx(1.0)
+    assert v2(1.0, 1.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 64, 100])
@@ -237,17 +237,19 @@ def test_transfer_torus_zero_coupling_takes_no_power_rows_and_no_lu(monkeypatch)
     def refuse(*args):
         raise AssertionError("zero coupling took the aliased sums")
 
-    monkeypatch.setattr(colligation, "_power_rows", refuse)
     calls = count_linalg_solves(monkeypatch)
     solves = count_calls(monkeypatch, colligation, "_resolvent_solve")
-    assert close(transfer_torus(cascade, 64), want)
+    with monkeypatch.context() as patch:
+        patch.setattr(colligation, "_power_rows", refuse)
+        assert close(transfer_torus(cascade, 64), want)
     assert calls == []
     # one row solve with D1 and one column solve with D4, one right-hand
     # column each
     h1, h2 = cascade.partition
     assert [(args[0].shape, np.shape(args[2])) for args in solves] == \
         [((h1, h1), (h1, 1)), ((h2, h2), (h2, 1))]
-    # a (10, 2) cascade: certify_inner makes no LU solve either
+    # a (10, 2) cascade: certify_inner makes no LU solve either (its series
+    # table takes _power_rows, but the aliased sums would LU-solve I - D'^m)
     v = bs.compose_colligations(bs.model_colligation(1.0, 0.6 * np.exp(0.7j * np.arange(10))),
                                 bs.model_colligation(-1.0, [0.5, -0.3j]))
     assert v.partition == (10, 2)
@@ -294,7 +296,7 @@ def test_transfer_grid_on_an_axis_is_the_one_variable_factor():
 def test_transfer_2d_permutation():
     v = permutation_colligation()
     for z in ((0.3, 0.5), (0.2j, -0.4), (0.1 + 0.1j, 0.6)):
-        assert bs.transfer_2d(v, z) == pytest.approx(z[0] * z[1])
+        assert v(*z) == pytest.approx(z[0] * z[1])
 
 
 def test_transfer_2d_product_mobius_realization():
@@ -304,19 +306,19 @@ def test_transfer_2d_product_mobius_realization():
     pts = 0.9 * np.sqrt(rng.uniform(size=(20, 2))) * np.exp(
         2j * np.pi * rng.uniform(size=(20, 2)))
     for z1, z2 in pts:
-        assert bs.transfer_2d(v, (z1, z2)) == pytest.approx(phi.eval(z1, z2), abs=1e-12)
+        assert v(z1, z2) == pytest.approx(phi(z1, z2), abs=1e-12)
 
 
 def test_transfer_2d_state_free():
     v = bs.Colligation(0.7j, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0, 0])
-    assert bs.transfer_2d(v, (0.5, 0.5)) == pytest.approx(0.7j)
+    assert v(0.5, 0.5) == pytest.approx(0.7j)
 
 
 def test_transfer_grid_matches_pointwise():
     v = random_two_var_unitary(np.random.default_rng(7))
     grid = bs.make_grid("bidisc", 15, seed=3)
     batched = transfer_grid(v, grid.points)
-    single = [bs.transfer_2d(v, tuple(p)) for p in grid.points]
+    single = [v(*p) for p in grid.points]
     assert np.allclose(batched, single, atol=1e-12)
 
 
@@ -412,12 +414,22 @@ def test_series_table_matches_loop_reference(partition, n1, n2):
 
 
 def test_powers_stack():
+    # b d^i for i < m stacked along axis -3, and d^m, for a block b of k
+    # rows, alone and in a batch of three (d scaled to norm 1)
     rng = np.random.default_rng(25)
-    d = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    c = rng.normal(size=(4, 2))
-    for n in (0, 1, 2, 5, 8):
-        expected = np.array([np.linalg.matrix_power(d, i) @ c for i in range(n)]).reshape(n, 4, 2)
-        assert np.allclose(_powers(d, c, n), expected, rtol=1e-12, atol=1e-12)
+    d = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    d /= np.linalg.norm(d, 2, axis=(1, 2), keepdims=True)
+    for k in (1, 2):
+        b = rng.normal(size=(3, k, 4)) + 1j * rng.normal(size=(3, k, 4))
+        for m in (0, 1, 2, 5, 8, 64):
+            want = np.array([[bj @ np.linalg.matrix_power(dj, i) for i in range(m)]
+                             for bj, dj in zip(b, d)]).reshape(3, m, k, 4)
+            for bb, dd, ww in ((b, d, want), (b[1], d[1], want[1])):
+                rows, dm = _power_rows(bb, dd, m)
+                assert rows.shape == ww.shape
+                assert np.allclose(rows, ww, rtol=1e-12, atol=1e-12)
+                if m:
+                    assert np.allclose(dm, np.linalg.matrix_power(dd, m), rtol=1e-12, atol=1e-12)
 
 
 def test_series_2d_needs_structure():
@@ -486,7 +498,7 @@ def test_model_colligation_shift_squared():
     assert np.allclose(v.C, [[0.0], [1.0]])
     assert np.allclose(v.D, [[0.0, 1.0], [0.0, 0.0]])
     for w in (0.3, -0.2 + 0.5j):
-        assert bs.transfer_1d(v, w) == pytest.approx(w ** 2)
+        assert v(w) == pytest.approx(w ** 2)
 
 
 def test_model_colligation_constant():
@@ -555,10 +567,10 @@ def test_strip_monomial_z1_times_inner():
     f = bs.RationalFunction2((1, 0), bs.mobius_of_product(0.5).denominator)
     p, stripped = bs.strip_monomial(f)
     assert p == 1
-    assert stripped.eval(0.0, 0.0) == pytest.approx(-0.5)
+    assert stripped(0.0, 0.0) == pytest.approx(-0.5)
     grid = bs.make_grid("bidisc", 10, seed=1)
     z1, z2 = grid.points[:, 0], grid.points[:, 1]
-    assert np.allclose(z1 * stripped.eval(z1, z2), f.eval(z1, z2))
+    assert np.allclose(z1 * stripped(z1, z2), f(z1, z2))
 
 
 def test_strip_monomial_noop():
@@ -580,7 +592,7 @@ def test_strip_monomial_var2():
     f = bs.RationalFunction2((0, 2), bs.mobius_of_product(0.5).denominator)
     p, stripped = bs.strip_monomial_var2(f)
     assert p == 2
-    assert stripped.eval(0.0, 0.0) == pytest.approx(-0.5)
+    assert stripped(0.0, 0.0) == pytest.approx(-0.5)
 
 
 def test_strip_monomial_no_z1_factor():

@@ -57,18 +57,18 @@ def test_poly_trim_canonical():
 
 def test_eval_product_mobius_origin():
     phi = bs.mobius_of_product(0.5)
-    assert phi.eval(0.0, 0.0) == pytest.approx(-0.5)
+    assert phi(0.0, 0.0) == pytest.approx(-0.5)
 
 
 def test_eval_product_mobius_unimodular_on_torus():
     phi = bs.mobius_of_product(0.5)
     for theta in np.linspace(0, 2 * np.pi, 7):
-        val = phi.eval(np.exp(1j * theta), np.exp(-1j * theta))
+        val = phi(np.exp(1j * theta), np.exp(-1j * theta))
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_constant_poly():
-    assert bs.Poly2([[1.0]]).eval(0.3 + 0.1j, -0.2) == pytest.approx(1.0)
+    assert bs.Poly2([[1.0]])(0.3 + 0.1j, -0.2) == pytest.approx(1.0)
 
 
 def test_eval_near_pole_guard():
@@ -76,7 +76,7 @@ def test_eval_near_pole_guard():
                                check_zero_free=False)
     with pytest.raises(NearPoleError):
         # denominator formally vanishes at z1 z2 = 2
-        phi.eval(2.0, 1.0)
+        phi(2.0, 1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1e15])
@@ -89,13 +89,13 @@ def test_pole_checks_are_scale_invariant(scale):
     assert np.allclose(bs.series_of(g, 4, 4).coeffs, bs.series_of(f, 4, 4).coeffs,
                        rtol=1e-13, atol=1e-15)
     pts = bs.make_grid("bidisc", 6, seed=3).points
-    assert np.allclose(g.eval(pts[:, 0], pts[:, 1]), f.eval(pts[:, 0], pts[:, 1]),
+    assert np.allclose(g(pts[:, 0], pts[:, 1]), f(pts[:, 0], pts[:, 1]),
                        rtol=1e-13, atol=0.0)
-    assert g.eval(0.1, 0.2) == pytest.approx(f.eval(0.1, 0.2), rel=1e-13)
+    assert g(0.1, 0.2) == pytest.approx(f(0.1, 0.2), rel=1e-13)
     # the guard still fires at a pole of the scaled denominator
     h = bs.RationalFunction2((0, 0), bs.Poly2(scale * p), check_zero_free=False)
     with pytest.raises(NearPoleError):
-        h.eval(2.0, 1.0)
+        h(2.0, 1.0)
 
 
 def test_zero_free_check_rejects_boundary_zero():
@@ -243,7 +243,7 @@ def test_zero_free_check_degree_8(seed):
         zero = _reported_zero(msg)
         # the message prints 10 significant digits
         assert abs(abs(zero[0]) - 1) < 1e-9 and abs(abs(zero[1]) - 1) < 1e-8
-        assert abs(p.eval(*zero)) < 1e-8 * np.abs(p.coeffs).sum()
+        assert abs(p(*zero)) < 1e-8 * np.abs(p.coeffs).sum()
 
 
 def test_zero_free_check_rejects_zero_at_origin():
@@ -288,7 +288,7 @@ def test_zero_free_check_matches_dense_grid():
             assert not certified
             zero = _reported_zero(str(exc))
             assert max(abs(zero[0]), abs(zero[1])) <= 1 + ZERO_FREE_MARGIN
-            assert abs(p.eval(*zero)) <= 1e-8 * (1 + lipschitz)
+            assert abs(p(*zero)) <= 1e-8 * (1 + lipschitz)
             verdicts["refused"] += 1
             continue
         if d2 > 0:
@@ -369,7 +369,7 @@ def test_series_partial_sums_converge_geometrically():
     pts = 0.5 * np.sqrt(rng.uniform(size=(12, 2))) * np.exp(
         2j * np.pi * rng.uniform(size=(12, 2)))
     for z1, z2 in pts:
-        assert s.eval(z1, z2) == pytest.approx(phi.eval(z1, z2), abs=1e-6)
+        assert s(z1, z2) == pytest.approx(phi(z1, z2), abs=1e-6)
 
 
 def _zero_free_denominator(rng, d1, d2):
@@ -411,7 +411,7 @@ def test_series_of_monomial_beyond_order():
 
 def test_taylor_from_samples_matches_division():
     phi = bs.mobius_of_product(0.4)
-    fft_series = taylor_from_samples(phi.eval, 8, 8)
+    fft_series = taylor_from_samples(phi, 8, 8)
     div_series = bs.series_of(phi, 8, 8)
     assert np.max(np.abs(fft_series.coeffs - div_series.coeffs)) < 1e-12
 
@@ -466,7 +466,7 @@ def test_poly_mul_is_pointwise_product():
     z1, z2 = 0.7 * np.exp(2j * np.pi * rng.uniform(size=(2, 10)))
     pq = poly_mul(p, q)
     assert pq.degree == (3, 4)
-    assert np.max(np.abs(pq.eval(z1, z2) - p.eval(z1, z2) * q.eval(z1, z2))) < 1e-13
+    assert np.max(np.abs(pq(z1, z2) - p(z1, z2) * q(z1, z2))) < 1e-13
 
 
 def test_import_does_not_load_scipy():

@@ -135,7 +135,7 @@ def test_dbr_reconstruct_constant_kernel():
     theta = bs.dbr_reconstruct_disc(k)
     assert np.max(np.abs(theta.kernel_values(grid) - k.values)) <= 1e-8
     # gauge freedom: |theta| must match |z| on the grid
-    mods = [float(np.abs(theta.theta(complex(z)))[0, 0]) for z in grid.points[:, 0]]
+    mods = [float(np.abs(theta(complex(z)))[0, 0]) for z in grid.points[:, 0]]
     assert mods == pytest.approx([0.0, 0.4, 0.3], abs=1e-8)
 
 
@@ -145,14 +145,14 @@ def test_dbr_reconstruct_szego_gives_null_symbol():
     theta = bs.dbr_reconstruct_disc(k)
     assert np.max(np.abs(theta.kernel_values(grid) - k.values)) <= 1e-8
     for z in grid.points[:, 0]:
-        assert np.max(np.abs(theta.theta(complex(z)))) <= 1e-10
+        assert np.max(np.abs(theta(complex(z)))) <= 1e-10
 
 
 def test_dbr_reconstruct_mobius_roundtrip():
     half = ThetaRealization([[0.5]], [[np.sqrt(3) / 2]], [[np.sqrt(3) / 2]],
                             [[-0.5]], 1)
     # sanity: this realization evaluates to (z + 1/2)/(1 + z/2)
-    assert half.theta(0.3)[0, 0] == pytest.approx(0.8 / 1.15)
+    assert half(0.3)[0, 0] == pytest.approx(0.8 / 1.15)
     grid = disc_grid(31, n=12)
     k = SampledKernel(grid, half.kernel_values(grid))
     rebuilt = bs.dbr_reconstruct_disc(k)
@@ -338,6 +338,27 @@ def operator_theta(rng, e=2, h=3):
     return ThetaRealization(u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:], e)
 
 
+def test_symbol_call_is_vectorized():
+    # T(z) = A* + z C* (I - z D*)^{-1} B*, an e_star x e matrix at each
+    # point of z, stacked as z.shape + (e_star, e)
+    rng = np.random.default_rng(87)
+    e, e_star, h = 2, 3, 4
+    m = rng.normal(size=(e + h, e_star + h)) + 1j * rng.normal(size=(e + h, e_star + h))
+    m /= 2 * np.linalg.norm(m, 2)
+    a, b, c, d = m[:e, :e_star], m[:e, e_star:], m[e:, :e_star], m[e:, e_star:]
+    theta = ThetaRealization(a, b, c, d, e_star)
+    z = disc_grid(88, n=12).points[:, 0]
+    want = np.array([a.conj().T + w * c.conj().T @ np.linalg.solve(
+        np.eye(h) - w * d.conj().T, b.conj().T) for w in z])
+    single = np.array([theta(w) for w in z])
+    assert theta(z[0]).shape == (e_star, e)
+    assert np.max(np.abs(single - want)) < 1e-14
+    assert np.max(np.abs(theta(z) - single)) < 1e-15
+    grid = theta(z.reshape(3, 4))
+    assert grid.shape == (3, 4, e_star, e)
+    assert np.max(np.abs(grid - single.reshape(3, 4, e_star, e))) < 1e-15
+
+
 def test_kernel_values_match_pairwise_reference():
     rng = np.random.default_rng(85)
     grid = disc_grid(86, n=7)
@@ -347,7 +368,7 @@ def test_kernel_values_match_pairwise_reference():
         expected = np.empty((7, 7, e, e), dtype=complex)
         for i in range(7):
             for j in range(7):
-                ti, tj = theta.theta(z[i]), theta.theta(z[j])
+                ti, tj = theta(z[i]), theta(z[j])
                 expected[i, j] = (np.eye(e) - ti @ tj.conj().T) / (1 - z[i] * np.conj(z[j]))
         values = theta.kernel_values(grid)
         assert values.shape == ((7, 7) if e == 1 else (7, 7, e, e))
@@ -372,7 +393,7 @@ def test_dbr_nf_operator_valued():
     theta = operator_theta(rng)
     # K = T(z) T(w)* / (1 - z conj(w)) passes both halves of the pair
     s = 1.0 / (1.0 - grid.points[:, 0][:, None] * np.conj(grid.points[:, 0])[None, :])
-    thetas = [theta.theta(complex(z)) for z in grid.points[:, 0]]
+    thetas = [theta(complex(z)) for z in grid.points[:, 0]]
     vals = np.empty((6, 6, 2, 2), dtype=complex)
     for i in range(6):
         for j in range(6):

@@ -316,7 +316,7 @@ def test_certify_refutes_half_z1():
     v = bs.Colligation(0.0, [[0.5, np.sqrt(3) / 2]], [[1.0], [0.0]],
                        np.zeros((2, 2)), [1, 1])
     assert bs.classify(v.C).is_isometry
-    assert bs.transfer_2d(v, (0.4, -0.3j)) == pytest.approx(0.2)
+    assert v(0.4, -0.3j) == pytest.approx(0.2)
     cert = bs.certify_inner(v)
     assert cert.verdict == "refuted"
     assert cert.boundary_deviation == pytest.approx(0.5, abs=1e-9)
