@@ -14,9 +14,11 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
+import orjson
 
 from . import factor as factor_mod
 from . import kernels as kernels_mod
@@ -52,15 +54,66 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load(path: str):
-    try:
+# orjson 3.8 descends nested arrays and objects on the C stack and crashes
+# the process near 10^5 levels; no input schema nests deeper than 6
+_SHALLOW_ROUNDS = 64
+# what _shallow keeps of a text: brackets, quotes and backslashes
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
+_STRINGS = re.compile(rb'"[^"]*"')
+
+
+def _shallow(data: bytes) -> bool:
+    """Whether the JSON text data provably nests at most 2 _SHALLOW_ROUNDS
+    deep.  Its brackets outside strings are peeled, [] then {} in each of
+    _SHALLOW_ROUNDS rounds; a round takes one level or two, so every text
+    nested at most _SHALLOW_ROUNDS deep passes.  A text with a backslash,
+    whose strings may hold escaped quotes, is not proved shallow."""
+    marks = data.translate(None, _NOT_STRUCTURE)
+    if b"\\" in marks:
+        return False
+    marks = _STRINGS.sub(b"", marks)
+    for _ in range(_SHALLOW_ROUNDS):
+        if not marks:
+            return True
+        marks = marks.replace(b"[]", b"").replace(b"{}", b"")
+    return not marks
+
+
+def _parse_json(data: bytes, text):
+    """The value of the JSON text data, parsed by orjson.  A text orjson
+    refuses, or not proved _shallow, is decided by the json module
+    on text(), the same text decoded; so a NaN or Infinity literal still
+    reaches the schema's finiteness check, and every malformed text raises
+    json's own JSONDecodeError, or RecursionError for deep nesting."""
+    if _shallow(data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text())
+
+
+def _read_json(path: str):
+    """The JSON value in the file at path (_parse_json); a file that cannot
+    be read or parsed is a ParseError."""
+    def text():
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return fh.read()
+
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return _parse_json(data, text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return serialize.parse_object(obj)
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to read: {exc}") from exc
+
+
+def _load(path: str):
+    return serialize.parse_object(_read_json(path))
 
 
 def _load_as(path: str, kind, message: str):
@@ -142,9 +195,9 @@ def _cmd_eval(args, tol, seed):
     fn = _as_function(_load(args.input))
     if args.at:
         try:
-            raw = json.loads(args.at)
+            raw = _parse_json(args.at.encode("utf-8", "surrogatepass"), lambda: args.at)
             points = np.array([[serialize.complex_from_json(z) for z in raw]], dtype=np.complex128)
-        except (json.JSONDecodeError, SchemaError, TypeError) as exc:
+        except (json.JSONDecodeError, RecursionError, SchemaError, TypeError) as exc:
             raise ParseError(f"bad --at value: {exc}") from exc
     else:
         points = parse_grid_spec(args.grid or "bidisc:rand:20", seed).points
@@ -298,6 +351,8 @@ def _split_report(v: Colligation, tol):
 def _cmd_factor(args, tol, seed):
     obj = _load(args.input)
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
+    if grid.ambient != "bidisc":
+        raise ParseError(f"factor takes a bidisc grid, got {args.grid!r}")
     if isinstance(obj, Colligation):
         verdict, evidence, code = _split_report(obj, tol)
         if code == 0:

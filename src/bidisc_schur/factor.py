@@ -51,9 +51,11 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     tested.  A two-variable Colligation whose lower-left coupling block is
     exactly zero gives all three arrays from one row solve in z1 and one
     column solve in z2 (colligation._zero_coupling_parts); any other f is
-    called three times.  When the identity holds, factor samples are
-    returned with the gauge fixed so that f1 is positive real at its
-    largest-modulus sample."""
+    called three times.  The identity is decided divided by f(0, 0): f is
+    separable when max_residual / |f(0, 0)| <= bound(tol, s), s = max |f|
+    on the grid (max_residual itself is not divided).  When the identity
+    holds, factor samples are returned with the gauge fixed so that f1 is
+    positive real at its largest-modulus sample."""
     if grid.ambient != "bidisc":
         raise ValueError("separability_test needs a bidisc grid")
     origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
@@ -71,10 +73,12 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
         sec1 = np.asarray(f(z1, np.zeros_like(z2)), dtype=np.complex128)
         sec2 = np.asarray(f(np.zeros_like(z1), z2), dtype=np.complex128)
     residual = float(np.max(np.abs(vals * origin - sec1 * sec2), initial=0.0))
+    scale = float(np.max(np.abs(vals), initial=0.0))
     k = int(np.argmax(np.abs(sec1)))
     gauge = sec1[k] / abs(sec1[k]) if abs(sec1[k]) > 0 else 1.0 + 0.0j
     return SeparabilityReport(
-        residual <= tol, residual, sec1 / gauge, sec2 * gauge / origin, gauge)
+        residual <= abs(origin) * numlin.bound(tol, scale), residual,
+        sec1 / gauge, sec2 * gauge / origin, gauge)
 
 
 def check_condition_4(v: Colligation, tol: float = DEFAULT_TOL) -> bool:

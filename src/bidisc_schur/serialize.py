@@ -4,7 +4,19 @@ Every complex array, whatever its shape, serializes as nested row-major
 lists of [re, im] pairs (a scalar is a bare pair); pairs_to_json and
 pairs_from_json are the one codec.  Every structure carries a "kind"
 discriminator on output; on input the kind may be omitted and is inferred
-from the keys.
+from the keys.  A leaf of an [re, im] nest must be a float or an int, not a
+bool or a string.
+
+The CLI parses its inputs with orjson (cli._parse_json), and hands a text
+orjson refuses, or one it cannot prove shallow (cli._shallow), to the json
+module.  The contract: any text json.load parses reads as the identical
+object, with the same types and float bits, and any text json.load refuses
+fails with its error message; NaN and Infinity literals therefore still
+reach the finiteness check of pairs_from_json.  One exception: orjson 3.8
+reads an integer literal outside the 64-bit range as the nearest double,
+where json keeps the int.  Only integer fields can see it: a partition, dim
+or dims entry that large is refused by either reader, but a monomial
+exponent that large is accepted by both, as a different int.
 
 Reports are written by dumps, whose text is exactly that of
 json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
@@ -40,17 +52,25 @@ def pairs_to_json(a) -> list:
 
 def pairs_from_json(obj, ndim: int) -> np.ndarray:
     """Complex array with ndim axes from nested [re, im] lists.  The nesting
-    must be rectangular and every pair two finite numbers; an empty list
-    stands for an array without entries (the matrix [[]] is 1 x 0)."""
+    must be rectangular and every pair two finite numbers, each a float or
+    an int (not a bool, not a string); an empty list stands for an array
+    without entries (the matrix [[]] is 1 x 0)."""
+    shape, leaves, kinds = _nest(obj)
+    if kinds & {list, tuple}:
+        raise SchemaError(f"expected nested [re, im] pairs, got rows of unequal "
+                          f"length at depth {len(shape)}")
+    if not kinds <= {float, int}:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise SchemaError(f"expected [re, im] pairs of numbers, got {names}")
     try:
-        arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"expected nested [re, im] pairs: {exc}") from exc
+        arr = np.array(leaves, dtype=np.float64).reshape(shape)
+    except OverflowError as exc:
+        raise SchemaError(f"array entries must be finite numbers: {exc}") from exc
     if arr.size == 0 and arr.ndim <= ndim:
         return np.zeros(arr.shape + (0,) * (ndim - arr.ndim), dtype=np.complex128)
     if arr.shape[ndim:] != (2,):
         raise SchemaError(f"expected [re, im] pairs nested {ndim} deep, got shape {arr.shape}")
-    # json.load reads NaN and Infinity literals, and null becomes NaN above
+    # the json module reads NaN and Infinity literals, and 1e400 as inf
     if not np.all(np.isfinite(arr)):
         raise SchemaError("array entries must be finite numbers")
     # the view keeps every float as read, the sign of a zero included
@@ -287,21 +307,29 @@ def _scalar(o):
     return None
 
 
-def _float_nest(o):
-    """(shape, leaves) of a rectangular nest of lists and tuples whose leaves
-    are all of type float and whose axes are all non-empty, else None."""
+def _nest(o):
+    """(shape, leaves, kinds) of the rectangular nest of lists and tuples at
+    the top of o: the walk descends while every item is a list or a tuple and
+    all have one length.  leaves are the items where it stops and kinds their
+    set of types, which holds list or tuple where rows differ in length and
+    is empty where an axis is."""
     shape, items = [], [o]
     while True:
         kinds = set(map(type, items))
-        if kinds == {float}:
-            return shape, items
-        if not kinds <= {list, tuple}:
-            return None
+        if not kinds or not kinds <= {list, tuple}:
+            return shape, items, kinds
         sizes = set(map(len, items))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
+        if len(sizes) != 1:
+            return shape, items, kinds
         shape.append(sizes.pop())
         items = list(chain.from_iterable(items))
+
+
+def _float_nest(o):
+    """(shape, leaves) of a rectangular nest of lists and tuples whose leaves
+    are all of type float and whose axes are all non-empty, else None."""
+    shape, leaves, kinds = _nest(o)
+    return (shape, leaves) if kinds == {float} else None
 
 
 def _float_block(shape, leaves, level: int) -> str:

@@ -89,6 +89,18 @@ def mobius(a):
     return lambda z: (z - a) / (1 - np.conj(a) * z)
 
 
+def not_separable_tiny_origin():
+    """m(z1 z2) b(z1) b(z2) as rational2: p = (1 - z1 z2/2)(1 - c z1)^4
+    (1 - c z2)^4, c = 0.0897, so |f(0)| = c^8 / 2 = 2.1e-9 sits just above
+    the default tol while f is not separable."""
+    c = 0.0897
+    b4 = np.poly1d([-c, 1.0]) ** 4
+    coeffs = np.zeros((6, 6), dtype=complex)
+    coeffs[:5, :5] = np.outer(b4.coeffs[::-1], b4.coeffs[::-1])
+    coeffs[1:, 1:] -= 0.5 * coeffs[:5, :5]
+    return bs.RationalFunction2((0, 0), bs.Poly2(coeffs))
+
+
 def permutation_colligation():
     # realizes z1 * z2
     return bs.Colligation(0.0, [[1, 0]], [[0], [1]], [[0, 1], [0, 0]], [1, 1])

@@ -11,6 +11,7 @@ from bidisc_schur.errors import ParseError, SchemaError
 from bidisc_schur.kernels import SampledKernel
 from helpers import (
     composed_blaschke,
+    not_separable_tiny_origin,
     permutation_colligation,
     random_theta,
     szego_gram,
@@ -402,6 +403,22 @@ def test_cli_factor_function_input(tmp_path, capsys, f, verdict):
                                            "max_residual": rep.max_residual})
 
 
+def test_cli_factor_decides_relative_to_the_origin(tmp_path, capsys):
+    # the residual on the default grid is below tol, but not below tol |f(0)|
+    path = write(tmp_path, "f.json", serialize.rational_to_json(not_separable_tiny_origin()))
+    code, report = run_cli(capsys, "factor", path)
+    assert code == 1 and report["verdict"] == "not-separable"
+    assert report["evidence"]["max_residual"] < numlin.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("name", ["product_mobius_rational.json", "separable_colligation.json"])
+@pytest.mark.parametrize("spec", ["disc:rand:5", "torus2:4"])
+def test_cli_factor_refuses_a_grid_off_the_bidisc(capsys, name, spec):
+    code, report = run_cli(capsys, "factor", os.path.join(EXAMPLES, name), "--grid", spec)
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"] == f"ParseError: factor takes a bidisc grid, got {spec!r}"
+
+
 def test_cli_factor_function_vanishing_at_origin(tmp_path, capsys):
     path = write(tmp_path, "z2.json", serialize.poly_to_json(bs.Poly2([[0.0, 1.0]])))
     code, report = run_cli(capsys, "factor", path)
@@ -520,6 +537,10 @@ def test_cli_schema_error_exit_2(tmp_path, capsys):
     ("value", "[1.0, 0.0, 0.0]"),
     ("row", "[[1.0, 0.0]]"),            # a ragged row of the value table
     ("point", "[NaN, 0.0]"),
+    ("value", "[true, 0.0]"),
+    ("value", '["0.5", 0.0]'),
+    # an integer beyond the double range: an OverflowError traceback before
+    pytest.param("value", "[1" + "0" * 400 + ", 0.0]", id="value-[10**400, 0.0]"),
 ])
 def test_cli_malformed_array_entries_exit_2(tmp_path, capsys, where, literal):
     grid = bs.make_grid("disc", 3, seed=1)
@@ -535,6 +556,30 @@ def test_cli_malformed_array_entries_exit_2(tmp_path, capsys, where, literal):
     code, report = run_cli(capsys, "dbr-check", str(path))
     assert code == 2
     assert report["verdict"].startswith("SchemaError: ")
+
+
+@pytest.mark.parametrize("obj, ndim", [
+    ([[True, False]], 1),
+    ([["0.5", "1e0"]], 1),
+    ([[0.5, True]], 1),
+    ([[0.5, None]], 1),
+    ([[0.5, [0.0]]], 1),
+    ([[0.5, 0.0], [0.5]], 1),
+    ({"re": 0.5}, 0),
+])
+def test_pairs_must_be_numbers_in_rectangular_nests(obj, ndim):
+    with pytest.raises(SchemaError, match="expected "):
+        serialize.pairs_from_json(obj, ndim)
+
+
+def test_pairs_accept_ints_and_keep_empty_shapes():
+    assert serialize.pairs_from_json([[1, -2]], 1).tolist() == [1 - 2j]
+    assert serialize.pairs_from_json([], 1).shape == (0,)
+    assert serialize.pairs_from_json([[]], 2).shape == (1, 0)
+    assert serialize.pairs_from_json([], 2).shape == (0, 0)
+    # an int beyond the double range is refused, not raised as OverflowError
+    with pytest.raises(SchemaError, match="finite"):
+        serialize.pairs_from_json([10 ** 400, 0], 0)
 
 
 @pytest.mark.parametrize("patched,command,flags", [

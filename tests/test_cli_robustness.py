@@ -13,6 +13,8 @@ not by a symptom such as a shape mismatch or a missing argument."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import drury_arveson_gram, szego_gram
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 SEEDS = (0, 1, 2)
 
 
@@ -234,3 +237,60 @@ def test_unwritable_out_is_an_io_error(tmp_path, capsys, where):
     assert code == 2
     assert report["verdict"].startswith("IOError: ") and "r.json" in report["verdict"]
     assert report["evidence"] == {}
+
+
+def nested(depth, leaf):
+    return "[" * depth + leaf + "]" * depth
+
+
+@pytest.mark.parametrize("leaf", ["1", "NaN"])
+@pytest.mark.parametrize("command,kind,key,depth", [
+    ("classify", "colligation", "partition", 5000),
+    ("dbr-check", "disc", "values", 3000),
+    ("dbr-check", "disc", "values", 100),
+])
+def test_deep_nesting_is_a_typed_error(tmp_path, capsys, command, kind, key, depth, leaf):
+    # json.load ended these in a RecursionError traceback; the reader refuses
+    # them as text nested too deeply, or parses them and the schema refuses
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**VALID[kind], key: "@"}).replace('"@"', nested(depth, leaf)))
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"].startswith(("ParseError: ", "SchemaError: ")), report["verdict"]
+    assert "Traceback" not in err
+
+
+def test_eval_at_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(VALID["rational"]))
+    code = main(["eval", str(path), "--at", nested(5000, "0")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"].startswith("ParseError: bad --at value: ")
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_nesting_that_would_overflow_the_c_stack_is_refused(tmp_path, opener):
+    # 300000 levels: orjson 3.8 recursing into them would end the process
+    # (SIGSEGV), so the reader must not hand them to it; run in a child
+    closer = "]" if opener == "[" else "}"
+    path = tmp_path / "deep.json"
+    path.write_text('{"partition": ' + opener * 300000 + "1" + closer * 300000 + "}")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    child = subprocess.run([sys.executable, "-m", "bidisc_schur", "classify", str(path)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 2, child.stderr[-2000:]
+    report = json.loads(child.stdout)
+    assert report["verdict"].startswith("ParseError: ") and "nests too deeply" in report["verdict"]
+
+
+def test_integer_beyond_64_bits_is_a_schema_error(tmp_path, capsys):
+    # json reads 10**29 as an int, orjson 3.8 as the nearest double; either
+    # way the partition does not fit, and only the message's number differs
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**VALID["colligation"], "partition": [10 ** 29, 1]}))
+    code = main(["classify", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verdict"].startswith("SchemaError: malformed colligation object: ")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import colligation, factor
+from bidisc_schur import colligation, factor, numlin
 from bidisc_schur.colligation import _zero_coupling_parts, transfer_grid, transfer_torus
 from bidisc_schur.errors import (
     ClassMismatchError,
@@ -22,6 +22,7 @@ from helpers import (
     difference_quotient_colligation,
     loop_section_residual,
     mobius,
+    not_separable_tiny_origin,
     permutation_colligation,
     random_blaschke,
     tabulate,
@@ -67,6 +68,22 @@ def test_separability_constant(bidisc_grid):
 def test_separability_origin_zero(bidisc_grid):
     with pytest.raises(OriginZeroError):
         bs.separability_test(lambda z1, z2: z1 * z2, bidisc_grid)
+
+
+def test_separability_is_decided_relative_to_the_origin():
+    f = not_separable_tiny_origin()
+    assert abs(f(0.0, 0.0)) == pytest.approx(0.0897 ** 8 / 2, rel=1e-12)
+    # the default CLI grid; the residual is below tol taken absolutely
+    rep = bs.separability_test(f, bs.make_grid("bidisc", 40, seed=0))
+    assert rep.max_residual < numlin.DEFAULT_TOL
+    assert not rep.separable
+
+
+def test_separability_at_a_small_origin_value(bidisc_grid):
+    # f(0) = 1e-8, above tol; the identity holds up to its rounding relative to f(0)
+    f = lambda z1, z2: mobius(1e-4)(z1) * mobius(1e-4)(z2)
+    rep = bs.separability_test(f, bidisc_grid)
+    assert rep.separable
 
 
 def test_separability_solves_cascades_by_substitution(bidisc_grid, monkeypatch):
