@@ -25,7 +25,9 @@ class NonHermitianError(DomainError):
 
 
 class NotPsdError(DomainError):
-    pass
+    def __init__(self, message: str, min_eigenvalue: float):
+        super().__init__(message)
+        self.min_eigenvalue = min_eigenvalue    # of the Hermitian part
 
 
 class PNotInvertibleError(DomainError):

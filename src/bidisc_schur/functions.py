@@ -101,7 +101,7 @@ class RationalFunction2:
 
     def __init__(self, monomial, denominator: Poly2, unimodular: complex = 1.0,
                  check_zero_free: bool = True):
-        m1, m2 = int(monomial[0]), int(monomial[1])
+        m1, m2 = (int(m) for m in monomial)
         if m1 < 0 or m2 < 0:
             raise ValueError("monomial exponents must be nonnegative")
         u = complex(unimodular)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import numlin
-from .colligation import Colligation, _resolvent_solve, transfer_grid
+from .colligation import Colligation, _resolvent_solve
 from .errors import (
     GridMismatchError,
     IdentityViolatedError,
@@ -141,7 +141,8 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
     h2 = h[:, v.partition[0]:]
     k1 = SampledKernel(grid, h1 @ h1.conj().T)
     k2 = SampledKernel(grid, h2 @ h2.conj().T)
-    residual, lhs_norm = _agler_residual(transfer_grid(v, grid.points), k1, k2)
+    # f(z) = a + H(z) E(z) C from the same rows
+    residual, lhs_norm = _agler_residual(v.a + (h * reps) @ v.C[:, 0], k1, k2)
     if residual > numlin.floored(tol, lhs_norm):
         raise IdentityViolatedError(
             f"decomposition identity violated (max residual {residual:.3e})")
@@ -333,12 +334,11 @@ class ThetaRealization:
 
 def _dbr_factor(gram: np.ndarray, name: str, tol: float) -> numlin.PsdFactorization:
     """numlin.psd_factor of a Gram of the reconstruction; NotDbrError, with
-    is_psd's least eigenvalue, when it is not PSD."""
+    the least eigenvalue psd_factor found, when it is not PSD."""
     try:
         return numlin.psd_factor(gram, tol)
-    except NotPsdError:
-        lam_min = numlin.is_psd(gram, tol).min_eigenvalue
-        raise NotDbrError(f"{name} Gram not PSD (lambda_min = {lam_min:.3e})") from None
+    except NotPsdError as err:
+        raise NotDbrError(f"{name} Gram not PSD (lambda_min = {err.min_eigenvalue:.3e})") from None
 
 
 def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRealization:
@@ -346,14 +346,15 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     on the sample grid.
 
     Steps: factor the Gram of I - (1 - z conj(w)) K into defect rows F(w),
-    factor the Gram of K into state rows G(w), assemble the isometry
+    factor the Gram of K into state rows G(w), fit a polar factor to the map
 
         (eta, conj(w) G(w)* eta)  ->  (F(w)* eta, G(w)* eta)
 
     on the span of the data, and extend it by sending an orthonormal basis
-    of the domain complement to fresh defect directions.  The returned
-    realization reproduces K on the grid (interpolation; no claim is made
-    off the grid beyond Schur-class membership) to numlin.sampled(tol)."""
+    of the domain complement to fresh defect directions: co-isometric by
+    construction.  The one check is that the returned realization
+    reproduces K on the grid (interpolation; no claim is made off the grid
+    beyond Schur-class membership) to numlin.sampled(tol)."""
     if k.grid.nvars != 1:
         raise ValueError("dbr_reconstruct_disc needs a disc grid")
     f_fact = _dbr_factor(_defect_gram(k), "defect", tol)
@@ -362,7 +363,7 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     e = k.dim
     n = len(k.grid)
     w = k.grid.points[:, 0]
-    rf, rg = f_fact.rank, g_fact.rank
+    rf = f_fact.rank
 
     # data columns of the partial isometry, one per (grid point, value
     # direction): block i is (I, conj(w_i) G(w_i)*) -> (F(w_i)*, G(w_i)*),
@@ -373,36 +374,23 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     cod = np.vstack([f_adj, g_adj])
 
     u, sing, vh = np.linalg.svd(dom, full_matrices=True)
-    scale = sing[0] if sing.size else 0.0
-    rank = int(np.sum(sing > tol * (1.0 + scale)))
+    rank = int(np.sum(sing > tol * (1.0 + sing[0])))      # a grid is never empty
     basis = u[:, :rank]
     complement = u[:, rank:]
-    # image of the domain basis under the data map: cod @ pinv(dom) @ basis,
-    # with the pseudoinverse cut at the same rank as the basis
-    image = cod @ (vh.conj().T[:, :rank] / sing[:rank])
-    ortho_defect = frob(image.conj().T @ image - np.eye(rank))
-    if ortho_defect > bound(RESIDUAL_GUARD, rank):
-        raise IdentityViolatedError(
-            f"data map is not isometric on its span (defect {ortho_defect:.3e})")
-
     pad = complement.shape[1]
     if pad > MAX_PADDING:
         raise RankOverflowError(
             f"isometric extension needs {pad} padded directions, cap {MAX_PADDING}")
-
+    # on span(dom), the isometry U minimising ||U dom - cod||_F is the polar
+    # factor P Q* of cod dom* basis = cod V_r diag(sing_r) (Procrustes)
+    p, _, qh = np.linalg.svd(cod @ (vh.conj().T[:, :rank] * sing[:rank]), full_matrices=False)
+    image = p @ qh
     # codomain layout: [original defect rows; padded defect rows; state rows]
+    vmat = np.vstack([image[:rf] @ basis.conj().T, complement.conj().T,
+                      image[rf:] @ basis.conj().T])
     f_dim = rf + pad
-    vmat = np.zeros((f_dim + rg, e + rg), dtype=np.complex128)
-    lifted = np.zeros((f_dim + rg, rank), dtype=np.complex128)
-    lifted[:rf, :] = image[:rf, :]
-    lifted[f_dim:, :] = image[rf:, :]
-    vmat += lifted @ basis.conj().T
-    vmat[rf:f_dim, :] += complement.conj().T
-    a = vmat[:f_dim, :e]
-    b = vmat[:f_dim, e:]
-    c = vmat[f_dim:, :e]
-    d = vmat[f_dim:, e:]
-    theta = ThetaRealization(a, b, c, d, e)
+    theta = ThetaRealization(vmat[:f_dim, :e], vmat[:f_dim, e:], vmat[f_dim:, :e],
+                             vmat[f_dim:, e:], e)
 
     residual = float(np.max(np.abs(theta.kernel_values(k.grid) - k.values), initial=0.0))
     if residual > numlin.sampled(tol):

@@ -161,7 +161,7 @@ def psd_factor(a, tol: float = DEFAULT_TOL) -> PsdFactorization:
     herm, cut = _hermitian_part(a, tol, "psd_factor")
     vals, vecs = np.linalg.eigh(herm)
     if vals.size and vals[0] < -cut:
-        raise NotPsdError(f"matrix is not PSD (lambda_min = {vals[0]:.3e})")
+        raise NotPsdError(f"matrix is not PSD (lambda_min = {vals[0]:.3e})", float(vals[0]))
     keep = vals > cut
     return PsdFactorization(int(keep.sum()), vecs[:, keep] * np.sqrt(vals[keep]))
 

@@ -14,9 +14,9 @@ object, with the same types and float bits, and any text json.load refuses
 fails with its error message; NaN and Infinity literals therefore still
 reach the finiteness check of pairs_from_json.  One exception: orjson 3.8
 reads an integer literal outside the 64-bit range as the nearest double,
-where json keeps the int.  Only integer fields can see it: a partition, dim
-or dims entry that large is refused by either reader, but a monomial
-exponent that large is accepted by both, as a different int.
+where json keeps the int.  Only integer fields could see it, and _count
+refuses any entry there that is not a JSON integer in 0..2**63 - 1, with
+the same message from either reader.
 
 Reports are written by dumps, whose text is exactly that of
 json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
@@ -97,6 +97,13 @@ def matrix_from_json(obj, shape=None) -> np.ndarray:
     return out
 
 
+def _count(value, field: str) -> int:
+    """A JSON integer (not a bool, not a float) in the range both CLI readers read exactly."""
+    if type(value) is not int or not 0 <= value < 2 ** 63:
+        raise ValueError(f"{field} entries must be integers in 0..2**63 - 1")
+    return value
+
+
 def poly_to_json(p: Poly2) -> dict:
     return {"kind": "poly2", "deg": list(p.degree), "coeffs": matrix_to_json(p.coeffs)}
 
@@ -126,7 +133,7 @@ def rational_to_json(f: RationalFunction2) -> dict:
 def rational_from_json(obj) -> RationalFunction2:
     den = poly_from_json(obj["denominator"])
     u = complex_from_json(obj.get("unimodular", [1.0, 0.0]))
-    f = RationalFunction2(tuple(obj["monomial"]), den, u)
+    f = RationalFunction2([_count(m, "monomial") for m in obj["monomial"]], den, u)
     if "numerator" in obj:
         given = poly_from_json(obj["numerator"])
         if given != f.numerator:
@@ -158,7 +165,7 @@ def colligation_to_json(v: Colligation) -> dict:
 
 
 def colligation_from_json(obj) -> Colligation:
-    part = [int(h) for h in obj["partition"]]
+    part = [_count(h, "partition") for h in obj["partition"]]
     h = sum(part)
     return Colligation(
         complex_from_json(obj["a"]),
@@ -176,7 +183,7 @@ def kernel_to_json(k: SampledKernel) -> dict:
 
 def kernel_from_json(obj) -> SampledKernel:
     grid = grid_from_json(obj["grid"])
-    dim = int(obj.get("dim", 1))
+    dim = _count(obj.get("dim", 1), "dim")
     check_value_dim(dim)  # before the values, whose nesting depth dim sets
     return SampledKernel(grid, pairs_from_json(obj["values"], 2 if dim == 1 else 4), dim)
 
@@ -204,7 +211,7 @@ def theta_to_json(t: ThetaRealization) -> dict:
 
 
 def theta_from_json(obj) -> ThetaRealization:
-    e_star, e, h = (int(x) for x in obj["dims"])
+    e_star, e, h = (_count(x, "dims") for x in obj["dims"])
     return ThetaRealization(
         matrix_from_json(obj["A"], shape=(e, e_star)),
         matrix_from_json(obj["B"], shape=(e, h)),

@@ -282,6 +282,15 @@ def test_cli_agler_pipeline(tmp_path, capsys):
     assert report["verdict"] == "pass"
 
 
+def test_cli_dbr_reconstruct_at_a_coarse_tolerance(capsys):
+    # the cut at tol 0.5 drops directions the data carry; the polar factor
+    # still gives an isometry, and the residual meets the gate 10 tol
+    code, report = run_cli(capsys, "--tol", "0.5", "dbr-reconstruct",
+                           os.path.join(EXAMPLES, "dbr_kernel.json"))
+    assert code == 0 and report["verdict"] == "reconstructed"
+    assert report["evidence"]["max_residual"] <= numlin.sampled(0.5)
+
+
 def test_cli_dbr_commands(tmp_path, capsys):
     grid = bs.make_grid("disc", 8, seed=77)
     theta = random_theta(np.random.default_rng(78))

@@ -3,7 +3,8 @@ error report with exit code 2, never in a traceback.
 
 A plain seeded loop: for each command, the input files of one kind are
 replaced by a corrupted copy (a NaN entry at a seeded position, a bad partition, a
-kernel of value dimension 0 or 9, a grid point on the boundary, an empty
+kernel of value dimension 0 or 9, a partition, dim or monomial entry that is
+not a JSON integer in range, a grid point on the boundary, an empty
 grid, a valid kernel on the wrong domain), the integer flags are set to
 values <= 0, and functions are evaluated at points with the wrong number of
 coordinates.  A kernel dim outside 1..8, an empty grid and a flag or point
@@ -22,6 +23,7 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import serialize
 from bidisc_schur.cli import main
+from bidisc_schur.errors import SchemaError
 from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import drury_arveson_gram, szego_gram
 
@@ -96,6 +98,13 @@ MESSAGES = {
     "dim-0": "value dimension must be in 1..8",
     "dim-9": "value dimension must be in 1..8",
     "empty-grid": "grid is empty",
+    "fractional-partition": "partition entries must be integers",
+    "bool-partition": "partition entries must be integers",
+    "float-dim": "dim entries must be integers",
+    "bool-dim": "dim entries must be integers",
+    "fractional-monomial": "monomial entries must be integers",
+    "huge-monomial": "monomial entries must be integers",
+    "short-monomial": "expected 2, got 1",
 }
 ARRAY_KEYS = ("a", "B", "C", "D", "values", "points", "coeffs", "constant", "zeros")
 
@@ -129,14 +138,26 @@ def corruptions(kind, rng):
         h = sum(valid["partition"])
         yield "negative-partition", dict(valid, partition=[-1, h + 1])
         yield "three-block-partition", dict(valid, partition=[h, 0, 0])
+        # int() would truncate these to the valid partition
+        yield "fractional-partition", dict(valid, partition=[p + 0.9 for p in valid["partition"]])
+        if set(valid["partition"]) == {1}:
+            yield "bool-partition", dict(valid, partition=[True for _ in valid["partition"]])
     if kind in WRONG_AMBIENT:
         yield "dim-0", dict(valid, dim=0)
         yield "dim-9", dict(valid, dim=9)
+        yield "float-dim", dict(valid, dim=float(valid.get("dim", 1)))
+        if valid.get("dim", 1) == 1:
+            yield "bool-dim", dict(valid, dim=True)
         points = json.loads(json.dumps(valid["grid"]["points"]))
         points[rng.integers(len(points))][0] = [1.0, 0.0]
         yield "boundary-point", dict(valid, grid=dict(valid["grid"], points=points))
         yield "empty-grid", dict(valid, grid=dict(valid["grid"], points=[]), values=[])
         yield "wrong-ambient", VALID[WRONG_AMBIENT[kind]]
+    if kind == "rational":
+        m1, m2 = valid["monomial"]
+        yield "fractional-monomial", dict(valid, monomial=[m1 + 0.7, m2 + 0.2])
+        yield "huge-monomial", dict(valid, monomial=[m1, 2 ** 64 + 1])
+        yield "short-monomial", dict(valid, monomial=[m1])
     if kind == "blaschke":
         yield "zero-on-boundary", dict(valid, zeros=[[1.0, 0.0]])
 
@@ -286,11 +307,28 @@ def test_nesting_that_would_overflow_the_c_stack_is_refused(tmp_path, opener):
 
 
 def test_integer_beyond_64_bits_is_a_schema_error(tmp_path, capsys):
-    # json reads 10**29 as an int, orjson 3.8 as the nearest double; either
-    # way the partition does not fit, and only the message's number differs
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({**VALID["colligation"], "partition": [10 ** 29, 1]}))
-    code = main(["classify", str(path)])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert report["verdict"].startswith("SchemaError: malformed colligation object: ")
+    # json reads such a literal as an int, orjson 3.8 beyond 2**64 as the
+    # nearest double; either way it is refused, with the same message.  The
+    # escaped key is not proved shallow, so that copy is read by json.
+    for command, kind, field in (("classify", "colligation", "partition"),
+                                 ("eval", "rational", "monomial")):
+        for value in (2 ** 63, 2 ** 64 + 1, 10 ** 29):
+            verdicts = set()
+            for name, escape in (("orjson", False), ("json", True)):
+                text = json.dumps({**VALID[kind], field: [value, 1]})
+                path = tmp_path / f"{name}.json"
+                path.write_text(text.replace('"kind"', '"\\u006bind"') if escape else text)
+                code = main([command, str(path)])
+                report = json.loads(capsys.readouterr().out)
+                assert code == 2, (field, value, name)
+                verdicts.add(report["verdict"])
+            assert verdicts == {f"SchemaError: malformed {VALID[kind]['kind']} object: "
+                                f"{field} entries must be integers in 0..2**63 - 1"}, value
+
+
+@pytest.mark.parametrize("dims", [[1.0, 1, 1], [True, 1, 1], [1, -1, 1]])
+def test_theta_dims_must_be_integers(dims):
+    r = math.sqrt(3) / 2
+    obj = serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1))
+    with pytest.raises(SchemaError, match=r"dims entries must be integers in 0\.\.2\*\*63 - 1"):
+        serialize.parse_object({**obj, "dims": dims})

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,41 @@ def test_dbr_grams_decomposed_once(monkeypatch):
     assert calls == {"eigvalsh": 1, "eigh": 0}
     bs.dbr_reconstruct_disc(k)
     assert calls == {"eigvalsh": 1, "eigh": 2}
+    # a refusal reports the least eigenvalue of the one eigh that found it
+    bad = SampledKernel(grid, 2 * szego_gram(grid))
+    with pytest.raises(NotDbrError) as err:
+        bs.dbr_reconstruct_disc(bad)
+    assert calls == {"eigvalsh": 1, "eigh": 3}
+    lam_min = bs.is_psd(kernels._defect_gram(bad)).min_eigenvalue
+    assert str(err.value) == f"defect Gram not PSD (lambda_min = {lam_min:.3e})"
+
+
+def mobius_kernel(r, n):
+    """(1 - T(z) conj(T(w)))/(1 - z conj(w)) of T = r (z - 0.4)/(1 - 0.4 z)
+    on a seeded disc grid: a Schur symbol, inner only for r = 1."""
+    grid = disc_grid(3, n=n)
+    z = grid.points[:, 0]
+    t = r * (z - 0.4) / (1 - 0.4 * z)
+    return SampledKernel(grid, (1 - np.outer(t, np.conj(t))) / (1 - np.outer(z, np.conj(z))))
+
+
+@pytest.mark.parametrize("r", [0.3, 0.8, 0.99])
+def test_dbr_reconstruct_non_inner_is_coisometric_to_rounding(r):
+    # the isometry is a polar factor, so it is co-isometric to rounding
+    # whatever the conditioning of the data map
+    k = mobius_kernel(r, 8)
+    theta = bs.dbr_reconstruct_disc(k)
+    assert theta.coisometry_defect() <= 1e-13
+    assert np.max(np.abs(theta.kernel_values(k.grid) - k.values)) <= 1e-12
+
+
+def test_dbr_reconstruct_has_no_isometry_check():
+    # the isometry is built, not checked; the kernel residual is the one gate
+    src = os.path.join(os.path.dirname(bs.__file__))
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                assert "not isometric on its span" not in fh.read(), name
 
 
 def test_reconstruction_gauge_covariance():
