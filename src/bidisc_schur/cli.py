@@ -136,7 +136,7 @@ def parse_grid_spec(spec: str, seed: int):
             return make_grid("torus2", int(body[0]))
         if kind == "product" and len(body) == 1:
             n1, n2 = (int(x) for x in body[0].split("x"))
-            return factor_mod.product_grid(n1, n2, seed=seed).grid
+            return factor_mod.product_grid(n1, n2, seed=seed)
         if len(body) == 2 and body[0] == "rand":
             return make_grid(kind, int(body[1]), seed=seed)
     except (IndexError, ValueError) as exc:
@@ -174,19 +174,6 @@ def _as_function(obj):
     return obj
 
 
-def _structure_dict(rep) -> dict:
-    return {
-        "is_isometry": rep.is_isometry,
-        "is_coisometry": rep.is_coisometry,
-        "is_unitary": rep.is_unitary,
-        "is_contraction": rep.is_contraction,
-        "lower_left_zero": rep.lower_left_zero,
-        "radii": [rep.radius_block1, rep.radius_block2],
-        "c0dot": [rep.c0dot_block1, rep.c0dot_block2],
-        "factorization_condition": rep.factorization_condition,
-    }
-
-
 # ---------------------------------------------------------------------------
 # command implementations: each returns (verdict, evidence, exit_code)
 
@@ -211,7 +198,7 @@ def _cmd_classify(args, tol, seed):
     obj = _load_as(args.input, Colligation, "classify expects a colligation")
     evidence = dataclasses.asdict(obj.classify(tol))
     if obj.nvars == 2:
-        evidence["structure"] = _structure_dict(structure_report(obj, tol))
+        evidence["structure"] = dataclasses.asdict(structure_report(obj, tol))
     return "computed", evidence, 0
 
 
@@ -220,7 +207,7 @@ def _cmd_inner_check(args, tol, seed):
     cert = certify_inner(v, tol)
     evidence = {
         "detail": cert.detail,
-        "structure": _structure_dict(cert.structure),
+        "structure": dataclasses.asdict(cert.structure),
         "boundary_deviation": cert.boundary_deviation,
         "boundary_passed": cert.boundary_passed,
         "isometry_defect": cert.defect,
@@ -242,8 +229,8 @@ def _cmd_toeplitz_check(args, tol, seed):
                 "boundary_deviation": None}
     if isinstance(obj, Colligation):
         rep = structure_report(obj, tol)
-        evidence["structure"] = _structure_dict(rep)
-        evidence["radii"] = [rep.radius_block1, rep.radius_block2]
+        evidence["structure"] = dataclasses.asdict(rep)
+        evidence["radii"] = rep.radii
         boundary = boundary_scan(obj, tol)
         builder = lambda m: phi_blocks_from_colligation(obj, m, tol)
     elif isinstance(obj, RationalFunction2):

@@ -355,34 +355,34 @@ def series_coefficient_table(v: Colligation, n1: int, n2: int,
 
 @dataclass(frozen=True)
 class StructureReport:
+    """radii holds the spectral radii of D1 and D4, and c0dot whether each
+    is below 1 - tol; the CLI prints the report field for field."""
+
     is_isometry: bool
     is_coisometry: bool
     is_unitary: bool
     is_contraction: bool
     lower_left_zero: bool
-    radius_block1: float
-    radius_block2: float
-    c0dot_block1: bool
-    c0dot_block2: bool
+    radii: tuple
+    c0dot: tuple
     factorization_condition: bool
 
 
 def structure_report(v: Colligation, tol: float = DEFAULT_TOL) -> StructureReport:
-    """Structural predicates of a two-variable colligation.
+    """Structural predicates of a two-variable colligation; any other
+    colligation raises NotStructuredError.
 
     Membership of a finite matrix in the class of contractions with powers
     tending to zero is decided by numlin.below_one (spectral radius < 1 - tol).
     """
     if v.nvars != 2:
-        raise ValueError("structure_report needs a two-variable colligation")
+        raise NotStructuredError("structure_report needs a two-variable colligation")
     cls = v.classify(tol)
-    r1 = numlin.spectral_radius(v.D1)
-    r2 = numlin.spectral_radius(v.D4)
+    radii = (numlin.spectral_radius(v.D1), numlin.spectral_radius(v.D4))
     cond = frob(v.a * v.D2 - v.C1 @ v.B2) <= bound(tol, frob(v.D))
     return StructureReport(
         cls.is_isometry, cls.is_coisometry, cls.is_unitary, cls.is_contraction,
-        _lower_left_zero(v, tol), r1, r2, numlin.below_one(r1, tol),
-        numlin.below_one(r2, tol), cond,
+        _lower_left_zero(v, tol), radii, tuple(numlin.below_one(r, tol) for r in radii), cond,
     )
 
 
@@ -399,7 +399,7 @@ def cascade_blocks(v1: Colligation, v2: Colligation):
     functions (in separate variables, or in the shared variable when both
     factors depend on the same one)."""
     if v1.nvars != 1 or v2.nvars != 1:
-        raise ValueError("cascade needs one-variable factors")
+        raise NotStructuredError("cascade needs one-variable factors")
     h1, h2 = v1.h, v2.h
     a = v1.a * v2.a
     b = np.concatenate([v1.B, v1.a * v2.B], axis=1)

@@ -55,10 +55,10 @@ class ResolventIllConditionedError(DomainError):
 
 
 class NotStructuredError(DomainError):
-    """The colligation lacks the triangular structure an operation needs:
-    the lower-left coupling block of D is not (numerically) zero, or, for
-    the proof sums, a diagonal D block has spectral radius >= 1 - tol, so
-    its powers do not tend to zero."""
+    """The colligation lacks the structure an operation needs: it has the
+    wrong number of variables, the lower-left coupling block of D is not
+    (numerically) zero, or, for the proof sums, a diagonal D block has
+    spectral radius >= 1 - tol, so its powers do not tend to zero."""
 
 
 class ZeroOnBoundaryError(DomainError):

@@ -1,7 +1,7 @@
 """One-variable factorization of two-variable Schur functions: separability
 testing, the co-isometric splitting V -> (V1, V2), cascade composition, the
 block-inverse converse pipeline for unitary colligations, and the Agler-
-kernel factorization conditions on companioned grids.
+kernel factorization conditions on kernels sampled on a product grid.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     holds, factor samples are returned with the gauge fixed so that f1 is
     positive real at its largest-modulus sample."""
     if grid.ambient != "bidisc":
-        raise ValueError("separability_test needs a bidisc grid")
+        raise GridMismatchError("separability_test needs a bidisc grid")
     origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
     if abs(origin) <= tol:
         raise OriginZeroError(
@@ -190,8 +190,6 @@ def weak_converse_check(v: Colligation, tol: float = DEFAULT_TOL) -> ConverseRep
     D* = a (a D - C B)^{-1} (the Schur complement of the scalar corner of V
     is a^{-1}(a D - C B)), confirm a D2 - C1 B2 = 0, then split.  The identity
     is exact for unitary V: a miss of numlin.inverse_bound is IdentityViolatedError."""
-    if v.nvars != 2:
-        raise ValueError("weak_converse_check needs a two-variable colligation")
     report = structure_report(v, tol)
     if not report.is_unitary:
         raise ConditionFailedError("precondition failed: colligation is not unitary")
@@ -199,7 +197,7 @@ def weak_converse_check(v: Colligation, tol: float = DEFAULT_TOL) -> ConverseRep
         raise OriginZeroError("precondition failed: constant term vanishes")
     if not report.lower_left_zero:
         raise ConditionFailedError("precondition failed: lower-left D block is nonzero")
-    if not (report.c0dot_block1 and report.c0dot_block2):
+    if not all(report.c0dot):
         raise ConditionFailedError(
             "precondition failed: a diagonal D block has spectral radius >= 1 - tol")
     a = v.a
@@ -220,38 +218,12 @@ def weak_converse_check(v: Colligation, tol: float = DEFAULT_TOL) -> ConverseRep
 
 
 # ---------------------------------------------------------------------------
-# Agler-kernel factorization conditions on companioned grids
+# Agler-kernel factorization conditions on product grids
 
 
-@dataclass(frozen=True)
-class CompanionedGrid:
-    """Product grid axis1 x axis2 (both axes containing 0) so that section
-    and invariance checks are exact comparisons of sampled values."""
-
-    axis1: np.ndarray
-    axis2: np.ndarray
-    grid: PointGrid
-
-    origin1 = property(lambda self: int(np.argmin(np.abs(self.axis1))))
-    origin2 = property(lambda self: int(np.argmin(np.abs(self.axis2))))
-
-    def index(self, i: int, j: int) -> int:
-        return i * len(self.axis2) + j
-
-
-def companioned_grid(axis1, axis2) -> CompanionedGrid:
-    a1 = np.asarray(axis1, dtype=np.complex128).ravel()
-    a2 = np.asarray(axis2, dtype=np.complex128).ravel()
-    if not (np.abs(a1).min(initial=np.inf) <= EXACT_GUARD
-            and np.abs(a2).min(initial=np.inf) <= EXACT_GUARD):
-        raise GridNotCompanionedError("both axes must contain the origin")
-    z1, z2 = np.meshgrid(a1, a2, indexing="ij")
-    grid = PointGrid("bidisc", np.column_stack([z1.ravel(), z2.ravel()]))
-    return CompanionedGrid(a1, a2, grid)
-
-
-def product_grid(n1: int, n2: int, seed: int = 0) -> CompanionedGrid:
-    """Companioned grid with n1 x n2 random axis values of modulus < 0.6, plus 0."""
+def product_grid(n1: int, n2: int, seed: int = 0) -> PointGrid:
+    """Bidisc grid axis1 x axis2 in row-major order; each axis is 0 followed
+    by n - 1 random values of modulus < 0.6."""
     if n1 < 1 or n2 < 1:
         raise ValueError("size must be >= 1")
     rng = np.random.default_rng(seed)
@@ -261,7 +233,23 @@ def product_grid(n1: int, n2: int, seed: int = 0) -> CompanionedGrid:
             * np.exp(2j * np.pi * rng.uniform(size=n - 1))
         return np.concatenate([[0.0 + 0.0j], vals])
 
-    return companioned_grid(axis(n1), axis(n2))
+    z1, z2 = np.meshgrid(axis(n1), axis(n2), indexing="ij")
+    return PointGrid("bidisc", np.column_stack([z1.ravel(), z2.ravel()]))
+
+
+def _product_axes(grid: PointGrid):
+    """(axis1, axis2, origin1, origin2) of a bidisc grid whose points are
+    axis1 x axis2 in row-major order with 0 at axis1[origin1] and
+    axis2[origin2]; any other grid raises GridNotCompanionedError."""
+    if grid.ambient == "bidisc":
+        pts = grid.points
+        n2 = int(np.argmax(pts[:, 0] != pts[0, 0])) or len(pts)
+        axis1, axis2 = pts[::n2, 0], pts[:n2, 1]
+        o1, o2 = int(np.argmin(np.abs(axis1))), int(np.argmin(np.abs(axis2)))
+        product = np.column_stack([np.repeat(axis1, n2), np.tile(axis2, len(axis1))])
+        if np.array_equal(pts, product) and max(abs(axis1[o1]), abs(axis2[o2])) <= EXACT_GUARD:
+            return axis1, axis2, o1, o2
+    raise GridNotCompanionedError("points are not axis1 x axis2 with 0 on both axes")
 
 
 @dataclass(frozen=True)
@@ -272,32 +260,33 @@ class FactorizationConditions:
 
 
 def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
-                                   cgrid: CompanionedGrid,
                                    tol: float = DEFAULT_TOL) -> FactorizationConditions:
-    """Kernel-level factorization conditions for a function with f(0,0) != 0:
+    """Kernel-level factorization conditions for a function with f(0,0) != 0,
+    on kernels sampled on a product grid, whose axes _product_axes reads back:
 
     (a) K1 is invariant under changes of the second coordinates of both
         arguments (checked across companion points of the product grid);
     (b) conj(f(0,0)) K2(., (w1, 0)) = conj(f(w1, 0)) K2(., (0,0)) for every
         first-axis value w1, as functions of the first argument over the grid.
     """
-    if not (k1.grid.same_points(cgrid.grid) and k2.grid.same_points(cgrid.grid)):
-        raise GridMismatchError("kernels must be sampled on the companioned grid")
+    if not k1.grid.same_points(k2.grid):
+        raise GridMismatchError("the two kernels are sampled on different grids")
+    axis1, axis2, origin1, origin2 = _product_axes(k1.grid)
     if k1.dim != 1 or k2.dim != 1:
         raise ValueError("factorization conditions are for scalar kernels")
     origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
     if abs(origin) <= tol:
         raise OriginZeroError("value at the origin vanishes; strip monomials first")
 
-    n1, n2 = len(cgrid.axis1), len(cgrid.axis2)
+    n1, n2 = len(axis1), len(axis2)
     vals1 = k1.values.reshape(n1, n2, n1, n2)
     ref = vals1[:, :1, :, :1]                       # second coordinates pinned
     invariance = float(np.max(np.abs(vals1 - ref), initial=0.0))
 
     # column (w1, 0) of K2 for every first-axis value w1, against the origin column
-    cols = k2.values[:, cgrid.index(np.arange(n1), cgrid.origin2)]
-    col0 = k2.values[:, cgrid.index(cgrid.origin1, cgrid.origin2), None]
-    fw = np.asarray(f(cgrid.axis1, np.zeros_like(cgrid.axis1)), dtype=np.complex128)
-    section = float(np.max(np.abs(np.conj(origin) * cols - np.conj(fw) * col0), initial=0.0))
+    cols = k2.values.reshape(n1 * n2, n1, n2)[:, :, origin2]
+    fw = np.asarray(f(axis1, np.zeros_like(axis1)), dtype=np.complex128)
+    section = float(np.max(np.abs(np.conj(origin) * cols - np.conj(fw) * cols[:, origin1, None]),
+                           initial=0.0))
     return FactorizationConditions(
         invariance <= tol and section <= tol, invariance, section)

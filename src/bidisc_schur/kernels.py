@@ -24,6 +24,7 @@ from .errors import (
     NotCoisometricError,
     NotDbrError,
     NotPsdError,
+    NotStructuredError,
     RankOverflowError,
 )
 from .functions import PointGrid
@@ -129,9 +130,9 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
     the state partition.  The identity is re-checked on the grid and a
     violation raises (it can only come from a bug or ill-conditioning)."""
     if v.nvars != 2:
-        raise ValueError("agler_kernels_of needs a two-variable colligation")
+        raise NotStructuredError("agler_kernels_of needs a two-variable colligation")
     if grid.ambient != "bidisc":
-        raise ValueError("agler_kernels_of needs a bidisc grid")
+        raise GridMismatchError("agler_kernels_of needs a bidisc grid")
     if not v.classify(tol).is_coisometry:
         raise NotCoisometricError("colligation is not co-isometric at the given tolerance")
     # state rows H(z) = B (I - E(z) D)^{-1}, from H(z)^T = (I - E(z) D)^{-T} B^T
@@ -163,7 +164,7 @@ def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
     if k1.dim != 1 or k2.dim != 1:
         raise ValueError("decomposition verification is for scalar kernels")
     if k1.grid.ambient != "bidisc":
-        raise ValueError("decomposition verification needs kernels on a bidisc grid")
+        raise GridMismatchError("decomposition verification needs kernels on a bidisc grid")
     pts = k1.grid.points
     vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=np.complex128)
     residual, _ = _agler_residual(vals, k1, k2)
@@ -199,7 +200,7 @@ def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> DbrReport:
     """Does K agree on the grid with (I - T(z)T(w)*)/(1 - z conj(w)) for
     some Schur-class T?  Holds iff the Gram of I - (1 - z conj(w)) K is PSD."""
     if k.grid.nvars != 1:
-        raise ValueError("dbr_test_disc needs a disc grid")
+        raise GridMismatchError("dbr_test_disc needs a disc grid")
     report = numlin.is_psd(_defect_gram(k), tol)
     return DbrReport(report.is_psd, report.min_eigenvalue)
 
@@ -215,7 +216,7 @@ def dbr_test_nf(k: SampledKernel, tol: float = DEFAULT_TOL) -> NormalizedFormRep
     """Boolean pair: (Szego - K PSD?, (1 - z conj(w)) K PSD?).  Both hold
     iff K(z,w) = T(z)T(w)*/(1 - z conj(w)) on the grid for a Schur-class T."""
     if k.grid.nvars != 1:
-        raise ValueError("dbr_test_nf needs a disc grid")
+        raise GridMismatchError("dbr_test_nf needs a disc grid")
     s = 1.0 / (1.0 - _coordinate_products(k.grid, 0))
     r1 = numlin.is_psd(_weighted_gram(k, 1.0, s), tol)
     r2 = numlin.is_psd(_weighted_gram(k, -(1.0 / s), 0.0), tol)
@@ -242,7 +243,7 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
     grid = k.grid
     n = grid.nvars
     if n < 2:
-        raise ValueError("dbr_test_polydisc needs at least two variables")
+        raise GridMismatchError("dbr_test_polydisc needs at least two variables")
     if len(components) != n:
         raise ValueError(f"expected {n} component kernels, got {len(components)}")
     for ki in components:
@@ -271,7 +272,7 @@ class BallReport:
 def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> BallReport:
     """PSD test of the Gram of I - (1 - <z, w>) K on a ball grid."""
     if not k.grid.ambient.startswith("ball"):
-        raise ValueError("dbr_test_ball needs a ball grid")
+        raise GridMismatchError("dbr_test_ball needs a ball grid")
     report = numlin.is_psd(_weighted_gram(k, 1.0 - _pair_products(k.grid)), tol)
     return BallReport(report.is_psd, report.min_eigenvalue)
 
@@ -356,7 +357,7 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     reproduces K on the grid (interpolation; no claim is made off the grid
     beyond Schur-class membership) to numlin.sampled(tol)."""
     if k.grid.nvars != 1:
-        raise ValueError("dbr_reconstruct_disc needs a disc grid")
+        raise GridMismatchError("dbr_reconstruct_disc needs a disc grid")
     f_fact = _dbr_factor(_defect_gram(k), "defect", tol)
     g_fact = _dbr_factor(k.gram(), "kernel", tol)
 

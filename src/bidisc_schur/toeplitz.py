@@ -292,11 +292,8 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     below 1 - tol has an inner transfer function.  The converse fails, so a
     colligation that misses the structural hypotheses is never refuted on
     structure alone; refutation comes only from boundary sampling."""
-    if v.nvars != 2:
-        raise ValueError("certify_inner needs a two-variable colligation")
     report = structure_report(v, tol)
-    certified = (report.is_isometry and report.lower_left_zero
-                 and report.c0dot_block1 and report.c0dot_block2)
+    certified = report.is_isometry and report.lower_left_zero and all(report.c0dot)
 
     boundary = boundary_scan(v, tol)
     bdev = boundary.max_deviation if boundary else None
@@ -309,7 +306,7 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     if report.lower_left_zero:
         defect = isometry_defect(
             phi_blocks_from_colligation(v, DEFECT_ORDER, tol), DEFECT_ORDER // 2)
-        if report.c0dot_block1 and report.c0dot_block2:
+        if all(report.c0dot):
             diagnostics = proof_diagnostics(v, tol=tol)
 
     if certified:

@@ -3,7 +3,7 @@
 import numpy as np
 
 import bidisc_schur as bs
-from bidisc_schur import kernels, numlin
+from bidisc_schur import factor, kernels, numlin
 from bidisc_schur.errors import IdentityViolatedError
 from bidisc_schur.kernels import ThetaRealization
 from bidisc_schur.numlin import DEFAULT_TOL, EXACT_GUARD, RESIDUAL_GUARD, bound
@@ -350,15 +350,17 @@ def loop_defect_gram(k, weight, identity=None):
     return out
 
 
-def loop_section_residual(f, k2, cgrid):
-    """Reference section residual of the factorization conditions: one
+def loop_section_residual(f, k2):
+    """Reference section residual of the factorization conditions on the
+    product grid of K2, whose axes factor._product_axes recovers: one
     first-axis value w1 at a time, max over the grid of
     |conj(f(0,0)) K2(., (w1, 0)) - conj(f(w1, 0)) K2(., (0, 0))|."""
+    axis1, axis2, origin1, origin2 = factor._product_axes(k2.grid)
     origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
-    col0 = k2.values[:, cgrid.index(cgrid.origin1, cgrid.origin2)]
+    col0 = k2.values[:, origin1 * len(axis2) + origin2]
     worst = 0.0
-    for i, w1 in enumerate(cgrid.axis1):
-        coli = k2.values[:, cgrid.index(i, cgrid.origin2)]
+    for i, w1 in enumerate(axis1):
+        coli = k2.values[:, i * len(axis2) + origin2]
         fw = complex(np.asarray(f(w1, 0.0)).reshape(()))
         worst = max(worst, float(np.max(np.abs(np.conj(origin) * coli - np.conj(fw) * col0))))
     return worst
@@ -451,7 +453,7 @@ def taylor_from_samples(f, n1, n2):
     return bs.PowerSeries2(coeffs[: n1 + 1, : n2 + 1] / radius ** (i + j))
 
 
-def difference_quotient_colligation(f, kernel1, kernel2, cgrid, tol=DEFAULT_TOL):
+def difference_quotient_colligation(f, kernel1, kernel2, grid, tol=DEFAULT_TOL):
     """Assemble the colligation whose blocks act on the reproducing-kernel
     spaces of the two Agler kernels by difference quotients:
 
@@ -466,16 +468,18 @@ def difference_quotient_colligation(f, kernel1, kernel2, cgrid, tol=DEFAULT_TOL)
     the sampled kernel Gram matrices.  kernel1/kernel2 are callables
     k(z, w) of two bidisc points.  Intended for cross-checking splits on
     kernels with finite-dimensional spaces (the sampled span is then the
-    whole space and the matrices are exact up to round-off)."""
-    pts = cgrid.grid.points
+    whole space and the matrices are exact up to round-off).  grid is a
+    product grid, whose axes factor._product_axes recovers."""
+    pts = grid.points
+    axis1, axis2, origin1, origin2 = factor._product_axes(grid)
 
     fact1 = numlin.psd_factor(tabulate(pts, kernel1), tol)
     fact2 = numlin.psd_factor(tabulate(pts, kernel2), tol)
     f1, f2 = fact1.factor, fact2.factor            # sample-value bases
 
-    idx0 = cgrid.index(cgrid.origin1, cgrid.origin2)
-    proj1 = np.repeat(cgrid.index(np.arange(len(cgrid.axis1)), cgrid.origin2),
-                      len(cgrid.axis2))                   # w -> (w1, 0)
+    idx0 = origin1 * len(axis2) + origin2
+    proj1 = np.repeat(np.arange(len(axis1)) * len(axis2) + origin2,
+                      len(axis2))                         # w -> (w1, 0)
     w1 = pts[:, 0]
     w2 = pts[:, 1]
     rows1 = np.abs(w1) > EXACT_GUARD

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import cli, numlin, serialize, toeplitz
+from bidisc_schur import cli, factor, numlin, serialize, toeplitz
 from bidisc_schur.cli import build_parser, main, parse_grid_spec
 from bidisc_schur.errors import ParseError, SchemaError
 from bidisc_schur.kernels import SampledKernel
@@ -388,6 +388,21 @@ def test_cli_product_grid_spec(capsys, command, name):
     assert code == 0, report
 
 
+@pytest.mark.parametrize("name", ["separable_colligation.json", "product_mobius_colligation.json"])
+def test_cli_product_grid_kernels_read_back_give_the_same_conditions(tmp_path, capsys, name):
+    # agler_factorization_conditions reads the axes from the kernels' points,
+    # so the kernel files of agler-kernels serve as well as the kernels in memory
+    path = os.path.join(EXAMPLES, name)
+    out1, out2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
+    code, _ = run_cli(capsys, "agler-kernels", path, "--grid", "product:5x5",
+                      "--out-k1", out1, "--out-k2", out2)
+    assert code == 0
+    v = cli._load(path)
+    pair = bs.agler_kernels_of(v, factor.product_grid(5, 5, seed=0))
+    assert factor.agler_factorization_conditions(v, cli._load(out1), cli._load(out2)) == \
+        factor.agler_factorization_conditions(v, pair.k1, pair.k2)
+
+
 # each report below against the library call made directly
 
 
@@ -623,7 +638,7 @@ def test_cli_precondition_error_exit_2(tmp_path, capsys):
                  serialize.colligation_to_json(bs.model_colligation(1.0, [0.5])))
     code, report = run_cli(capsys, "inner-check", path)
     assert code == 2
-    assert report["verdict"].startswith("ValueError")
+    assert report["verdict"].startswith("NotStructured: ")
 
 
 def test_cli_denominator_with_zero_inside_exit_2(tmp_path, capsys):

@@ -6,10 +6,13 @@ replaced by a corrupted copy (a NaN entry at a seeded position, a bad partition,
 kernel of value dimension 0 or 9, a partition, dim or monomial entry that is
 not a JSON integer in range, a grid point on the boundary, an empty
 grid, a valid kernel on the wrong domain), the integer flags are set to
-values <= 0, and functions are evaluated at points with the wrong number of
-coordinates.  A kernel dim outside 1..8, an empty grid and a flag or point
-of the wrong shape must be reported as such (the last two as a ParseError),
-not by a symptom such as a shape mismatch or a missing argument."""
+values <= 0, functions are evaluated at points with the wrong number of
+coordinates, and colligations with the wrong number of variables, or a
+grid on the wrong domain, are sent.  A kernel dim outside 1..8, an empty
+grid and a flag or point of the wrong shape must be reported as such (the
+last two as a ParseError), not by a symptom such as a shape mismatch or a
+missing argument; a kernel or grid on the wrong domain is a GridMismatch
+and a colligation with the wrong number of variables is NotStructured."""
 
 import json
 import math
@@ -73,6 +76,17 @@ COMMANDS = [
     ("model", ["blaschke"], []),
     ("strip", ["rational"], []),
 ]
+# command, its positional inputs, flags, and the typed refusal they get:
+# one-variable colligations where two variables are needed, two-variable
+# factors, and a grid on the wrong domain
+REFUSALS = [
+    ("inner-check", ["colligation1"], [], "NotStructured: "),
+    ("split", ["colligation1"], [], "NotStructured: "),
+    ("factor", ["colligation1"], [], "NotStructured: "),
+    ("agler-kernels", ["colligation1"], [], "NotStructured: "),
+    ("compose", ["colligation", "colligation"], [], "NotStructured: "),
+    ("agler-kernels", ["colligation"], ["--grid", "torus2:3"], "GridMismatch: "),
+]
 # command, its positional inputs, flags that make it a ParseError, and what
 # the verdict must name
 BAD_FLAGS = [
@@ -106,6 +120,8 @@ MESSAGES = {
     "huge-monomial": "monomial entries must be integers",
     "short-monomial": "expected 2, got 1",
 }
+# corruptions whose report must name the error type
+PREFIXES = {"wrong-ambient": "GridMismatch: "}
 ARRAY_KEYS = ("a", "B", "C", "D", "values", "points", "coeffs", "constant", "zeros")
 
 
@@ -171,7 +187,10 @@ def cases():
             for kind in dict.fromkeys(kinds):
                 for name, obj in corruptions(kind, rng):
                     yield (f"{command}-{kind}-{name}-seed{seed}", command, kinds, kind, obj,
-                           flags, "", MESSAGES.get(name, ""))
+                           flags, PREFIXES.get(name, ""), MESSAGES.get(name, ""))
+    for command, kinds, flags, prefix in REFUSALS:
+        yield (f"{command}-{'='.join(kinds + flags)}", command, kinds, None, None, flags,
+               prefix, "")
     for command, kinds, flags, message in BAD_FLAGS:
         yield (f"{command}-{'='.join(kinds + flags)}", command, kinds, None, None, flags,
                "ParseError: ", message)

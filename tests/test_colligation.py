@@ -452,9 +452,8 @@ def test_series_2d_matches_fft_taylor():
 def test_structure_report_permutation():
     rep = bs.structure_report(permutation_colligation())
     assert rep.is_unitary and rep.lower_left_zero
-    assert rep.radius_block1 == pytest.approx(0.0)
-    assert rep.radius_block2 == pytest.approx(0.0)
-    assert rep.c0dot_block1 and rep.c0dot_block2
+    assert rep.radii == pytest.approx((0.0, 0.0))
+    assert rep.c0dot == (True, True)
 
 
 def test_structure_report_vt():
@@ -468,8 +467,16 @@ def test_structure_report_identity():
     v = bs.Colligation(1.0, np.zeros((1, 2)), np.zeros((2, 1)), np.eye(2), [1, 1])
     rep = bs.structure_report(v)
     assert rep.is_unitary and rep.lower_left_zero
-    assert rep.radius_block1 == pytest.approx(1.0)
-    assert not rep.c0dot_block1 and not rep.c0dot_block2
+    assert rep.radii == pytest.approx((1.0, 1.0))
+    assert rep.c0dot == (False, False)
+
+
+@pytest.mark.parametrize("check", [bs.structure_report, bs.certify_inner,
+                                   bs.weak_converse_check, bs.check_condition_4])
+def test_structure_report_is_the_arity_gate(check):
+    # each check built on the structure report refuses one variable through it
+    with pytest.raises(NotStructuredError, match="structure_report needs a two-variable"):
+        check(bs.model_colligation(1.0, [0.5]))
 
 
 def test_contraction_maps_bidisc_into_disc():

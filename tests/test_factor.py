@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import colligation, factor, numlin
+from bidisc_schur import colligation, factor, numlin, serialize
 from bidisc_schur.colligation import _zero_coupling_parts, transfer_grid, transfer_torus
 from bidisc_schur.errors import (
     ClassMismatchError,
     ConditionFailedError,
+    GridMismatchError,
     GridNotCompanionedError,
     IdentityViolatedError,
     OriginZeroError,
@@ -173,6 +174,11 @@ def test_zero_coupling_pole_in_either_block_raises(d1, d4):
         bs.separability_test(lambda *z: v(*z), grid)
     with pytest.raises(ResolventIllConditionedError):
         transfer_torus(bs.Colligation(0.5, v.B, v.C, v.D / 2, [h1, h2]), 8)
+
+
+def test_separability_refuses_a_grid_off_the_bidisc():
+    with pytest.raises(GridMismatchError, match="needs a bidisc grid"):
+        bs.separability_test(bs.mobius_of_product(0.5), bs.make_grid("torus2", 4))
 
 
 def test_separability_refuses_a_one_variable_colligation(bidisc_grid):
@@ -392,11 +398,6 @@ def test_product_grid_refuses_empty_axes(n1, n2):
         factor.product_grid(n1, n2)
 
 
-def test_companioned_grid_requires_origin():
-    with pytest.raises(GridNotCompanionedError):
-        factor.companioned_grid([0.1, 0.2], [0.0, 0.3])
-
-
 def product_agler_kernels(f1, f2):
     def k1(z, w):
         return (1 - f1(z[0]) * np.conj(f1(w[0]))) / (1 - z[0] * np.conj(w[0]))
@@ -413,51 +414,107 @@ def sample(kernel, grid):
 
 
 def test_factorization_conditions_separable():
-    cg = factor.product_grid(5, 5, seed=62)
+    grid = factor.product_grid(5, 5, seed=62)
     f1, f2 = mobius(0.4), mobius(-0.2 + 0.3j)
     f = lambda z1, z2: f1(z1) * f2(z2)
     k1, k2 = product_agler_kernels(f1, f2)
-    rep = factor.agler_factorization_conditions(f, sample(k1, cg.grid),
-                                                sample(k2, cg.grid), cg, 1e-10)
+    rep = factor.agler_factorization_conditions(f, sample(k1, grid), sample(k2, grid), 1e-10)
     assert rep.cond2
     assert rep.invariance_residual < 1e-12
     assert rep.section_residual < 1e-12
 
 
 def test_factorization_conditions_product_mobius_fails():
-    cg = factor.product_grid(5, 5, seed=63)
-    pair = bs.agler_kernels_of(vt_colligation(0.5), cg.grid)
+    grid = factor.product_grid(5, 5, seed=63)
+    pair = bs.agler_kernels_of(vt_colligation(0.5), grid)
     rep = factor.agler_factorization_conditions(
-        bs.mobius_of_product(0.5), pair.k1, pair.k2, cg, 1e-9)
+        bs.mobius_of_product(0.5), pair.k1, pair.k2, 1e-9)
     assert not rep.cond2
 
 
-def test_section_residual_matches_loop_reference():
-    cg = factor.product_grid(5, 5, seed=62)
+def condition_cases(grid):
+    """(f, K1, K2) on the grid: a separable product of Mobius maps with its
+    product Agler kernels, and the non-separable mobius_of_product(0.5) with
+    the Agler kernels of its colligation."""
     f1, f2 = mobius(0.4), mobius(-0.2 + 0.3j)
     k1, k2 = product_agler_kernels(f1, f2)
-    pair = bs.agler_kernels_of(vt_colligation(0.5), cg.grid)
-    cases = [(lambda z1, z2: f1(z1) * f2(z2), sample(k1, cg.grid), sample(k2, cg.grid)),
-             (bs.mobius_of_product(0.5), pair.k1, pair.k2)]
-    for f, sk1, sk2 in cases:
-        rep = factor.agler_factorization_conditions(f, sk1, sk2, cg, 1e-9)
-        assert rep.section_residual == loop_section_residual(f, sk2, cg)
+    pair = bs.agler_kernels_of(vt_colligation(0.5), grid)
+    return [(lambda z1, z2: f1(z1) * f2(z2), sample(k1, grid), sample(k2, grid)),
+            (bs.mobius_of_product(0.5), pair.k1, pair.k2)]
+
+
+def test_section_residual_matches_loop_reference():
+    for f, sk1, sk2 in condition_cases(factor.product_grid(5, 5, seed=62)):
+        rep = factor.agler_factorization_conditions(f, sk1, sk2, 1e-9)
+        assert rep.section_residual == loop_section_residual(f, sk2)
+
+
+def test_factorization_conditions_of_kernels_read_from_json():
+    # the axes come from the kernels' own points, so kernels written to
+    # JSON and parsed back give the same conditions, residuals included
+    for f, sk1, sk2 in condition_cases(factor.product_grid(5, 5, seed=62)):
+        back1, back2 = (serialize.parse_object(serialize.kernel_to_json(k)) for k in (sk1, sk2))
+        assert factor.agler_factorization_conditions(f, back1, back2, 1e-9) == \
+            factor.agler_factorization_conditions(f, sk1, sk2, 1e-9)
+
+
+def product_points(axis1, axis2):
+    """The bidisc grid axis1 x axis2 in row-major order."""
+    z1, z2 = np.meshgrid(axis1, axis2, indexing="ij")
+    return bs.PointGrid("bidisc", np.column_stack([z1.ravel(), z2.ravel()]))
+
+
+def test_factorization_conditions_on_a_hand_built_product_grid():
+    # 0 is the second value of axis1 and the last of axis2; moving it to
+    # the front of both permutes the points, which leaves each section
+    # residual as it is
+    axis1, axis2 = [0.3, 0.0, -0.2j, 0.1 + 0.4j], [0.5j, -0.25, 0.0]
+    hand = [factor.agler_factorization_conditions(f, sk1, sk2, 1e-9)
+            for f, sk1, sk2 in condition_cases(product_points(axis1, axis2))]
+    front = [factor.agler_factorization_conditions(f, sk1, sk2, 1e-9)
+             for f, sk1, sk2 in condition_cases(product_points(np.roll(axis1, -1),
+                                                               np.roll(axis2, 1)))]
+    assert [rep.cond2 for rep in hand] == [rep.cond2 for rep in front] == [True, False]
+    for a, b in zip(hand, front):
+        assert a.section_residual == pytest.approx(b.section_residual, rel=1e-12, abs=1e-15)
+
+
+def test_factorization_conditions_refuse_kernels_on_two_grids():
+    f, sk1, _ = condition_cases(factor.product_grid(3, 3, seed=1))[0]
+    _, _, sk2 = condition_cases(factor.product_grid(3, 3, seed=2))[0]
+    with pytest.raises(GridMismatchError):
+        factor.agler_factorization_conditions(f, sk1, sk2, 1e-9)
+
+
+@pytest.mark.parametrize("grid", [
+    bs.make_grid("bidisc", 16, seed=72),
+    product_points([0.1, 0.2], [0.0, 0.3]),
+    product_points([0.0, 0.2], [0.1j, 0.3]),
+    # axis1 x axis2 in column-major order
+    bs.PointGrid("bidisc", [[0.0, 0.0], [0.2, 0.0], [0.0, 0.3], [0.2, 0.3]]),
+], ids=["random", "no-origin-on-axis1", "no-origin-on-axis2", "column-major"])
+def test_factorization_conditions_require_a_product_grid_with_origin(grid):
+    f1, f2 = mobius(0.4), mobius(-0.2 + 0.3j)
+    k1, k2 = product_agler_kernels(f1, f2)
+    with pytest.raises(GridNotCompanionedError):
+        factor.agler_factorization_conditions(
+            lambda z1, z2: f1(z1) * f2(z2), sample(k1, grid), sample(k2, grid), 1e-9)
 
 
 def test_factorization_conditions_origin_zero_routed():
-    cg = factor.product_grid(4, 4, seed=64)
-    pair = bs.agler_kernels_of(permutation_colligation(), cg.grid)
+    grid = factor.product_grid(4, 4, seed=64)
+    pair = bs.agler_kernels_of(permutation_colligation(), grid)
     with pytest.raises(OriginZeroError):
         factor.agler_factorization_conditions(
-            lambda z1, z2: z1 * z2, pair.k1, pair.k2, cg, 1e-9)
+            lambda z1, z2: z1 * z2, pair.k1, pair.k2, 1e-9)
 
 
 def test_difference_quotient_colligation_cross_check():
-    cg = factor.product_grid(5, 5, seed=65)
+    grid = factor.product_grid(5, 5, seed=65)
     f1, f2 = mobius(0.5), mobius(-1 / 3)
     f = lambda z1, z2: f1(z1) * f2(z2)
     k1, k2 = product_agler_kernels(f1, f2)
-    v = difference_quotient_colligation(f, k1, k2, cg)
+    v = difference_quotient_colligation(f, k1, k2, grid)
     assert v.partition == (1, 1)
     assert v.classify(1e-8).is_coisometry
     assert bs.check_condition_4(v, 1e-8)
@@ -469,14 +526,14 @@ def test_difference_quotient_colligation_cross_check():
 
 
 def test_difference_quotient_higher_degree():
-    cg = factor.product_grid(7, 7, seed=67)
+    grid = factor.product_grid(7, 7, seed=67)
     c1, zeros1 = 1.0, [0.3, -0.2j]
     c2, zeros2 = 1.0, [0.5]
     f1 = blaschke_callable(c1, zeros1)
     f2 = blaschke_callable(c2, zeros2)
     f = lambda z1, z2: f1(z1) * f2(z2)
     k1, k2 = product_agler_kernels(f1, f2)
-    v = difference_quotient_colligation(f, k1, k2, cg)
+    v = difference_quotient_colligation(f, k1, k2, grid)
     assert v.partition == (2, 1)
     pts = bs.make_grid("bidisc", 30, seed=68).points
     assert np.max(np.abs(transfer_grid(v, pts) - f(pts[:, 0], pts[:, 1]))) < 1e-9
@@ -487,7 +544,7 @@ def test_three_routes_agree():
     # kernel conditions give one verdict per instance
     rng = np.random.default_rng(69)
     grid = bs.make_grid("bidisc", 30, seed=70)
-    cg = factor.product_grid(5, 5, seed=71)
+    products = factor.product_grid(5, 5, seed=71)
 
     # separable instance
     v, f1, f2 = composed_blaschke(rng, max_degree=2, radius=0.6)
@@ -496,13 +553,13 @@ def test_three_routes_agree():
     assert bs.check_condition_4(v)
     k1, k2 = product_agler_kernels(f1, f2)
     assert factor.agler_factorization_conditions(
-        f, sample(k1, cg.grid), sample(k2, cg.grid), cg, 1e-9).cond2
+        f, sample(k1, products), sample(k2, products), 1e-9).cond2
 
     # non-separable instance
     vt = vt_colligation(0.5)
     phi = bs.mobius_of_product(0.5)
     assert not bs.separability_test(phi, grid).separable
     assert not bs.check_condition_4(vt)
-    pair = bs.agler_kernels_of(vt, cg.grid)
+    pair = bs.agler_kernels_of(vt, products)
     assert not factor.agler_factorization_conditions(
-        phi, pair.k1, pair.k2, cg, 1e-9).cond2
+        phi, pair.k1, pair.k2, 1e-9).cond2

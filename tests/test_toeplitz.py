@@ -252,7 +252,7 @@ def test_certify_borderline_radius_gets_defect_but_no_diagnostics(d1):
         toeplitz.proof_diagnostics(v)
     cert = bs.certify_inner(v)
     assert cert.structure.is_unitary and cert.structure.lower_left_zero
-    assert not cert.structure.c0dot_block1 and cert.structure.c0dot_block2
+    assert cert.structure.c0dot == (False, True)
     assert cert.verdict != "certified"
     assert cert.diagnostics is None
     order = toeplitz.DEFECT_ORDER
