@@ -7,8 +7,6 @@ from .colligation import (
     Colligation,
     as_transfer_callable,
     model_colligation,
-    strip_monomial,
-    strip_monomial_var2,
     structure_report,
     transfer_1d,
     transfer_2d,
@@ -32,6 +30,8 @@ from .functions import (
     mobius_of_product,
     reflect,
     series_of,
+    strip_monomial,
+    strip_monomial_var2,
 )
 from .kernels import (
     SampledKernel,

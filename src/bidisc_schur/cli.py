@@ -23,12 +23,7 @@ import orjson
 from . import factor as factor_mod
 from . import kernels as kernels_mod
 from . import numlin, serialize
-from .colligation import (
-    Colligation,
-    model_colligation,
-    strip_monomial,
-    structure_report,
-)
+from .colligation import Colligation, model_colligation, structure_report
 from .errors import (
     ConditionFailedError,
     DomainError,
@@ -37,7 +32,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .functions import PowerSeries2, RationalFunction2, make_grid, series_of
+from .functions import PowerSeries2, RationalFunction2, make_grid, series_of, strip_monomial
 from .toeplitz import (
     boundary_scan,
     certify_inner,
@@ -144,14 +139,15 @@ def parse_grid_spec(spec: str, seed: int):
     raise ParseError(f"bad grid spec {spec!r}")
 
 
-def _positive(flag: str, text) -> list:
-    """The comma-separated integers of a flag; each must be >= 1."""
+def _orders(text) -> list:
+    """The comma-separated Toeplitz orders M of --orders; each must be >= 2,
+    so that the isometry-defect window min(8, M // 2) is at least 1."""
     try:
         values = [int(x) for x in str(text).split(",")]
     except ValueError:
         values = [0]
-    if min(values) < 1:
-        raise ParseError(f"{flag} takes integers >= 1, got {text!r}")
+    if min(values) < 2:
+        raise ParseError(f"--orders takes integers >= 2, got {text!r}")
     return values
 
 
@@ -224,7 +220,7 @@ def _cmd_inner_check(args, tol, seed):
 
 def _cmd_toeplitz_check(args, tol, seed):
     obj = _load(args.input)
-    orders = _positive("--orders", args.orders)
+    orders = _orders(args.orders)
     evidence = {"isometry_defect_by_M": {}, "structure": None, "radii": None,
                 "boundary_deviation": None}
     if isinstance(obj, Colligation):
@@ -380,8 +376,7 @@ def _cmd_strip(args, tol, seed):
     obj = _load_as(args.input, (RationalFunction2, PowerSeries2),
                    "strip expects a rational2 or series2 input")
     try:
-        p, stripped = strip_monomial(
-            obj, truncation=_positive("--truncation", args.truncation)[0], tol=tol)
+        p, stripped = strip_monomial(obj, tol=tol)
     except NotDivisibleError as exc:
         return f"NotDivisible: {exc}", {}, 1
     if isinstance(stripped, RationalFunction2):
@@ -428,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify", _cmd_classify, "isometry/co-isometry/unitary/contraction classification")
     add("inner-check", _cmd_inner_check,
         "certify, refute, or decline inner-ness of a transfer function")
-    p = add("toeplitz-check", _cmd_toeplitz_check, "Toeplitz truncation diagnostics")
-    p.add_argument("--orders", default="8,16,24", help="comma-separated truncation orders")
+    p = add("toeplitz-check", _cmd_toeplitz_check, "Toeplitz isometry-defect diagnostics")
+    p.add_argument("--orders", default="8,16,24", help="comma-separated Toeplitz orders, each >= 2")
     p = add("agler-kernels", _cmd_agler_kernels,
             "extract Agler kernels of a co-isometric colligation")
     p.add_argument("--grid", help='grid spec, e.g. "bidisc:rand:40:seed=7"')
@@ -448,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("compose", _cmd_compose, "compose one-variable colligations", ("first", "second"))
     add("split", _cmd_split, "split a colligation into one-variable factors")
     add("model", _cmd_model, "model-space colligation of a finite Blaschke product")
-    p = add("strip", _cmd_strip, "strip powers of the first variable")
-    p.add_argument("--truncation", type=int, default=16)
+    add("strip", _cmd_strip, "strip powers of the first variable")
     return parser
 
 

@@ -1,7 +1,6 @@
 """Colligation operators V = [[a, B], [C, D]] on C + H with a partitioned
 state space, their transfer functions on the disc and bidisc, structural
-predicates, model-space realizations of finite Blaschke products, and
-monomial stripping.
+predicates, and model-space realizations of finite Blaschke products.
 """
 
 from __future__ import annotations
@@ -12,12 +11,11 @@ import numpy as np
 
 from . import numlin
 from .errors import (
-    NotDivisibleError,
+    ConditionFailedError,
     NotStructuredError,
     ResolventIllConditionedError,
     ZeroOnBoundaryError,
 )
-from .functions import PowerSeries2, RationalFunction2, series_of
 from .numlin import DEFAULT_TOL, RESIDUAL_GUARD, as_matrix, bound, frob
 
 
@@ -438,66 +436,10 @@ def model_colligation(constant: complex, zeros) -> Colligation:
     """
     constant = complex(constant)
     if abs(abs(constant) - 1.0) > numlin.EXACT_GUARD:
-        raise ValueError(f"leading constant must be unimodular, got |c| = {abs(constant)}")
+        raise ConditionFailedError(
+            f"leading constant must be unimodular, got |c| = {abs(constant)}")
     v = Colligation(1.0, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0])
     for alpha in zeros:
         v = _cascade_1d(v, blaschke_section(alpha))
     tail = Colligation(constant, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0])
     return _cascade_1d(v, tail)
-
-
-# ---------------------------------------------------------------------------
-# monomial stripping
-
-
-def strip_monomial(f, truncation: int = 16, tol: float = DEFAULT_TOL):
-    """Factor out the largest pure power of the first variable.
-
-    Returns (p, stripped) where stripped has a nonzero value at the origin.
-    Raises NotDivisibleError when no first-variable power divides, or when
-    the quotient still vanishes at the origin (the diagnostic then suggests
-    stripping the second variable instead).  Stripping in the second
-    variable is the separate call strip_monomial_var2.
-    """
-    if isinstance(f, RationalFunction2):
-        table = series_of(f, truncation, truncation).coeffs
-    elif isinstance(f, PowerSeries2):
-        table = f.coeffs
-    else:
-        raise TypeError("strip_monomial needs a rational function or a power series")
-    tol_abs = bound(tol, float(np.abs(table).max(initial=0.0)))
-    if abs(table[0, 0]) > tol_abs:
-        return 0, f
-    rows = np.flatnonzero(np.any(np.abs(table) > tol_abs, axis=1))
-    if rows.size == 0:
-        raise NotDivisibleError("series vanishes identically to truncation")
-    p = int(rows[0])
-    if p == 0:
-        raise NotDivisibleError(
-            "value at the origin vanishes but no power of the first variable "
-            "divides; try stripping the second variable"
-        )
-    if isinstance(f, RationalFunction2):
-        m1, m2 = f.monomial
-        if m1 < p:
-            raise NotDivisibleError(
-                f"monomial exponent {m1} smaller than series valuation {p}"
-            )
-        stripped = RationalFunction2((m1 - p, m2), f.denominator, f.unimodular,
-                                     check_zero_free=False)
-        origin = complex(stripped(0.0, 0.0))
-    else:
-        stripped = PowerSeries2(f.coeffs[p:, :])
-        origin = complex(stripped.coeffs[0, 0])
-    if abs(origin) <= tol_abs:
-        raise NotDivisibleError(
-            f"after removing {p} first-variable power(s) the value at the origin "
-            "still vanishes; a second-variable factor remains (try strip_monomial_var2)"
-        )
-    return p, stripped
-
-
-def strip_monomial_var2(f, truncation: int = 16, tol: float = DEFAULT_TOL):
-    """Symmetric twin of strip_monomial acting on the second variable."""
-    p, stripped = strip_monomial(f.swap_variables(), truncation, tol)
-    return p, stripped.swap_variables()

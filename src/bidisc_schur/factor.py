@@ -273,7 +273,7 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
         raise GridMismatchError("the two kernels are sampled on different grids")
     axis1, axis2, origin1, origin2 = _product_axes(k1.grid)
     if k1.dim != 1 or k2.dim != 1:
-        raise ValueError("factorization conditions are for scalar kernels")
+        raise GridMismatchError("factorization conditions are for scalar kernels")
     origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
     if abs(origin) <= tol:
         raise OriginZeroError("value at the origin vanishes; strip monomials first")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .errors import NearPoleError, NonFiniteError, ZeroPolynomialError
-from .numlin import DEFAULT_TOL, EXACT_GUARD
+from .errors import NearPoleError, NonFiniteError, NotDivisibleError, ZeroPolynomialError
+from .numlin import DEFAULT_TOL, EXACT_GUARD, bound
 
 # interior sample grids stay inside radius 0.95 so downstream resolvents
 # (I - E(z) D)^{-1} remain well conditioned
@@ -338,6 +338,53 @@ def series_of(f: RationalFunction2, n1: int, n2: int) -> PowerSeries2:
     if m1 <= n1 and m2 <= n2:
         out[m1:, m2:] = _divide(f.numerator.coeffs, p, n1 + 1 - m1, n2 + 1 - m2)
     return PowerSeries2(out)
+
+
+def strip_monomial(f, *, tol: float = DEFAULT_TOL):
+    """Factor out the largest pure power of the first variable.
+
+    Returns (p, stripped) where stripped has a nonzero value at the origin.
+    For a rational function p is its monomial exponent m1, read exactly,
+    and the origin is zero when |stripped(0, 0)| <= tol; for a power
+    series p is the first row of the table with an entry above
+    bound(tol, max |coeffs|), the origin's threshold too.  Raises
+    NotDivisibleError when no first-variable power divides, or when the
+    quotient still vanishes at the origin (the diagnostic then suggests
+    stripping the second variable instead).  Stripping in the second
+    variable is the separate call strip_monomial_var2.
+    """
+    if isinstance(f, RationalFunction2):
+        p, m2 = f.monomial
+        stripped = RationalFunction2((0, m2), f.denominator, f.unimodular,
+                                     check_zero_free=False)
+        origin, tol_abs = complex(stripped(0.0, 0.0)), tol
+    elif isinstance(f, PowerSeries2):
+        tol_abs = bound(tol, float(np.abs(f.coeffs).max(initial=0.0)))
+        rows = np.flatnonzero(np.any(np.abs(f.coeffs) > tol_abs, axis=1))
+        if rows.size == 0:
+            raise NotDivisibleError("series vanishes identically to truncation")
+        p = int(rows[0])
+        stripped = PowerSeries2(f.coeffs[p:, :])
+        origin = complex(stripped.coeffs[0, 0])
+    else:
+        raise TypeError("strip_monomial needs a rational function or a power series")
+    if abs(origin) > tol_abs:
+        return p, (stripped if p else f)
+    if p == 0:
+        raise NotDivisibleError(
+            "value at the origin vanishes but no power of the first variable "
+            "divides; try stripping the second variable"
+        )
+    raise NotDivisibleError(
+        f"after removing {p} first-variable power(s) the value at the origin "
+        "still vanishes; a second-variable factor remains (try strip_monomial_var2)"
+    )
+
+
+def strip_monomial_var2(f, *, tol: float = DEFAULT_TOL):
+    """Symmetric twin of strip_monomial acting on the second variable."""
+    p, stripped = strip_monomial(f.swap_variables(), tol=tol)
+    return p, stripped.swap_variables()
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
     if not k1.grid.same_points(k2.grid):
         raise GridMismatchError("the two kernels are sampled on different grids")
     if k1.dim != 1 or k2.dim != 1:
-        raise ValueError("decomposition verification is for scalar kernels")
+        raise GridMismatchError("decomposition verification is for scalar kernels")
     if k1.grid.ambient != "bidisc":
         raise GridMismatchError("decomposition verification needs kernels on a bidisc grid")
     pts = k1.grid.points
@@ -245,7 +245,7 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
     if n < 2:
         raise GridMismatchError("dbr_test_polydisc needs at least two variables")
     if len(components) != n:
-        raise ValueError(f"expected {n} component kernels, got {len(components)}")
+        raise GridMismatchError(f"expected {n} component kernels, got {len(components)}")
     for ki in components:
         if not ki.grid.same_points(grid):
             raise GridMismatchError("component kernel sampled on a different grid")

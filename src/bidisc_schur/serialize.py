@@ -40,7 +40,7 @@ import numpy as np
 from .colligation import Colligation
 from .errors import SchemaError
 from .factor import FactorizationResult
-from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2, reflect
+from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2
 from .kernels import SampledKernel, ThetaRealization, check_value_dim
 
 

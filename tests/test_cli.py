@@ -345,6 +345,16 @@ def test_cli_strip(tmp_path, capsys):
     assert report["verdict"].startswith("NotDivisible")
 
 
+def test_cli_strip_reads_the_monomial_exponent(tmp_path, capsys):
+    # z1^17 (z1 - 1/2)/(1 - z1/2): the power is its monomial exponent
+    den = bs.Poly2([[1.0], [-0.5]])
+    path = write(tmp_path, "f.json", serialize.rational_to_json(bs.RationalFunction2((17, 0), den)))
+    code, report = run_cli(capsys, "strip", path)
+    assert code == 0 and report["verdict"] == "stripped"
+    assert report["evidence"] == reparsed({
+        "power": 17, "function": serialize.rational_to_json(bs.RationalFunction2((0, 0), den))})
+
+
 def test_cli_toeplitz_check(tmp_path, capsys):
     v = bs.compose_colligations(bs.model_colligation(1.0, [0.2]),
                                 bs.model_colligation(1.0, [0.1j]))

@@ -5,14 +5,17 @@ A plain seeded loop: for each command, the input files of one kind are
 replaced by a corrupted copy (a NaN entry at a seeded position, a bad partition, a
 kernel of value dimension 0 or 9, a partition, dim or monomial entry that is
 not a JSON integer in range, a grid point on the boundary, an empty
-grid, a valid kernel on the wrong domain), the integer flags are set to
-values <= 0, functions are evaluated at points with the wrong number of
+grid, a valid kernel on the wrong domain), --orders is set to values
+below 2, functions are evaluated at points with the wrong number of
 coordinates, and colligations with the wrong number of variables, or a
 grid on the wrong domain, are sent.  A kernel dim outside 1..8, an empty
 grid and a flag or point of the wrong shape must be reported as such (the
 last two as a ParseError), not by a symptom such as a shape mismatch or a
-missing argument; a kernel or grid on the wrong domain is a GridMismatch
-and a colligation with the wrong number of variables is NotStructured."""
+missing argument; a kernel or grid on the wrong domain, a kernel of value
+dimension 2 where a scalar one is needed and too few component kernels are
+a GridMismatch, a colligation with the wrong number of variables is
+NotStructured, and a Blaschke constant that is not unimodular is
+ConditionFailed."""
 
 import json
 import math
@@ -40,9 +43,10 @@ def example(name):
         return json.load(fh)
 
 
-def kernel_json(ambient, n, seed, gram):
+def kernel_json(ambient, n, seed, gram, dim=1):
     grid = bs.make_grid(ambient, n, seed=seed)
-    return serialize.kernel_to_json(SampledKernel(grid, gram(grid)))
+    values = gram(grid) if dim == 1 else gram(grid)[:, :, None, None] * np.eye(dim)
+    return serialize.kernel_to_json(SampledKernel(grid, values, dim))
 
 
 VALID = {
@@ -53,6 +57,8 @@ VALID = {
     "disc": example("dbr_kernel.json"),
     "bidisc": kernel_json("bidisc", 6, 3, szego_gram),
     "ball": kernel_json("ball-2", 5, 4, drury_arveson_gram),
+    "bidisc-dim2": kernel_json("bidisc", 6, 3, szego_gram, dim=2),
+    "blaschke-c2": dict(example("blaschke.json"), constant=[2.0, 0.0]),
 }
 # a valid kernel on another domain than the one a command needs
 WRONG_AMBIENT = {"disc": "bidisc", "bidisc": "disc", "ball": "disc"}
@@ -78,7 +84,9 @@ COMMANDS = [
 ]
 # command, its positional inputs, flags, and the typed refusal they get:
 # one-variable colligations where two variables are needed, two-variable
-# factors, and a grid on the wrong domain
+# factors, a grid on the wrong domain, kernels of value dimension 2 where
+# scalar ones are needed, too few component kernels, and a Blaschke constant
+# that is not unimodular
 REFUSALS = [
     ("inner-check", ["colligation1"], [], "NotStructured: "),
     ("split", ["colligation1"], [], "NotStructured: "),
@@ -86,6 +94,11 @@ REFUSALS = [
     ("agler-kernels", ["colligation1"], [], "NotStructured: "),
     ("compose", ["colligation", "colligation"], [], "NotStructured: "),
     ("agler-kernels", ["colligation"], ["--grid", "torus2:3"], "GridMismatch: "),
+    ("agler-verify", ["colligation", "bidisc-dim2", "bidisc-dim2"], [],
+     "GridMismatch: decomposition verification is for scalar kernels"),
+    ("dbr-polydisc", ["bidisc", "bidisc"], [], "GridMismatch: expected 2 component kernels, got 1"),
+    ("model", ["blaschke-c2"], [],
+     "ConditionFailed: leading constant must be unimodular, got |c| = 2.0"),
 ]
 # command, its positional inputs, flags that make it a ParseError, and what
 # the verdict must name
@@ -93,8 +106,9 @@ BAD_FLAGS = [
     ("toeplitz-check", ["colligation"], ["--orders", "0"], "--orders"),
     ("toeplitz-check", ["colligation"], ["--orders", "-8"], "--orders"),
     ("toeplitz-check", ["colligation"], ["--orders", "8,0"], "--orders"),
-    ("strip", ["rational"], ["--truncation", "0"], "--truncation"),
-    ("strip", ["rational"], ["--truncation", "-1"], "--truncation"),
+    ("toeplitz-check", ["colligation"], ["--orders", "1"], "--orders takes integers >= 2, got '1'"),
+    ("toeplitz-check", ["colligation"], ["--orders", "8,1"],
+     "--orders takes integers >= 2, got '8,1'"),
     ("eval", ["colligation"], ["--at", "[[0.3,0]]"], "have 1 coordinate(s), but the function takes 2"),
     ("eval", ["colligation1"], ["--grid", "bidisc:rand:3"],
      "have 2 coordinate(s), but the function takes 1"),

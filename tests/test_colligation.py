@@ -12,6 +12,7 @@ from bidisc_schur.colligation import (
     transfer_torus,
 )
 from bidisc_schur.errors import (
+    ConditionFailedError,
     NotDivisibleError,
     NotStructuredError,
     ResolventIllConditionedError,
@@ -517,7 +518,7 @@ def test_model_colligation_constant():
 
 @pytest.mark.parametrize("c", [0.5, 1.0 + 1e-9, 2j, 0.0])
 def test_model_colligation_refuses_non_unimodular_constant(c):
-    with pytest.raises(ValueError, match="unimodular"):
+    with pytest.raises(ConditionFailedError, match="unimodular"):
         bs.model_colligation(c, [0.5])
 
 

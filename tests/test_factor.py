@@ -26,6 +26,7 @@ from helpers import (
     not_separable_tiny_origin,
     permutation_colligation,
     random_blaschke,
+    szego_gram,
     tabulate,
     triangular_contraction,
     vt_colligation,
@@ -422,6 +423,13 @@ def test_factorization_conditions_separable():
     assert rep.cond2
     assert rep.invariance_residual < 1e-12
     assert rep.section_residual < 1e-12
+
+
+def test_factorization_conditions_need_scalar_kernels():
+    grid = factor.product_grid(3, 3, seed=64)
+    k = SampledKernel(grid, szego_gram(grid)[:, :, None, None] * np.eye(2), 2)
+    with pytest.raises(GridMismatchError, match="factorization conditions are for scalar kernels"):
+        factor.agler_factorization_conditions(bs.mobius_of_product(0.5), k, k)
 
 
 def test_factorization_conditions_product_mobius_fails():

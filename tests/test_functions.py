@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur.errors import NearPoleError, NonFiniteError, ZeroPolynomialError
+from bidisc_schur.errors import (
+    NearPoleError,
+    NonFiniteError,
+    NotDivisibleError,
+    ZeroPolynomialError,
+)
 from bidisc_schur.functions import INTERIOR_RADIUS, ZERO_FREE_MARGIN
 from helpers import (
     common_truncation,
@@ -477,3 +482,53 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# -- monomial stripping -------------------------------------------------------
+
+
+def blaschke_times_power(m1):
+    """z1^m1 (z1 - 1/2)/(1 - z1/2) in Rudin form."""
+    return bs.RationalFunction2((m1, 0), bs.Poly2([[1.0], [-0.5]]))
+
+
+def test_strip_monomial_reads_the_exponent():
+    # the power is the monomial exponent, however large
+    p, stripped = bs.strip_monomial(blaschke_times_power(17))
+    assert p == 17 and stripped.monomial == (0, 0)
+    assert stripped(0.0, 0.0) == pytest.approx(-0.5)
+
+
+def test_strip_monomial_var2_reads_the_exponent():
+    f = blaschke_times_power(17).swap_variables()
+    p, stripped = bs.strip_monomial_var2(f)
+    assert p == 17 and stripped.monomial == (0, 0)
+    z1, z2 = bs.make_grid("bidisc", 10, seed=2).points.T
+    assert np.allclose(z2 ** 17 * stripped(z1, z2), f(z1, z2), rtol=1e-12, atol=0)
+
+
+def zero_free_denominator(rng):
+    """1 + q of bidegree (2, 2), the coefficients of q summing to 0.8 in
+    modulus, so |p| >= 0.2 on the closed bidisc."""
+    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    c[0, 0] = 0.0
+    c *= 0.8 / np.abs(c).sum()
+    c[0, 0] = 1.0
+    return bs.Poly2(c)
+
+
+def test_strip_monomial_table():
+    # the power is m1 whatever its size; any z2 factor is left over
+    rng = np.random.default_rng(22)
+    z1, z2 = bs.make_grid("bidisc", 20, seed=22).points.T
+    for m1 in (0, 1, 5, 16, 17, 24):
+        for m2 in (0, 3, 17):
+            f = bs.RationalFunction2((m1, m2), zero_free_denominator(rng),
+                                     np.exp(2j * np.pi * rng.uniform()))
+            if m2:
+                with pytest.raises(NotDivisibleError, match="second.variable"):
+                    bs.strip_monomial(f)
+                continue
+            p, stripped = bs.strip_monomial(f)
+            assert p == m1, (m1, m2)
+            assert np.allclose(z1 ** p * stripped(z1, z2), f(z1, z2), rtol=1e-12, atol=0)
