@@ -248,16 +248,15 @@ def _cmd_toeplitz_check(args, tol, seed):
 def _cmd_agler_kernels(args, tol, seed):
     v = _load_as(args.input, Colligation, "agler-kernels expects a colligation")
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
+    if args.out_k2 and v.nvars < 2:
+        raise ParseError("--out-k2 asks for K2, but the colligation has 1 state block")
     pair = kernels_mod.agler_kernels_of(v, grid, tol)
     # each kernel is formatted once, for its file and for the report
-    evidence = {
-        "max_residual": pair.max_residual,
-        "K1": serialize.RawJSON(serialize.dumps(serialize.kernel_to_json(pair.k1))),
-        "K2": serialize.RawJSON(serialize.dumps(serialize.kernel_to_json(pair.k2))),
-    }
+    evidence = {f"K{i}": serialize.RawJSON(serialize.dumps(serialize.kernel_to_json(k)))
+                for i, k in enumerate(pair.kernels, 1)}
+    evidence["max_residual"] = pair.max_residual
     # bare kernel files chain directly into agler-verify / dbr commands
-    for attr, key in (("out_k1", "K1"), ("out_k2", "K2")):
-        path = getattr(args, attr, None)
+    for key, path in (("K1", args.out_k1), ("K2", args.out_k2)):
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(evidence[key] + "\n")
@@ -266,13 +265,13 @@ def _cmd_agler_kernels(args, tol, seed):
 
 def _cmd_agler_verify(args, tol, seed):
     fn = _as_function(_load(args.function))
-    k1, k2 = (_load_as(path, kernels_mod.SampledKernel,
-                       "agler-verify expects kernel JSON for K1 and K2")
-              for path in (args.k1, args.k2))
-    for name, k in (("K1", k1), ("K2", k2)):
+    kernels = [_load_as(path, kernels_mod.SampledKernel,
+                        "agler-verify expects kernel JSON for K1 ... Kd")
+               for path in args.kernels]
+    for i, k in enumerate(kernels, 1):
         if not k.is_psd(tol):
-            return f"failed: {name} is not PSD", {"kernel": name}, 1
-    rep = kernels_mod.verify_agler_decomposition(fn, k1, k2, tol)
+            return f"failed: K{i} is not PSD", {"kernel": f"K{i}"}, 1
+    rep = kernels_mod.verify_agler_decomposition(fn, kernels, tol)
     verdict = "pass" if rep.passed else "failed: decomposition identity violated"
     return verdict, {"max_residual": rep.max_residual}, 0 if rep.passed else 1
 
@@ -431,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-k1", help="write the first kernel as a bare kernel JSON")
     p.add_argument("--out-k2", help="write the second kernel as a bare kernel JSON")
     add("agler-verify", _cmd_agler_verify, "verify an Agler decomposition",
-        ("function", "k1", "k2"))
+        ("function", "kernels"), last_nargs="+")
     add("dbr-check", _cmd_dbr_check, "de Branges-Rovnyak kernel test on the disc")
     add("dbr-nf-check", _cmd_dbr_nf_check, "normalized-form kernel test (Szego domination pair)")
     add("dbr-reconstruct", _cmd_dbr_reconstruct, "reconstruct a Schur symbol from a disc kernel")

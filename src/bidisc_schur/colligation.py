@@ -1,5 +1,5 @@
 """Colligation operators V = [[a, B], [C, D]] on C + H with a partitioned
-state space, their transfer functions on the disc and bidisc, structural
+state space, their transfer functions on the disc and polydisc, structural
 predicates, and model-space realizations of finite Blaschke products.
 """
 
@@ -23,12 +23,11 @@ class Colligation:
     """Block operator matrix [[a, B], [C, D]] with a state partition.
 
     a is a scalar, B is 1 x h, C is h x 1, D is h x h, and partition lists
-    the state-block dimensions (one entry per variable; only one or two
-    variables are supported).  For two variables the D sub-blocks follow
-    the usual labels: D1 (upper-left), D2 (upper-right), D4 (lower-right)
-    and lower_left for the coupling block.  Formulas for the triangular form,
-    where the lower-left block vanishes, write D3 for the lower-right block
-    D4.
+    the state-block dimensions, one per variable z1, ..., zd (any d >= 1).
+    For two variables the D sub-blocks follow the usual labels: D1
+    (upper-left), D2 (upper-right), D4 (lower-right) and lower_left for the
+    coupling block.  Formulas for the triangular form, where the lower-left
+    block vanishes, write D3 for the lower-right block D4.
     """
 
     def __init__(self, a, B, C, D, partition):
@@ -37,8 +36,8 @@ class Colligation:
         self.C = as_matrix(C)
         self.D = as_matrix(D)
         self.partition = tuple(int(h) for h in partition)
-        if len(self.partition) not in (1, 2):
-            raise ValueError("partition must have one or two blocks")
+        if not self.partition:
+            raise ValueError("partition must have at least one block")
         if any(h < 0 for h in self.partition):
             raise ValueError("partition entries must be nonnegative")
         h = sum(self.partition)
@@ -87,8 +86,8 @@ class Colligation:
     D4 = property(lambda self: self.D[self._h1():, self._h1():])
 
     def __call__(self, *z):
-        """The transfer function at broadcast coordinates: v(z1, z2) for two
-        variables, v(z) for one, through one transfer_grid call."""
+        """The transfer function at broadcast coordinates, v(z1, ..., zd)
+        (v(z) for one variable), through one transfer_grid call."""
         if len(z) != self.nvars:
             raise ValueError(f"a {self.nvars}-variable colligation takes {self.nvars} "
                              f"coordinate(s), got {len(z)}")
@@ -188,7 +187,7 @@ def _is_constant(v: Colligation) -> bool:
 def transfer_grid(v: Colligation, points) -> np.ndarray:
     """a + B (I - E(z) D)^{-1} E(z) C at every point z, one batched solve.
 
-    E(z) = z1 I (+) z2 I along the state partition (z I for one variable).
+    E(z) = z1 I (+) ... (+) zd I along the state partition (z I for d = 1).
     points holds one point per row; a flat array is read as a list of
     one-variable points, or as a single two-variable point.  A state whose
     E entry vanishes at every point has x = 0 there, so it is dropped and

@@ -128,9 +128,10 @@ def split_colligation(v: Colligation, tol: float = DEFAULT_TOL) -> Factorization
     with y = +sqrt(1 - B1 B1*) (positive real branch; any unimodular
     rotation is gauge) and x = a/y.  Both factors are co-isometric and the
     transfer functions multiply back to the original on a fixed test grid."""
+    condition = check_condition_4(v, tol)     # the arity gate, before the origin test
     if abs(v.a) <= tol:
         raise OriginZeroError("cannot split: the constant term vanishes")
-    if not check_condition_4(v, tol):
+    if not condition:
         raise ConditionFailedError(
             "colligation fails the splittability condition "
             "(co-isometry, zero lower-left block, a D2 = C1 B2)")

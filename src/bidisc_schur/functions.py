@@ -347,44 +347,48 @@ def strip_monomial(f, *, tol: float = DEFAULT_TOL):
     For a rational function p is its monomial exponent m1, read exactly,
     and the origin is zero when |stripped(0, 0)| <= tol; for a power
     series p is the first row of the table with an entry above
-    bound(tol, max |coeffs|), the origin's threshold too.  Raises
-    NotDivisibleError when no first-variable power divides, or when the
-    quotient still vanishes at the origin (the diagnostic then suggests
-    stripping the second variable instead).  Stripping in the second
-    variable is the separate call strip_monomial_var2.
+    bound(tol, max |coeffs|), the origin's threshold too.  Otherwise
+    NotDivisibleError says why: a second-variable power divides too, or
+    no monomial accounts for the zero (reflect(p) vanishes there).
     """
-    if isinstance(f, RationalFunction2):
-        p, m2 = f.monomial
-        stripped = RationalFunction2((0, m2), f.denominator, f.unimodular,
-                                     check_zero_free=False)
-        origin, tol_abs = complex(stripped(0.0, 0.0)), tol
-    elif isinstance(f, PowerSeries2):
-        tol_abs = bound(tol, float(np.abs(f.coeffs).max(initial=0.0)))
-        rows = np.flatnonzero(np.any(np.abs(f.coeffs) > tol_abs, axis=1))
-        if rows.size == 0:
-            raise NotDivisibleError("series vanishes identically to truncation")
-        p = int(rows[0])
-        stripped = PowerSeries2(f.coeffs[p:, :])
-        origin = complex(stripped.coeffs[0, 0])
-    else:
-        raise TypeError("strip_monomial needs a rational function or a power series")
-    if abs(origin) > tol_abs:
-        return p, (stripped if p else f)
-    if p == 0:
-        raise NotDivisibleError(
-            "value at the origin vanishes but no power of the first variable "
-            "divides; try stripping the second variable"
-        )
-    raise NotDivisibleError(
-        f"after removing {p} first-variable power(s) the value at the origin "
-        "still vanishes; a second-variable factor remains (try strip_monomial_var2)"
-    )
+    return _strip(f, tol, "first", "second")
 
 
 def strip_monomial_var2(f, *, tol: float = DEFAULT_TOL):
     """Symmetric twin of strip_monomial acting on the second variable."""
-    p, stripped = strip_monomial(f.swap_variables(), tol=tol)
+    p, stripped = _strip(f.swap_variables(), tol, "second", "first")
     return p, stripped.swap_variables()
+
+
+def _strip(f, tol: float, first: str, second: str):
+    """strip_monomial of f, whose refusals call its variables first and second.
+    q is the power of the second variable that divides the quotient."""
+    if isinstance(f, RationalFunction2):
+        p, q = f.monomial
+        stripped = RationalFunction2((0, 0), f.denominator, f.unimodular, check_zero_free=False)
+        vanishes = abs(complex(stripped(0.0, 0.0))) <= tol
+        cause = "the numerator reflect(p) vanishes at the origin"
+    elif isinstance(f, PowerSeries2):
+        live = np.abs(f.coeffs) > bound(tol, float(np.abs(f.coeffs).max(initial=0.0)))
+        rows = np.flatnonzero(np.any(live, axis=1))
+        if rows.size == 0:
+            raise NotDivisibleError("series vanishes identically to truncation")
+        p = int(rows[0])
+        q = int(np.flatnonzero(np.any(live[p:], axis=0))[0])     # the first live column
+        vanishes = not live[p, 0] and q == 0
+        stripped = PowerSeries2(f.coeffs[p:, :])
+        cause = "the series vanishes at the origin"
+    else:
+        raise TypeError("strip_monomial needs a rational function or a power series")
+    done = f"after removing {p} {first}-variable power(s)," if p else \
+        f"no power of the {first} variable divides, and"
+    if vanishes:
+        raise NotDivisibleError(f"{done} {cause}, which no monomial factor accounts for")
+    if q:
+        advice = f"no power of the {first} variable alone leaves" if p else "strip it to get"
+        raise NotDivisibleError(f"{done} a power of the {second} variable divides: "
+                                f"{advice} a quotient nonzero at the origin")
+    return p, (stripped if p else f)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     NotCoisometricError,
     NotDbrError,
     NotPsdError,
-    NotStructuredError,
     RankOverflowError,
 )
 from .functions import PointGrid
@@ -87,67 +86,63 @@ class SampledKernel:
         return f"SampledKernel(npoints={len(self.grid)}, dim={self.dim})"
 
 
-def _pair_products(grid: PointGrid) -> np.ndarray:
-    """Matrix of inner products <z_i, w_j> = sum_k z_ik conj(z_jk)."""
-    pts = grid.points
-    return pts @ pts.conj().T
-
-
 def _coordinate_products(grid: PointGrid, k: int) -> np.ndarray:
     zk = grid.points[:, k]
     return zk[:, None] * np.conj(zk)[None, :]
 
 
 # ---------------------------------------------------------------------------
-# Agler kernels of a co-isometric two-variable colligation
+# Agler kernels of a co-isometric colligation, one per state block
 
 
-def _agler_residual(vals: np.ndarray, k1: SampledKernel, k2: SampledKernel) -> tuple:
+def _require_polydisc(grid: PointGrid, n: int, what: str) -> None:
+    """GridMismatchError unless grid is an interior polydisc grid with n
+    coordinates: disc, bidisc or polydisc-n, not the torus or a ball."""
+    if grid.nvars != n or grid.ambient == "torus2" or grid.ambient.startswith("ball"):
+        name = {1: "disc", 2: "bidisc"}.get(n, f"polydisc-{n}")
+        raise GridMismatchError(f"{what} needs a {name} grid")
+
+
+def _agler_residual(vals: np.ndarray, kernels) -> tuple:
     """Largest entry of (1 - f(z) conj(f(w))) - sum_i (1 - z_i conj(w_i)) K_i(z, w)
-    over the shared grid of two scalar kernels, given the values of f there,
-    and the Frobenius norm of 1 - f(z) conj(f(w))."""
+    over the shared grid of scalar kernels K_1 ... K_d, given the values of
+    f there, and the Frobenius norm of 1 - f(z) conj(f(w))."""
     lhs = 1.0 - vals[:, None] * np.conj(vals)[None, :]
-    rhs = ((1.0 - _coordinate_products(k1.grid, 0)) * k1.values
-           + (1.0 - _coordinate_products(k1.grid, 1)) * k2.values)
+    rhs = sum((1.0 - _coordinate_products(k.grid, i)) * k.values for i, k in enumerate(kernels))
     return float(np.max(np.abs(lhs - rhs), initial=0.0)), frob(lhs)
 
 
 @dataclass(frozen=True)
 class AglerKernels:
-    k1: SampledKernel
-    k2: SampledKernel
+    kernels: tuple
     max_residual: float
 
 
 def agler_kernels_of(v: Colligation, grid: PointGrid,
                      tol: float = DEFAULT_TOL) -> AglerKernels:
-    """Kernels K1, K2 with
+    """Kernels K_1, ..., K_d, one per state block, with
 
-        1 - f(z) conj(f(w)) = (1 - z1 conj(w1)) K1(z,w) + (1 - z2 conj(w2)) K2(z,w)
+        1 - f(z) conj(f(w)) = sum_i (1 - z_i conj(w_i)) K_i(z, w)
 
-    for the transfer function f of a co-isometric colligation, via
+    for the transfer function f of a co-isometric colligation of d
+    variables, on an interior polydisc grid with d coordinates, via
     K_i(z,w) = H_i(z) H_i(w)* with H(z) = B (I - E(z) D)^{-1} split along
     the state partition.  The identity is re-checked on the grid and a
     violation raises (it can only come from a bug or ill-conditioning)."""
-    if v.nvars != 2:
-        raise NotStructuredError("agler_kernels_of needs a two-variable colligation")
-    if grid.ambient != "bidisc":
-        raise GridMismatchError("agler_kernels_of needs a bidisc grid")
+    _require_polydisc(grid, v.nvars, "agler_kernels_of")
     if not v.classify(tol).is_coisometry:
         raise NotCoisometricError("colligation is not co-isometric at the given tolerance")
     # state rows H(z) = B (I - E(z) D)^{-1}, from H(z)^T = (I - E(z) D)^{-T} B^T
     reps = np.repeat(grid.points, v.partition, axis=1)
     h = _resolvent_solve(v.D, reps, v.B.T, transpose=True)[:, :, 0]
-    h1 = h[:, : v.partition[0]]
-    h2 = h[:, v.partition[0]:]
-    k1 = SampledKernel(grid, h1 @ h1.conj().T)
-    k2 = SampledKernel(grid, h2 @ h2.conj().T)
+    kernels = tuple(SampledKernel(grid, hi @ hi.conj().T)
+                    for hi in np.split(h, np.cumsum(v.partition)[:-1], axis=1))
     # f(z) = a + H(z) E(z) C from the same rows
-    residual, lhs_norm = _agler_residual(v.a + (h * reps) @ v.C[:, 0], k1, k2)
+    residual, lhs_norm = _agler_residual(v.a + (h * reps) @ v.C[:, 0], kernels)
     if residual > numlin.floored(tol, lhs_norm):
         raise IdentityViolatedError(
             f"decomposition identity violated (max residual {residual:.3e})")
-    return AglerKernels(k1, k2, residual)
+    return AglerKernels(kernels, residual)
 
 
 @dataclass(frozen=True)
@@ -156,19 +151,19 @@ class DecompositionReport:
     max_residual: float
 
 
-def verify_agler_decomposition(f, k1: SampledKernel, k2: SampledKernel,
-                               tol: float = DEFAULT_TOL) -> DecompositionReport:
-    """Check the decomposition identity pointwise on the shared grid."""
-    if not k1.grid.same_points(k2.grid):
-        raise GridMismatchError("the two kernels are sampled on different grids")
-    if k1.dim != 1 or k2.dim != 1:
+def verify_agler_decomposition(f, kernels, tol: float = DEFAULT_TOL) -> DecompositionReport:
+    """Check the decomposition identity pointwise on the kernels' shared grid,
+    an interior polydisc grid with one coordinate per kernel.  It passes at
+    numlin.floored(tol, ||1 - f f*||_F), the gate of agler_kernels_of."""
+    grid = kernels[0].grid
+    if not all(k.grid.same_points(grid) for k in kernels):
+        raise GridMismatchError("the kernels are sampled on different grids")
+    if any(k.dim != 1 for k in kernels):
         raise GridMismatchError("decomposition verification is for scalar kernels")
-    if k1.grid.ambient != "bidisc":
-        raise GridMismatchError("decomposition verification needs kernels on a bidisc grid")
-    pts = k1.grid.points
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=np.complex128)
-    residual, _ = _agler_residual(vals, k1, k2)
-    return DecompositionReport(residual <= tol, residual)
+    _require_polydisc(grid, len(kernels), f"decomposition verification of {len(kernels)} kernel(s)")
+    residual, lhs_norm = _agler_residual(
+        np.asarray(f(*grid.points.T), dtype=np.complex128), kernels)
+    return DecompositionReport(residual <= numlin.floored(tol, lhs_norm), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +233,12 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
 
         K(z,w) = sum_i K_i(z,w) / prod_{j != i} (1 - z_j conj(w_j))
 
-    pointwise, and PSD-ness of the Gram of I - (prod_j (1 - z_j conj(w_j))) K.
-    No reconstruction is attempted."""
+    pointwise, and PSD-ness of the Gram of I - (prod_j (1 - z_j conj(w_j))) K,
+    on an interior polydisc grid of n >= 1 coordinates with one component
+    per coordinate.  No reconstruction is attempted."""
     grid = k.grid
     n = grid.nvars
-    if n < 2:
-        raise GridMismatchError("dbr_test_polydisc needs at least two variables")
+    _require_polydisc(grid, n, "dbr_test_polydisc")
     if len(components) != n:
         raise GridMismatchError(f"expected {n} component kernels, got {len(components)}")
     for ki in components:
@@ -273,7 +268,8 @@ def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> BallReport:
     """PSD test of the Gram of I - (1 - <z, w>) K on a ball grid."""
     if not k.grid.ambient.startswith("ball"):
         raise GridMismatchError("dbr_test_ball needs a ball grid")
-    report = numlin.is_psd(_weighted_gram(k, 1.0 - _pair_products(k.grid)), tol)
+    pts = k.grid.points                 # <z_i, z_j> = sum_k z_ik conj(z_jk)
+    report = numlin.is_psd(_weighted_gram(k, 1.0 - pts @ pts.conj().T), tol)
     return BallReport(report.is_psd, report.min_eigenvalue)
 
 

@@ -25,7 +25,7 @@ def szego_gram(grid):
 
 def drury_arveson_gram(grid):
     """Kernel values 1/(1 - <z, w>) on a ball grid."""
-    return 1.0 / (1.0 - kernels._pair_products(grid))
+    return 1.0 / (1.0 - grid.points @ grid.points.conj().T)
 
 
 def convolve(a, b):
@@ -110,6 +110,13 @@ def vt_colligation(t):
     # unitary realization of (z1 z2 - t)/(1 - t z1 z2); lower-left entry is t
     g = np.sqrt(1 - t * t)
     return bs.Colligation(-t, [[g, 0]], [[0], [g]], [[0, 1], [t, 0]], [1, 1])
+
+
+def unitary_colligation(rng, partition):
+    """Random unitary colligation with the given state partition, any
+    number of blocks."""
+    u = random_unitary(rng, 1 + sum(partition))
+    return bs.Colligation(u[0, 0], u[:1, 1:], u[1:, :1], u[1:, 1:], partition)
 
 
 def random_two_var_unitary(rng, hmax=6):

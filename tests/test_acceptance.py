@@ -105,8 +105,8 @@ def test_criterion_05_agler_decomposition_identity():
         v = random_two_var_unitary(rng, hmax=6)
         grid = bs.make_grid("bidisc", 40, seed=1000 + i)
         pair = bs.agler_kernels_of(v, grid, 1e-9)
-        psd = pair.k1.is_psd(1e-9) and pair.k2.is_psd(1e-9)
-        rep = bs.verify_agler_decomposition(v, pair.k1, pair.k2, 1e-9)
+        psd = all(k.is_psd(1e-9) for k in pair.kernels)
+        rep = bs.verify_agler_decomposition(v, pair.kernels, 1e-9)
         worst = max(worst, rep.max_residual)
         ok = ok and psd and rep.passed
     report(5, "50 co-isometric colligations: PSD kernels, identity residual <= 1e-9",

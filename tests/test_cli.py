@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,51 @@ def test_cli_agler_pipeline(tmp_path, capsys):
     assert report["verdict"] == "pass"
 
 
+def test_cli_agler_pipeline_three_blocks(tmp_path, capsys):
+    # the documented z1 z2 z3 realization: K1 and K2 from the flags, K3
+    # from the --out report, and agler-verify reading all three files
+    path = os.path.join(EXAMPLES, "polydisc_colligation.json")
+    k1, k2, k3 = (str(tmp_path / f"k{i}.json") for i in (1, 2, 3))
+    code, report = run_cli(capsys, "agler-kernels", path, "--grid", "polydisc-3:rand:20",
+                           "--out-k1", k1, "--out-k2", k2, "--out", str(tmp_path / "r.json"))
+    assert code == 0 and set(report["evidence"]) == {"K1", "K2", "K3", "max_residual"}
+    with open(tmp_path / "r.json", encoding="utf-8") as fh:
+        write(tmp_path, "k3.json", json.load(fh)["evidence"]["K3"])
+    code, report = run_cli(capsys, "agler-verify", path, k1, k2, k3)
+    assert code == 0 and report["verdict"] == "pass"
+    code, report = run_cli(capsys, "agler-verify", path, k1, k2)
+    assert code == 2
+    assert report["verdict"] == \
+        "GridMismatch: decomposition verification of 2 kernel(s) needs a bidisc grid"
+
+
+def test_cli_agler_kernels_out_k2_on_one_block(tmp_path, capsys):
+    # a one-block colligation has K1 only: --out-k2 is refused before any
+    # file is written, and --out-k1 alone writes K1
+    path = write(tmp_path, "b.json", serialize.colligation_to_json(bs.model_colligation(1.0, [0.5])))
+    k1, k2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
+    code, report = run_cli(capsys, "agler-kernels", path, "--grid", "disc:rand:6",
+                           "--out-k1", k1, "--out-k2", k2)
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"] == \
+        "ParseError: --out-k2 asks for K2, but the colligation has 1 state block"
+    assert not os.path.exists(k1) and not os.path.exists(k2)
+    code, report = run_cli(capsys, "agler-kernels", path, "--grid", "disc:rand:6", "--out-k1", k1)
+    assert code == 0 and set(report["evidence"]) == {"K1", "max_residual"}
+    code, report = run_cli(capsys, "agler-verify", path, k1)
+    assert code == 0 and report["verdict"] == "pass"
+
+
+def test_cli_dbr_polydisc_refuses_torus_kernels(tmp_path, capsys):
+    # on the torus the weights 1 - z_j conj(w_j) vanish on the diagonal
+    grid = bs.make_grid("torus2", 2)
+    k = write(tmp_path, "t.json", serialize.kernel_to_json(SampledKernel(grid, np.ones((4, 4)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a division by zero would raise here
+        code, report = run_cli(capsys, "dbr-polydisc", k, k, k)
+    assert code == 2 and report["verdict"] == "GridMismatch: dbr_test_polydisc needs a bidisc grid"
+
+
 def test_cli_dbr_reconstruct_at_a_coarse_tolerance(capsys):
     # the cut at tol 0.5 drops directions the data carry; the polar factor
     # still gives an isometry, and the residual meets the gate 10 tol
@@ -410,7 +456,7 @@ def test_cli_product_grid_kernels_read_back_give_the_same_conditions(tmp_path, c
     v = cli._load(path)
     pair = bs.agler_kernels_of(v, factor.product_grid(5, 5, seed=0))
     assert factor.agler_factorization_conditions(v, cli._load(out1), cli._load(out2)) == \
-        factor.agler_factorization_conditions(v, pair.k1, pair.k2)
+        factor.agler_factorization_conditions(v, *pair.kernels)
 
 
 # each report below against the library call made directly

@@ -52,6 +52,7 @@ def kernel_json(ambient, n, seed, gram, dim=1):
 VALID = {
     "colligation": example("separable_colligation.json"),
     "colligation1": serialize.colligation_to_json(bs.model_colligation(1.0, [0.5, 0.25j])),
+    "colligation3": example("polydisc_colligation.json"),
     "rational": example("product_mobius_rational.json"),
     "blaschke": example("blaschke.json"),
     "disc": example("dbr_kernel.json"),
@@ -59,6 +60,7 @@ VALID = {
     "ball": kernel_json("ball-2", 5, 4, drury_arveson_gram),
     "bidisc-dim2": kernel_json("bidisc", 6, 3, szego_gram, dim=2),
     "blaschke-c2": dict(example("blaschke.json"), constant=[2.0, 0.0]),
+    "torus": kernel_json("torus2", 2, 0, lambda grid: np.ones((len(grid), len(grid)))),
 }
 # a valid kernel on another domain than the one a command needs
 WRONG_AMBIENT = {"disc": "bidisc", "bidisc": "disc", "ball": "disc"}
@@ -83,15 +85,30 @@ COMMANDS = [
     ("strip", ["rational"], []),
 ]
 # command, its positional inputs, flags, and the typed refusal they get:
-# one-variable colligations where two variables are needed, two-variable
-# factors, a grid on the wrong domain, kernels of value dimension 2 where
-# scalar ones are needed, too few component kernels, and a Blaschke constant
+# one- and three-variable colligations where two variables are needed,
+# factors of more than one variable, grids on the wrong domain (a grid
+# whose number of coordinates is not the colligation's, and torus kernels
+# where interior polydisc ones are needed), kernels of value dimension 2
+# where scalar ones are needed, too few kernels, and a Blaschke constant
 # that is not unimodular
 REFUSALS = [
     ("inner-check", ["colligation1"], [], "NotStructured: "),
     ("split", ["colligation1"], [], "NotStructured: "),
     ("factor", ["colligation1"], [], "NotStructured: "),
-    ("agler-kernels", ["colligation1"], [], "NotStructured: "),
+    ("agler-kernels", ["colligation1"], [], "GridMismatch: agler_kernels_of needs a disc grid"),
+    ("inner-check", ["colligation3"], [], "NotStructured: "),
+    ("split", ["colligation3"], [], "NotStructured: "),
+    ("factor", ["colligation3"], [], "NotStructured: "),
+    ("toeplitz-check", ["colligation3"], [], "NotStructured: "),
+    ("compose", ["colligation3", "colligation1"], [], "NotStructured: "),
+    ("agler-kernels", ["colligation3"], ["--grid", "bidisc:rand:6"],
+     "GridMismatch: agler_kernels_of needs a polydisc-3 grid"),
+    ("agler-verify", ["colligation", "bidisc"], [],
+     "GridMismatch: decomposition verification of 1 kernel(s) needs a disc grid"),
+    ("agler-verify", ["colligation", "bidisc", "bidisc", "bidisc"], [],
+     "GridMismatch: decomposition verification of 3 kernel(s) needs a polydisc-3 grid"),
+    ("dbr-polydisc", ["torus", "torus", "torus"], [],
+     "GridMismatch: dbr_test_polydisc needs a bidisc grid"),
     ("compose", ["colligation", "colligation"], [], "NotStructured: "),
     ("agler-kernels", ["colligation"], ["--grid", "torus2:3"], "GridMismatch: "),
     ("agler-verify", ["colligation", "bidisc-dim2", "bidisc-dim2"], [],
@@ -167,7 +184,6 @@ def corruptions(kind, rng):
     if kind.startswith("colligation"):
         h = sum(valid["partition"])
         yield "negative-partition", dict(valid, partition=[-1, h + 1])
-        yield "three-block-partition", dict(valid, partition=[h, 0, 0])
         # int() would truncate these to the valid partition
         yield "fractional-partition", dict(valid, partition=[p + 0.9 for p in valid["partition"]])
         if set(valid["partition"]) == {1}:

@@ -37,6 +37,7 @@ from helpers import (
     random_upper_triangular,
     taylor_from_samples,
     triangular_contraction,
+    unitary_colligation,
     vt_colligation,
 )
 
@@ -292,6 +293,23 @@ def test_transfer_grid_on_an_axis_is_the_one_variable_factor():
     assert np.array_equal(transfer_grid(v, np.hstack([z, zero])), transfer_grid(first, z))
     assert np.array_equal(transfer_grid(v, np.hstack([zero, z])), transfer_grid(second, z))
     assert np.array_equal(transfer_grid(v, np.zeros((3, 2))), np.full(3, v.a))
+
+
+def test_transfer_grid_three_blocks_matches_dense_solve():
+    # E(z) = z1 I (+) z2 I (+) z3 I along the partition (2, 1, 2), solved
+    # point by point with dense matrices; the colligation is unitary, so
+    # |f| = 1 on the torus T^3
+    v = unitary_colligation(np.random.default_rng(1), [2, 1, 2])
+    pts = bs.make_grid("polydisc-3", 50, seed=1).points
+    assert np.max(np.abs(transfer_grid(v, pts) - dense_transfer(v, pts))) <= 1e-14
+    torus = np.exp(2j * np.pi * np.random.default_rng(2).uniform(size=(400, 3)))
+    assert np.max(np.abs(np.abs(v(*torus.T)) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("partition", [[], ()])
+def test_colligation_refuses_an_empty_partition(partition):
+    with pytest.raises(ValueError, match="partition must have at least one block"):
+        bs.Colligation(1.0, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), partition)
 
 
 def test_transfer_2d_permutation():

@@ -436,7 +436,7 @@ def test_factorization_conditions_product_mobius_fails():
     grid = factor.product_grid(5, 5, seed=63)
     pair = bs.agler_kernels_of(vt_colligation(0.5), grid)
     rep = factor.agler_factorization_conditions(
-        bs.mobius_of_product(0.5), pair.k1, pair.k2, 1e-9)
+        bs.mobius_of_product(0.5), *pair.kernels, 1e-9)
     assert not rep.cond2
 
 
@@ -448,7 +448,7 @@ def condition_cases(grid):
     k1, k2 = product_agler_kernels(f1, f2)
     pair = bs.agler_kernels_of(vt_colligation(0.5), grid)
     return [(lambda z1, z2: f1(z1) * f2(z2), sample(k1, grid), sample(k2, grid)),
-            (bs.mobius_of_product(0.5), pair.k1, pair.k2)]
+            (bs.mobius_of_product(0.5), *pair.kernels)]
 
 
 def test_section_residual_matches_loop_reference():
@@ -514,7 +514,7 @@ def test_factorization_conditions_origin_zero_routed():
     pair = bs.agler_kernels_of(permutation_colligation(), grid)
     with pytest.raises(OriginZeroError):
         factor.agler_factorization_conditions(
-            lambda z1, z2: z1 * z2, pair.k1, pair.k2, 1e-9)
+            lambda z1, z2: z1 * z2, *pair.kernels, 1e-9)
 
 
 def test_difference_quotient_colligation_cross_check():
@@ -570,4 +570,4 @@ def test_three_routes_agree():
     assert not bs.check_condition_4(vt)
     pair = bs.agler_kernels_of(vt, products)
     assert not factor.agler_factorization_conditions(
-        phi, pair.k1, pair.k2, 1e-9).cond2
+        phi, *pair.kernels, 1e-9).cond2

@@ -507,6 +507,48 @@ def test_strip_monomial_var2_reads_the_exponent():
     assert np.allclose(z2 ** 17 * stripped(z1, z2), f(z1, z2), rtol=1e-12, atol=0)
 
 
+def test_strip_monomial_names_a_vanishing_numerator():
+    # f = (z1 z2 - 0.4 z1 - 0.4 z2)/(1 - 0.4 z1 - 0.4 z2): p[1, 1] = 0, so
+    # reflect(p) vanishes at the origin and no stripping removes the zero;
+    # neither call sends the user to the other variable, and each names its own
+    den = bs.Poly2([[1.0, -0.4], [-0.4, 0.0]])
+    for monomial in ((0, 0), (1, 0)):
+        f = bs.RationalFunction2(monomial, den)
+        for strip, own, other in ((bs.strip_monomial, "first", "second"),
+                                  (bs.strip_monomial_var2, "second", "first")):
+            with pytest.raises(NotDivisibleError) as err:
+                strip(f)
+            text = str(err.value)
+            assert "the numerator reflect(p) vanishes at the origin" in text, (monomial, text)
+            assert own in text and other not in text, (monomial, text)
+
+
+def test_strip_monomial_with_both_powers_names_the_other():
+    # z1 z2 times an inner factor nonzero at the origin: each call says the
+    # other variable's power divides too, without sending the user back
+    f = bs.RationalFunction2((1, 1), bs.mobius_of_product(0.5).denominator)
+    for strip, own, other in ((bs.strip_monomial, "first", "second"),
+                              (bs.strip_monomial_var2, "second", "first")):
+        with pytest.raises(NotDivisibleError, match=f"after removing 1 {own}-variable power.* "
+                                                     f"the {other} variable divides: no power"):
+            strip(f)
+
+
+def test_strip_monomial_series_advice():
+    # pure z2: the first variable's call points at the second, which strips it
+    table = np.zeros((3, 3), dtype=complex)
+    table[0, 1] = 1.0
+    with pytest.raises(NotDivisibleError, match="the second variable divides: strip it"):
+        bs.strip_monomial(bs.PowerSeries2(table))
+    assert bs.strip_monomial_var2(bs.PowerSeries2(table))[0] == 1
+    # z1 + z2: no monomial divides, and each call says so in its own terms
+    table[1, 0] = 1.0
+    for strip, own in ((bs.strip_monomial, "first"), (bs.strip_monomial_var2, "second")):
+        with pytest.raises(NotDivisibleError, match=f"no power of the {own} variable divides, "
+                                                     "and the series vanishes at the origin"):
+            strip(bs.PowerSeries2(table))
+
+
 def zero_free_denominator(rng):
     """1 + q of bidegree (2, 2), the coefficients of q summing to 0.8 in
     modulus, so |p| >= 0.2 on the closed bidisc."""

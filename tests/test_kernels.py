@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bidisc_schur as bs
-from bidisc_schur import kernels
+from bidisc_schur import kernels, numlin
 from bidisc_schur.errors import GridMismatchError, NotCoisometricError, NotDbrError
 from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import (
@@ -17,6 +17,7 @@ from helpers import (
     random_two_var_unitary,
     random_unitary,
     szego_gram,
+    unitary_colligation,
 )
 
 
@@ -28,8 +29,9 @@ def test_agler_kernels_permutation():
     grid = bs.make_grid("bidisc", 12, seed=19)
     pair = bs.agler_kernels_of(permutation_colligation(), grid)
     z1 = grid.points[:, 0]
-    assert np.allclose(pair.k1.values, 1.0)
-    assert np.allclose(pair.k2.values, z1[:, None] * np.conj(z1)[None, :])
+    k1, k2 = pair.kernels
+    assert np.allclose(k1.values, 1.0)
+    assert np.allclose(k2.values, z1[:, None] * np.conj(z1)[None, :])
     assert pair.max_residual < 1e-14
 
 
@@ -38,8 +40,7 @@ def test_agler_kernels_constant():
                        np.zeros((0, 0)), [0, 0])
     grid = bs.make_grid("bidisc", 8, seed=20)
     pair = bs.agler_kernels_of(v, grid)
-    assert np.allclose(pair.k1.values, 0.0)
-    assert np.allclose(pair.k2.values, 0.0)
+    assert all(np.allclose(k.values, 0.0) for k in pair.kernels)
 
 
 def test_agler_kernels_composed_blaschke_closed_forms():
@@ -55,13 +56,14 @@ def test_agler_kernels_composed_blaschke_closed_forms():
         k2_closed = p1[:, None] * np.conj(p1)[None, :] \
             * (1 - p2[:, None] * np.conj(p2)[None, :]) \
             / (1 - z2[:, None] * np.conj(z2)[None, :])
-        assert np.max(np.abs(pair.k1.values - k1_closed)) < 1e-9
-        assert np.max(np.abs(pair.k2.values - k2_closed)) < 1e-9
+        k1, k2 = pair.kernels
+        assert np.max(np.abs(k1.values - k1_closed)) < 1e-9
+        assert np.max(np.abs(k2.values - k2_closed)) < 1e-9
         # the state rows H(z) = B (I - E(z) D)^{-1}, solved densely point by point
         reps = np.repeat(grid.points, v.partition, axis=1)
         rows = dense_resolvent_solve(v.D, reps, v.B.T, transpose=True)[:, :, 0]
         h1 = v.partition[0]
-        for got, r in ((pair.k1.values, rows[:, :h1]), (pair.k2.values, rows[:, h1:])):
+        for got, r in ((k1.values, rows[:, :h1]), (k2.values, rows[:, h1:])):
             want = r @ r.conj().T
             assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
@@ -72,17 +74,78 @@ def test_agler_kernels_rejects_non_coisometric():
         bs.agler_kernels_of(v, bs.make_grid("bidisc", 5, seed=1))
 
 
+def test_agler_kernels_three_blocks_round_trip():
+    # colligation -> one Agler kernel per state block on a polydisc-3 grid ->
+    # verify_agler_decomposition -> dbr_test_polydisc on
+    # K = (1 - f f*) / prod_j (1 - z_j conj(w_j)) with those components
+    v = unitary_colligation(np.random.default_rng(1), [2, 1, 2])
+    grid = bs.make_grid("polydisc-3", 50, seed=1)
+    pair = bs.agler_kernels_of(v, grid)
+    assert len(pair.kernels) == 3 and pair.max_residual <= 1e-13
+    assert all(k.is_psd(1e-9) for k in pair.kernels)
+    rep = bs.verify_agler_decomposition(v, pair.kernels, 1e-9)
+    assert rep.passed and rep.max_residual <= 1e-13
+    pts = grid.points
+    vals = v(*pts.T)
+    weight = np.prod([1.0 - pts[:, i, None] * np.conj(pts[None, :, i]) for i in range(3)], axis=0)
+    k = SampledKernel(grid, (1.0 - vals[:, None] * np.conj(vals)[None, :]) / weight)
+    poly = bs.dbr_test_polydisc(k, pair.kernels, 1e-9)
+    assert poly.passed and poly.sum_residual <= 1e-12
+
+
+@pytest.mark.parametrize("partition,ambient", [([3], "bidisc"), ([1, 2], "polydisc-3"),
+                                               ([1, 2], "torus2"), ([1, 1, 1], "ball-3")])
+def test_agler_kernels_need_a_polydisc_grid_of_the_colligations_arity(partition, ambient):
+    v = unitary_colligation(np.random.default_rng(3), partition)
+    grid = bs.make_grid(ambient, 4, seed=1)
+    name = {1: "disc", 2: "bidisc"}.get(len(partition), f"polydisc-{len(partition)}")
+    with pytest.raises(GridMismatchError, match=f"agler_kernels_of needs a {name} grid"):
+        bs.agler_kernels_of(v, grid)
+
+
+def test_agler_kernels_one_block_is_the_disc_kernel():
+    # one state block: K_1 = (1 - f f*) / (1 - z conj(w)), the disc's
+    # de Branges-Rovnyak kernel of the Blaschke product f
+    v = bs.model_colligation(1.0, [0.5, -0.3j])
+    grid = bs.make_grid("disc", 12, seed=4)
+    (k1,) = bs.agler_kernels_of(v, grid).kernels
+    z, vals = grid.points[:, 0], v(grid.points[:, 0])
+    want = (1.0 - vals[:, None] * np.conj(vals)[None, :]) / (1.0 - z[:, None] * np.conj(z)[None, :])
+    assert np.max(np.abs(k1.values - want)) <= 1e-12
+    assert bs.verify_agler_decomposition(v, [k1]).passed
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_verify_decomposition_flips_at_the_floored_threshold(tol, factor):
+    # f = c: 1 - |c|^2 = (1 - z1 conj(w1)) K1 with K1 = (1 - |c|^2)/(1 - z1 conj(w1))
+    # and K2 = 0, exactly up to rounding; a diagonal entry added to K2 moves
+    # the residual to factor x numlin.floored(tol, ||1 - f f*||_F), whose
+    # floor decides at tol = 1e-12 and tol itself at 1e-6
+    grid = bs.make_grid("bidisc", 12, seed=5)
+    z1, z2 = grid.points.T
+    c = 0.5
+    k1 = SampledKernel(grid, (1 - c * c) / (1.0 - z1[:, None] * np.conj(z1)[None, :]))
+    threshold = numlin.floored(tol, (1 - c * c) * len(grid))
+    delta = np.zeros((len(grid), len(grid)), dtype=complex)
+    delta[0, 0] = factor * threshold / (1.0 - abs(z2[0]) ** 2)
+    rep = bs.verify_agler_decomposition(lambda a, b: np.full(a.shape, c),
+                                        [k1, SampledKernel(grid, delta)], tol)
+    assert rep.max_residual == pytest.approx(factor * threshold, rel=1e-6)
+    assert rep.passed == (factor < 1)
+
+
 def test_verify_decomposition_permutation():
     grid = bs.make_grid("bidisc", 12, seed=23)
     pair = bs.agler_kernels_of(permutation_colligation(), grid)
-    rep = bs.verify_agler_decomposition(lambda a, b: a * b, pair.k1, pair.k2, 1e-12)
+    rep = bs.verify_agler_decomposition(lambda a, b: a * b, pair.kernels, 1e-12)
     assert rep.passed and rep.max_residual < 1e-14
 
 
 def test_verify_decomposition_zero_kernels_fail():
     grid = bs.make_grid("bidisc", 8, seed=24)
     zero = SampledKernel(grid, np.zeros((8, 8), dtype=complex))
-    rep = bs.verify_agler_decomposition(lambda a, b: a * b, zero, zero, 1e-9)
+    rep = bs.verify_agler_decomposition(lambda a, b: a * b, [zero, zero], 1e-9)
     assert not rep.passed
 
 
@@ -92,7 +155,7 @@ def test_verify_decomposition_grid_mismatch():
     k1 = SampledKernel(g1, np.zeros((6, 6), dtype=complex))
     k2 = SampledKernel(g2, np.zeros((6, 6), dtype=complex))
     with pytest.raises(GridMismatchError):
-        bs.verify_agler_decomposition(lambda a, b: a * b, k1, k2)
+        bs.verify_agler_decomposition(lambda a, b: a * b, [k1, k2])
 
 
 def test_roundtrip_random_coisometric():
@@ -101,9 +164,8 @@ def test_roundtrip_random_coisometric():
     for _ in range(10):
         v = random_two_var_unitary(rng)
         pair = bs.agler_kernels_of(v, grid)
-        assert pair.k1.is_psd(1e-9)
-        assert pair.k2.is_psd(1e-9)
-        rep = bs.verify_agler_decomposition(v, pair.k1, pair.k2, 1e-9)
+        assert all(k.is_psd(1e-9) for k in pair.kernels)
+        rep = bs.verify_agler_decomposition(v, pair.kernels, 1e-9)
         assert rep.passed
 
 
@@ -336,10 +398,10 @@ def test_polydisc_from_agler_kernels():
         s2inv = np.prod([1.0 - grid.points[:, i, None] * np.conj(grid.points[None, :, i])
                          for i in range(2)], axis=0)
         k = SampledKernel(grid, (1.0 - vals[:, None] * np.conj(vals)[None, :]) / s2inv)
-        rep = bs.dbr_test_polydisc(k, [pair.k1, pair.k2], 1e-9)
+        rep = bs.dbr_test_polydisc(k, pair.kernels, 1e-9)
         assert rep.passed
         # breaking the sum identity must fail even with PSD components
-        bad = bs.dbr_test_polydisc(k, [pair.k2, pair.k1], 1e-9)
+        bad = bs.dbr_test_polydisc(k, pair.kernels[::-1], 1e-9)
         if bad.sum_residual > 1e-9:
             assert not bad.passed
 
