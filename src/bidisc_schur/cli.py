@@ -4,6 +4,9 @@ Exit codes: 0 for pass/success verdicts, 1 for refuted/failed verdicts,
 2 for errors (parse, schema, or violated preconditions outside a command's
 own verdict contract).  Reports are deterministic for fixed inputs and
 seed: keys are sorted and floats print with shortest round-trip precision.
+A command runs with Python's cyclic garbage collector paused, since the
+parsed inputs and reports it builds are acyclic trees that reference
+counting frees, and main restores the caller's setting when it returns.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -27,6 +31,7 @@ from .colligation import Colligation, model_colligation, structure_report
 from .errors import (
     ConditionFailedError,
     DomainError,
+    GridMismatchError,
     NotDivisibleError,
     OriginZeroError,
     ParseError,
@@ -268,6 +273,12 @@ def _cmd_agler_verify(args, tol, seed):
     kernels = [_load_as(path, kernels_mod.SampledKernel,
                         "agler-verify expects kernel JSON for K1 ... Kd")
                for path in args.kernels]
+    # decided before f is evaluated on the grid; verify_agler_decomposition
+    # then checks that the grid has one coordinate per kernel
+    grid = kernels[0].grid
+    if fn.nvars != grid.nvars:
+        raise GridMismatchError(f"the function takes {fn.nvars} coordinate(s), but the "
+                                f"kernels are sampled on a {grid.ambient} grid")
     for i, k in enumerate(kernels, 1):
         if not k.is_psd(tol):
             return f"failed: K{i} is not PSD", {"kernel": f"K{i}"}, 1
@@ -447,6 +458,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report; the exit code is returned.
+    The cyclic collector stays off while it runs: orjson's many small lists
+    would otherwise start collections that walk the whole heap for cycles
+    the command never makes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -26,7 +26,7 @@ from .errors import (
     IdentityViolatedError,
     OriginZeroError,
 )
-from .functions import PointGrid, make_grid
+from .functions import PointGrid, shared_grid
 from .kernels import SampledKernel
 from .numlin import DEFAULT_TOL, EXACT_GUARD, frob
 
@@ -113,7 +113,7 @@ def product_residual(v: Colligation, v1: Colligation, v2: Colligation,
 def _product_certificate(v: Colligation, v1: Colligation, v2: Colligation,
                          tol: float, failure: str) -> float:
     """product_residual on the certificate grid, at most numlin.floored(tol, 0)."""
-    grid = make_grid("bidisc", _CERT_GRID_SIZE, _CERT_GRID_SEED)
+    grid = shared_grid("bidisc", _CERT_GRID_SIZE, _CERT_GRID_SEED)
     residual = product_residual(v, v1, v2, grid)
     if residual > numlin.floored(tol, 0.0):
         raise IdentityViolatedError(f"{failure} (residual {residual:.3e})")

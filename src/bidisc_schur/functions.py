@@ -14,6 +14,7 @@ RationalFunction2._check_zero_free); no grid is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
@@ -477,6 +478,15 @@ def make_grid(ambient: str, size: int, seed: int = 0) -> PointGrid:
     radii = INTERIOR_RADIUS * np.sqrt(rng.uniform(size=(size, n)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(size, n))
     return PointGrid(ambient, radii * np.exp(1j * angles))
+
+
+@cache
+def shared_grid(ambient: str, size: int, seed: int = 0) -> PointGrid:
+    """make_grid(ambient, size, seed), built once per argument triple for
+    the grids the program samples on every call; its points are read-only."""
+    grid = make_grid(ambient, size, seed)
+    grid.points.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ effects out of the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -34,8 +33,8 @@ from .errors import (
     ResolventIllConditionedError,
     WindowTooLargeError,
 )
-from .functions import (ModulusReport, PointGrid, PowerSeries2, boundary_modulus_test,
-                        make_grid, modulus_report)
+from .functions import (ModulusReport, PowerSeries2, boundary_modulus_test,
+                        modulus_report, shared_grid)
 from .numlin import DEFAULT_TOL, below_one, frob, sampled, spectral_radius
 
 # side of the boundary scan's torus grid; order of certify_inner's defect
@@ -263,7 +262,7 @@ def boundary_scan(f, tol: float) -> Optional[ModulusReport]:
     pole on the grid, or, behind a coupling block, growing powers of the
     reduced D that defeat the aliased sums) the per-point resolvent solves of its call decide, as for
     any other function kind."""
-    grid = _scan_grid(TORUS_SCAN)
+    grid = shared_grid("torus2", TORUS_SCAN)
     if isinstance(f, Colligation):
         try:
             return modulus_report(transfer_torus(f, TORUS_SCAN).ravel(), grid, sampled(tol))
@@ -273,14 +272,6 @@ def boundary_scan(f, tol: float) -> Optional[ModulusReport]:
         return boundary_modulus_test(f, grid, sampled(tol))
     except ResolventIllConditionedError:
         return None
-
-
-@cache
-def _scan_grid(m: int) -> PointGrid:
-    """make_grid("torus2", m), built once per m; its points are read-only."""
-    grid = make_grid("torus2", m)
-    grid.points.flags.writeable = False
-    return grid
 
 
 def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import warnings
@@ -9,12 +10,13 @@ import bidisc_schur as bs
 from bidisc_schur import cli, factor, numlin, serialize, toeplitz
 from bidisc_schur.cli import build_parser, main, parse_grid_spec
 from bidisc_schur.errors import ParseError, SchemaError
-from bidisc_schur.kernels import SampledKernel
+from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import (
     composed_blaschke,
     not_separable_tiny_origin,
     permutation_colligation,
     random_theta,
+    random_unitary,
     szego_gram,
     vt_colligation,
 )
@@ -753,3 +755,58 @@ def test_cli_reused_parser_keeps_no_flags(tmp_path, capsys, monkeypatch):
         assert code == 0 and report["tol"] == numlin.DEFAULT_TOL and report["seed"] == 0
         assert not out.exists()
     assert build_parser() is build_parser()
+
+
+# -- the collector pause ------------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_cli_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
+    # after a report, an argparse exit on a bad flag, and an exception that
+    # main does not catch, raised by a handler that runs with the collector off
+    kernel = os.path.join(EXAMPLES, "dbr_kernel.json")
+    seen = []
+
+    def raising(*args):
+        seen.append(gc.isenabled())
+        raise KeyError("not caught by main")
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["dbr-check", kernel]) == 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["dbr-check", kernel, "--no-such-flag"])
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli.kernels_mod, "dbr_test_disc", raising)
+        with pytest.raises(KeyError, match="not caught by main"):
+            main(["dbr-check", kernel])
+        assert gc.isenabled() is enabled and seen == [False]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_cli_command_starts_no_collection(tmp_path, capsys):
+    # a 60-point kernel of value dimension 2 parses into 14400 [re, im]
+    # lists, each of which counts toward a gen-0 collection while the
+    # collector runs
+    grid = bs.make_grid("disc", 60, seed=81)
+    u = random_unitary(np.random.default_rng(82), 5)
+    theta = ThetaRealization(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:], 2)
+    k = SampledKernel(grid, theta.kernel_values(grid), dim=2)
+    path = write(tmp_path, "k.json", serialize.kernel_to_json(k))
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        code = main(["dbr-check", path])
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+    assert code == 0 and started == []

@@ -12,10 +12,10 @@ grid on the wrong domain, are sent.  A kernel dim outside 1..8, an empty
 grid and a flag or point of the wrong shape must be reported as such (the
 last two as a ParseError), not by a symptom such as a shape mismatch or a
 missing argument; a kernel or grid on the wrong domain, a kernel of value
-dimension 2 where a scalar one is needed and too few component kernels are
-a GridMismatch, a colligation with the wrong number of variables is
-NotStructured, and a Blaschke constant that is not unimodular is
-ConditionFailed."""
+dimension 2 where a scalar one is needed, too few component kernels and a
+function whose number of variables is not the kernels' are a GridMismatch,
+a colligation with the wrong number of variables is NotStructured, and a
+Blaschke constant that is not unimodular is ConditionFailed."""
 
 import json
 import math
@@ -58,6 +58,7 @@ VALID = {
     "disc": example("dbr_kernel.json"),
     "bidisc": kernel_json("bidisc", 6, 3, szego_gram),
     "ball": kernel_json("ball-2", 5, 4, drury_arveson_gram),
+    "polydisc3": kernel_json("polydisc-3", 6, 5, szego_gram),
     "bidisc-dim2": kernel_json("bidisc", 6, 3, szego_gram, dim=2),
     "blaschke-c2": dict(example("blaschke.json"), constant=[2.0, 0.0]),
     "torus": kernel_json("torus2", 2, 0, lambda grid: np.ones((len(grid), len(grid)))),
@@ -88,7 +89,8 @@ COMMANDS = [
 # one- and three-variable colligations where two variables are needed,
 # factors of more than one variable, grids on the wrong domain (a grid
 # whose number of coordinates is not the colligation's, and torus kernels
-# where interior polydisc ones are needed), kernels of value dimension 2
+# where interior polydisc ones are needed), a two-variable function with
+# kernels sampled on a polydisc-3 grid, kernels of value dimension 2
 # where scalar ones are needed, too few kernels, and a Blaschke constant
 # that is not unimodular
 REFUSALS = [
@@ -107,6 +109,12 @@ REFUSALS = [
      "GridMismatch: decomposition verification of 1 kernel(s) needs a disc grid"),
     ("agler-verify", ["colligation", "bidisc", "bidisc", "bidisc"], [],
      "GridMismatch: decomposition verification of 3 kernel(s) needs a polydisc-3 grid"),
+    ("agler-verify", ["rational", "polydisc3", "polydisc3", "polydisc3"], [],
+     "GridMismatch: the function takes 2 coordinate(s), but the kernels are sampled "
+     "on a polydisc-3 grid"),
+    ("agler-verify", ["colligation", "polydisc3", "polydisc3", "polydisc3"], [],
+     "GridMismatch: the function takes 2 coordinate(s), but the kernels are sampled "
+     "on a polydisc-3 grid"),
     ("dbr-polydisc", ["torus", "torus", "torus"], [],
      "GridMismatch: dbr_test_polydisc needs a bidisc grid"),
     ("compose", ["colligation", "colligation"], [], "NotStructured: "),

@@ -13,6 +13,7 @@ from bidisc_schur.errors import (
     OriginZeroError,
     ResolventIllConditionedError,
 )
+from bidisc_schur.functions import shared_grid
 from bidisc_schur.kernels import SampledKernel
 from helpers import (
     blaschke_callable,
@@ -314,6 +315,19 @@ def test_split_compose_roundtrip():
         vals_v = transfer_grid(v, grid.points)
         vals_back = transfer_grid(back, grid.points)
         assert np.max(np.abs(vals_v - vals_back)) < 1e-9
+
+
+def test_certificate_grid_is_built_once():
+    # one read-only grid, bit for bit the one make_grid builds, certifies
+    # every split and composition
+    grid = shared_grid("bidisc", factor._CERT_GRID_SIZE, factor._CERT_GRID_SEED)
+    assert grid is shared_grid("bidisc", factor._CERT_GRID_SIZE, factor._CERT_GRID_SEED)
+    assert not grid.points.flags.writeable
+    fresh = bs.make_grid("bidisc", factor._CERT_GRID_SIZE, factor._CERT_GRID_SEED)
+    assert grid.same_points(fresh)
+    v, _, _ = composed_blaschke(np.random.default_rng(60))
+    res = bs.split_colligation(v)
+    assert res.certificate == factor.product_residual(v, res.v1, res.v2, fresh)
 
 
 def test_scaling_gauge_invariance():

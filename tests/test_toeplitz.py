@@ -9,7 +9,7 @@ from bidisc_schur.errors import (
     NotStructuredError,
     WindowTooLargeError,
 )
-from bidisc_schur.functions import modulus_report
+from bidisc_schur.functions import modulus_report, shared_grid
 from helpers import (
     composed_blaschke,
     dense_isometry_defect,
@@ -295,8 +295,8 @@ def test_certify_boundary_sampling_unavailable():
 def test_boundary_scan_grid_is_built_once():
     # one read-only grid shared by every scan; reports, argmax point
     # included, equal those on a freshly built grid
-    grid = toeplitz._scan_grid(toeplitz.TORUS_SCAN)
-    assert grid is toeplitz._scan_grid(toeplitz.TORUS_SCAN)
+    grid = shared_grid("torus2", toeplitz.TORUS_SCAN)
+    assert grid is shared_grid("torus2", toeplitz.TORUS_SCAN)
     assert not grid.points.flags.writeable
     fresh = bs.make_grid("torus2", toeplitz.TORUS_SCAN)
     assert grid.same_points(fresh)
