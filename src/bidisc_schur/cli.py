@@ -179,6 +179,14 @@ def _as_function(obj):
 # command implementations: each returns (verdict, evidence, exit_code)
 
 
+def _decided(report, field: str, passed: str, failed: str):
+    """(verdict, evidence, exit_code) of a report decided by its boolean
+    field: (passed, 0) or (failed, 1), its other fields the evidence."""
+    evidence = dataclasses.asdict(report)
+    ok = evidence.pop(field)
+    return (passed, evidence, 0) if ok else (failed, evidence, 1)
+
+
 def _cmd_eval(args, tol, seed):
     fn = _as_function(_load(args.input))
     if args.at:
@@ -282,9 +290,8 @@ def _cmd_agler_verify(args, tol, seed):
     for i, k in enumerate(kernels, 1):
         if not k.is_psd(tol):
             return f"failed: K{i} is not PSD", {"kernel": f"K{i}"}, 1
-    rep = kernels_mod.verify_agler_decomposition(fn, kernels, tol)
-    verdict = "pass" if rep.passed else "failed: decomposition identity violated"
-    return verdict, {"max_residual": rep.max_residual}, 0 if rep.passed else 1
+    return _decided(kernels_mod.verify_agler_decomposition(fn, kernels, tol), "passed",
+                    "pass", "failed: decomposition identity violated")
 
 
 def _kernel_arg(path):
@@ -292,9 +299,8 @@ def _kernel_arg(path):
 
 
 def _cmd_dbr_check(args, tol, seed):
-    rep = kernels_mod.dbr_test_disc(_kernel_arg(args.input), tol)
-    verdict = "is-dbr" if rep.is_dbr else "not-dbr"
-    return verdict, {"min_eigenvalue": rep.min_eigenvalue}, 0 if rep.is_dbr else 1
+    return _decided(kernels_mod.dbr_test_disc(_kernel_arg(args.input), tol), "is_psd",
+                    "is-dbr", "not-dbr")
 
 
 def _cmd_dbr_nf_check(args, tol, seed):
@@ -317,19 +323,12 @@ def _cmd_dbr_reconstruct(args, tol, seed):
 def _cmd_dbr_polydisc(args, tol, seed):
     k = _kernel_arg(args.kernel)
     comps = [_kernel_arg(p) for p in args.components]
-    rep = kernels_mod.dbr_test_polydisc(k, comps, tol)
-    evidence = {
-        "kernels_psd": list(rep.kernels_psd),
-        "sum_residual": rep.sum_residual,
-        "hadamard_min_eigenvalue": rep.hadamard_min_eigenvalue,
-    }
-    return ("pass" if rep.passed else "failed"), evidence, 0 if rep.passed else 1
+    return _decided(kernels_mod.dbr_test_polydisc(k, comps, tol), "passed", "pass", "failed")
 
 
 def _cmd_dbr_ball(args, tol, seed):
-    rep = kernels_mod.dbr_test_ball(_kernel_arg(args.input), tol)
-    return ("pass" if rep.passed else "failed"), \
-        {"min_eigenvalue": rep.min_eigenvalue}, 0 if rep.passed else 1
+    return _decided(kernels_mod.dbr_test_ball(_kernel_arg(args.input), tol), "is_psd",
+                    "pass", "failed")
 
 
 def _split_report(v: Colligation, tol):
@@ -486,6 +485,8 @@ def _run(argv) -> int:
     report = {"command": args.command, "tol": given, "seed": args.seed}
     try:
         tol = report["tol"] = _tolerance(given)
+        if args.seed < 0:
+            raise ParseError(f"--seed takes a non-negative integer, got {args.seed}")
         for path in inputs:
             inputs[path] = _digest(path)
         report["inputs_digest"] = inputs

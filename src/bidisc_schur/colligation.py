@@ -188,10 +188,11 @@ def transfer_grid(v: Colligation, points) -> np.ndarray:
     """a + B (I - E(z) D)^{-1} E(z) C at every point z, one batched solve.
 
     E(z) = z1 I (+) ... (+) zd I along the state partition (z I for d = 1).
-    points holds one point per row; a flat array is read as a list of
-    one-variable points, or as a single two-variable point.  A state whose
-    E entry vanishes at every point has x = 0 there, so it is dropped and
-    the principal block of the live states is solved."""
+    points holds one point per row; a scalar or a flat array is read as
+    consecutive points of nvars coordinates each, so four numbers are four
+    points of one variable, or two of two.  A state whose E entry vanishes
+    at every point has x = 0 there, so it is dropped and the principal
+    block of the live states is solved."""
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim < 2:
         pts = pts.reshape(-1, v.nvars)
@@ -250,7 +251,7 @@ def transfer_torus(v: Colligation, m: int) -> np.ndarray:
     bound(RESIDUAL_GUARD, max_k |f(z1, w^k)|) raises
     ResolventIllConditionedError as well."""
     if v.nvars != 2:
-        raise ValueError("transfer_torus needs a two-variable colligation")
+        raise NotStructuredError("transfer_torus needs a two-variable colligation")
     if m < 1:
         raise ValueError("the torus grid needs m >= 1")
     if _is_constant(v):

@@ -269,6 +269,11 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
         arguments (checked across companion points of the product grid);
     (b) conj(f(0,0)) K2(., (w1, 0)) = conj(f(w1, 0)) K2(., (0,0)) for every
         first-axis value w1, as functions of the first argument over the grid.
+
+    Each compares two computed tables, whose rounding grows with s, the norm
+    of the sides compared, so its largest entry residual passes at
+    numlin.floored(tol, s), as in verify_agler_decomposition: s = ||K1||_F
+    for (a), and |f(0,0)| times the norm of the columns K2(., (w1, 0)) for (b).
     """
     if not k1.grid.same_points(k2.grid):
         raise GridMismatchError("the two kernels are sampled on different grids")
@@ -290,4 +295,5 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
     section = float(np.max(np.abs(np.conj(origin) * cols - np.conj(fw) * cols[:, origin1, None]),
                            initial=0.0))
     return FactorizationConditions(
-        invariance <= tol and section <= tol, invariance, section)
+        invariance <= numlin.floored(tol, frob(k1.values))
+        and section <= numlin.floored(tol, abs(origin) * frob(cols)), invariance, section)

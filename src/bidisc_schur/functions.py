@@ -73,9 +73,6 @@ class Poly2:
     def scale(self, c: complex) -> "Poly2":
         return Poly2(self.coeffs * c)
 
-    def swap_variables(self) -> "Poly2":
-        return Poly2(self.coeffs.T)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.coeffs.shape == other.coeffs.shape \
             and bool(np.array_equal(self.coeffs, other.coeffs))
@@ -194,11 +191,6 @@ class RationalFunction2:
         out = (z1 ** m1) * (z2 ** m2) * self.numerator(z1, z2) / den
         return out[()] if out.ndim == 0 else out
 
-    def swap_variables(self) -> "RationalFunction2":
-        m1, m2 = self.monomial
-        return RationalFunction2((m2, m1), self.denominator.swap_variables(),
-                                 self.unimodular, check_zero_free=False)
-
     def __repr__(self) -> str:
         return (f"RationalFunction2(monomial={self.monomial}, "
                 f"den_degree={self.denominator.degree})")
@@ -291,9 +283,6 @@ class PowerSeries2:
         """Value of the truncation (not of the underlying function)."""
         return polyval2d(z1, z2, self.coeffs)
 
-    def swap_variables(self) -> "PowerSeries2":
-        return PowerSeries2(self.coeffs.T)
-
     def __repr__(self) -> str:
         return f"PowerSeries2(orders={self.orders})"
 
@@ -352,42 +341,44 @@ def strip_monomial(f, *, tol: float = DEFAULT_TOL):
     NotDivisibleError says why: a second-variable power divides too, or
     no monomial accounts for the zero (reflect(p) vanishes there).
     """
-    return _strip(f, tol, "first", "second")
+    return _strip(f, tol, 0)
 
 
 def strip_monomial_var2(f, *, tol: float = DEFAULT_TOL):
     """Symmetric twin of strip_monomial acting on the second variable."""
-    p, stripped = _strip(f.swap_variables(), tol, "second", "first")
-    return p, stripped.swap_variables()
+    return _strip(f, tol, 1)
 
 
-def _strip(f, tol: float, first: str, second: str):
-    """strip_monomial of f, whose refusals call its variables first and second.
-    q is the power of the second variable that divides the quotient."""
+def _strip(f, tol: float, axis: int):
+    """strip_monomial of f in the variable with index axis, read in place:
+    the monomial exponent, or that axis of the series table.  q is the power
+    of the other variable that divides the quotient."""
+    own, other = ("first", "second")[axis], ("second", "first")[axis]
     if isinstance(f, RationalFunction2):
-        p, q = f.monomial
+        p, q = f.monomial[axis], f.monomial[1 - axis]
         stripped = RationalFunction2((0, 0), f.denominator, f.unimodular, check_zero_free=False)
         vanishes = abs(complex(stripped(0.0, 0.0))) <= tol
         cause = "the numerator reflect(p) vanishes at the origin"
     elif isinstance(f, PowerSeries2):
         live = np.abs(f.coeffs) > bound(tol, float(np.abs(f.coeffs).max(initial=0.0)))
-        rows = np.flatnonzero(np.any(live, axis=1))
-        if rows.size == 0:
+        powers = np.flatnonzero(np.any(live, axis=1 - axis))
+        if powers.size == 0:
             raise NotDivisibleError("series vanishes identically to truncation")
-        p = int(rows[0])
-        q = int(np.flatnonzero(np.any(live[p:], axis=0))[0])     # the first live column
-        vanishes = not live[p, 0] and q == 0
-        stripped = PowerSeries2(f.coeffs[p:, :])
+        p = int(powers[0])
+        rest = (slice(None),) * axis + (slice(p, None),)     # from the p-th power on
+        q = int(np.flatnonzero(np.any(live[rest], axis=axis))[0])
+        vanishes = not live[rest][0, 0] and q == 0
+        stripped = PowerSeries2(f.coeffs[rest])
         cause = "the series vanishes at the origin"
     else:
         raise TypeError("strip_monomial needs a rational function or a power series")
-    done = f"after removing {p} {first}-variable power(s)," if p else \
-        f"no power of the {first} variable divides, and"
+    done = f"after removing {p} {own}-variable power(s)," if p else \
+        f"no power of the {own} variable divides, and"
     if vanishes:
         raise NotDivisibleError(f"{done} {cause}, which no monomial factor accounts for")
     if q:
-        advice = f"no power of the {first} variable alone leaves" if p else "strip it to get"
-        raise NotDivisibleError(f"{done} a power of the {second} variable divides: "
+        advice = f"no power of the {own} variable alone leaves" if p else "strip it to get"
+        raise NotDivisibleError(f"{done} a power of the {other} variable divides: "
                                 f"{advice} a quotient nonzero at the origin")
     return p, (stripped if p else f)
 

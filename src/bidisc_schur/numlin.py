@@ -88,7 +88,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frob(a) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm, the 2-norm of the entries of an array of any shape."""
+    return float(np.linalg.norm(a))
 
 
 def _require_square(a: np.ndarray, op: str) -> None:

@@ -121,7 +121,7 @@ def test_criterion_06_dbr_round_trip():
         theta = random_theta(rng, hmax=5)
         grid = bs.make_grid("disc", 12, seed=2000 + i)
         k = SampledKernel(grid, theta.kernel_values(grid))
-        if not bs.dbr_test_disc(k, 1e-9).is_dbr:
+        if not bs.dbr_test_disc(k, 1e-9).is_psd:
             ok = False
             continue
         rebuilt = bs.dbr_reconstruct_disc(k, 1e-9)
@@ -142,9 +142,9 @@ def test_criterion_07_kernel_verifier_fixtures():
         np.random.default_rng(108)).kernel_values(grid))
 
     checks = [
-        bs.dbr_test_disc(ones).is_dbr is True,
-        bs.dbr_test_disc(twice).is_dbr is False,
-        bs.dbr_test_disc(theta_k).is_dbr is True,
+        bs.dbr_test_disc(ones).is_psd is True,
+        bs.dbr_test_disc(twice).is_psd is False,
+        bs.dbr_test_disc(theta_k).is_psd is True,
         (bs.dbr_test_nf(s).dominated_by_szego, bs.dbr_test_nf(s).hadamard_psd) == (True, True),
         (bs.dbr_test_nf(zero).dominated_by_szego, bs.dbr_test_nf(zero).hadamard_psd) == (True, True),
         (bs.dbr_test_nf(twice).dominated_by_szego, bs.dbr_test_nf(twice).hadamard_psd) == (False, True),
@@ -165,9 +165,9 @@ def test_criterion_07_kernel_verifier_fixtures():
     da = SampledKernel(gb, drury_arveson_gram(gb))
     ones_b = SampledKernel(gb, np.ones((10, 10), dtype=complex))
     twice_da = SampledKernel(gb, 2 * drury_arveson_gram(gb))
-    checks.append(bs.dbr_test_ball(da).passed is True)
-    checks.append(bs.dbr_test_ball(ones_b).passed is True)
-    checks.append(bs.dbr_test_ball(twice_da).passed is False)
+    checks.append(bs.dbr_test_ball(da).is_psd is True)
+    checks.append(bs.dbr_test_ball(ones_b).is_psd is True)
+    checks.append(bs.dbr_test_ball(twice_da).is_psd is False)
 
     report(7, "disc/normalized-form/polydisc/ball verifier fixtures all verdicts exact",
            all(checks), f"{sum(checks)}/{len(checks)} fixtures")

@@ -270,6 +270,20 @@ def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, sourc
     assert report["evidence"] == {} and report["tol"] == value
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_negative_seed_is_a_parse_error_that_names_it(tmp_path, capsys, where):
+    # refused as --seed, not as the default grid spec that it would seed
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(VALID["colligation"]))
+    argv = ["agler-kernels", str(path)]
+    argv = ["--seed", "-1"] + argv if where == "before" else argv + ["--seed", "-1"]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verdict"] == "ParseError: --seed takes a non-negative integer, got -1"
+    assert report["evidence"] == {} and report["seed"] == -1
+
+
 @pytest.mark.parametrize("spec", ["product:0x3", "product:3x0"])
 def test_empty_product_grid_is_a_parse_error(tmp_path, capsys, spec):
     # a colligation input, which factor splits without the grid, too

@@ -225,9 +225,12 @@ def test_transfer_torus_pole_in_the_second_block():
     (bs.model_colligation(1.0, [0.5]), 8, "two-variable"),
     (permutation_colligation(), 0, "m >= 1"),
     (permutation_colligation(), -3, "m >= 1"),
+    (unitary_colligation(np.random.default_rng(3), [1, 1, 1]), 8, "two-variable"),
 ])
 def test_transfer_torus_refuses_one_variable_and_empty_grids(v, m, message):
-    with pytest.raises(ValueError, match=message):
+    # a colligation that is not two-variable lacks the structure, like every
+    # two-variable-only operation; an empty grid is a bad argument
+    with pytest.raises(NotStructuredError if v.nvars != 2 else ValueError, match=message):
         transfer_torus(v, m)
 
 

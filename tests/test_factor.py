@@ -439,6 +439,36 @@ def test_factorization_conditions_separable():
     assert rep.section_residual < 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+@pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("condition", ["invariance", "section"])
+def test_factorization_conditions_pass_at_the_floored_thresholds(tol, scale, passed, condition):
+    # separable kernels on a 5 x 5 product grid (0 first on both axes, so
+    # point 1 is (0, axis2[1]) and point 5 is (axis1[1], 0)); one entry moves
+    # one residual to scale times numlin.floored(tol, s): the diagonal entry
+    # of K1 at point 1 for (a), s = ||K1||_F, and K2 at (point 1, point 5),
+    # a column of (b) whose mirror entry (b) never reads, s = |f(0, 0)| times
+    # the norm of those columns.  At tol = 1e-6 the threshold is tol, at
+    # tol = 1e-12 the rounding floor
+    grid = factor.product_grid(5, 5, seed=62)
+    f1, f2 = mobius(0.4), mobius(-0.2 + 0.3j)
+    f = lambda z1, z2: f1(z1) * f2(z2)
+    k1, k2 = (tabulate(grid.points, k) for k in product_agler_kernels(f1, f2))
+    origin = abs(f(0.0, 0.0))
+    if condition == "invariance":
+        threshold = numlin.floored(tol, numlin.frob(k1))
+        k1[1, 1] += scale * threshold
+    else:
+        threshold = numlin.floored(tol, origin * numlin.frob(k2.reshape(25, 5, 5)[:, :, 0]))
+        k2[1, 5] += scale * threshold / origin
+        k2[5, 1] = np.conj(k2[1, 5])
+    assert (threshold == tol) == (tol == 1e-6)
+    rep = factor.agler_factorization_conditions(
+        f, SampledKernel(grid, k1), SampledKernel(grid, k2), tol)
+    assert getattr(rep, f"{condition}_residual") == pytest.approx(scale * threshold, rel=1e-4)
+    assert rep.cond2 is passed
+
+
 def test_factorization_conditions_need_scalar_kernels():
     grid = factor.product_grid(3, 3, seed=64)
     k = SampledKernel(grid, szego_gram(grid)[:, :, None, None] * np.eye(2), 2)

@@ -43,9 +43,11 @@ COMMANDS = {
     "agler-kernels-separable": "agler-kernels separable_colligation.json "
                                "--grid bidisc:rand:40:seed=7 --out-k1 k1.json --out-k2 k2.json",
     "agler-verify-separable": "agler-verify separable_colligation.json k1.json k2.json",
+    "dbr-polydisc-bidisc-dbr-kernel": "dbr-polydisc bidisc_dbr_kernel.json k1.json k2.json",
     "dbr-check-dbr-kernel": "dbr-check dbr_kernel.json",
     "dbr-reconstruct-dbr-kernel": "dbr-reconstruct dbr_kernel.json",
     "dbr-check-not-dbr-kernel": "dbr-check not_dbr_kernel.json",
+    "dbr-ball-ball-kernel": "dbr-ball ball_kernel.json",
 }
 GENERATED = ("k1.json", "k2.json")
 

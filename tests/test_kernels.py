@@ -172,7 +172,7 @@ def test_roundtrip_random_coisometric():
 def test_dbr_disc_constant_kernel():
     grid = disc_grid(27)
     k = SampledKernel(grid, np.ones((10, 10), dtype=complex))
-    assert bs.dbr_test_disc(k).is_dbr
+    assert bs.dbr_test_disc(k).is_psd
     # defect table is the rank-one Gram z conj(w)
     assert bs.psd_factor(kernels._defect_gram(k)).rank == 1
 
@@ -180,7 +180,7 @@ def test_dbr_disc_constant_kernel():
 def test_dbr_disc_twice_szego_fails():
     grid = disc_grid(28)
     rep = bs.dbr_test_disc(SampledKernel(grid, 2 * szego_gram(grid)))
-    assert not rep.is_dbr
+    assert not rep.is_psd
     assert rep.min_eigenvalue < -0.5
 
 
@@ -190,7 +190,7 @@ def test_dbr_disc_theta_kernel():
     for _ in range(5):
         theta = random_theta(rng)
         k = SampledKernel(grid, theta.kernel_values(grid))
-        assert bs.dbr_test_disc(k).is_dbr
+        assert bs.dbr_test_disc(k).is_psd
 
 
 def test_dbr_reconstruct_constant_kernel():
@@ -327,16 +327,16 @@ def test_dbr_monotone_under_subgrids():
     grid = disc_grid(40, n=10)
     theta = random_theta(rng)
     k_full = SampledKernel(grid, theta.kernel_values(grid))
-    assert bs.dbr_test_disc(k_full).is_dbr
+    assert bs.dbr_test_disc(k_full).is_psd
     sub = bs.PointGrid("disc", grid.points[:4])
     k_sub = SampledKernel(sub, k_full.values[:4, :4])
-    assert bs.dbr_test_disc(k_sub).is_dbr
+    assert bs.dbr_test_disc(k_sub).is_psd
 
     small = bs.PointGrid("disc", bs.make_grid("disc", 4, seed=5).points)
     big = bs.PointGrid("disc", np.concatenate(
         [small.points, bs.make_grid("disc", 6, seed=6).points]))
-    assert not bs.dbr_test_disc(SampledKernel(small, 2 * szego_gram(small))).is_dbr
-    assert not bs.dbr_test_disc(SampledKernel(big, 2 * szego_gram(big))).is_dbr
+    assert not bs.dbr_test_disc(SampledKernel(small, 2 * szego_gram(small))).is_psd
+    assert not bs.dbr_test_disc(SampledKernel(big, 2 * szego_gram(big))).is_psd
 
 
 def test_nf_szego_and_zero():
@@ -406,6 +406,30 @@ def test_polydisc_from_agler_kernels():
             assert not bad.passed
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+@pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
+def test_polydisc_sum_identity_passes_at_the_floored_threshold(tol, scale, passed):
+    # the bidisc dBR kernel of a unitary colligation with its Agler kernels
+    # as components; lowering one diagonal entry of K moves the sum residual
+    # to scale times numlin.floored(tol, ||K||_F) and keeps the Gram of
+    # I - (1 - z1 conj(w1))(1 - z2 conj(w2)) K PSD.  At tol = 1e-6 the
+    # threshold is tol, at tol = 1e-12 the rounding floor
+    v = unitary_colligation(np.random.default_rng(88), [2, 1])
+    grid = bs.make_grid("bidisc", 12, seed=89)
+    pair = bs.agler_kernels_of(v, grid)
+    vals = v(*grid.points.T)
+    weight = np.prod([1.0 - grid.points[:, i, None] * np.conj(grid.points[None, :, i])
+                      for i in range(2)], axis=0)
+    table = (1.0 - vals[:, None] * np.conj(vals)[None, :]) / weight
+    threshold = numlin.floored(tol, numlin.frob(table))
+    assert (threshold == tol) == (tol == 1e-6)
+    table[0, 0] -= scale * threshold
+    rep = bs.dbr_test_polydisc(SampledKernel(grid, table), pair.kernels, tol)
+    assert rep.sum_residual == pytest.approx(scale * threshold, rel=1e-4)
+    assert all(rep.kernels_psd) and rep.hadamard_min_eigenvalue >= -tol
+    assert rep.passed is passed
+
+
 def test_polydisc_three_variables():
     grid = bs.make_grid("polydisc-3", 8, seed=46)
     s3 = SampledKernel(grid, szego_gram(grid))
@@ -417,18 +441,18 @@ def test_polydisc_three_variables():
 
 def test_ball_drury_arveson():
     grid = bs.make_grid("ball-2", 10, seed=47)
-    assert bs.dbr_test_ball(SampledKernel(grid, drury_arveson_gram(grid))).passed
+    assert bs.dbr_test_ball(SampledKernel(grid, drury_arveson_gram(grid))).is_psd
 
 
 def test_ball_constant_kernel():
     grid = bs.make_grid("ball-2", 10, seed=48)
-    assert bs.dbr_test_ball(SampledKernel(grid, np.ones((10, 10), dtype=complex))).passed
+    assert bs.dbr_test_ball(SampledKernel(grid, np.ones((10, 10), dtype=complex))).is_psd
 
 
 def test_ball_twice_drury_arveson_fails():
     grid = bs.make_grid("ball-2", 10, seed=49)
     rep = bs.dbr_test_ball(SampledKernel(grid, 2 * drury_arveson_gram(grid)))
-    assert not rep.passed
+    assert not rep.is_psd
     assert rep.min_eigenvalue < -0.5
 
 
@@ -480,10 +504,10 @@ def test_dbr_disc_operator_valued():
     theta = operator_theta(rng)
     k = SampledKernel(grid, theta.kernel_values(grid), dim=2)
     rep = bs.dbr_test_disc(k)
-    assert rep.is_dbr
+    assert rep.is_psd
     # doubling breaks the defect positivity just like in the scalar case
     k2 = SampledKernel(grid, 2 * theta.kernel_values(grid), dim=2)
-    assert not bs.dbr_test_disc(k2).is_dbr
+    assert not bs.dbr_test_disc(k2).is_psd
 
 
 def test_dbr_nf_operator_valued():
