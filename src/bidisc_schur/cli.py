@@ -287,11 +287,11 @@ def _cmd_agler_verify(args, tol, seed):
     if fn.nvars != grid.nvars:
         raise GridMismatchError(f"the function takes {fn.nvars} coordinate(s), but the "
                                 f"kernels are sampled on a {grid.ambient} grid")
-    for i, k in enumerate(kernels, 1):
-        if not k.is_psd(tol):
-            return f"failed: K{i} is not PSD", {"kernel": f"K{i}"}, 1
-    return _decided(kernels_mod.verify_agler_decomposition(fn, kernels, tol), "passed",
-                    "pass", "failed: decomposition identity violated")
+    rep = kernels_mod.verify_agler_decomposition(fn, kernels, tol)
+    if not all(rep.kernels_psd):
+        name = f"K{rep.kernels_psd.index(False) + 1}"
+        return f"failed: {name} is not PSD", {"kernel": name}, 1
+    return _decided(rep, "passed", "pass", "failed: decomposition identity violated")
 
 
 def _kernel_arg(path):

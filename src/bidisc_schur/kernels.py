@@ -148,50 +148,56 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
 @dataclass(frozen=True)
 class DecompositionReport:
     passed: bool
+    kernels_psd: tuple
     max_residual: float
 
 
 def verify_agler_decomposition(f, kernels, tol: float = DEFAULT_TOL) -> DecompositionReport:
-    """Check the decomposition identity pointwise on the kernels' shared grid,
-    an interior polydisc grid with one coordinate per kernel.  It passes at
-    numlin.floored(tol, ||1 - f f*||_F), the gate of agler_kernels_of."""
+    """Check an Agler decomposition on the kernels' shared grid, an interior
+    polydisc grid with one coordinate per kernel: every K_i PSD, and the
+    identity pointwise at numlin.floored(tol, ||1 - f f*||_F), the gate of
+    agler_kernels_of."""
     grid = kernels[0].grid
     if not all(k.grid.same_points(grid) for k in kernels):
         raise GridMismatchError("the kernels are sampled on different grids")
     if any(k.dim != 1 for k in kernels):
         raise GridMismatchError("decomposition verification is for scalar kernels")
     _require_polydisc(grid, len(kernels), f"decomposition verification of {len(kernels)} kernel(s)")
+    psd_flags = tuple(bool(k.is_psd(tol)) for k in kernels)
     residual, lhs_norm = _agler_residual(
         np.asarray(f(*grid.points.T), dtype=np.complex128), kernels)
-    return DecompositionReport(residual <= numlin.floored(tol, lhs_norm), residual)
+    passed = all(psd_flags) and residual <= numlin.floored(tol, lhs_norm)
+    return DecompositionReport(passed, psd_flags, residual)
 
 
 # ---------------------------------------------------------------------------
 # de Branges-Rovnyak tests
 
 
-def _weighted_gram(k: SampledKernel, weight, identity=1.0) -> np.ndarray:
-    """Gram matrix of identity(z, w) I - weight(z, w) K(z, w) over the grid,
-    weight and identity scalar (n, n) tables or constants.  Every de
-    Branges-Rovnyak test is a PSD test of one of these, with the domain's
-    factor s(z, w) as the weight."""
-    ident = np.asarray(identity)[..., None, None] * np.eye(k.dim)
-    table = ident - np.asarray(weight)[..., None, None] * _blocks(k.values, k.dim)
-    return _as_gram(table, k.dim)
+def _dbr_grams(values: np.ndarray, dim: int, s: np.ndarray) -> tuple:
+    """The Grams of K and of I - s(z, w) K for a kernel table K of value
+    dimension dim and an (n, n) table s of the domain's factor.  The de
+    Branges-Rovnyak rule: K is (I - T(z)T(w)*)/s(z, w) on the grid for a
+    contractive multiplier T exactly when both are PSD (Agler-McCarthy
+    2002; Ball-Trent-Vinnikov 2001 on the ball)."""
+    defect = np.eye(dim) - s[:, :, None, None] * _blocks(values, dim)
+    return _as_gram(values, dim), _as_gram(defect, dim)
 
 
-def _defect_gram(k: SampledKernel) -> np.ndarray:
-    """Gram of I - (1 - z conj(w)) K on a disc grid."""
-    return _weighted_gram(k, 1.0 - _coordinate_products(k.grid, 0))
+def _dbr_report(k: SampledKernel, s: np.ndarray, tol: float) -> numlin.PsdReport:
+    """The rule on k: the PSD report of K if K fails, else that of I - s K."""
+    gram, defect = _dbr_grams(k.values, k.dim, s)
+    report = numlin.is_psd(gram, tol)
+    return numlin.is_psd(defect, tol) if report else report
 
 
 def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdReport:
     """Does K agree on the grid with (I - T(z)T(w)*)/(1 - z conj(w)) for
-    some Schur-class T?  Holds iff the Gram of I - (1 - z conj(w)) K is PSD,
-    the PSD test reported."""
+    some Schur-class T?  Exactly when K and I - (1 - z conj(w)) K are both
+    PSD; the report is K's if K fails, else that of I - (1 - z conj(w)) K."""
     if k.grid.nvars != 1:
         raise GridMismatchError("dbr_test_disc needs a disc grid")
-    return numlin.is_psd(_defect_gram(k), tol)
+    return _dbr_report(k, 1.0 - _coordinate_products(k.grid, 0), tol)
 
 
 @dataclass(frozen=True)
@@ -202,15 +208,15 @@ class NormalizedFormReport:
 
 
 def dbr_test_nf(k: SampledKernel, tol: float = DEFAULT_TOL) -> NormalizedFormReport:
-    """Boolean pair: (Szego - K PSD?, (1 - z conj(w)) K PSD?).  Both hold
-    iff K(z,w) = T(z)T(w)*/(1 - z conj(w)) on the grid for a Schur-class T."""
+    """Is K(z,w) = T(z)T(w)*/(1 - z conj(w)) on the grid for a Schur-class
+    T?  Exactly when S - K, S the Szego kernel, is a dBR kernel: when S - K
+    and I - (1 - z conj(w))(S - K) = (1 - z conj(w)) K are both PSD."""
     if k.grid.nvars != 1:
         raise GridMismatchError("dbr_test_nf needs a disc grid")
-    s = 1.0 / (1.0 - _coordinate_products(k.grid, 0))
-    r1 = numlin.is_psd(_weighted_gram(k, 1.0, s), tol)
-    r2 = numlin.is_psd(_weighted_gram(k, -(1.0 / s), 0.0), tol)
-    return NormalizedFormReport(r1.is_psd, r2.is_psd,
-                                (r1.min_eigenvalue, r2.min_eigenvalue))
+    s = 1.0 - _coordinate_products(k.grid, 0)
+    dominated = (1.0 / s)[:, :, None, None] * np.eye(k.dim) - _blocks(k.values, k.dim)
+    r1, r2 = (numlin.is_psd(g, tol) for g in _dbr_grams(dominated, k.dim, s))
+    return NormalizedFormReport(r1.is_psd, r2.is_psd, (r1.min_eigenvalue, r2.min_eigenvalue))
 
 
 @dataclass(frozen=True)
@@ -250,18 +256,20 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
     total = sum((1.0 / (full / c))[:, :, None, None] * _blocks(ki.values, ki.dim)
                 for c, ki in zip(coord, components))
     sum_residual = float(np.max(np.abs(_blocks(k.values, k.dim) - total), initial=0.0))
-    report = numlin.is_psd(_weighted_gram(k, full), tol)
+    report = numlin.is_psd(_dbr_grams(k.values, k.dim, full)[1], tol)
     passed = all(psd_flags) and sum_residual <= numlin.floored(tol, frob(k.values)) \
         and report.is_psd
     return PolydiscReport(passed, psd_flags, sum_residual, report.min_eigenvalue)
 
 
 def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdReport:
-    """PSD test of the Gram of I - (1 - <z, w>) K on a ball grid."""
+    """Is K (I - T(z)T(w)*)/(1 - <z, w>) on a ball grid for a contractive
+    multiplier T?  Exactly when K and I - (1 - <z, w>) K are both PSD; the
+    report is K's if K fails, else that of I - (1 - <z, w>) K."""
     if not k.grid.ambient.startswith("ball"):
         raise GridMismatchError("dbr_test_ball needs a ball grid")
     pts = k.grid.points                 # <z_i, z_j> = sum_k z_ik conj(z_jk)
-    return numlin.is_psd(_weighted_gram(k, 1.0 - pts @ pts.conj().T), tol)
+    return _dbr_report(k, 1.0 - pts @ pts.conj().T, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +341,9 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     """Reconstruct a Schur-class T with K = (I - T(z)T(w)*)/(1 - z conj(w))
     on the sample grid.
 
-    Steps: factor the Gram of I - (1 - z conj(w)) K into defect rows F(w),
-    factor the Gram of K into state rows G(w), fit a polar factor to the map
+    Steps: factor the two Grams of dbr_test_disc, I - (1 - z conj(w)) K
+    into defect rows F(w) and K into state rows G(w), fit a polar factor
+    to the map
 
         (eta, conj(w) G(w)* eta)  ->  (F(w)* eta, G(w)* eta)
 
@@ -345,8 +354,9 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     beyond Schur-class membership) to numlin.sampled(tol)."""
     if k.grid.nvars != 1:
         raise GridMismatchError("dbr_reconstruct_disc needs a disc grid")
-    f_fact = _dbr_factor(_defect_gram(k), "defect", tol)
-    g_fact = _dbr_factor(k.gram(), "kernel", tol)
+    gram, defect = _dbr_grams(k.values, k.dim, 1.0 - _coordinate_products(k.grid, 0))
+    f_fact = _dbr_factor(defect, "defect", tol)
+    g_fact = _dbr_factor(gram, "kernel", tol)
 
     e = k.dim
     n = len(k.grid)

@@ -106,6 +106,15 @@ def permutation_colligation():
     return bs.Colligation(0.0, [[1, 0]], [[0], [1]], [[0, 1], [0, 0]], [1, 1])
 
 
+def gauge_shifted_agler_pair(grid, c):
+    """The Agler kernels (1, z1 conj w1) of z1 z2 (permutation_colligation)
+    shifted to K1 + c (1 - z2 conj w2) and K2 - c (1 - z1 conj w1): the
+    decomposition identity stays exact, and for large c neither is PSD."""
+    p1, p2 = (kernels._coordinate_products(grid, i) for i in (0, 1))
+    return (bs.SampledKernel(grid, 1.0 + c * (1.0 - p2)),
+            bs.SampledKernel(grid, p1 - c * (1.0 - p1)))
+
+
 def vt_colligation(t):
     # unitary realization of (z1 z2 - t)/(1 - t z1 z2); lower-left entry is t
     g = np.sqrt(1 - t * t)

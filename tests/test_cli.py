@@ -13,6 +13,7 @@ from bidisc_schur.errors import ParseError, SchemaError
 from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import (
     composed_blaschke,
+    gauge_shifted_agler_pair,
     not_separable_tiny_origin,
     permutation_colligation,
     random_theta,
@@ -554,6 +555,38 @@ def test_cli_agler_verify_failure(tmp_path, capsys):
     code, report = run_cli(capsys, "agler-verify", vpath, zpath, zpath)
     assert code == 1
     assert report["verdict"].startswith("failed")
+
+
+def test_cli_agler_verify_refuses_a_kernel_that_is_not_psd(tmp_path, capsys):
+    # the identity holds exactly, so only the PSD requirement refuses it
+    vpath = write(tmp_path, "perm.json",
+                  serialize.colligation_to_json(permutation_colligation()))
+    k1, k2 = gauge_shifted_agler_pair(bs.make_grid("bidisc", 12, seed=19), 10.0)
+    paths = [write(tmp_path, f"k{i}.json", serialize.kernel_to_json(k))
+             for i, k in enumerate((k1, k2), 1)]
+    code, report = run_cli(capsys, "agler-verify", vpath, *paths)
+    assert code == 1
+    assert report["verdict"] == "failed: K1 is not PSD"
+    assert report["evidence"] == {"kernel": "K1"}
+
+
+def test_cli_dbr_refuses_kernels_that_are_not_psd(tmp_path, capsys):
+    # -S and the kernel of 1.02 (z - 0.4)/(1 - 0.4 z) on the disc, and
+    # -(Drury-Arveson) on the ball: I - s K is PSD for each, K is not
+    grid = parse_grid_spec("disc:rand:30:seed=3", 0)
+    z = grid.points[:, 0]
+    t = 1.02 * (z - 0.4) / (1 - 0.4 * z)
+    ball = parse_grid_spec("ball-2:rand:20", 0)
+    runs = [("dbr-check", SampledKernel(grid, -szego_gram(grid)), "not-dbr"),
+            ("dbr-check", SampledKernel(grid, (1 - np.outer(t, np.conj(t))) * szego_gram(grid)),
+             "not-dbr"),
+            ("dbr-ball", SampledKernel(ball, -1.0 / (1.0 - ball.points @ ball.points.conj().T)),
+             "failed")]
+    for command, k, verdict in runs:
+        path = write(tmp_path, "k.json", serialize.kernel_to_json(k))
+        code, report = run_cli(capsys, command, path)
+        assert (code, report["verdict"]) == (1, verdict)
+        assert report["evidence"]["min_eigenvalue"] < -0.5
 
 
 def test_cli_classify(tmp_path, capsys):

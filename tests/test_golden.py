@@ -47,6 +47,7 @@ COMMANDS = {
     "dbr-check-dbr-kernel": "dbr-check dbr_kernel.json",
     "dbr-reconstruct-dbr-kernel": "dbr-reconstruct dbr_kernel.json",
     "dbr-check-not-dbr-kernel": "dbr-check not_dbr_kernel.json",
+    "dbr-check-negative-szego-kernel": "dbr-check negative_szego_kernel.json",
     "dbr-ball-ball-kernel": "dbr-ball ball_kernel.json",
 }
 GENERATED = ("k1.json", "k2.json")

@@ -11,6 +11,7 @@ from helpers import (
     composed_blaschke,
     dense_resolvent_solve,
     drury_arveson_gram,
+    gauge_shifted_agler_pair,
     loop_defect_gram,
     permutation_colligation,
     random_theta,
@@ -174,7 +175,8 @@ def test_dbr_disc_constant_kernel():
     k = SampledKernel(grid, np.ones((10, 10), dtype=complex))
     assert bs.dbr_test_disc(k).is_psd
     # defect table is the rank-one Gram z conj(w)
-    assert bs.psd_factor(kernels._defect_gram(k)).rank == 1
+    s = 1.0 - kernels._coordinate_products(grid, 0)
+    assert bs.psd_factor(kernels._dbr_grams(k.values, k.dim, s)[1]).rank == 1
 
 
 def test_dbr_disc_twice_szego_fails():
@@ -182,6 +184,37 @@ def test_dbr_disc_twice_szego_fails():
     rep = bs.dbr_test_disc(SampledKernel(grid, 2 * szego_gram(grid)))
     assert not rep.is_psd
     assert rep.min_eigenvalue < -0.5
+
+
+@pytest.mark.parametrize("name", ["negative-szego", "1.02-mobius"])
+def test_dbr_disc_refuses_a_kernel_that_is_not_psd(name):
+    # I - (1 - z conj(w)) K is PSD for both (2 and T(z)T(w)*), so only the
+    # Gram of K can refuse them; the report is its own
+    k = mobius_kernel(1.02, 30)
+    if name == "negative-szego":
+        k = SampledKernel(k.grid, -szego_gram(k.grid))
+    assert bs.is_psd(loop_defect_gram(k, 1.0 - kernels._coordinate_products(k.grid, 0)))
+    rep = bs.dbr_test_disc(k)
+    assert not rep.is_psd
+    assert rep.min_eigenvalue == bs.is_psd(k.gram()).min_eigenvalue < -0.5
+    with pytest.raises(NotDbrError, match="kernel Gram not PSD"):
+        bs.dbr_reconstruct_disc(k)
+
+
+def test_dbr_ball_refuses_negated_drury_arveson():
+    grid = bs.make_grid("ball-2", 20, seed=0)
+    assert bs.dbr_test_ball(SampledKernel(grid, drury_arveson_gram(grid))).is_psd
+    rep = bs.dbr_test_ball(SampledKernel(grid, -drury_arveson_gram(grid)))
+    assert not rep.is_psd and rep.min_eigenvalue < -0.5
+
+
+def test_verify_agler_decomposition_requires_psd_kernels():
+    grid = bs.make_grid("bidisc", 12, seed=19)
+    pair = gauge_shifted_agler_pair(grid, 10.0)
+    rep = bs.verify_agler_decomposition(permutation_colligation(), pair)
+    assert rep.max_residual < 1e-12
+    assert rep.kernels_psd == (False, False)
+    assert not rep.passed
 
 
 def test_dbr_disc_theta_kernel():
@@ -253,9 +286,10 @@ def test_dbr_reconstruct_operator_valued():
 
 
 def test_dbr_grams_decomposed_once(monkeypatch):
-    # one eigensolve per Gram: eigvalsh for the PSD test of the defect Gram
-    # in dbr_test_disc, and on reconstruction one eigh each for the factors
-    # of the defect and kernel Grams, which also decides that they are PSD
+    # one eigensolve per Gram of the de Branges-Rovnyak rule: in
+    # dbr_test_disc one eigvalsh each for the PSD tests of the kernel and
+    # defect Grams, and on reconstruction one eigh each for their factors,
+    # which also decides that they are PSD
     calls = {"eigvalsh": 0, "eigh": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -266,15 +300,16 @@ def test_dbr_grams_decomposed_once(monkeypatch):
     grid = disc_grid(40, n=12)
     k = SampledKernel(grid, theta.kernel_values(grid))
     bs.dbr_test_disc(k)
-    assert calls == {"eigvalsh": 1, "eigh": 0}
+    assert calls == {"eigvalsh": 2, "eigh": 0}
     bs.dbr_reconstruct_disc(k)
-    assert calls == {"eigvalsh": 1, "eigh": 2}
+    assert calls == {"eigvalsh": 2, "eigh": 2}
     # a refusal reports the least eigenvalue of the one eigh that found it
     bad = SampledKernel(grid, 2 * szego_gram(grid))
     with pytest.raises(NotDbrError) as err:
         bs.dbr_reconstruct_disc(bad)
-    assert calls == {"eigvalsh": 1, "eigh": 3}
-    lam_min = bs.is_psd(kernels._defect_gram(bad)).min_eigenvalue
+    assert calls == {"eigvalsh": 2, "eigh": 3}
+    s = 1.0 - kernels._coordinate_products(grid, 0)
+    lam_min = bs.is_psd(kernels._dbr_grams(bad.values, bad.dim, s)[1]).min_eigenvalue
     assert str(err.value) == f"defect Gram not PSD (lambda_min = {lam_min:.3e})"
 
 
