@@ -240,16 +240,15 @@ def _cmd_toeplitz_check(args, tol, seed):
         rep = structure_report(obj, tol)
         evidence["structure"] = dataclasses.asdict(rep)
         evidence["radii"] = rep.radii
-        boundary = boundary_scan(obj, tol)
         builder = lambda m: phi_blocks_from_colligation(obj, m, tol)
     elif isinstance(obj, RationalFunction2):
-        boundary = boundary_scan(obj, tol)
         builder = lambda m: toeplitz_truncate(series_of(obj, m - 1, m - 1), m)
     elif isinstance(obj, PowerSeries2):
-        boundary = None
         builder = lambda m: toeplitz_truncate(obj, m)
     else:
         raise SchemaError("toeplitz-check expects a colligation, rational2, or series2")
+    # a truncated series, whose tail is unknown, has no boundary values
+    boundary = None if isinstance(obj, PowerSeries2) else boundary_scan(obj, tol)
     if boundary is not None:
         evidence["boundary_deviation"] = boundary.max_deviation
     for m in orders:
@@ -374,10 +373,9 @@ def _cmd_split(args, tol, seed):
 def _cmd_model(args, tol, seed):
     constant, zeros = _load_as(args.input, tuple, "model expects Blaschke data {constant, zeros}")
     v = model_colligation(constant, zeros)
-    unit = numlin.classify(v.V, tol)
     return "computed", {
         "colligation": serialize.colligation_to_json(v),
-        "is_unitary": unit.is_unitary,
+        "is_unitary": v.classify(tol).is_unitary,
     }, 0
 
 

@@ -389,13 +389,13 @@ def structure_report(v: Colligation, tol: float = DEFAULT_TOL) -> StructureRepor
 
 
 def cascade_blocks(v1: Colligation, v2: Colligation):
-    """Blocks of the product colligation
+    """The blocks (a, B, C, D) of the product colligation
 
         [[a1 a2, B1, a1 B2], [a2 C1, D1, C1 B2], [C2, 0, D2]]
 
     whose transfer function is the product of the factors' transfer
     functions (in separate variables, or in the shared variable when both
-    factors depend on the same one)."""
+    factors depend on the same one).  The state splits as v1.h + v2.h."""
     if v1.nvars != 1 or v2.nvars != 1:
         raise NotStructuredError("cascade needs one-variable factors")
     h1, h2 = v1.h, v2.h
@@ -406,12 +406,11 @@ def cascade_blocks(v1: Colligation, v2: Colligation):
     d[:h1, :h1] = v1.D
     d[:h1, h1:] = v1.C @ v2.B
     d[h1:, h1:] = v2.D
-    return a, b, c, d, h1, h2
+    return a, b, c, d
 
 
 def _cascade_1d(v1: Colligation, v2: Colligation) -> Colligation:
-    a, b, c, d, h1, h2 = cascade_blocks(v1, v2)
-    return Colligation(a, b, c, d, [h1 + h2])
+    return Colligation(*cascade_blocks(v1, v2), [v1.h + v2.h])
 
 
 def blaschke_section(alpha: complex) -> Colligation:
@@ -432,7 +431,8 @@ def model_colligation(constant: complex, zeros) -> Colligation:
     backward shift are taken in the Takenaka-Malmquist orthonormal basis
     (zeros processed in input order).  This fixes the matrices
     reproducibly; the same operators in that basis arise from cascading
-    one-zero unitary sections and folding the unimodular constant last.
+    one-zero unitary sections and then folding the unimodular constant c
+    into a and C, as cascading the constant colligation [[c]] would.
     """
     constant = complex(constant)
     if abs(abs(constant) - 1.0) > numlin.EXACT_GUARD:
@@ -441,5 +441,4 @@ def model_colligation(constant: complex, zeros) -> Colligation:
     v = Colligation(1.0, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0])
     for alpha in zeros:
         v = _cascade_1d(v, blaschke_section(alpha))
-    tail = Colligation(constant, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0])
-    return _cascade_1d(v, tail)
+    return Colligation(v.a * constant, v.B, constant * v.C, v.D, [v.h])

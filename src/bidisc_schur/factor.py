@@ -34,6 +34,14 @@ _CERT_GRID_SIZE = 30
 _CERT_GRID_SEED = 20260810
 
 
+def _origin_value(f, tol: float) -> complex:
+    """f(0, 0), for the tests that divide by it: OriginZeroError if |f(0, 0)| <= tol."""
+    origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
+    if abs(origin) <= tol:
+        raise OriginZeroError("value at the origin vanishes; strip monomial factors first")
+    return origin
+
+
 @dataclass(frozen=True)
 class SeparabilityReport:
     separable: bool
@@ -58,10 +66,7 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     positive real at its largest-modulus sample."""
     if grid.ambient != "bidisc":
         raise GridMismatchError("separability_test needs a bidisc grid")
-    origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
-    if abs(origin) <= tol:
-        raise OriginZeroError(
-            "value at the origin vanishes; strip monomial factors first")
+    origin = _origin_value(f, tol)
     z1 = grid.points[:, 0]
     z2 = grid.points[:, 1]
     if isinstance(f, Colligation) and f.nvars == 2 and not f.lower_left.any():
@@ -165,8 +170,7 @@ def compose_colligations(v1: Colligation, v2: Colligation,
             or (c1.is_coisometry and c2.is_coisometry)):
         raise ClassMismatchError(
             "factors must share a class: both isometric or both co-isometric")
-    a, b, c, d, h1, h2 = cascade_blocks(v1, v2)
-    out = Colligation(a, b, c, d, [h1, h2])
+    out = Colligation(*cascade_blocks(v1, v2), [v1.h, v2.h])
     _product_certificate(out, v1, v2, tol, "composition does not realize the product")
     return out
 
@@ -280,9 +284,7 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
     axis1, axis2, origin1, origin2 = _product_axes(k1.grid)
     if k1.dim != 1 or k2.dim != 1:
         raise GridMismatchError("factorization conditions are for scalar kernels")
-    origin = complex(np.asarray(f(0.0, 0.0)).reshape(()))
-    if abs(origin) <= tol:
-        raise OriginZeroError("value at the origin vanishes; strip monomials first")
+    origin = _origin_value(f, tol)
 
     n1, n2 = len(axis1), len(axis2)
     vals1 = k1.values.reshape(n1, n2, n1, n2)

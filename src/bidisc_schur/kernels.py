@@ -174,21 +174,24 @@ def verify_agler_decomposition(f, kernels, tol: float = DEFAULT_TOL) -> Decompos
 # de Branges-Rovnyak tests
 
 
+def _defect_gram(values: np.ndarray, dim: int, s: np.ndarray) -> np.ndarray:
+    """The Gram of I - s(z, w) K, s an (n, n) table of the domain's factor."""
+    return _as_gram(np.eye(dim) - s[:, :, None, None] * _blocks(values, dim), dim)
+
+
 def _dbr_grams(values: np.ndarray, dim: int, s: np.ndarray) -> tuple:
-    """The Grams of K and of I - s(z, w) K for a kernel table K of value
-    dimension dim and an (n, n) table s of the domain's factor.  The de
-    Branges-Rovnyak rule: K is (I - T(z)T(w)*)/s(z, w) on the grid for a
-    contractive multiplier T exactly when both are PSD (Agler-McCarthy
-    2002; Ball-Trent-Vinnikov 2001 on the ball)."""
-    defect = np.eye(dim) - s[:, :, None, None] * _blocks(values, dim)
-    return _as_gram(values, dim), _as_gram(defect, dim)
+    """The Grams of K, a kernel table of value dimension dim, and of
+    I - s(z, w) K.  The de Branges-Rovnyak rule: K is (I - T(z)T(w)*)/s(z, w)
+    on the grid for a contractive multiplier T exactly when both are PSD
+    (Agler-McCarthy 2002; Ball-Trent-Vinnikov 2001 on the ball)."""
+    return _as_gram(values, dim), _defect_gram(values, dim, s)
 
 
-def _dbr_report(k: SampledKernel, s: np.ndarray, tol: float) -> numlin.PsdReport:
-    """The rule on k: the PSD report of K if K fails, else that of I - s K."""
-    gram, defect = _dbr_grams(k.values, k.dim, s)
-    report = numlin.is_psd(gram, tol)
-    return numlin.is_psd(defect, tol) if report else report
+def _dbr_report(k: SampledKernel, domain_factor, tol: float) -> numlin.PsdReport:
+    """The rule on k: the PSD report of K if K fails, else that of I - s K,
+    s = domain_factor() built only once K has passed and its Gram is freed."""
+    report = k.is_psd(tol)
+    return report and numlin.is_psd(_defect_gram(k.values, k.dim, domain_factor()), tol)
 
 
 def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdReport:
@@ -197,7 +200,7 @@ def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdRepor
     PSD; the report is K's if K fails, else that of I - (1 - z conj(w)) K."""
     if k.grid.nvars != 1:
         raise GridMismatchError("dbr_test_disc needs a disc grid")
-    return _dbr_report(k, 1.0 - _coordinate_products(k.grid, 0), tol)
+    return _dbr_report(k, lambda: 1.0 - _coordinate_products(k.grid, 0), tol)
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
     total = sum((1.0 / (full / c))[:, :, None, None] * _blocks(ki.values, ki.dim)
                 for c, ki in zip(coord, components))
     sum_residual = float(np.max(np.abs(_blocks(k.values, k.dim) - total), initial=0.0))
-    report = numlin.is_psd(_dbr_grams(k.values, k.dim, full)[1], tol)
+    report = numlin.is_psd(_defect_gram(k.values, k.dim, full), tol)
     passed = all(psd_flags) and sum_residual <= numlin.floored(tol, frob(k.values)) \
         and report.is_psd
     return PolydiscReport(passed, psd_flags, sum_residual, report.min_eigenvalue)
@@ -269,7 +272,7 @@ def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdRepor
     if not k.grid.ambient.startswith("ball"):
         raise GridMismatchError("dbr_test_ball needs a ball grid")
     pts = k.grid.points                 # <z_i, z_j> = sum_k z_ik conj(z_jk)
-    return _dbr_report(k, 1.0 - pts @ pts.conj().T, tol)
+    return _dbr_report(k, lambda: 1.0 - pts @ pts.conj().T, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,7 @@ class ThetaRealization:
         return f"ThetaRealization(e_star={self.e_star}, e={self.e}, h={self.h})"
 
 
-def _dbr_factor(gram: np.ndarray, name: str, tol: float) -> numlin.PsdFactorization:
+def _dbr_factor(gram: np.ndarray, name: str, tol: float) -> np.ndarray:
     """numlin.psd_factor of a Gram of the reconstruction; NotDbrError, with
     the least eigenvalue psd_factor found, when it is not PSD."""
     try:
@@ -355,19 +358,17 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     if k.grid.nvars != 1:
         raise GridMismatchError("dbr_reconstruct_disc needs a disc grid")
     gram, defect = _dbr_grams(k.values, k.dim, 1.0 - _coordinate_products(k.grid, 0))
-    f_fact = _dbr_factor(defect, "defect", tol)
-    g_fact = _dbr_factor(gram, "kernel", tol)
+    f_adj = _dbr_factor(defect, "defect", tol).conj().T     # rf x n e
+    g_adj = _dbr_factor(gram, "kernel", tol).conj().T       # rg x n e
 
     e = k.dim
     n = len(k.grid)
     w = k.grid.points[:, 0]
-    rf = f_fact.rank
+    rf = f_adj.shape[0]
 
     # data columns of the partial isometry, one per (grid point, value
     # direction): block i is (I, conj(w_i) G(w_i)*) -> (F(w_i)*, G(w_i)*),
     # where F(w_i) and G(w_i) are the i-th e-row blocks of the factors
-    f_adj = f_fact.factor.conj().T                  # rf x n e
-    g_adj = g_fact.factor.conj().T                  # rg x n e
     dom = np.vstack([np.tile(np.eye(e), n), np.repeat(np.conj(w), e) * g_adj])
     cod = np.vstack([f_adj, g_adj])
 

@@ -107,14 +107,6 @@ class PsdReport:
 
 
 @dataclass(frozen=True)
-class PsdFactorization:
-    """Low-rank factorization A ~ factor @ factor*  of a PSD matrix."""
-
-    rank: int
-    factor: np.ndarray
-
-
-@dataclass(frozen=True)
 class OperatorClass:
     is_isometry: bool
     is_coisometry: bool
@@ -150,21 +142,21 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> PsdReport:
     return PsdReport(lam_min >= -cut, lam_min)
 
 
-def psd_factor(a, tol: float = DEFAULT_TOL) -> PsdFactorization:
-    """Eigen-truncated factorization A ~ F F* with F of shape (n, rank).
+def psd_factor(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Eigen-truncated factor F of shape (n, rank) with A ~ F F*.
 
     One eigendecomposition of the Hermitian part gives both the PSD test of
     is_psd (NotPsdError below -tol*(1 + ||A||_F)) and the factor.
     Eigen-truncation (rather than Cholesky) handles the rank-deficient Gram
-    matrices of sampled kernels gracefully: rank is the number of
-    eigenvalues above tol*(1 + ||A||_F).
+    matrices of sampled kernels gracefully: the rank, F.shape[1], is the
+    number of eigenvalues above tol*(1 + ||A||_F).
     """
     herm, cut = _hermitian_part(a, tol, "psd_factor")
     vals, vecs = np.linalg.eigh(herm)
     if vals.size and vals[0] < -cut:
         raise NotPsdError(f"matrix is not PSD (lambda_min = {vals[0]:.3e})", float(vals[0]))
     keep = vals > cut
-    return PsdFactorization(int(keep.sum()), vecs[:, keep] * np.sqrt(vals[keep]))
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> OperatorClass:

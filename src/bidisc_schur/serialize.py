@@ -86,10 +86,6 @@ def complex_from_json(obj) -> complex:
     return complex(pairs_from_json(obj, 0))
 
 
-def matrix_to_json(m) -> list:
-    return pairs_to_json(np.atleast_2d(m))
-
-
 def matrix_from_json(obj, shape=None) -> np.ndarray:
     out = pairs_from_json(obj, 2)
     if shape is not None and out.size == 0:
@@ -105,7 +101,7 @@ def _count(value, field: str) -> int:
 
 
 def poly_to_json(p: Poly2) -> dict:
-    return {"kind": "poly2", "deg": list(p.degree), "coeffs": matrix_to_json(p.coeffs)}
+    return {"kind": "poly2", "deg": list(p.degree), "coeffs": pairs_to_json(p.coeffs)}
 
 
 def poly_from_json(obj) -> Poly2:
@@ -113,7 +109,7 @@ def poly_from_json(obj) -> Poly2:
 
 
 def series_to_json(s: PowerSeries2) -> dict:
-    return {"kind": "series2", "deg": list(s.orders), "coeffs": matrix_to_json(s.coeffs)}
+    return {"kind": "series2", "deg": list(s.orders), "coeffs": pairs_to_json(s.coeffs)}
 
 
 def series_from_json(obj) -> PowerSeries2:
@@ -157,9 +153,9 @@ def colligation_to_json(v: Colligation) -> dict:
     return {
         "kind": "colligation",
         "a": complex_to_json(v.a),
-        "B": matrix_to_json(v.B),
-        "C": matrix_to_json(v.C),
-        "D": matrix_to_json(v.D),
+        "B": pairs_to_json(v.B),
+        "C": pairs_to_json(v.C),
+        "D": pairs_to_json(v.D),
         "partition": list(v.partition),
     }
 
@@ -203,10 +199,10 @@ def theta_to_json(t: ThetaRealization) -> dict:
     return {
         "kind": "theta",
         "dims": [t.e_star, t.e, t.h],
-        "A": matrix_to_json(t.A),
-        "B": matrix_to_json(t.B),
-        "C": matrix_to_json(t.C),
-        "D": matrix_to_json(t.D),
+        "A": pairs_to_json(t.A),
+        "B": pairs_to_json(t.B),
+        "C": pairs_to_json(t.C),
+        "D": pairs_to_json(t.D),
     }
 
 

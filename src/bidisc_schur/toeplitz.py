@@ -301,14 +301,11 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
             diagnostics = proof_diagnostics(v, tol=tol)
 
     if certified:
-        return InnerCertificate("certified", "structural hypotheses verified",
-                                report, bdev, bpass, defect, diagnostics)
-    if bpass is False:
-        return InnerCertificate("refuted", "boundary modulus deviates from 1",
-                                report, bdev, bpass, defect, diagnostics)
-    if bpass is True:
-        detail = "inconclusive-by-structure, inner-by-sampling"
+        verdict, detail = "certified", "structural hypotheses verified"
+    elif bpass is False:
+        verdict, detail = "refuted", "boundary modulus deviates from 1"
+    elif bpass:
+        verdict, detail = "inconclusive", "inconclusive-by-structure, inner-by-sampling"
     else:
-        detail = "inconclusive-by-structure, boundary sampling unavailable"
-    return InnerCertificate("inconclusive", detail, report, bdev, bpass,
-                            defect, diagnostics)
+        verdict, detail = "inconclusive", "inconclusive-by-structure, boundary sampling unavailable"
+    return InnerCertificate(verdict, detail, report, bdev, bpass, defect, diagnostics)

@@ -489,9 +489,8 @@ def difference_quotient_colligation(f, kernel1, kernel2, grid, tol=DEFAULT_TOL):
     pts = grid.points
     axis1, axis2, origin1, origin2 = factor._product_axes(grid)
 
-    fact1 = numlin.psd_factor(tabulate(pts, kernel1), tol)
-    fact2 = numlin.psd_factor(tabulate(pts, kernel2), tol)
-    f1, f2 = fact1.factor, fact2.factor            # sample-value bases
+    f1 = numlin.psd_factor(tabulate(pts, kernel1), tol)   # sample-value bases
+    f2 = numlin.psd_factor(tabulate(pts, kernel2), tol)
 
     idx0 = origin1 * len(axis2) + origin2
     proj1 = np.repeat(np.arange(len(axis1)) * len(axis2) + origin2,
@@ -520,7 +519,7 @@ def difference_quotient_colligation(f, kernel1, kernel2, grid, tol=DEFAULT_TOL):
     b1 = f1[idx0][None, :]
     b2 = f2[idx0][None, :]
 
-    h1, h2 = fact1.rank, fact2.rank
+    h1, h2 = f1.shape[1], f2.shape[1]
     d = np.zeros((h1 + h2, h1 + h2), dtype=np.complex128)
     d[:h1, :h1] = d1
     d[:h1, h1:] = d2

@@ -556,9 +556,14 @@ def test_factorization_conditions_require_a_product_grid_with_origin(grid):
 def test_factorization_conditions_origin_zero_routed():
     grid = factor.product_grid(4, 4, seed=64)
     pair = bs.agler_kernels_of(permutation_colligation(), grid)
-    with pytest.raises(OriginZeroError):
+    with pytest.raises(OriginZeroError) as err:
         factor.agler_factorization_conditions(
             lambda z1, z2: z1 * z2, *pair.kernels, 1e-9)
+    # the one origin gate, shared with separability_test and its CLI text
+    with pytest.raises(OriginZeroError) as sep:
+        bs.separability_test(lambda z1, z2: z1 * z2, grid)
+    assert str(err.value) == str(sep.value) == \
+        "value at the origin vanishes; strip monomial factors first"
 
 
 def test_difference_quotient_colligation_cross_check():

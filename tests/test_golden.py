@@ -9,9 +9,13 @@ files they are written to) and the digests of those files.
 
 Regenerate after an intended change of a report, from the repository root:
     PYTHONPATH=src python tests/test_golden.py
+This rewrites only the goldens that are missing or whose fresh report no
+longer compares equal, so a golden no change touched keeps its bytes
+whatever the last digits this machine's BLAS rounds to.
 
-The README's Python session is run as well, and the values of its bare
-expressions are checked against what its comments say.
+The README's CLI block must list COMMANDS in order, with the exit code and
+verdict its comments state, and its Python session is run, the values of
+its bare expressions checked against what its comments say.
 """
 
 import ast
@@ -19,6 +23,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import tempfile
 
@@ -103,6 +109,48 @@ def compare(golden, got, where):
         assert type(got) is type(golden) and got == golden, f"{where}: {got!r} != {golden!r}"
 
 
+def check(golden, got, name):
+    assert got["argv"] == golden["argv"]
+    assert got["exit"] == golden["exit"], f"{name}: exit {got['exit']}"
+    assert got["report"]["verdict"] == golden["report"]["verdict"]
+    compare(golden["report"], got["report"], name)
+
+
+def regenerate(results, directory):
+    """Write each result whose golden in directory is missing or fails
+    check; return the names written."""
+    written = []
+    for name, result in results.items():
+        path = os.path.join(directory, f"{name}.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                check(json.load(fh), result, name)
+            continue
+        except (OSError, ValueError, AssertionError):
+            pass
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        written.append(name)
+    return written
+
+
+def readme_commands():
+    """(argv, comment) of each bidisc-schur command in the README's CLI
+    block (the one that starts in docs/examples), backslash continuations
+    joined; the comment is the text after its "#"."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = fh.read().split("```sh\n")[1:]
+    block = next(b for b in blocks if b.startswith("cd docs/examples")).split("```", 1)[0]
+    out = []
+    for line in block.replace("\\\n", " ").splitlines():
+        code, _, comment = line.partition("#")
+        argv = shlex.split(code)
+        if argv[:1] == ["bidisc-schur"]:
+            out.append((argv[1:], comment.strip()))
+    return out
+
+
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
     return run_all(str(tmp_path_factory.mktemp("examples")))
@@ -111,12 +159,40 @@ def fresh(tmp_path_factory):
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_report_matches_golden(fresh, name):
     with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)
-    got = fresh[name]
-    assert got["argv"] == golden["argv"]
-    assert got["exit"] == golden["exit"], f"{name}: exit {got['exit']}"
-    assert got["report"]["verdict"] == golden["report"]["verdict"]
-    compare(golden["report"], got["report"], name)
+        check(json.load(fh), fresh[name], name)
+
+
+def test_regenerate_keeps_goldens_that_compare_equal(fresh, tmp_path):
+    shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(GOLDEN)}
+    assert regenerate(fresh, str(tmp_path)) == []
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(GOLDEN)} == before
+    # one float moved beyond the comparison's 1e-12 rewrites that golden alone
+    moved = tmp_path / "inner-check-separable.json"
+    golden = json.loads(moved.read_text(encoding="utf-8"))
+    golden["report"]["evidence"]["boundary_deviation"] += 1e-9
+    moved.write_text(json.dumps(golden), encoding="utf-8")
+    assert regenerate(fresh, str(tmp_path)) == ["inner-check-separable"]
+    check(json.loads(moved.read_text(encoding="utf-8")), fresh["inner-check-separable"], "moved")
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(GOLDEN)}
+    assert {name for name in after if after[name] != before[name]} == {moved.name}
+
+
+def test_readme_cli_block_runs_commands(fresh):
+    commands = readme_commands()
+    assert [argv for argv, _ in commands] == [line.split() for line in COMMANDS.values()]
+    stated = 0
+    for (_, comment), name in zip(commands, COMMANDS):
+        if not comment.startswith("exit"):
+            continue
+        m = re.fullmatch(r'exit (\d+), (?:"(.*)"|[^"]*)', comment)
+        assert m, f"{name}: comment {comment!r}"
+        assert fresh[name]["exit"] == int(m[1]), name
+        if m[2] is not None:
+            verdict = fresh[name]["report"]["verdict"]
+            assert verdict.startswith(m[2][:-3]) if m[2].endswith("...") else verdict == m[2], name
+            stated += 1
+    assert stated == 9
 
 
 
@@ -140,9 +216,6 @@ def test_readme_python_session():
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
-    results = run_all(tempfile.mkdtemp())
-    for name, result in results.items():
-        with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    print(f"wrote {len(results)} golden reports to {GOLDEN}")
+    written = regenerate(run_all(tempfile.mkdtemp()), GOLDEN)
+    print(f"wrote {len(written)} of {len(COMMANDS)} golden reports to {GOLDEN}: "
+          + (", ".join(written) or "none changed"))

@@ -9,12 +9,21 @@ not by another run of the code.
   contractive multiplier f = (z1 + z2)/2 is one, and its negative is not.
 - Agler: the kernels of a unitary colligation of d = 2-4 variables are PSD
   and satisfy the decomposition identity.
+- Colligations: a finite unitary colligation realizes an inner function, so
+  certify_inner never refutes one; with a and B scaled by r < 1, |f| = r on
+  the torus, so it is never certified.  A cascade of two model_colligations
+  realizes a product of Blaschke products in separate variables: inner,
+  separable and splittable, and so is its image under a block-unitary
+  similarity, a rotation of the variables (Lambda C, Lambda D) and a
+  unimodular phase (c a, c B).  V_t realizes (z1 z2 - t)/(1 - t z1 z2),
+  which is not separable for 0 < t < 1.
 
 Every row asserts that no verdict is unsound, and that dbr_test_disc passes
 exactly when dbr_reconstruct_disc raises no NotDbrError.  The share of
 de Branges-Rovnyak kernels that the reconstruction's residual gate refuses
-(IdentityViolatedError) is a declined verdict, not an unsound one: it is
-printed (pytest -s), not asserted.
+(IdentityViolatedError), and the share of "inconclusive" inner verdicts, are
+declined verdicts, not unsound ones: they are printed (pytest -s), not
+asserted.
 """
 
 import numpy as np
@@ -27,8 +36,11 @@ from helpers import (
     blaschke_callable,
     drury_arveson_gram,
     random_blaschke,
+    random_two_var_unitary,
+    random_unitary,
     szego_gram,
     unitary_colligation,
+    vt_colligation,
 )
 
 COUNT = 24
@@ -98,3 +110,56 @@ def test_agler_kernels_of_unitaries(d):
         rep = bs.verify_agler_decomposition(v, kernels)
         assert rep.passed and all(rep.kernels_psd)
         assert all(k.is_psd() for k in kernels)
+
+
+UNITARY_DRAWS = 400
+CASCADES = 30
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.999])
+def test_unitary_colligations(scale):
+    rng = np.random.default_rng(11)
+    verdicts = {"certified": 0, "inconclusive": 0, "refuted": 0}
+    for _ in range(UNITARY_DRAWS):
+        u = random_two_var_unitary(rng, hmax=8)
+        v = bs.Colligation(scale * u.a, scale * u.B, u.C, u.D, u.partition)
+        verdicts[bs.certify_inner(v).verdict] += 1
+    assert verdicts["certified" if scale < 1.0 else "refuted"] == 0
+    print(f"{scale} unitary: {verdicts} of {UNITARY_DRAWS}, "
+          f"{verdicts['inconclusive']} declined")
+
+
+def cascade_transforms(v, rng):
+    """v and its images under a block-unitary similarity (B W, W* C, W* D W)
+    with W = W1 (+) W2, a rotation (Lambda C, Lambda D) with
+    Lambda = l1 I (+) l2 I, which realizes f(l1 z1, l2 z2), and a
+    unimodular phase (c a, c B), which realizes c f."""
+    h1, h2 = v.partition
+    w = np.zeros((v.h, v.h), dtype=complex)
+    w[:h1, :h1] = random_unitary(rng, h1)
+    w[h1:, h1:] = random_unitary(rng, h2)
+    lam = np.repeat(np.exp(2j * np.pi * rng.uniform(size=2)), v.partition)[:, None]
+    c = np.exp(2j * np.pi * rng.uniform())
+    yield "cascade", v
+    yield "similarity", bs.Colligation(v.a, v.B @ w, w.conj().T @ v.C,
+                                       w.conj().T @ v.D @ w, v.partition)
+    yield "rotation", bs.Colligation(v.a, v.B, lam * v.C, lam * v.D, v.partition)
+    yield "phase", bs.Colligation(c * v.a, c * v.B, v.C, v.D, v.partition)
+
+
+def test_cascades_of_model_colligations():
+    rng = np.random.default_rng(108)
+    grid = bs.make_grid("bidisc", 30, seed=109)
+    for _ in range(CASCADES):
+        v = bs.compose_colligations(*(bs.model_colligation(*random_blaschke(rng))
+                                      for _ in range(2)))
+        for name, w in cascade_transforms(v, rng):
+            assert bs.certify_inner(w).verdict == "certified", name
+            assert bs.separability_test(w, grid).separable, name
+            bs.split_colligation(w)       # raises unless the factors reproduce w
+
+
+@pytest.mark.parametrize("t", [0.2, 0.5, 0.8, 0.95])
+def test_vt_is_not_separable(t):
+    grid = bs.make_grid("bidisc", 40, seed=110)
+    assert not bs.separability_test(vt_colligation(t), grid).separable

@@ -49,17 +49,16 @@ def test_is_psd_errors():
 
 def test_psd_factor_zero_matrix():
     fact = bs.psd_factor(np.zeros((3, 3)))
-    assert fact.rank == 0
-    assert fact.factor.shape == (3, 0)
-    assert np.allclose(fact.factor @ fact.factor.conj().T, 0.0, atol=1e-12)
+    assert fact.shape == (3, 0)
+    assert np.allclose(fact @ fact.conj().T, 0.0, atol=1e-12)
 
 
 def test_psd_factor_rank_one():
     v = np.array([[1.0], [1.0j]])
     a = v @ v.conj().T
     fact = bs.psd_factor(a)
-    assert fact.rank == 1
-    assert np.allclose(fact.factor @ fact.factor.conj().T, a, atol=1e-12)
+    assert fact.shape == (2, 1)
+    assert np.allclose(fact @ fact.conj().T, a, atol=1e-12)
 
 
 def test_psd_factor_szego_rank():
@@ -67,7 +66,7 @@ def test_psd_factor_szego_rank():
     cut = 1e-9 * (1.0 + np.linalg.norm(g))
     expected_rank = int(np.sum(np.linalg.eigvalsh(g) > cut))  # oracle: eigenvalue count
     assert expected_rank == 3
-    assert bs.psd_factor(g).rank == 3
+    assert bs.psd_factor(g).shape[1] == 3
 
 
 def test_psd_factor_rejects_indefinite():
@@ -101,8 +100,8 @@ def test_psd_factor_raises_exactly_when_is_psd_fails():
         seen.add(report.is_psd)
         if report.is_psd:
             fact = bs.psd_factor(a)
-            assert fact.factor.shape == (a.shape[0], fact.rank), name
-            assert np.linalg.norm(fact.factor @ fact.factor.conj().T - a) \
+            assert fact.ndim == 2 and fact.shape[0] == a.shape[0], name
+            assert np.linalg.norm(fact @ fact.conj().T - a) \
                 <= 1e-8 * (1.0 + np.linalg.norm(a)), name
         else:
             with pytest.raises(NotPsdError):
@@ -119,8 +118,8 @@ def test_psd_factor_idempotent_rank():
     for _ in range(10):
         m = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         fact = bs.psd_factor(m @ m.conj().T)
-        again = bs.psd_factor(fact.factor @ fact.factor.conj().T)
-        assert again.rank == fact.rank == 3
+        again = bs.psd_factor(fact @ fact.conj().T)
+        assert again.shape == fact.shape == (5, 3)
 
 
 def test_classify_identity():
