@@ -39,6 +39,7 @@ from .errors import (
 )
 from .functions import PowerSeries2, RationalFunction2, make_grid, series_of, strip_monomial
 from .toeplitz import (
+    DEFECT_WINDOW,
     boundary_scan,
     certify_inner,
     isometry_defect,
@@ -146,7 +147,7 @@ def parse_grid_spec(spec: str, seed: int):
 
 def _orders(text) -> list:
     """The comma-separated Toeplitz orders M of --orders; each must be >= 2,
-    so that the isometry-defect window min(8, M // 2) is at least 1."""
+    so that the isometry-defect window min(DEFECT_WINDOW, M // 2) is at least 1."""
     try:
         values = [int(x) for x in str(text).split(",")]
     except ValueError:
@@ -252,7 +253,7 @@ def _cmd_toeplitz_check(args, tol, seed):
     if boundary is not None:
         evidence["boundary_deviation"] = boundary.max_deviation
     for m in orders:
-        window = min(8, m // 2)
+        window = min(DEFECT_WINDOW, m // 2)
         evidence["isometry_defect_by_M"][str(m)] = isometry_defect(builder(m), window)
     return "computed", evidence, 0
 
@@ -342,7 +343,7 @@ def _split_report(v: Colligation, tol):
 def _cmd_factor(args, tol, seed):
     obj = _load(args.input)
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
-    if grid.ambient != "bidisc":
+    if (grid.domain, grid.nvars) != ("polydisc", 2):
         raise ParseError(f"factor takes a bidisc grid, got {args.grid!r}")
     if isinstance(obj, Colligation):
         verdict, evidence, code = _split_report(obj, tol)

@@ -21,13 +21,12 @@ from .colligation import (
 from .errors import (
     ClassMismatchError,
     ConditionFailedError,
-    GridMismatchError,
     GridNotCompanionedError,
     IdentityViolatedError,
     OriginZeroError,
 )
 from .functions import PointGrid, shared_grid
-from .kernels import SampledKernel
+from .kernels import SampledKernel, _shared_grid
 from .numlin import DEFAULT_TOL, EXACT_GUARD, frob
 
 _CERT_GRID_SIZE = 30
@@ -64,8 +63,7 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     on the grid (max_residual itself is not divided).  When the identity
     holds, factor samples are returned with the gauge fixed so that f1 is
     positive real at its largest-modulus sample."""
-    if grid.ambient != "bidisc":
-        raise GridMismatchError("separability_test needs a bidisc grid")
+    grid.require("polydisc", 2, "separability_test")
     origin = _origin_value(f, tol)
     z1 = grid.points[:, 0]
     z2 = grid.points[:, 1]
@@ -245,15 +243,15 @@ def product_grid(n1: int, n2: int, seed: int = 0) -> PointGrid:
 def _product_axes(grid: PointGrid):
     """(axis1, axis2, origin1, origin2) of a bidisc grid whose points are
     axis1 x axis2 in row-major order with 0 at axis1[origin1] and
-    axis2[origin2]; any other grid raises GridNotCompanionedError."""
-    if grid.ambient == "bidisc":
-        pts = grid.points
-        n2 = int(np.argmax(pts[:, 0] != pts[0, 0])) or len(pts)
-        axis1, axis2 = pts[::n2, 0], pts[:n2, 1]
-        o1, o2 = int(np.argmin(np.abs(axis1))), int(np.argmin(np.abs(axis2)))
-        product = np.column_stack([np.repeat(axis1, n2), np.tile(axis2, len(axis1))])
-        if np.array_equal(pts, product) and max(abs(axis1[o1]), abs(axis2[o2])) <= EXACT_GUARD:
-            return axis1, axis2, o1, o2
+    axis2[origin2]; GridMismatchError off the bidisc, else GridNotCompanionedError."""
+    grid.require("polydisc", 2, "agler_factorization_conditions")
+    pts = grid.points
+    n2 = int(np.argmax(pts[:, 0] != pts[0, 0])) or len(pts)
+    axis1, axis2 = pts[::n2, 0], pts[:n2, 1]
+    o1, o2 = int(np.argmin(np.abs(axis1))), int(np.argmin(np.abs(axis2)))
+    product = np.column_stack([np.repeat(axis1, n2), np.tile(axis2, len(axis1))])
+    if np.array_equal(pts, product) and max(abs(axis1[o1]), abs(axis2[o2])) <= EXACT_GUARD:
+        return axis1, axis2, o1, o2
     raise GridNotCompanionedError("points are not axis1 x axis2 with 0 on both axes")
 
 
@@ -279,11 +277,8 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
     numlin.floored(tol, s), as in verify_agler_decomposition: s = ||K1||_F
     for (a), and |f(0,0)| times the norm of the columns K2(., (w1, 0)) for (b).
     """
-    if not k1.grid.same_points(k2.grid):
-        raise GridMismatchError("the two kernels are sampled on different grids")
-    axis1, axis2, origin1, origin2 = _product_axes(k1.grid)
-    if k1.dim != 1 or k2.dim != 1:
-        raise GridMismatchError("factorization conditions are for scalar kernels")
+    grid = _shared_grid([k1, k2], 1, "factorization conditions are")
+    axis1, axis2, origin1, origin2 = _product_axes(grid)
     origin = _origin_value(f, tol)
 
     n1, n2 = len(axis1), len(axis2)

@@ -13,13 +13,14 @@ RationalFunction2._check_zero_free); no grid is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .errors import NearPoleError, NonFiniteError, NotDivisibleError, ZeroPolynomialError
+from .errors import (GridMismatchError, NearPoleError, NonFiniteError, NotDivisibleError,
+                     ZeroPolynomialError)
 from .numlin import DEFAULT_TOL, EXACT_GUARD, bound
 
 # interior sample grids stay inside radius 0.95 so downstream resolvents
@@ -387,18 +388,19 @@ def _strip(f, tol: float, axis: int):
 # point grids
 
 
-def _ambient_nvars(ambient: str) -> int:
-    if ambient == "disc":
-        return 1
-    if ambient in ("bidisc", "torus2"):
-        return 2
-    for prefix in ("polydisc-", "ball-"):
-        if ambient.startswith(prefix):
-            n = int(ambient[len(prefix):])
-            if n < 1:
-                raise ValueError(f"bad ambient dimension in {ambient!r}")
-            return n
-    raise ValueError(f"unknown ambient {ambient!r}")
+_NAMED = {"disc": ("polydisc", 1), "bidisc": ("polydisc", 2), "torus2": ("torus", 2)}
+
+
+def _parse_ambient(ambient: str) -> tuple:
+    """(domain, n) of an ambient name: "polydisc", "torus" or "ball", and n coordinates."""
+    if ambient in _NAMED:
+        return _NAMED[ambient]
+    domain, dash, count = ambient.partition("-")
+    if not dash or domain not in ("polydisc", "ball"):
+        raise ValueError(f"unknown ambient {ambient!r}")
+    if int(count) < 1:
+        raise ValueError(f"bad ambient dimension in {ambient!r}")
+    return domain, int(count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,9 +414,13 @@ class PointGrid:
 
     ambient: str
     points: np.ndarray
+    domain: str = field(init=False)
+    nvars: int = field(init=False)
 
     def __post_init__(self):
-        n = _ambient_nvars(self.ambient)
+        domain, n = _parse_ambient(self.ambient)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "nvars", n)
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
         if pts.size == 0:
             raise ValueError(f"{self.ambient} grid is empty")
@@ -424,10 +430,10 @@ class PointGrid:
             raise NonFiniteError("grid points must be finite")
         object.__setattr__(self, "points", pts)
         mags = np.abs(pts)
-        if self.ambient == "torus2":
+        if domain == "torus":
             if mags.size and np.max(np.abs(mags - 1.0)) > EXACT_GUARD:
                 raise ValueError("torus points must have unimodular coordinates")
-        elif self.ambient.startswith("ball"):
+        elif domain == "ball":
             norms = np.sqrt(np.sum(mags ** 2, axis=1))
             if norms.size and norms.max() >= 1.0:
                 raise ValueError("ball points must satisfy ||z|| < 1")
@@ -435,15 +441,18 @@ class PointGrid:
             if mags.size and mags.max() >= 1.0:
                 raise ValueError("interior points must satisfy |z_k| < 1")
 
-    @property
-    def nvars(self) -> int:
-        return _ambient_nvars(self.ambient)
+    def require(self, domain: str, n, what: str) -> None:
+        """GridMismatchError unless the grid lies in domain with n coordinates (any if None)."""
+        if self.domain != domain or n not in (None, self.nvars):
+            names = {v: k for k, v in _NAMED.items()}
+            name = domain if n is None else names.get((domain, n), f"{domain}-{n}")
+            raise GridMismatchError(f"{what} needs a {name} grid")
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def same_points(self, other: "PointGrid") -> bool:
-        return self.ambient == other.ambient and np.array_equal(self.points, other.points)
+        return self.domain == other.domain and np.array_equal(self.points, other.points)
 
 
 def make_grid(ambient: str, size: int, seed: int = 0) -> PointGrid:
@@ -455,13 +464,13 @@ def make_grid(ambient: str, size: int, seed: int = 0) -> PointGrid:
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    n = _ambient_nvars(ambient)
-    if ambient == "torus2":
+    domain, n = _parse_ambient(ambient)
+    if domain == "torus":
         ang = np.exp(2j * np.pi * np.arange(size) / size)
         z1, z2 = np.meshgrid(ang, ang, indexing="ij")
         return PointGrid(ambient, np.column_stack([z1.ravel(), z2.ravel()]))
     rng = np.random.default_rng(seed)
-    if ambient.startswith("ball"):
+    if domain == "ball":
         direction = rng.normal(size=(size, n)) + 1j * rng.normal(size=(size, n))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radii = INTERIOR_RADIUS * rng.uniform(size=size) ** (1.0 / (2 * n))
@@ -490,13 +499,13 @@ class ModulusReport:
 def boundary_modulus_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> ModulusReport:
     """Max of | |f| - 1 | over a torus grid, with the offending point; it
     passes when at most tol."""
+    grid.require("torus", 2, "boundary modulus test")
     return modulus_report(f(grid.points[:, 0], grid.points[:, 1]), grid, tol)
 
 
 def modulus_report(values, grid: PointGrid, tol: float) -> ModulusReport:
     """Max of | |f| - 1 | over the values of f at the points of a torus grid."""
-    if grid.ambient != "torus2":
-        raise ValueError("boundary modulus test needs a torus2 grid")
+    grid.require("torus", 2, "boundary modulus test")
     dev = np.abs(np.abs(np.asarray(values, dtype=np.complex128)) - 1.0)
     k = int(np.argmax(dev))
     return ModulusReport(bool(dev[k] <= tol), float(dev[k]), tuple(grid.points[k]))

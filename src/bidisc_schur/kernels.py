@@ -11,6 +11,7 @@ is never assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,21 +87,28 @@ class SampledKernel:
         return f"SampledKernel(npoints={len(self.grid)}, dim={self.dim})"
 
 
-def _coordinate_products(grid: PointGrid, k: int) -> np.ndarray:
-    zk = grid.points[:, k]
-    return zk[:, None] * np.conj(zk)[None, :]
+def _domain_factor(grid: PointGrid, k=None) -> np.ndarray:
+    """s(z, w): 1 - <z, w> on a ball, else prod_k (1 - z_k conj(w_k)), or coordinate k's factor."""
+    pts = grid.points
+    if grid.domain == "ball":
+        return 1.0 - pts @ pts.conj().T
+    cols = pts.T if k is None else pts.T[k:k + 1]
+    return functools.reduce(np.multiply, (1.0 - z[:, None] * np.conj(z)[None, :] for z in cols))
+
+
+def _shared_grid(kernels, dim: int, what: str) -> PointGrid:
+    """The grid all kernels are sampled on, each of value dimension dim; else GridMismatchError."""
+    grid = kernels[0].grid
+    if not all(k.grid.same_points(grid) for k in kernels):
+        raise GridMismatchError("the kernels are sampled on different grids")
+    if any(k.dim != dim for k in kernels):
+        kind = "scalar kernels" if dim == 1 else f"kernels of value dimension {dim}"
+        raise GridMismatchError(f"{what} for {kind}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
 # Agler kernels of a co-isometric colligation, one per state block
-
-
-def _require_polydisc(grid: PointGrid, n: int, what: str) -> None:
-    """GridMismatchError unless grid is an interior polydisc grid with n
-    coordinates: disc, bidisc or polydisc-n, not the torus or a ball."""
-    if grid.nvars != n or grid.ambient == "torus2" or grid.ambient.startswith("ball"):
-        name = {1: "disc", 2: "bidisc"}.get(n, f"polydisc-{n}")
-        raise GridMismatchError(f"{what} needs a {name} grid")
 
 
 def _agler_residual(vals: np.ndarray, kernels) -> tuple:
@@ -108,7 +116,7 @@ def _agler_residual(vals: np.ndarray, kernels) -> tuple:
     over the shared grid of scalar kernels K_1 ... K_d, given the values of
     f there, and the Frobenius norm of 1 - f(z) conj(f(w))."""
     lhs = 1.0 - vals[:, None] * np.conj(vals)[None, :]
-    rhs = sum((1.0 - _coordinate_products(k.grid, i)) * k.values for i, k in enumerate(kernels))
+    rhs = sum(_domain_factor(k.grid, i) * k.values for i, k in enumerate(kernels))
     return float(np.max(np.abs(lhs - rhs), initial=0.0)), frob(lhs)
 
 
@@ -129,7 +137,7 @@ def agler_kernels_of(v: Colligation, grid: PointGrid,
     K_i(z,w) = H_i(z) H_i(w)* with H(z) = B (I - E(z) D)^{-1} split along
     the state partition.  The identity is re-checked on the grid and a
     violation raises (it can only come from a bug or ill-conditioning)."""
-    _require_polydisc(grid, v.nvars, "agler_kernels_of")
+    grid.require("polydisc", v.nvars, "agler_kernels_of")
     if not v.classify(tol).is_coisometry:
         raise NotCoisometricError("colligation is not co-isometric at the given tolerance")
     # state rows H(z) = B (I - E(z) D)^{-1}, from H(z)^T = (I - E(z) D)^{-T} B^T
@@ -157,12 +165,8 @@ def verify_agler_decomposition(f, kernels, tol: float = DEFAULT_TOL) -> Decompos
     polydisc grid with one coordinate per kernel: every K_i PSD, and the
     identity pointwise at numlin.floored(tol, ||1 - f f*||_F), the gate of
     agler_kernels_of."""
-    grid = kernels[0].grid
-    if not all(k.grid.same_points(grid) for k in kernels):
-        raise GridMismatchError("the kernels are sampled on different grids")
-    if any(k.dim != 1 for k in kernels):
-        raise GridMismatchError("decomposition verification is for scalar kernels")
-    _require_polydisc(grid, len(kernels), f"decomposition verification of {len(kernels)} kernel(s)")
+    grid = _shared_grid(kernels, 1, "decomposition verification is")
+    grid.require("polydisc", len(kernels), f"decomposition verification of {len(kernels)} kernel(s)")
     psd_flags = tuple(bool(k.is_psd(tol)) for k in kernels)
     residual, lhs_norm = _agler_residual(
         np.asarray(f(*grid.points.T), dtype=np.complex128), kernels)
@@ -187,20 +191,19 @@ def _dbr_grams(values: np.ndarray, dim: int, s: np.ndarray) -> tuple:
     return _as_gram(values, dim), _defect_gram(values, dim, s)
 
 
-def _dbr_report(k: SampledKernel, domain_factor, tol: float) -> numlin.PsdReport:
+def _dbr_report(k: SampledKernel, tol: float) -> numlin.PsdReport:
     """The rule on k: the PSD report of K if K fails, else that of I - s K,
-    s = domain_factor() built only once K has passed and its Gram is freed."""
+    s = _domain_factor(k.grid) built only once K has passed and its Gram is freed."""
     report = k.is_psd(tol)
-    return report and numlin.is_psd(_defect_gram(k.values, k.dim, domain_factor()), tol)
+    return report and numlin.is_psd(_defect_gram(k.values, k.dim, _domain_factor(k.grid)), tol)
 
 
 def dbr_test_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdReport:
     """Does K agree on the grid with (I - T(z)T(w)*)/(1 - z conj(w)) for
     some Schur-class T?  Exactly when K and I - (1 - z conj(w)) K are both
     PSD; the report is K's if K fails, else that of I - (1 - z conj(w)) K."""
-    if k.grid.nvars != 1:
-        raise GridMismatchError("dbr_test_disc needs a disc grid")
-    return _dbr_report(k, lambda: 1.0 - _coordinate_products(k.grid, 0), tol)
+    k.grid.require("polydisc", 1, "dbr_test_disc")
+    return _dbr_report(k, tol)
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,8 @@ def dbr_test_nf(k: SampledKernel, tol: float = DEFAULT_TOL) -> NormalizedFormRep
     """Is K(z,w) = T(z)T(w)*/(1 - z conj(w)) on the grid for a Schur-class
     T?  Exactly when S - K, S the Szego kernel, is a dBR kernel: when S - K
     and I - (1 - z conj(w))(S - K) = (1 - z conj(w)) K are both PSD."""
-    if k.grid.nvars != 1:
-        raise GridMismatchError("dbr_test_nf needs a disc grid")
-    s = 1.0 - _coordinate_products(k.grid, 0)
+    k.grid.require("polydisc", 1, "dbr_test_nf")
+    s = _domain_factor(k.grid)
     dominated = (1.0 / s)[:, :, None, None] * np.eye(k.dim) - _blocks(k.values, k.dim)
     r1, r2 = (numlin.is_psd(g, tol) for g in _dbr_grams(dominated, k.dim, s))
     return NormalizedFormReport(r1.is_psd, r2.is_psd, (r1.min_eigenvalue, r2.min_eigenvalue))
@@ -242,22 +244,16 @@ def dbr_test_polydisc(k: SampledKernel, components, tol: float = DEFAULT_TOL) ->
     identity are computed tables, whose rounding grows with s = ||K||_F, the
     norm of the sides compared, so its largest entry residual passes at
     numlin.floored(tol, s), the gate of verify_agler_decomposition."""
-    grid = k.grid
+    grid = _shared_grid([k, *components], k.dim, "dbr_test_polydisc of this kernel is")
     n = grid.nvars
-    _require_polydisc(grid, n, "dbr_test_polydisc")
+    grid.require("polydisc", n, "dbr_test_polydisc")
     if len(components) != n:
         raise GridMismatchError(f"expected {n} component kernels, got {len(components)}")
-    for ki in components:
-        if not ki.grid.same_points(grid):
-            raise GridMismatchError("component kernel sampled on a different grid")
-        if ki.dim != k.dim:
-            raise GridMismatchError("component kernel has a different value dimension")
-    coord = [1.0 - _coordinate_products(grid, i) for i in range(n)]
-    full = np.prod(coord, axis=0)
+    full = _domain_factor(grid)
     psd_flags = tuple(bool(ki.is_psd(tol)) for ki in components)
-    # prod_{j != i} (1 - z_j conj(w_j)) is full / coord[i]
-    total = sum((1.0 / (full / c))[:, :, None, None] * _blocks(ki.values, ki.dim)
-                for c, ki in zip(coord, components))
+    # prod_{j != i} (1 - z_j conj(w_j)) is full over coordinate i's factor
+    total = sum((1.0 / (full / _domain_factor(grid, i)))[:, :, None, None]
+                * _blocks(ki.values, ki.dim) for i, ki in enumerate(components))
     sum_residual = float(np.max(np.abs(_blocks(k.values, k.dim) - total), initial=0.0))
     report = numlin.is_psd(_defect_gram(k.values, k.dim, full), tol)
     passed = all(psd_flags) and sum_residual <= numlin.floored(tol, frob(k.values)) \
@@ -269,10 +265,8 @@ def dbr_test_ball(k: SampledKernel, tol: float = DEFAULT_TOL) -> numlin.PsdRepor
     """Is K (I - T(z)T(w)*)/(1 - <z, w>) on a ball grid for a contractive
     multiplier T?  Exactly when K and I - (1 - <z, w>) K are both PSD; the
     report is K's if K fails, else that of I - (1 - <z, w>) K."""
-    if not k.grid.ambient.startswith("ball"):
-        raise GridMismatchError("dbr_test_ball needs a ball grid")
-    pts = k.grid.points                 # <z_i, z_j> = sum_k z_ik conj(z_jk)
-    return _dbr_report(k, lambda: 1.0 - pts @ pts.conj().T, tol)
+    k.grid.require("ball", None, "dbr_test_ball")
+    return _dbr_report(k, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +314,11 @@ class ThetaRealization:
 
     def kernel_values(self, grid: PointGrid) -> np.ndarray:
         """(I - T(z) T(w)*)/(1 - z conj(w)) tabulated on a disc grid."""
+        grid.require("polydisc", 1, "ThetaRealization.kernel_values")
         n, e_star = len(grid), self.e_star
         flat = self(grid.points[:, 0]).reshape(n * e_star, self.e)
         products = (flat @ flat.conj().T).reshape(n, e_star, n, e_star).transpose(0, 2, 1, 3)
-        denom = 1.0 - _coordinate_products(grid, 0)
-        out = (np.eye(e_star) - products) / denom[:, :, None, None]
+        out = (np.eye(e_star) - products) / _domain_factor(grid)[:, :, None, None]
         return out[:, :, 0, 0] if e_star == 1 else out
 
     def __repr__(self) -> str:
@@ -355,9 +349,8 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
     construction.  The one check is that the returned realization
     reproduces K on the grid (interpolation; no claim is made off the grid
     beyond Schur-class membership) to numlin.sampled(tol)."""
-    if k.grid.nvars != 1:
-        raise GridMismatchError("dbr_reconstruct_disc needs a disc grid")
-    gram, defect = _dbr_grams(k.values, k.dim, 1.0 - _coordinate_products(k.grid, 0))
+    k.grid.require("polydisc", 1, "dbr_reconstruct_disc")
+    gram, defect = _dbr_grams(k.values, k.dim, _domain_factor(k.grid))
     f_adj = _dbr_factor(defect, "defect", tol).conj().T     # rf x n e
     g_adj = _dbr_factor(gram, "kernel", tol).conj().T       # rg x n e
 

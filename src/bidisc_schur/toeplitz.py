@@ -37,9 +37,10 @@ from .functions import (ModulusReport, PowerSeries2, boundary_modulus_test,
                         modulus_report, shared_grid)
 from .numlin import DEFAULT_TOL, below_one, frob, sampled, spectral_radius
 
-# side of the boundary scan's torus grid; order of certify_inner's defect
+# side of the boundary scan's torus grid; order and window of certify_inner's defect
 TORUS_SCAN = 64
 DEFECT_ORDER = 16
+DEFECT_WINDOW = DEFECT_ORDER // 2
 # the proof quantities' window: lags k = 1..PROOF_LAGS, shifts j = 0..PROOF_SHIFTS
 PROOF_LAGS = 8
 PROOF_SHIFTS = 2
@@ -296,7 +297,7 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     diagnostics = None
     if report.lower_left_zero:
         defect = isometry_defect(
-            phi_blocks_from_colligation(v, DEFECT_ORDER, tol), DEFECT_ORDER // 2)
+            phi_blocks_from_colligation(v, DEFECT_ORDER, tol), DEFECT_WINDOW)
         if all(report.c0dot):
             diagnostics = proof_diagnostics(v, tol=tol)
 

@@ -19,7 +19,7 @@ def szego_gram(grid):
     """Product Szego kernel values Prod_k 1/(1 - z_k conj(w_k)) on the grid."""
     out = np.ones((len(grid), len(grid)), dtype=np.complex128)
     for k in range(grid.nvars):
-        out /= 1.0 - kernels._coordinate_products(grid, k)
+        out /= kernels._domain_factor(grid, k)
     return out
 
 
@@ -110,9 +110,9 @@ def gauge_shifted_agler_pair(grid, c):
     """The Agler kernels (1, z1 conj w1) of z1 z2 (permutation_colligation)
     shifted to K1 + c (1 - z2 conj w2) and K2 - c (1 - z1 conj w1): the
     decomposition identity stays exact, and for large c neither is PSD."""
-    p1, p2 = (kernels._coordinate_products(grid, i) for i in (0, 1))
-    return (bs.SampledKernel(grid, 1.0 + c * (1.0 - p2)),
-            bs.SampledKernel(grid, p1 - c * (1.0 - p1)))
+    s1, s2 = (kernels._domain_factor(grid, i) for i in (0, 1))
+    return (bs.SampledKernel(grid, 1.0 + c * s2),
+            bs.SampledKernel(grid, (1.0 - s1) - c * s1))
 
 
 def vt_colligation(t):

@@ -176,7 +176,7 @@ def test_dbr_disc_constant_kernel():
     k = SampledKernel(grid, np.ones((10, 10), dtype=complex))
     assert bs.dbr_test_disc(k).is_psd
     # defect table is the rank-one Gram z conj(w)
-    s = 1.0 - kernels._coordinate_products(grid, 0)
+    s = kernels._domain_factor(grid)
     assert bs.psd_factor(kernels._dbr_grams(k.values, k.dim, s)[1]).shape == (10, 1)
 
 
@@ -194,7 +194,7 @@ def test_dbr_disc_refuses_a_kernel_that_is_not_psd(name):
     k = mobius_kernel(1.02, 30)
     if name == "negative-szego":
         k = SampledKernel(k.grid, -szego_gram(k.grid))
-    assert bs.is_psd(loop_defect_gram(k, 1.0 - kernels._coordinate_products(k.grid, 0)))
+    assert bs.is_psd(loop_defect_gram(k, kernels._domain_factor(k.grid)))
     rep = bs.dbr_test_disc(k)
     assert not rep.is_psd
     assert rep.min_eigenvalue == bs.is_psd(k.gram()).min_eigenvalue < -0.5
@@ -309,7 +309,7 @@ def test_dbr_grams_decomposed_once(monkeypatch):
     with pytest.raises(NotDbrError) as err:
         bs.dbr_reconstruct_disc(bad)
     assert calls == {"eigvalsh": 2, "eigh": 3}
-    s = 1.0 - kernels._coordinate_products(grid, 0)
+    s = kernels._domain_factor(grid)
     lam_min = bs.is_psd(kernels._dbr_grams(bad.values, bad.dim, s)[1]).min_eigenvalue
     assert str(err.value) == f"defect Gram not PSD (lambda_min = {lam_min:.3e})"
 
