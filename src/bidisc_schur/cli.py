@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -48,11 +49,6 @@ from .toeplitz import (
 )
 
 DEFAULT_TOL_ENV = "BIDISC_SCHUR_TOL"
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # orjson 3.8 descends nested arrays and objects on the C stack and crashes
@@ -94,32 +90,31 @@ def _parse_json(data: bytes, text):
     return json.loads(text())
 
 
-def _read_json(path: str):
-    """The JSON value in the file at path (_parse_json); a file that cannot
-    be read or parsed is a ParseError."""
+def _read_json(path: str, data: bytes):
+    """The JSON value of data, the bytes of the file at path (_parse_json);
+    a text that cannot be parsed is a ParseError.  The json module reads
+    data decoded as open(path, encoding="utf-8") decodes it: UTF-8, with
+    universal newlines."""
     def text():
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
         return _parse_json(data, text)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} nests too deeply to read: {exc}") from exc
 
 
-def _load(path: str):
-    return serialize.parse_object(_read_json(path))
+def _load(args, path: str):
+    """The library value in the input file at path, from the bytes that
+    _run read and digested."""
+    return serialize.parse_object(_read_json(path, args.data[path]))
 
 
-def _load_as(path: str, kind, message: str):
+def _load_as(args, path: str, kind, message: str):
     """_load, refusing with SchemaError(message) what is not a `kind`."""
-    obj = _load(path)
+    obj = _load(args, path)
     if not isinstance(obj, kind):
         raise SchemaError(message)
     return obj
@@ -189,7 +184,7 @@ def _decided(report, field: str, passed: str, failed: str):
 
 
 def _cmd_eval(args, tol, seed):
-    fn = _as_function(_load(args.input))
+    fn = _as_function(_load(args, args.input))
     if args.at:
         try:
             raw = _parse_json(args.at.encode("utf-8", "surrogatepass"), lambda: args.at)
@@ -205,7 +200,7 @@ def _cmd_eval(args, tol, seed):
 
 
 def _cmd_classify(args, tol, seed):
-    obj = _load_as(args.input, Colligation, "classify expects a colligation")
+    obj = _load_as(args, args.input, Colligation, "classify expects a colligation")
     evidence = dataclasses.asdict(obj.classify(tol))
     if obj.nvars == 2:
         evidence["structure"] = dataclasses.asdict(structure_report(obj, tol))
@@ -213,7 +208,7 @@ def _cmd_classify(args, tol, seed):
 
 
 def _cmd_inner_check(args, tol, seed):
-    v = _load_as(args.input, Colligation, "inner-check expects a colligation")
+    v = _load_as(args, args.input, Colligation, "inner-check expects a colligation")
     cert = certify_inner(v, tol)
     evidence = {
         "detail": cert.detail,
@@ -233,7 +228,7 @@ def _cmd_inner_check(args, tol, seed):
 
 
 def _cmd_toeplitz_check(args, tol, seed):
-    obj = _load(args.input)
+    obj = _load(args, args.input)
     orders = _orders(args.orders)
     evidence = {"isometry_defect_by_M": {}, "structure": None, "radii": None,
                 "boundary_deviation": None}
@@ -259,7 +254,7 @@ def _cmd_toeplitz_check(args, tol, seed):
 
 
 def _cmd_agler_kernels(args, tol, seed):
-    v = _load_as(args.input, Colligation, "agler-kernels expects a colligation")
+    v = _load_as(args, args.input, Colligation, "agler-kernels expects a colligation")
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     if args.out_k2 and v.nvars < 2:
         raise ParseError("--out-k2 asks for K2, but the colligation has 1 state block")
@@ -277,8 +272,8 @@ def _cmd_agler_kernels(args, tol, seed):
 
 
 def _cmd_agler_verify(args, tol, seed):
-    fn = _as_function(_load(args.function))
-    kernels = [_load_as(path, kernels_mod.SampledKernel,
+    fn = _as_function(_load(args, args.function))
+    kernels = [_load_as(args, path, kernels_mod.SampledKernel,
                         "agler-verify expects kernel JSON for K1 ... Kd")
                for path in args.kernels]
     # decided before f is evaluated on the grid; verify_agler_decomposition
@@ -294,23 +289,23 @@ def _cmd_agler_verify(args, tol, seed):
     return _decided(rep, "passed", "pass", "failed: decomposition identity violated")
 
 
-def _kernel_arg(path):
-    return _load_as(path, kernels_mod.SampledKernel, f"{path} does not contain a kernel")
+def _kernel_arg(args, path):
+    return _load_as(args, path, kernels_mod.SampledKernel, f"{path} does not contain a kernel")
 
 
 def _cmd_dbr_check(args, tol, seed):
-    return _decided(kernels_mod.dbr_test_disc(_kernel_arg(args.input), tol), "is_psd",
+    return _decided(kernels_mod.dbr_test_disc(_kernel_arg(args, args.input), tol), "is_psd",
                     "is-dbr", "not-dbr")
 
 
 def _cmd_dbr_nf_check(args, tol, seed):
-    rep = kernels_mod.dbr_test_nf(_kernel_arg(args.input), tol)
+    rep = kernels_mod.dbr_test_nf(_kernel_arg(args, args.input), tol)
     ok = rep.dominated_by_szego and rep.hadamard_psd
     return ("pass" if ok else "failed"), dataclasses.asdict(rep), 0 if ok else 1
 
 
 def _cmd_dbr_reconstruct(args, tol, seed):
-    k = _kernel_arg(args.input)
+    k = _kernel_arg(args, args.input)
     theta = kernels_mod.dbr_reconstruct_disc(k, tol)
     evidence = {
         "theta": serialize.theta_to_json(theta),
@@ -321,13 +316,13 @@ def _cmd_dbr_reconstruct(args, tol, seed):
 
 
 def _cmd_dbr_polydisc(args, tol, seed):
-    k = _kernel_arg(args.kernel)
-    comps = [_kernel_arg(p) for p in args.components]
+    k = _kernel_arg(args, args.kernel)
+    comps = [_kernel_arg(args, p) for p in args.components]
     return _decided(kernels_mod.dbr_test_polydisc(k, comps, tol), "passed", "pass", "failed")
 
 
 def _cmd_dbr_ball(args, tol, seed):
-    return _decided(kernels_mod.dbr_test_ball(_kernel_arg(args.input), tol), "is_psd",
+    return _decided(kernels_mod.dbr_test_ball(_kernel_arg(args, args.input), tol), "is_psd",
                     "pass", "failed")
 
 
@@ -341,7 +336,7 @@ def _split_report(v: Colligation, tol):
 
 
 def _cmd_factor(args, tol, seed):
-    obj = _load(args.input)
+    obj = _load(args, args.input)
     grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
     if (grid.domain, grid.nvars) != ("polydisc", 2):
         raise ParseError(f"factor takes a bidisc grid, got {args.grid!r}")
@@ -361,18 +356,20 @@ def _cmd_factor(args, tol, seed):
 
 
 def _cmd_compose(args, tol, seed):
-    v1, v2 = (_load_as(path, Colligation, "compose expects two colligations")
+    v1, v2 = (_load_as(args, path, Colligation, "compose expects two colligations")
               for path in (args.first, args.second))
     out = factor_mod.compose_colligations(v1, v2, tol)
     return "composed", {"colligation": serialize.colligation_to_json(out)}, 0
 
 
 def _cmd_split(args, tol, seed):
-    return _split_report(_load_as(args.input, Colligation, "split expects a colligation"), tol)
+    v = _load_as(args, args.input, Colligation, "split expects a colligation")
+    return _split_report(v, tol)
 
 
 def _cmd_model(args, tol, seed):
-    constant, zeros = _load_as(args.input, tuple, "model expects Blaschke data {constant, zeros}")
+    constant, zeros = _load_as(args, args.input, tuple,
+                               "model expects Blaschke data {constant, zeros}")
     v = model_colligation(constant, zeros)
     return "computed", {
         "colligation": serialize.colligation_to_json(v),
@@ -381,7 +378,7 @@ def _cmd_model(args, tol, seed):
 
 
 def _cmd_strip(args, tol, seed):
-    obj = _load_as(args.input, (RationalFunction2, PowerSeries2),
+    obj = _load_as(args, args.input, (RationalFunction2, PowerSeries2),
                    "strip expects a rational2 or series2 input")
     try:
         p, stripped = strip_monomial(obj, tol=tol)
@@ -478,6 +475,8 @@ def _run(argv) -> int:
         value = getattr(args, attr)
         paths += value if isinstance(value, list) else [value]
     inputs = dict.fromkeys(p for p in paths if p)
+    # each input is read once: these bytes are digested and parsed
+    args.data = {}
 
     # --tol, else BIDISC_SCHUR_TOL, else the default
     given = args.tol if args.tol is not None else os.environ.get(DEFAULT_TOL_ENV, numlin.DEFAULT_TOL)
@@ -487,7 +486,9 @@ def _run(argv) -> int:
         if args.seed < 0:
             raise ParseError(f"--seed takes a non-negative integer, got {args.seed}")
         for path in inputs:
-            inputs[path] = _digest(path)
+            with open(path, "rb") as fh:
+                args.data[path] = fh.read()
+            inputs[path] = hashlib.sha256(args.data[path]).hexdigest()
         report["inputs_digest"] = inputs
         verdict, evidence, code = args.handler(args, tol, args.seed)
     except (DomainError, ValueError, TypeError, np.linalg.LinAlgError, OSError,

@@ -392,13 +392,14 @@ _NAMED = {"disc": ("polydisc", 1), "bidisc": ("polydisc", 2), "torus2": ("torus"
 
 
 def _parse_ambient(ambient: str) -> tuple:
-    """(domain, n) of an ambient name: "polydisc", "torus" or "ball", and n coordinates."""
+    """(domain, n) of an ambient name: "polydisc", "torus" or "ball", and n
+    coordinates, n written in ASCII digits with no sign and no leading zero."""
     if ambient in _NAMED:
         return _NAMED[ambient]
     domain, dash, count = ambient.partition("-")
     if not dash or domain not in ("polydisc", "ball"):
         raise ValueError(f"unknown ambient {ambient!r}")
-    if int(count) < 1:
+    if not (count.isascii() and count.isdigit()) or count.startswith("0"):
         raise ValueError(f"bad ambient dimension in {ambient!r}")
     return domain, int(count)
 

@@ -20,14 +20,18 @@ the same message from either reader.
 
 Reports are written by dumps, whose text is exactly that of
 json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
-converted.  One fast path: a list that is a rectangular nest of Python
-floats (every leaf of type float, no empty axis) is formatted with one
-float.__repr__ per leaf and one join; everything else, numpy scalars, ints,
-bools, ragged nests and [[]] included, takes the generic recursive path.
-RawJSON is text dumps already produced; embedded at indent level L its
-newlines gain 2 L spaces, which is exact because encoded JSON holds no raw
-newline inside a string.  So a table written to a file and also embedded in
-a report is formatted once.
+converted (a complex array through pairs_to_json).  One fast path: a list
+that is a rectangular nest of Python floats (every leaf of type float, no
+empty axis) is a float table, formatted in one join; everything else, numpy
+scalars, ints, bools, ragged nests and [[]] included, takes the generic
+recursive path.  The leaves of all the float tables of one call are
+formatted in one batch, with one float.__repr__ per distinct magnitude (the
+bits with the sign cleared) and the sign put back as "-", so a Hermitian
+kernel table, whose off-diagonal entries come in conjugate pairs, needs
+about half as many calls as it has leaves.  RawJSON is text dumps already
+produced; embedded at indent level L its newlines gain 2 L spaces, which is
+exact because encoded JSON holds no raw newline inside a string.  So a
+table written to a file and also embedded in a report is formatted once.
 """
 
 from __future__ import annotations
@@ -276,7 +280,7 @@ def _jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return complex_to_json(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return pairs_to_json(obj) if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -289,6 +293,9 @@ class RawJSON(str):
 
 
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the float formatter of float tables, by a module-level name that a test can count
+_repr = float.__repr__
+_MAGNITUDE = np.uint64(2 ** 63 - 1)
 
 
 def _scalar(o):
@@ -335,11 +342,25 @@ def _float_nest(o):
     return (shape, leaves) if kinds == {float} else None
 
 
-def _float_block(shape, leaves, level: int) -> str:
-    """The nest of _float_nest at indent level `level`, in one join: each
-    float formatted once, and between two leaves the separator that closes
+def _float_texts(leaves) -> list:
+    """float.__repr__ of each float in leaves, called once per distinct
+    magnitude: the magnitudes are the bits with the sign bit cleared, and
+    "-" is restored wherever the sign bit was set, except on a NaN, whose
+    repr has no sign.  leaves is one flat list, so np.unique's inverse is
+    1-d in every numpy version."""
+    values = np.array(leaves, dtype=np.float64)
+    mags, inverse = np.unique(values.view(np.uint64) & _MAGNITUDE, return_inverse=True)
+    texts = np.array(list(map(_repr, mags.view(np.float64).tolist())), dtype=object)[inverse]
+    negative = np.signbit(values) & ~np.isnan(values)
+    texts[negative] = "-" + texts[negative]
+    return texts.tolist()
+
+
+def _float_block(shape, texts, level: int) -> str:
+    """The nest of _float_nest at indent level `level`, given the texts of
+    its leaves, in one join: between two leaves the separator that closes
     and reopens the axes ending there."""
-    n, ndim = len(leaves), len(shape)
+    n, ndim = len(texts), len(shape)
     ind = ["\n" + "  " * (level + a) for a in range(ndim + 1)]
 
     def close(a):
@@ -349,7 +370,7 @@ def _float_block(shape, leaves, level: int) -> str:
         return "".join("[" + ind[b + 1] for b in range(a, ndim))
 
     parts = ["," + ind[ndim]] * (2 * n + 1)
-    parts[1::2] = map(float.__repr__, leaves)
+    parts[1::2] = texts
     stride = 1
     for a in range(ndim - 1, 0, -1):
         # axes a and deeper end after every stride-th leaf
@@ -362,9 +383,10 @@ def _float_block(shape, leaves, level: int) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
-def _encode(o, level: int, out: list) -> None:
+def _encode(o, level: int, out: list, tables: list) -> None:
     """Append the text of o at indent level `level` to out, in pieces that
-    dumps joins once."""
+    dumps joins once; a float table leaves a placeholder in out and its
+    (position, shape, leaves, level) in tables."""
     if isinstance(o, RawJSON):
         out.append(o.replace("\n", "\n" + "  " * level))
         return
@@ -377,14 +399,15 @@ def _encode(o, level: int, out: list) -> None:
             return
         nest = _float_nest(o)
         if nest is not None:
-            out.append(_float_block(*nest, level))
+            tables.append((len(out), *nest, level))
+            out.append(None)
             return
         inner = "\n" + "  " * (level + 1)
         out.append("[" + inner)
         for i, value in enumerate(o):
             if i:
                 out.append("," + inner)
-            _encode(value, level + 1, out)
+            _encode(value, level + 1, out, tables)
         out.append(inner[:-2] + "]")
     elif isinstance(o, dict):
         if not o:
@@ -400,10 +423,10 @@ def _encode(o, level: int, out: list) -> None:
             if not isinstance(key, str):
                 text = '"' + text + '"'     # a number, true, false or null as a key
             out.append(("," + inner if i else "") + text + ": ")
-            _encode(value, level + 1, out)
+            _encode(value, level + 1, out, tables)
         out.append(inner[:-2] + "}")
     else:
-        _encode(_jsonable(o), level, out)
+        _encode(_jsonable(o), level, out, tables)
 
 
 def dumps(obj) -> str:
@@ -411,8 +434,16 @@ def dumps(obj) -> str:
     numpy values and complex numbers ([re, im]) are converted while encoding.
     The text is exactly json.dumps(obj, sort_keys=True, indent=2,
     default=_jsonable), which with an indent runs the pure-Python encoder up
-    to Python 3.12; this encoder formats each float once (see the module
-    docstring) and embeds RawJSON without encoding it again."""
-    out = []
-    _encode(obj, 0, out)
+    to Python 3.12; this encoder leaves a placeholder for each float table,
+    formats the leaves of all of them at once with one float.__repr__ per
+    distinct magnitude (see the module docstring), and embeds RawJSON
+    without encoding it again."""
+    out, tables = [], []
+    _encode(obj, 0, out, tables)
+    if tables:
+        texts = _float_texts(list(chain.from_iterable(table[2] for table in tables)))
+        start = 0
+        for at, shape, leaves, level in tables:
+            out[at] = _float_block(shape, texts[start:start + len(leaves)], level)
+            start += len(leaves)
     return "".join(out)

@@ -456,9 +456,12 @@ def test_cli_product_grid_kernels_read_back_give_the_same_conditions(tmp_path, c
     code, _ = run_cli(capsys, "agler-kernels", path, "--grid", "product:5x5",
                       "--out-k1", out1, "--out-k2", out2)
     assert code == 0
-    v = cli._load(path)
+    def load(p):
+        with open(p, encoding="utf-8") as fh:
+            return serialize.parse_object(json.load(fh))
+    v = load(path)
     pair = bs.agler_kernels_of(v, factor.product_grid(5, 5, seed=0))
-    assert factor.agler_factorization_conditions(v, cli._load(out1), cli._load(out2)) == \
+    assert factor.agler_factorization_conditions(v, load(out1), load(out2)) == \
         factor.agler_factorization_conditions(v, *pair.kernels)
 
 

@@ -1,12 +1,14 @@
 """Where the points live is decided in one place: every grid gate lets a
 grid through exactly when its (domain, number of coordinates) is the one
-the gate names, and no module but functions.py reads a grid's ambient name
+the gate names, an ambient name whose count is not plain ASCII digits is
+refused, and no module but functions.py reads a grid's ambient name
 (serialize's grid codec and the agler-verify message excepted)."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +95,29 @@ def test_a_grid_passes_a_gate_exactly_when_its_domain_and_count_match(capsys, am
         name = "ball" if domain == "ball" else NAMES[(domain, count)]
         with pytest.raises(GridMismatchError, match=f" needs a {name} grid$"):
             call(grid)
+
+
+# ambient names whose count is not ASCII digits with no sign and no leading zero
+BAD_COUNTS = ["ball-1_0", "polydisc- 2", "polydisc-+2", "polydisc-02", "polydisc-\uff12",
+              "polydisc-2 ", "polydisc-0", "polydisc-", "ball-0", "polydisc-1e1"]
+
+
+@pytest.mark.parametrize("ambient", BAD_COUNTS)
+def test_an_ambient_count_that_is_not_plain_digits_is_refused(capsys, tmp_path, ambient):
+    message = f"bad ambient dimension in {ambient!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bs.make_grid(ambient, 3)
+    spec = f"{ambient}:rand:3"
+    rational = os.path.join(EXAMPLES, "product_mobius_rational.json")
+    assert main(["eval", rational, "--grid", spec]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == \
+        f"ParseError: bad grid spec {spec!r}: {message}"
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"kind": "kernel", "values": [[[1.0, 0.0]]], "grid": {
+        "kind": "grid", "ambient": ambient, "points": [[[0.1, 0.0], [0.2, 0.0]]]}}))
+    assert main(["dbr-ball", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == \
+        f"SchemaError: malformed kernel object: {message}"
 
 
 # a check of kernels that must share one grid -> its refusal of a kernel of

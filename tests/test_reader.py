@@ -1,6 +1,6 @@
 """The CLI's JSON reader against its oracle, the json module.
 
-cli._read_json parses a file with orjson and hands every text orjson
+cli._read_json parses a file's bytes with orjson and hands every text orjson
 refuses, or that it cannot prove shallow, to json.load.  Where json.load
 parses a text, the reader must give the identical value: the same types at
 every node (in Python True == 1 == 1.0, so == is not enough) and the same
@@ -10,6 +10,9 @@ integer literal outside the 64-bit range, is kept out of the files here and
 checked through the schema in test_cli_robustness.py.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -65,8 +68,10 @@ def oracle(path):
 def read(path):
     """The reader's value, or the class and message of the error it reports
     (a ParseError carries json's own error as its cause)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return cli._read_json(path)
+        return cli._read_json(path, data)
     except ParseError as exc:
         assert str(exc).startswith(f"{path} "), exc
         assert str(exc).endswith(f": {exc.__cause__}"), exc
@@ -216,3 +221,90 @@ def test_edited_texts_parse_like_json(seed):
         assert same(got, expected), repr(text)
         parsed += not isinstance(expected, tuple)
     assert parsed > 100      # both outcomes are exercised
+
+
+# the CLI reads each input file once: the bytes it digests are the bytes it parses
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def test_each_input_is_opened_once_per_command(tmp_path, monkeypatch):
+    ex = {name: os.path.join(EXAMPLES, name) for name in os.listdir(EXAMPLES)}
+    k1, k2 = str(tmp_path / "k1.json"), str(tmp_path / "k2.json")
+    nan_kernel = tmp_path / "nan.json"      # orjson refuses NaN: json parses the same bytes
+    nan_kernel.write_bytes(b'{"kind": "kernel", "values": [[[NaN, 0.0]]], '
+                           b'"grid": {"ambient": "disc", "points": [[[0.1, 0.0]]]}}')
+    opened = []
+
+    def counting(file, *rest, **kwargs):
+        opened.append(os.fspath(file))
+        return open(file, *rest, **kwargs)
+    monkeypatch.setattr(cli, "open", counting, raising=False)
+    sep, nan = ex["separable_colligation.json"], str(nan_kernel)
+    # argv -> the input files it names, each once
+    commands = [
+        (["agler-kernels", sep, "--grid", "bidisc:rand:40:seed=7", "--out-k1", k1, "--out-k2", k2],
+         [sep]),
+        (["agler-verify", sep, k1, k2], [sep, k1, k2]),
+        (["dbr-polydisc", ex["bidisc_dbr_kernel.json"], k1, k2],
+         [ex["bidisc_dbr_kernel.json"], k1, k2]),
+        (["compose", sep, sep], [sep]),
+        (["dbr-check", ex["dbr_kernel.json"]], [ex["dbr_kernel.json"]]),
+        (["dbr-check", nan], [nan]),
+        (["eval", ex["product_mobius_rational.json"], "--at", "[[0,0],[0,0]]"],
+         [ex["product_mobius_rational.json"]]),
+    ]
+    for argv, inputs in commands:
+        opened.clear()
+        _, report = run_cli(argv)
+        assert list(report["inputs_digest"]) == inputs
+        for path, digest in report["inputs_digest"].items():
+            assert opened.count(path) == 1, (argv, opened)
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
+    assert report["verdict"] == "computed"
+    assert run_cli(["dbr-check", nan])[1]["verdict"] == \
+        "SchemaError: array entries must be finite numbers"
+
+
+def refusal(path):
+    """The report of a command that reads path with open(path, "rb") and,
+    where orjson refuses, with json.load(open(path, encoding="utf-8"))."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read()
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except OSError as exc:
+        return f"IOError: {exc}"
+    except json.JSONDecodeError as exc:
+        return f"ParseError: {path} is not valid JSON: {exc}"
+    except UnicodeDecodeError as exc:
+        return f"UnicodeDecodeError: {exc}"
+    raise AssertionError(f"{path} reads as JSON")
+
+
+@pytest.mark.parametrize("data", [
+    b'\xef\xbb\xbf{"kind": "kernel"}',
+    b'{\r\n"a": 1,\r\n\r\n}',
+    b'{\r\n"kind": "x\ry",\r\n "q": 1}',
+    b'{\r"a": [1,\r 2,,]}',
+    b'{"a": "\xff\xfe"}',
+    b'{\r\n"a":\r\n "\xc3"}',
+    None,
+    "directory",
+], ids=["bom", "crlf", "cr-in-string", "cr", "bad-utf8", "bad-utf8-crlf", "missing", "directory"])
+def test_unreadable_inputs_are_refused_as_before(tmp_path, data):
+    path = tmp_path / "input.json"
+    if data == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    code, report = run_cli(["dbr-check", str(path)])
+    assert code == 2
+    assert report["verdict"] == refusal(str(path))

@@ -2,10 +2,13 @@
 json.dumps(obj, sort_keys=True, indent=2, default=serialize._jsonable): the
 two texts must be equal byte for byte, on every kind of value the encoder
 treats apart (the float-table fast path, the generic path, the default hook,
-dict keys, escapes, RawJSON) and on the reports of the README commands."""
+dict keys, escapes, RawJSON), on the float tables whose magnitudes repeat
+(Hermitian kernels, signed zeros and NaNs) and on the reports of the README
+commands."""
 
 import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +41,21 @@ def kernel_values(n, dim, seed):
     return pairs_to_json(rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+def hermitian_values(n, dim, seed):
+    """An (n, n, dim, dim) table, (n, n) for dim 1, with K[j, i] equal to
+    K[i, j]* bit for bit: M + M* is exactly Hermitian, its diagonal
+    imaginary parts 0.0."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n * dim,) * 2) + 1j * rng.normal(size=(n * dim,) * 2)
+    table = (m + m.conj().T).reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
+    return table[:, :, 0, 0] if dim == 1 else table
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+NEG_NAN = from_bits(0xFFF8000000000000)
 CASES = {
     "nan": NAN,
     "inf": INF,
@@ -74,6 +92,13 @@ CASES = {
     "kernel-scalar": pairs_to_json(np.arange(9).reshape(3, 3) * (0.1 + 0.3j)),
     "kernel-depth-5": kernel_values(3, 2, 2),
     "mixed": {"a": [None, "s", [1.0, 2.0], {"k": [], "l": [[0.5]]}], "b": [[1.0, 2.0], 3]},
+    "signed-zeros": [[0.0, -0.0], [-0.0, 0.0]],
+    "signed-nans": [NAN, NEG_NAN, from_bits(0x7FF0000000000001), from_bits(0xFFF4000000000000)],
+    "extremes": [[INF, -INF], [5e-324, -5e-324], [1.7976931348623157e308,
+                                                    -1.7976931348623157e308]],
+    "both-signs": [[0.1, -0.1], [-0.1, 0.1], [2.5, 2.5]],
+    "several-tables": {"a": [[0.5, -0.5], [1.0, NAN]], "b": [-0.5, 0.25, -0.0],
+                       "c": [{"d": [[0.25]]}, [1.0, 2]], "e": kernel_values(2, 1, 7)},
 }
 
 
@@ -87,6 +112,61 @@ def test_every_pairs_array_takes_the_fast_path(shape):
     values = np.arange(np.prod(shape, dtype=int)).reshape(shape) * (0.5 - 0.25j)
     nest = serialize._float_nest(pairs_to_json(values))
     assert nest is not None and nest[0] == [*shape, 2]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "nearly-hermitian"])
+def test_dumps_equals_stdlib_on_kernel_tables(dim, hermitian):
+    # n = 1-40: every small n, then a few larger ones (the oracle is slow)
+    for n in [*range(1, 11), 16, 23, 31, 40]:
+        values = hermitian_values(n, dim, seed=n)
+        if not hermitian:
+            # the last bit of every fifth entry moves, so some magnitudes pair and some do not
+            values = values.copy()
+            values.flat[::5] *= 1 + 2 ** -52
+        table = pairs_to_json(values)
+        assert dumps(table) == stdlib(table)
+
+
+@pytest.fixture
+def repr_calls(monkeypatch):
+    """The floats the float-table formatter is called on, in order."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return float.__repr__(x)
+    monkeypatch.setattr(serialize, "_repr", counting)
+    return calls
+
+
+def test_hermitian_table_formats_each_magnitude_once(repr_calls):
+    n = 30
+    table = pairs_to_json(hermitian_values(n, 1, seed=0))
+    assert dumps(table) == stdlib(table)
+    assert 0 < len(repr_calls) <= n * (n + 1) < 2 * n * n
+
+
+def test_one_report_batches_its_tables_and_raw_json(repr_calls):
+    raw = RawJSON(dumps({"k": [[0.75, -0.75]]}))
+    report = {"K1": raw, "a": [[0.75, -0.75], [0.5, 0.5]], "b": {"c": [-0.5, 0.75]}}
+    repr_calls.clear()
+    assert dumps(report) == stdlib(thaw(report))
+    assert sorted(repr_calls) == [0.5, 0.75]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3, 3)])
+def test_complex_arrays_encode_through_pairs_to_json(monkeypatch, shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=shape) - 1j * rng.normal(size=shape)
+    # the encoding of a complex array one complex number at a time
+    one_by_one = json.dumps(values.tolist(), sort_keys=True, indent=2,
+                            default=lambda z: [z.real, z.imag])
+    blocks = []
+    real = serialize._float_block
+    monkeypatch.setattr(serialize, "_float_block", lambda *a: blocks.append(a) or real(*a))
+    assert dumps(values) == dumps(pairs_to_json(values)) == one_by_one
+    assert len(blocks) == 2         # one float table each, not one per complex number
 
 
 def random_value(rng, depth):
