@@ -120,6 +120,12 @@ class GridNotCompanionedError(DomainError):
     pass
 
 
+class AxesOnlyGridError(DomainError):
+    """Every grid point has a coordinate within EXACT_GUARD of 0, where the
+    separability identity and the Agler factorization conditions hold for
+    every f, so such a grid would test nothing."""
+
+
 # -- CLI ---------------------------------------------------------------------
 
 class ParseError(DomainError):

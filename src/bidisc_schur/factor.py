@@ -19,6 +19,7 @@ from .colligation import (
     transfer_grid,
 )
 from .errors import (
+    AxesOnlyGridError,
     ClassMismatchError,
     ConditionFailedError,
     GridNotCompanionedError,
@@ -39,6 +40,16 @@ def _origin_value(f, tol: float) -> complex:
     if abs(origin) <= tol:
         raise OriginZeroError("value at the origin vanishes; strip monomial factors first")
     return origin
+
+
+def _require_off_axes(grid: PointGrid, what: str) -> None:
+    """AxesOnlyGridError unless some point of the bidisc grid has both
+    coordinates nonzero.  On an axis f(z) f(0) - f(z1, 0) f(0, z2) is 0 for
+    every f, and a product grid lies on its axes only when an axis has one
+    point, where one Agler factorization condition compares a table with
+    itself; either test would pass every f there."""
+    if not np.any(np.all(np.abs(grid.points) > EXACT_GUARD, axis=1)):
+        raise AxesOnlyGridError(f"{what} needs a grid point off both coordinate axes")
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,7 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     holds, factor samples are returned with the gauge fixed so that f1 is
     positive real at its largest-modulus sample."""
     grid.require("polydisc", 2, "separability_test")
+    _require_off_axes(grid, "separability_test")
     origin = _origin_value(f, tol)
     z1 = grid.points[:, 0]
     z2 = grid.points[:, 1]
@@ -279,6 +291,7 @@ def agler_factorization_conditions(f, k1: SampledKernel, k2: SampledKernel,
     """
     grid = _shared_grid([k1, k2], 1, "factorization conditions are")
     axis1, axis2, origin1, origin2 = _product_axes(grid)
+    _require_off_axes(grid, "agler_factorization_conditions")
     origin = _origin_value(f, tol)
 
     n1, n2 = len(axis1), len(axis2)

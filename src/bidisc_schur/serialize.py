@@ -24,11 +24,16 @@ converted (a complex array through pairs_to_json).  One fast path: a list
 that is a rectangular nest of Python floats (every leaf of type float, no
 empty axis) is a float table, formatted in one join; everything else, numpy
 scalars, ints, bools, ragged nests and [[]] included, takes the generic
-recursive path.  The leaves of all the float tables of one call are
-formatted in one batch, with one float.__repr__ per distinct magnitude (the
-bits with the sign cleared) and the sign put back as "-", so a Hermitian
-kernel table, whose off-diagonal entries come in conjugate pairs, needs
-about half as many calls as it has leaves.  RawJSON is text dumps already
+recursive path.  The leaves of a float table are spelled by one orjson.dumps
+wherever that spelling is float.__repr__'s: both write the shortest digits
+that round-trip, and differ only in the exponent (orjson writes 1e-9, 1e16
+and 0.00001 where repr writes 1e-09, 1e+16 and 1e-05).  So the two agree
+exactly where repr writes fixed notation, 1e-4 <= |x| < 1e16, or an
+exponent of -10 or lower, |x| < 1e-9 (zero and subnormals included); the
+cuts are the doubles nearest those numbers, and a shortest repr parses back
+to its own double, so comparing the double with a cut decides on which side
+its spelling falls.  Every other leaf (NaN and +-inf too) gets
+float.__repr__.  RawJSON is text dumps already
 produced; embedded at indent level L its newlines gain 2 L spaces, which is
 exact because encoded JSON holds no raw newline inside a string.  So a
 table written to a file and also embedded in a report is formatted once.
@@ -40,6 +45,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .colligation import Colligation
 from .errors import SchemaError
@@ -293,9 +299,9 @@ class RawJSON(str):
 
 
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the float formatter of float tables, by a module-level name that a test can count
+# the float formatter of the leaves orjson does not spell, by a module-level
+# name that a test can count
 _repr = float.__repr__
-_MAGNITUDE = np.uint64(2 ** 63 - 1)
 
 
 def _scalar(o):
@@ -343,17 +349,14 @@ def _float_nest(o):
 
 
 def _float_texts(leaves) -> list:
-    """float.__repr__ of each float in leaves, called once per distinct
-    magnitude: the magnitudes are the bits with the sign bit cleared, and
-    "-" is restored wherever the sign bit was set, except on a NaN, whose
-    repr has no sign.  leaves is one flat list, so np.unique's inverse is
-    1-d in every numpy version."""
-    values = np.array(leaves, dtype=np.float64)
-    mags, inverse = np.unique(values.view(np.uint64) & _MAGNITUDE, return_inverse=True)
-    texts = np.array(list(map(_repr, mags.view(np.float64).tolist())), dtype=object)[inverse]
-    negative = np.signbit(values) & ~np.isnan(values)
-    texts[negative] = "-" + texts[negative]
-    return texts.tolist()
+    """float.__repr__ of each float in leaves: orjson's text where the
+    two spellings agree (see the module docstring), _repr elsewhere."""
+    mags = np.abs(np.array(leaves, dtype=np.float64))
+    shared = (mags < 1e-9) | ((mags >= 1e-4) & (mags < 1e16))
+    texts = orjson.dumps(leaves).decode()[1:-1].split(",")
+    for i in np.flatnonzero(~shared).tolist():
+        texts[i] = _repr(leaves[i])
+    return texts
 
 
 def _float_block(shape, texts, level: int) -> str:
@@ -383,10 +386,9 @@ def _float_block(shape, texts, level: int) -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
-def _encode(o, level: int, out: list, tables: list) -> None:
+def _encode(o, level: int, out: list) -> None:
     """Append the text of o at indent level `level` to out, in pieces that
-    dumps joins once; a float table leaves a placeholder in out and its
-    (position, shape, leaves, level) in tables."""
+    dumps joins once."""
     if isinstance(o, RawJSON):
         out.append(o.replace("\n", "\n" + "  " * level))
         return
@@ -399,15 +401,15 @@ def _encode(o, level: int, out: list, tables: list) -> None:
             return
         nest = _float_nest(o)
         if nest is not None:
-            tables.append((len(out), *nest, level))
-            out.append(None)
+            shape, leaves = nest
+            out.append(_float_block(shape, _float_texts(leaves), level))
             return
         inner = "\n" + "  " * (level + 1)
         out.append("[" + inner)
         for i, value in enumerate(o):
             if i:
                 out.append("," + inner)
-            _encode(value, level + 1, out, tables)
+            _encode(value, level + 1, out)
         out.append(inner[:-2] + "]")
     elif isinstance(o, dict):
         if not o:
@@ -423,10 +425,10 @@ def _encode(o, level: int, out: list, tables: list) -> None:
             if not isinstance(key, str):
                 text = '"' + text + '"'     # a number, true, false or null as a key
             out.append(("," + inner if i else "") + text + ": ")
-            _encode(value, level + 1, out, tables)
+            _encode(value, level + 1, out)
         out.append(inner[:-2] + "}")
     else:
-        _encode(_jsonable(o), level, out, tables)
+        _encode(_jsonable(o), level, out)
 
 
 def dumps(obj) -> str:
@@ -434,16 +436,10 @@ def dumps(obj) -> str:
     numpy values and complex numbers ([re, im]) are converted while encoding.
     The text is exactly json.dumps(obj, sort_keys=True, indent=2,
     default=_jsonable), which with an indent runs the pure-Python encoder up
-    to Python 3.12; this encoder leaves a placeholder for each float table,
-    formats the leaves of all of them at once with one float.__repr__ per
-    distinct magnitude (see the module docstring), and embeds RawJSON
-    without encoding it again."""
-    out, tables = [], []
-    _encode(obj, 0, out, tables)
-    if tables:
-        texts = _float_texts(list(chain.from_iterable(table[2] for table in tables)))
-        start = 0
-        for at, shape, leaves, level in tables:
-            out[at] = _float_block(shape, texts[start:start + len(leaves)], level)
-            start += len(leaves)
+    to Python 3.12; this encoder spells the leaves of each float table with
+    one orjson.dumps and float.__repr__ only where orjson's spelling differs
+    (see the module docstring), and embeds RawJSON without encoding it
+    again."""
+    out = []
+    _encode(obj, 0, out)
     return "".join(out)

@@ -227,6 +227,20 @@ def test_cli_factor_vt_condition_failed(tmp_path, capsys):
     assert report["verdict"].startswith("ConditionFailed")
 
 
+@pytest.mark.parametrize("grid,code,verdict", [
+    ("product:1x1", 2, "AxesOnlyGrid: "), ("product:2x1", 2, "AxesOnlyGrid: "),
+    ("product:1x5", 2, "AxesOnlyGrid: "), ("product:2x2", 1, "not-separable"),
+])
+def test_cli_factor_refuses_a_grid_on_the_axes(tmp_path, capsys, grid, code, verdict):
+    # (z1 z2 - 1/2)/(1 - z1 z2/2) is not separable, and a grid whose every
+    # point lies on a coordinate axis cannot tell
+    path = write(tmp_path, "phit.json",
+                 serialize.rational_to_json(bs.mobius_of_product(0.5)))
+    got, report = run_cli(capsys, "factor", path, "--grid", grid)
+    assert (got, report["evidence"] == {}) == (code, code == 2)
+    assert report["verdict"].startswith(verdict)
+
+
 def test_cli_eval_product_mobius_origin(tmp_path, capsys):
     path = write(tmp_path, "phit.json",
                  serialize.rational_to_json(bs.mobius_of_product(0.5)))

@@ -5,6 +5,7 @@ import bidisc_schur as bs
 from bidisc_schur import colligation, factor, numlin, serialize
 from bidisc_schur.colligation import _zero_coupling_parts, transfer_grid, transfer_torus
 from bidisc_schur.errors import (
+    AxesOnlyGridError,
     ClassMismatchError,
     ConditionFailedError,
     GridMismatchError,
@@ -181,6 +182,17 @@ def test_zero_coupling_pole_in_either_block_raises(d1, d4):
 def test_separability_refuses_a_grid_off_the_bidisc():
     with pytest.raises(GridMismatchError, match="needs a bidisc grid"):
         bs.separability_test(bs.mobius_of_product(0.5), bs.make_grid("torus2", 4))
+
+
+@pytest.mark.parametrize("grid", [
+    factor.product_grid(1, 1), factor.product_grid(2, 1), factor.product_grid(1, 5),
+    bs.PointGrid("bidisc", [[0.5, 0.0], [0.0, -0.3j], [0.4, 1e-13]]),
+], ids=["1x1", "2x1", "1x5", "near-axis"])
+def test_separability_refuses_a_grid_on_the_axes(grid):
+    # f(z) f(0) - f(z1, 0) f(0, z2) vanishes on both axes for every f, so
+    # the non-separable (z1 z2 - 1/2)/(1 - z1 z2/2) would pass there
+    with pytest.raises(AxesOnlyGridError, match="separability_test needs a grid point off"):
+        bs.separability_test(bs.mobius_of_product(0.5), grid)
 
 
 def test_separability_refuses_a_one_variable_colligation(bidisc_grid):
@@ -551,6 +563,15 @@ def test_factorization_conditions_require_a_product_grid_with_origin(grid):
     with pytest.raises(GridNotCompanionedError):
         factor.agler_factorization_conditions(
             lambda z1, z2: f1(z1) * f2(z2), sample(k1, grid), sample(k2, grid), 1e-9)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 4), (1, 1), (4, 1)])
+def test_factorization_conditions_refuse_an_axis_of_one_point(n1, n2):
+    # every point lies on an axis, where V_t's kernels pass both conditions
+    # with residual 0.0; on 5 x 5 they fail (test_..._product_mobius_fails)
+    pair = bs.agler_kernels_of(vt_colligation(0.5), factor.product_grid(n1, n2))
+    with pytest.raises(AxesOnlyGridError, match="agler_factorization_conditions needs"):
+        factor.agler_factorization_conditions(bs.mobius_of_product(0.5), *pair.kernels)
 
 
 def test_factorization_conditions_origin_zero_routed():

@@ -2,9 +2,9 @@
 json.dumps(obj, sort_keys=True, indent=2, default=serialize._jsonable): the
 two texts must be equal byte for byte, on every kind of value the encoder
 treats apart (the float-table fast path, the generic path, the default hook,
-dict keys, escapes, RawJSON), on the float tables whose magnitudes repeat
-(Hermitian kernels, signed zeros and NaNs) and on the reports of the README
-commands."""
+dict keys, escapes, RawJSON), on floats either side of every cut between
+orjson's spelling and float.__repr__'s, on Hermitian kernel tables, signed
+zeros and NaNs, and on the reports of the README commands."""
 
 import json
 import random
@@ -140,19 +140,43 @@ def repr_calls(monkeypatch):
     return calls
 
 
-def test_hermitian_table_formats_each_magnitude_once(repr_calls):
-    n = 30
-    table = pairs_to_json(hermitian_values(n, 1, seed=0))
+def test_repr_formats_only_the_leaves_orjson_spells_differently(repr_calls):
+    # orjson spells 3e-06, 1e+20, 1e-09 and NaN otherwise; the rest it spells as repr does
+    table = [[0.5, 3e-6, -1e-10, 0.0], [1e20, NAN, 1e-4, -1e-9]]
     assert dumps(table) == stdlib(table)
-    assert 0 < len(repr_calls) <= n * (n + 1) < 2 * n * n
+    assert list(map(repr, repr_calls)) == ["3e-06", "1e+20", "nan", "-1e-09"]
 
 
-def test_one_report_batches_its_tables_and_raw_json(repr_calls):
-    raw = RawJSON(dumps({"k": [[0.75, -0.75]]}))
-    report = {"K1": raw, "a": [[0.75, -0.75], [0.5, 0.5]], "b": {"c": [-0.5, 0.75]}}
+def test_raw_json_is_not_formatted_again(repr_calls):
+    raw = RawJSON(dumps({"k": [[3e-6, -0.75]]}))
+    report = {"K1": raw, "a": [[0.75, -0.75], [1e20, 0.5]], "b": {"c": [NAN, 0.75]}}
     repr_calls.clear()
     assert dumps(report) == stdlib(thaw(report))
-    assert sorted(repr_calls) == [0.5, 0.75]
+    assert list(map(repr, repr_calls)) == ["1e+20", "nan"]
+
+
+def spelling_cases(seed):
+    """Floats on both sides of every spelling rule: a power of ten and a
+    random 17-digit mantissa in every decade from 5e-324 to 1e308, the
+    doubles one ulp around 1e-9, 1e-4 and 1e16, integers, k/1000 and
+    k/2^m, each with both signs, and +-0, NaN and +-inf."""
+    rng = random.Random(seed)
+    decades = [5e-324] + [float(f"{m}e{k}") for k in range(-323, 309)
+               for m in (1, rng.randint(10 ** 16, 10 ** 17 - 1) / 10 ** 16)]
+    cuts = [float(np.nextafter(c, to)) for c in (1e-9, 1e-4, 1e16) for to in (0.0, c, INF)]
+    integers = [float(k) for k in [*range(1000), *(rng.randint(0, 2 ** 60) for _ in range(300))]]
+    fractions = [k / 1000 for k in range(3000)] + [rng.randint(1, 2 ** 53) / 2 ** m
+                                                    for m in range(1, 80) for _ in range(5)]
+    positive = [x for x in decades + cuts + integers + fractions if x > 0 and x != INF]
+    return positive + [-x for x in positive] + [0.0, -0.0, NAN, INF, -INF]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_dumps_equals_stdlib_on_every_spelling(seed):
+    values = spelling_cases(seed)
+    assert dumps(values) == stdlib(values)
+    table = [values[i:i + 4] for i in range(0, len(values) - len(values) % 4, 4)]
+    assert dumps(table) == stdlib(table)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3, 3)])
