@@ -33,6 +33,7 @@ from .errors import (
     ConditionFailedError,
     DomainError,
     GridMismatchError,
+    NonFiniteError,
     NotDivisibleError,
     OriginZeroError,
     ParseError,
@@ -196,7 +197,14 @@ def _cmd_eval(args, tol, seed):
     if points.shape[1] != fn.nvars:
         raise ParseError(f"points have {points.shape[1]} coordinate(s), but the "
                          f"function takes {fn.nvars}")
-    return "computed", {"points": points, "values": fn(*points.T)}, 0
+    # one gate for every kind: a rational function or a polynomial overflows
+    # to inf or nan far outside the polydisc, where a colligation's solves refuse
+    with np.errstate(all="ignore"):
+        values = fn(*points.T)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise NonFiniteError(f"the function is not finite at {bad} of the {len(points)} point(s)")
+    return "computed", {"points": points, "values": values}, 0
 
 
 def _cmd_classify(args, tol, seed):

@@ -20,23 +20,27 @@ the same message from either reader.
 
 Reports are written by dumps, whose text is exactly that of
 json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
-converted (a complex array through pairs_to_json).  One fast path: a list
-that is a rectangular nest of Python floats (every leaf of type float, no
-empty axis) is a float table, formatted in one join; everything else, numpy
-scalars, ints, bools, ragged nests and [[]] included, takes the generic
-recursive path.  The leaves of a float table are spelled by one orjson.dumps
-wherever that spelling is float.__repr__'s: both write the shortest digits
-that round-trip, and differ only in the exponent (orjson writes 1e-9, 1e16
-and 0.00001 where repr writes 1e-09, 1e+16 and 1e-05).  So the two agree
-exactly where repr writes fixed notation, 1e-4 <= |x| < 1e16, or an
-exponent of -10 or lower, |x| < 1e-9 (zero and subnormals included); the
-cuts are the doubles nearest those numbers, and a shortest repr parses back
-to its own double, so comparing the double with a cut decides on which side
-its spelling falls.  Every other leaf (NaN and +-inf too) gets
-float.__repr__.  RawJSON is text dumps already
-produced; embedded at indent level L its newlines gain 2 L spaces, which is
-exact because encoded JSON holds no raw newline inside a string.  So a
-table written to a file and also embedded in a report is formatted once.
+converted (a complex scalar or array through pairs_to_json).  The *_to_json
+emitters return dicts whose tables are the float64 arrays of pairs_to_json,
+values for dumps to write, not lists: a table stays an array until its text
+is written.  One fast path: a non-empty float64 ndarray is a float table,
+its shape read from the array and its text made in one join; everything
+else, lists and tuples of floats, numpy scalars, ints, bools and arrays
+with an empty axis or another dtype (as .tolist()) included, takes the
+generic recursive path.  The leaves of a float table are spelled by one
+orjson.dumps of a.ravel() (orjson's numpy writer) wherever that spelling is
+float.__repr__'s: both write the shortest digits that round-trip, and
+differ only in the exponent (orjson writes 1e-9, 1e16 and 0.00001 where
+repr writes 1e-09, 1e+16 and 1e-05).  So the two agree exactly where repr
+writes fixed notation, 1e-4 <= |x| < 1e16, or an exponent of -10 or lower,
+|x| < 1e-9 (zero and subnormals included); the cuts are the doubles nearest
+those numbers, and a shortest repr parses back to its own double, so
+comparing the double with a cut decides on which side its spelling falls.
+Every other leaf (NaN and +-inf too, which orjson writes as null) gets
+float.__repr__.  RawJSON is text dumps already produced; embedded at indent
+level L its newlines gain 2 L spaces, which is exact because encoded JSON
+holds no raw newline inside a string.  So a table written to a file and
+also embedded in a report is formatted once.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2
 from .kernels import SampledKernel, ThetaRealization, check_value_dim
 
 
-def pairs_to_json(a) -> list:
-    """Nested [re, im] lists of a complex array of any shape."""
+def pairs_to_json(a) -> np.ndarray:
+    """The (..., 2) float64 array of the [re, im] pairs of a complex array
+    of any shape, a scalar's being one pair; dumps writes it as nested lists."""
     a = np.asarray(a, dtype=np.complex128)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 def pairs_from_json(obj, ndim: int) -> np.ndarray:
@@ -85,11 +90,6 @@ def pairs_from_json(obj, ndim: int) -> np.ndarray:
         raise SchemaError("array entries must be finite numbers")
     # the view keeps every float as read, the sign of a zero included
     return arr.view(np.complex128)[..., 0]
-
-
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def complex_from_json(obj) -> complex:
@@ -130,7 +130,7 @@ def rational_to_json(f: RationalFunction2) -> dict:
     return {
         "kind": "rational2",
         "monomial": list(f.monomial),
-        "unimodular": complex_to_json(f.unimodular),
+        "unimodular": pairs_to_json(f.unimodular),
         "denominator": poly_to_json(f.denominator),
         "numerator": poly_to_json(f.numerator),
     }
@@ -162,7 +162,7 @@ def grid_from_json(obj) -> PointGrid:
 def colligation_to_json(v: Colligation) -> dict:
     return {
         "kind": "colligation",
-        "a": complex_to_json(v.a),
+        "a": pairs_to_json(v.a),
         "B": pairs_to_json(v.B),
         "C": pairs_to_json(v.C),
         "D": pairs_to_json(v.D),
@@ -201,7 +201,7 @@ def blaschke_from_json(obj) -> tuple:
 
 
 def blaschke_to_json(constant, zeros) -> dict:
-    return {"kind": "blaschke", "constant": complex_to_json(constant),
+    return {"kind": "blaschke", "constant": pairs_to_json(constant),
             "zeros": pairs_to_json(zeros)}
 
 
@@ -232,8 +232,8 @@ def factorization_to_json(r: FactorizationResult) -> dict:
         "kind": "factorization",
         "V1": colligation_to_json(r.v1),
         "V2": colligation_to_json(r.v2),
-        "x": complex_to_json(r.x),
-        "y": complex_to_json(r.y),
+        "x": pairs_to_json(r.x),
+        "y": pairs_to_json(r.y),
         "certificate": r.certificate,
     }
 
@@ -284,7 +284,7 @@ def parse_object(obj: dict):
 def _jsonable(obj):
     """What json cannot encode itself: complex numbers, numpy arrays and scalars."""
     if isinstance(obj, (complex, np.complexfloating)):
-        return complex_to_json(obj)
+        return pairs_to_json(obj)
     if isinstance(obj, np.ndarray):
         return pairs_to_json(obj) if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, np.generic):
@@ -341,29 +341,19 @@ def _nest(o):
         items = list(chain.from_iterable(items))
 
 
-def _float_nest(o):
-    """(shape, leaves) of a rectangular nest of lists and tuples whose leaves
-    are all of type float and whose axes are all non-empty, else None."""
-    shape, leaves, kinds = _nest(o)
-    return (shape, leaves) if kinds == {float} else None
-
-
-def _float_texts(leaves) -> list:
-    """float.__repr__ of each float in leaves: orjson's text where the
-    two spellings agree (see the module docstring), _repr elsewhere."""
-    mags = np.abs(np.array(leaves, dtype=np.float64))
+def _float_block(table: np.ndarray, level: int) -> str:
+    """The text of the non-empty float64 array table at indent level `level`.
+    Its leaves, in row-major order, are float.__repr__'s spelling: orjson's
+    text where the two agree (see the module docstring), _repr elsewhere.
+    They are joined once, between two leaves the separator that closes and
+    reopens the axes ending there."""
+    flat = table.ravel()
+    mags = np.abs(flat)
     shared = (mags < 1e-9) | ((mags >= 1e-4) & (mags < 1e16))
-    texts = orjson.dumps(leaves).decode()[1:-1].split(",")
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
     for i in np.flatnonzero(~shared).tolist():
-        texts[i] = _repr(leaves[i])
-    return texts
-
-
-def _float_block(shape, texts, level: int) -> str:
-    """The nest of _float_nest at indent level `level`, given the texts of
-    its leaves, in one join: between two leaves the separator that closes
-    and reopens the axes ending there."""
-    n, ndim = len(texts), len(shape)
+        texts[i] = _repr(float(flat[i]))
+    shape, n, ndim = table.shape, len(texts), table.ndim
     ind = ["\n" + "  " * (level + a) for a in range(ndim + 1)]
 
     def close(a):
@@ -399,11 +389,6 @@ def _encode(o, level: int, out: list) -> None:
         if not o:
             out.append("[]")
             return
-        nest = _float_nest(o)
-        if nest is not None:
-            shape, leaves = nest
-            out.append(_float_block(shape, _float_texts(leaves), level))
-            return
         inner = "\n" + "  " * (level + 1)
         out.append("[" + inner)
         for i, value in enumerate(o):
@@ -427,6 +412,8 @@ def _encode(o, level: int, out: list) -> None:
             out.append(("," + inner if i else "") + text + ": ")
             _encode(value, level + 1, out)
         out.append(inner[:-2] + "}")
+    elif type(o) is np.ndarray and o.dtype == np.float64 and o.size:
+        out.append(_float_block(o, level))
     else:
         _encode(_jsonable(o), level, out)
 
@@ -436,10 +423,11 @@ def dumps(obj) -> str:
     numpy values and complex numbers ([re, im]) are converted while encoding.
     The text is exactly json.dumps(obj, sort_keys=True, indent=2,
     default=_jsonable), which with an indent runs the pure-Python encoder up
-    to Python 3.12; this encoder spells the leaves of each float table with
-    one orjson.dumps and float.__repr__ only where orjson's spelling differs
-    (see the module docstring), and embeds RawJSON without encoding it
-    again."""
+    to Python 3.12; this encoder writes each non-empty float64 array, the
+    tables of every *_to_json emitter, from the array itself: its leaves
+    with one orjson.dumps, float.__repr__ only where orjson's spelling
+    differs (see the module docstring).  It embeds RawJSON without encoding
+    it again."""
     out = []
     _encode(obj, 0, out)
     return "".join(out)

@@ -1,12 +1,20 @@
 """Shared fixture builders and independent oracles for the test suite."""
 
+import json
+
 import numpy as np
 
 import bidisc_schur as bs
-from bidisc_schur import factor, kernels, numlin
+from bidisc_schur import factor, kernels, numlin, serialize
 from bidisc_schur.errors import IdentityViolatedError
 from bidisc_schur.kernels import ThetaRealization
 from bidisc_schur.numlin import DEFAULT_TOL, EXACT_GUARD, RESIDUAL_GUARD, bound
+
+
+def as_json(value):
+    """value as a reader of the text serialize.dumps writes for it sees it:
+    dicts, lists, strings and numbers, each numpy array a nest of lists."""
+    return json.loads(serialize.dumps(value))
 
 
 def tabulate(points, fn):

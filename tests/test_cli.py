@@ -12,6 +12,7 @@ from bidisc_schur.cli import build_parser, main, parse_grid_spec
 from bidisc_schur.errors import ParseError, SchemaError
 from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import (
+    as_json,
     composed_blaschke,
     gauge_shifted_agler_pair,
     not_separable_tiny_origin,
@@ -43,7 +44,7 @@ def negative_zero_colligation():
 ], ids=["vt", "state-dim-0", "negative-zero"])
 def test_colligation_roundtrip(v):
     obj = serialize.colligation_to_json(v)
-    back = serialize.parse_object(json.loads(json.dumps(obj)))
+    back = serialize.parse_object(as_json(obj))
     assert np.array_equal(back.V, v.V)
     assert back.partition == v.partition
     assert np.array_equal(np.signbit(back.V.imag), np.signbit(v.V.imag))
@@ -52,14 +53,14 @@ def test_colligation_roundtrip(v):
 
 def test_rational_roundtrip():
     f = bs.mobius_of_product(0.25)
-    back = serialize.parse_object(serialize.rational_to_json(f))
+    back = serialize.parse_object(as_json(serialize.rational_to_json(f)))
     assert back.monomial == f.monomial
     assert np.array_equal(back.denominator.coeffs, f.denominator.coeffs)
     assert np.array_equal(back.numerator.coeffs, f.numerator.coeffs)
 
 
 def test_rational_numerator_validation():
-    obj = serialize.rational_to_json(bs.mobius_of_product(0.25))
+    obj = as_json(serialize.rational_to_json(bs.mobius_of_product(0.25)))
     obj["numerator"]["coeffs"][0][0] = [5.0, 0.0]
     with pytest.raises(SchemaError):
         serialize.parse_object(obj)
@@ -68,7 +69,7 @@ def test_rational_numerator_validation():
 def test_kernel_roundtrip():
     grid = bs.make_grid("disc", 5, seed=72)
     k = SampledKernel(grid, szego_gram(grid))
-    back = serialize.parse_object(serialize.kernel_to_json(k))
+    back = serialize.parse_object(as_json(serialize.kernel_to_json(k)))
     assert np.allclose(back.values, k.values)
     assert back.grid.ambient == "disc"
 
@@ -84,7 +85,7 @@ def test_kernel_roundtrip_operator_valued(dim):
             vals[i, j] = rows[dim * i: dim * i + dim] @ rows[dim * j: dim * j + dim].conj().T
     k = SampledKernel(grid, vals, dim=dim)
     obj = serialize.kernel_to_json(k)
-    back = serialize.parse_object(json.loads(json.dumps(obj)))
+    back = serialize.parse_object(as_json(obj))
     assert back.dim == dim
     assert np.allclose(back.values, k.values)
     assert serialize.dumps(serialize.kernel_to_json(back)) == serialize.dumps(obj)
@@ -92,13 +93,13 @@ def test_kernel_roundtrip_operator_valued(dim):
 
 def test_theta_roundtrip():
     theta = random_theta(np.random.default_rng(75))
-    back = serialize.parse_object(serialize.theta_to_json(theta))
+    back = serialize.parse_object(as_json(serialize.theta_to_json(theta)))
     grid = bs.make_grid("disc", 6, seed=76)
     assert np.allclose(back.kernel_values(grid), theta.kernel_values(grid))
 
 
 def test_kind_inference():
-    obj = serialize.colligation_to_json(permutation_colligation())
+    obj = as_json(serialize.colligation_to_json(permutation_colligation()))
     del obj["kind"]
     assert isinstance(serialize.parse_object(obj), bs.Colligation)
 
@@ -127,6 +128,7 @@ def _kinded_objects():
                                   "kernel", "blaschke", "theta"])
 def test_kindless_object_parses_as_its_kind(kind):
     obj, emit = _kinded_objects()[kind]
+    obj = as_json(obj)
     kindless = {key: val for key, val in obj.items() if key != "kind"}
     with_kind, without = serialize.parse_object(obj), serialize.parse_object(kindless)
     assert type(without) is type(with_kind)
@@ -135,7 +137,7 @@ def test_kindless_object_parses_as_its_kind(kind):
 
 
 def test_kindless_poly_reads_as_series():
-    obj = serialize.poly_to_json(bs.Poly2([[1.0, 0.5], [0.25j, 0.0]]))
+    obj = as_json(serialize.poly_to_json(bs.Poly2([[1.0, 0.5], [0.25j, 0.0]])))
     del obj["kind"]
     back = serialize.parse_object(obj)
     assert isinstance(back, bs.PowerSeries2)
@@ -149,7 +151,7 @@ def test_unknown_keys_and_bare_numbers_are_schema_errors():
     for obj, ndim in ((0.5, 0), ([0.5, 0.25, 1.0], 1), ([[0.5], [0.25]], 2)):
         with pytest.raises(SchemaError, match=r"\[re, im\] pairs nested"):
             serialize.pairs_from_json(obj, ndim)
-    obj = serialize.colligation_to_json(vt_colligation(0.5))
+    obj = as_json(serialize.colligation_to_json(vt_colligation(0.5)))
     obj["a"] = 0.5
     with pytest.raises(SchemaError, match=r"\[re, im\] pairs nested"):
         serialize.parse_object(obj)
@@ -178,7 +180,7 @@ def test_grid_spec_parsing():
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(serialize.dumps(obj))
     return str(path)
 
 
@@ -256,7 +258,7 @@ def test_cli_factor_separable_colligation_is_split_plus_flag(capsys):
     with open(path, encoding="utf-8") as fh:
         v = serialize.parse_object(json.load(fh))
     split = serialize.factorization_to_json(bs.split_colligation(v, numlin.DEFAULT_TOL))
-    assert report["evidence"] == dict(json.loads(serialize.dumps(split)), separable=True)
+    assert report["evidence"] == dict(as_json(split), separable=True)
 
 
 def test_cli_split_and_compose_roundtrip(tmp_path, capsys):
@@ -414,7 +416,7 @@ def test_cli_strip_reads_the_monomial_exponent(tmp_path, capsys):
     path = write(tmp_path, "f.json", serialize.rational_to_json(bs.RationalFunction2((17, 0), den)))
     code, report = run_cli(capsys, "strip", path)
     assert code == 0 and report["verdict"] == "stripped"
-    assert report["evidence"] == reparsed({
+    assert report["evidence"] == as_json({
         "power": 17, "function": serialize.rational_to_json(bs.RationalFunction2((0, 0), den))})
 
 
@@ -452,6 +454,19 @@ def test_cli_eval_on_grid(tmp_path, capsys):
     assert np.allclose(got, expected)
 
 
+@pytest.mark.parametrize("kind", ["rational2", "poly2", "series2"])
+def test_cli_eval_refuses_values_that_are_not_finite(tmp_path, capsys, kind):
+    # far outside the bidisc the rational function is nan/nan, and z1 + z2 + z1 z2 overflows
+    if kind == "rational2":
+        path = os.path.join(EXAMPLES, "product_mobius_rational.json")
+    else:
+        coeffs = [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]
+        path = write(tmp_path, "f.json", {"kind": kind, "coeffs": coeffs})
+    code, report = run_cli(capsys, "eval", path, "--at", "[[1e200,0],[1e200,0]]")
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"] == "NonFinite: the function is not finite at 1 of the 1 point(s)"
+
+
 @pytest.mark.parametrize("command, name", [
     ("eval", "product_mobius_rational.json"),
     ("agler-kernels", "product_mobius_colligation.json"),
@@ -482,11 +497,6 @@ def test_cli_product_grid_kernels_read_back_give_the_same_conditions(tmp_path, c
 # each report below against the library call made directly
 
 
-def reparsed(evidence):
-    """evidence as it reads back from a report."""
-    return json.loads(serialize.dumps(evidence))
-
-
 @pytest.mark.parametrize("f,verdict", [
     (bs.mobius_of_product(0.5), "not-separable"),
     (bs.Poly2([[1.0, -0.3], [0.5, -0.15]]), "separable"),      # (1 + z1/2)(1 - 0.3 z2)
@@ -499,7 +509,7 @@ def test_cli_factor_function_input(tmp_path, capsys, f, verdict):
     rep = bs.separability_test(f, bs.make_grid("bidisc", 12, seed=3), numlin.DEFAULT_TOL)
     assert report["verdict"] == verdict == ("separable" if rep.separable else "not-separable")
     assert code == (0 if rep.separable else 1)
-    assert report["evidence"] == reparsed({"separable": rep.separable, "V1": None, "V2": None,
+    assert report["evidence"] == as_json({"separable": rep.separable, "V1": None, "V2": None,
                                            "max_residual": rep.max_residual})
 
 
@@ -535,7 +545,7 @@ def test_cli_toeplitz_check_series_input(tmp_path, capsys):
     defects = {str(m): bs.isometry_defect(bs.toeplitz_truncate(s, m), min(8, m // 2))
                for m in (8, 16)}
     assert code == 0 and report["verdict"] == "computed"
-    assert report["evidence"] == reparsed({"isometry_defect_by_M": defects, "structure": None,
+    assert report["evidence"] == as_json({"isometry_defect_by_M": defects, "structure": None,
                                            "radii": None, "boundary_deviation": None})
 
 
@@ -546,7 +556,7 @@ def test_cli_strip_series_input(tmp_path, capsys):
     code, report = run_cli(capsys, "strip", path)
     p, stripped = bs.strip_monomial(s, tol=numlin.DEFAULT_TOL)
     assert code == 0 and report["verdict"] == "stripped" and p == 2
-    assert report["evidence"] == reparsed({"power": p,
+    assert report["evidence"] == as_json({"power": p,
                                            "function": serialize.series_to_json(stripped)})
     back = serialize.parse_object(report["evidence"]["function"])
     assert np.array_equal(back.coeffs, stripped.coeffs)
@@ -558,7 +568,7 @@ def test_cli_eval_one_variable_colligation_on_disc_grid(tmp_path, capsys):
     code, report = run_cli(capsys, "eval", path, "--grid", "disc:rand:7:seed=2")
     z = bs.make_grid("disc", 7, seed=2).points
     assert code == 0 and report["verdict"] == "computed"
-    assert report["evidence"] == reparsed({"points": z, "values": v(z[:, 0])})
+    assert report["evidence"] == as_json({"points": z, "values": v(z[:, 0])})
     got = [complex(re, im) for re, im in report["evidence"]["values"]]
     assert np.allclose(got, [v(w) for w in z[:, 0]], rtol=0, atol=1e-14)
 
@@ -676,7 +686,7 @@ def test_cli_schema_error_exit_2(tmp_path, capsys):
 ])
 def test_cli_malformed_array_entries_exit_2(tmp_path, capsys, where, literal):
     grid = bs.make_grid("disc", 3, seed=1)
-    obj = serialize.kernel_to_json(SampledKernel(grid, szego_gram(grid)))
+    obj = as_json(serialize.kernel_to_json(SampledKernel(grid, szego_gram(grid))))
     if where == "value":
         obj["values"][0][1] = "@"
     elif where == "row":

@@ -31,7 +31,7 @@ from bidisc_schur import serialize
 from bidisc_schur.cli import main
 from bidisc_schur.errors import SchemaError
 from bidisc_schur.kernels import SampledKernel, ThetaRealization
-from helpers import drury_arveson_gram, szego_gram
+from helpers import as_json, drury_arveson_gram, szego_gram
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -46,12 +46,12 @@ def example(name):
 def kernel_json(ambient, n, seed, gram, dim=1):
     grid = bs.make_grid(ambient, n, seed=seed)
     values = gram(grid) if dim == 1 else gram(grid)[:, :, None, None] * np.eye(dim)
-    return serialize.kernel_to_json(SampledKernel(grid, values, dim))
+    return as_json(serialize.kernel_to_json(SampledKernel(grid, values, dim)))
 
 
 VALID = {
     "colligation": example("separable_colligation.json"),
-    "colligation1": serialize.colligation_to_json(bs.model_colligation(1.0, [0.5, 0.25j])),
+    "colligation1": as_json(serialize.colligation_to_json(bs.model_colligation(1.0, [0.5, 0.25j]))),
     "colligation3": example("polydisc_colligation.json"),
     "rational": example("product_mobius_rational.json"),
     "blaschke": example("blaschke.json"),
@@ -304,7 +304,7 @@ def test_symbol_realization_is_not_evaluable(tmp_path, capsys, command, kernels)
     # a ThetaRealization is callable, T(z), but it is a symbol, not a
     # function of the bidisc
     r = math.sqrt(3) / 2
-    theta = serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1))
+    theta = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1)))
     paths = []
     for i, obj in enumerate([theta] + [VALID[kind] for kind in kernels]):
         paths.append(tmp_path / f"{i}.json")
@@ -400,6 +400,6 @@ def test_integer_beyond_64_bits_is_a_schema_error(tmp_path, capsys):
 @pytest.mark.parametrize("dims", [[1.0, 1, 1], [True, 1, 1], [1, -1, 1]])
 def test_theta_dims_must_be_integers(dims):
     r = math.sqrt(3) / 2
-    obj = serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1))
+    obj = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1)))
     with pytest.raises(SchemaError, match=r"dims entries must be integers in 0\.\.2\*\*63 - 1"):
         serialize.parse_object({**obj, "dims": dims})

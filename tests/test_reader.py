@@ -24,6 +24,7 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import cli, serialize
 from bidisc_schur.errors import ParseError
+from helpers import as_json
 from test_golden import run_all
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -94,8 +95,8 @@ def kernel_dict(ambient, n, dim, seed):
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     values.flat[::7] *= 1e-300        # subnormal and tiny magnitudes
     values.flat[1::11] = -0.0
-    return {"kind": "kernel", "grid": serialize.grid_to_json(grid), "dim": dim,
-            "values": serialize.pairs_to_json(values)}
+    return as_json({"kind": "kernel", "grid": serialize.grid_to_json(grid), "dim": dim,
+                    "values": serialize.pairs_to_json(values)})
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(EXAMPLES)))

@@ -1,10 +1,12 @@
 """serialize.dumps against its oracle, the running interpreter's own
 json.dumps(obj, sort_keys=True, indent=2, default=serialize._jsonable): the
 two texts must be equal byte for byte, on every kind of value the encoder
-treats apart (the float-table fast path, the generic path, the default hook,
-dict keys, escapes, RawJSON), on floats either side of every cut between
-orjson's spelling and float.__repr__'s, on Hermitian kernel tables, signed
-zeros and NaNs, and on the reports of the README commands."""
+treats apart (the float64-array fast path, the generic path, the default
+hook, dict keys, escapes, RawJSON), on floats either side of every cut
+between orjson's spelling and float.__repr__'s, on arrays in every memory
+layout, on Hermitian kernel tables, signed zeros and NaNs, and on the
+reports of the README commands.  Every structure emitter hands dumps its
+floats as arrays, so none reaches the one-float-at-a-time path."""
 
 import json
 import random
@@ -13,8 +15,11 @@ import struct
 import numpy as np
 import pytest
 
-from bidisc_schur import serialize
+import bidisc_schur as bs
+from bidisc_schur import factor, numlin, serialize
+from bidisc_schur.kernels import SampledKernel
 from bidisc_schur.serialize import RawJSON, dumps, pairs_to_json
+from helpers import composed_blaschke, random_theta, szego_gram
 from test_golden import run_all
 
 NAN, INF = float("nan"), float("inf")
@@ -99,6 +104,18 @@ CASES = {
     "both-signs": [[0.1, -0.1], [-0.1, 0.1], [2.5, 2.5]],
     "several-tables": {"a": [[0.5, -0.5], [1.0, NAN]], "b": [-0.5, 0.25, -0.0],
                        "c": [{"d": [[0.25]]}, [1.0, 2]], "e": kernel_values(2, 1, 7)},
+    # float64 arrays in every layout .ravel() must read in row-major order
+    "transposed": (np.arange(12.0).reshape(3, 4) * 0.1 - 0.5).T,
+    "fortran-order": np.asfortranarray(np.arange(24.0).reshape(2, 3, 4) * 1e-5),
+    "strided": (np.arange(20.0) * 1e17)[::3],
+    "big-endian": np.arange(4.0).astype(">f8") * 0.1,
+    "non-finite-array": np.array([[NAN, 1.0], [-INF, INF], [NEG_NAN, 1e20]]),
+    "signed-zeros-array": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    "subnormal-array": np.array([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    "empty-axis": np.zeros((1, 0, 2)),           # [[]]
+    "empty-pairs": pairs_to_json(np.zeros((2, 0))),
+    "zero-d": np.array(0.1),
+    "zero-d-pair": pairs_to_json(0.5 - 0.0j),
 }
 
 
@@ -107,11 +124,27 @@ def test_dumps_equals_stdlib(name):
     assert dumps(CASES[name]) == stdlib(CASES[name])
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """The shapes of the tables the float-table formatter writes, in order."""
+    shapes = []
+    real = serialize._float_block
+
+    def recording(table, level):
+        shapes.append(table.shape)
+        return real(table, level)
+    monkeypatch.setattr(serialize, "_float_block", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3, 3)])
-def test_every_pairs_array_takes_the_fast_path(shape):
+def test_every_pairs_array_takes_the_fast_path(blocks, shape):
     values = np.arange(np.prod(shape, dtype=int)).reshape(shape) * (0.5 - 0.25j)
-    nest = serialize._float_nest(pairs_to_json(values))
-    assert nest is not None and nest[0] == [*shape, 2]
+    table = pairs_to_json(values)
+    assert type(table) is np.ndarray and table.dtype == np.float64
+    assert table.shape == (*shape, 2)
+    assert dumps(table) == stdlib(table)
+    assert blocks == [(*shape, 2)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -142,14 +175,19 @@ def repr_calls(monkeypatch):
 
 def test_repr_formats_only_the_leaves_orjson_spells_differently(repr_calls):
     # orjson spells 3e-06, 1e+20, 1e-09 and NaN otherwise; the rest it spells as repr does
-    table = [[0.5, 3e-6, -1e-10, 0.0], [1e20, NAN, 1e-4, -1e-9]]
+    table = np.array([[0.5, 3e-6, -1e-10, 0.0], [1e20, NAN, 1e-4, -1e-9]])
     assert dumps(table) == stdlib(table)
     assert list(map(repr, repr_calls)) == ["3e-06", "1e+20", "nan", "-1e-09"]
+    # and in the order of the text, whatever the memory layout
+    repr_calls.clear()
+    assert dumps(table.T) == stdlib(table.T)
+    assert list(map(repr, repr_calls)) == ["1e+20", "3e-06", "nan", "-1e-09"]
 
 
 def test_raw_json_is_not_formatted_again(repr_calls):
-    raw = RawJSON(dumps({"k": [[3e-6, -0.75]]}))
-    report = {"K1": raw, "a": [[0.75, -0.75], [1e20, 0.5]], "b": {"c": [NAN, 0.75]}}
+    raw = RawJSON(dumps({"k": np.array([[3e-6, -0.75]])}))
+    report = {"K1": raw, "a": np.array([[0.75, -0.75], [1e20, 0.5]]),
+              "b": {"c": np.array([NAN, 0.75])}}
     repr_calls.clear()
     assert dumps(report) == stdlib(thaw(report))
     assert list(map(repr, repr_calls)) == ["1e+20", "nan"]
@@ -173,24 +211,25 @@ def spelling_cases(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_dumps_equals_stdlib_on_every_spelling(seed):
-    values = spelling_cases(seed)
+    # float64 arrays, as every report's tables are: orjson's numpy writer
+    # spells them, and the oracle float.__repr__ of each entry
+    values = np.array(spelling_cases(seed))
     assert dumps(values) == stdlib(values)
-    table = [values[i:i + 4] for i in range(0, len(values) - len(values) % 4, 4)]
+    table = values[:len(values) - len(values) % 4].reshape(-1, 4)
     assert dumps(table) == stdlib(table)
+    assert dumps(table.T) == stdlib(table.T)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3, 3)])
-def test_complex_arrays_encode_through_pairs_to_json(monkeypatch, shape):
+def test_complex_arrays_encode_through_pairs_to_json(blocks, shape):
     rng = np.random.default_rng(len(shape))
     values = rng.normal(size=shape) - 1j * rng.normal(size=shape)
     # the encoding of a complex array one complex number at a time
     one_by_one = json.dumps(values.tolist(), sort_keys=True, indent=2,
                             default=lambda z: [z.real, z.imag])
-    blocks = []
-    real = serialize._float_block
-    monkeypatch.setattr(serialize, "_float_block", lambda *a: blocks.append(a) or real(*a))
     assert dumps(values) == dumps(pairs_to_json(values)) == one_by_one
-    assert len(blocks) == 2         # one float table each, not one per complex number
+    # one float table each, not one per complex number
+    assert blocks == [(*shape, 2)] * 2
 
 
 def random_value(rng, depth):
@@ -199,9 +238,10 @@ def random_value(rng, depth):
         return rng.choice([rng.random(), -rng.random() * 1e-8, 3, -0.0, True, None, "x\n",
                            NAN, INF, np.float64(0.1), np.int64(2), 1j])
     if roll < 0.45:
-        # a rectangular table, the fast path's case
+        # a float64 array, the fast path's case, or the same table as lists
         shape = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-        return np.random.default_rng(rng.randint(0, 999)).normal(size=shape).tolist()
+        table = np.random.default_rng(rng.randint(0, 999)).normal(size=shape)
+        return table if rng.random() < 0.5 else table.tolist()
     if roll < 0.7:
         return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
     return {rng.choice("abcd") + str(i): random_value(rng, depth + 1)
@@ -249,3 +289,56 @@ def test_readme_reports_equal_stdlib(tmp_path, monkeypatch):
     assert any(isinstance(v, RawJSON) for obj, _ in seen for v in obj.get("evidence", {}).values())
     for obj, text in seen:
         assert text == stdlib(thaw(obj))
+
+
+def emitted(seed):
+    """name -> (value, output) of every structure emitter on a seeded value."""
+    rng = np.random.default_rng(seed)
+    grid = bs.make_grid("bidisc", 7, seed=seed)
+    zeros = 0.8 * rng.random(3) * np.exp(2j * np.pi * rng.random(3))
+    v, _, _ = composed_blaschke(rng)
+    values = {
+        "poly_to_json": bs.Poly2(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))),
+        "series_to_json": bs.PowerSeries2(rng.normal(size=(4, 2)) - 1j * rng.normal(size=(4, 2))),
+        "rational_to_json": bs.mobius_of_product(rng.uniform(0.1, 0.9)),
+        "grid_to_json": grid,
+        "colligation_to_json": bs.model_colligation(np.exp(1j * rng.random()), zeros),
+        "kernel_to_json": SampledKernel(grid, szego_gram(grid)),
+        "blaschke_to_json": (np.exp(1j * rng.random()), zeros),
+        "theta_to_json": random_theta(rng),
+        "factorization_to_json": factor.split_colligation(v, numlin.DEFAULT_TOL),
+    }
+    emit = {name: getattr(serialize, name) for name in values}
+    emit["blaschke_to_json"] = lambda pair: serialize.blaschke_to_json(*pair)
+    return {name: emit[name](value) for name, value in values.items()}
+
+
+def float_fields(obj):
+    """The floats that are values of dict entries in obj (the nested dicts'
+    included): report fields, not leaves of a table."""
+    if not isinstance(obj, dict):
+        return []
+    return [x for value in obj.values()
+            for x in ([value] if isinstance(value, float) else float_fields(value))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_emitters_hand_dumps_their_floats_as_arrays(monkeypatch, seed):
+    # a float table that reached dumps as a list would be spelled one leaf at
+    # a time by _scalar; every emitter's tables must take the array path
+    outputs = emitted(seed)
+    assert set(outputs) == {name for name in dir(serialize)
+                            if name.endswith("_to_json") and name != "pairs_to_json"}
+    spelled = []
+    real = serialize._scalar
+
+    def counting(o):
+        if isinstance(o, float):
+            spelled.append(o)
+        return real(o)
+    monkeypatch.setattr(serialize, "_scalar", counting)
+    for name, out in outputs.items():
+        spelled.clear()
+        text = dumps(out)
+        assert sorted(spelled) == sorted(float_fields(out)), name
+        assert text == stdlib(out), name
