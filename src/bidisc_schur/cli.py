@@ -345,22 +345,14 @@ def _split_report(v: Colligation, tol):
 
 def _cmd_factor(args, tol, seed):
     obj = _load(args, args.input)
-    grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
-    if (grid.domain, grid.nvars) != ("polydisc", 2):
-        raise ParseError(f"factor takes a bidisc grid, got {args.grid!r}")
     if isinstance(obj, Colligation):
         verdict, evidence, code = _split_report(obj, tol)
         if code == 0:
             verdict, evidence["separable"] = "separable", True
         return verdict, evidence, code
-    try:
-        rep = factor_mod.separability_test(_as_function(obj), grid, tol)
-    except OriginZeroError as exc:
-        return f"OriginZero: {exc}", {}, 1
-    evidence = {"separable": rep.separable, "max_residual": rep.max_residual,
-                "V1": None, "V2": None}
-    return ("separable" if rep.separable else "not-separable"), evidence, \
-        0 if rep.separable else 1
+    separable, residual = factor_mod._coefficient_separability(_as_function(obj), tol)
+    evidence = {"separable": separable, "max_residual": residual, "V1": None, "V2": None}
+    return ("separable", evidence, 0) if separable else ("not-separable", evidence, 1)
 
 
 def _cmd_compose(args, tol, seed):
@@ -451,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("dbr-polydisc", _cmd_dbr_polydisc, "polydisc kernel certificate verifier",
         ("kernel", "components"), last_nargs="+")
     add("dbr-ball", _cmd_dbr_ball, "ball kernel test")
-    p = add("factor", _cmd_factor, "separability test / co-isometric split")
-    p.add_argument("--grid", help="grid spec for the separability residual")
+    add("factor", _cmd_factor, "separability of a polynomial, series or rational "
+        "function from its coefficient table / co-isometric split of a colligation")
     add("compose", _cmd_compose, "compose one-variable colligations", ("first", "second"))
     add("split", _cmd_split, "split a colligation into one-variable factors")
     add("model", _cmd_model, "model-space colligation of a finite Blaschke product")

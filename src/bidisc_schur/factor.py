@@ -26,7 +26,7 @@ from .errors import (
     IdentityViolatedError,
     OriginZeroError,
 )
-from .functions import PointGrid, shared_grid
+from .functions import PointGrid, RationalFunction2, shared_grid
 from .kernels import SampledKernel, _shared_grid
 from .numlin import DEFAULT_TOL, EXACT_GUARD, frob
 
@@ -94,6 +94,45 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     return SeparabilityReport(
         residual <= abs(origin) * numlin.bound(tol, scale), residual,
         sec1 / gauge, sec2 * gauge / origin, gauge)
+
+
+def _coefficient_separability(f, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """(separable, residual) for a Poly2, PowerSeries2 or RationalFunction2
+    f, decided on one coefficient table T with no grid: f's own for a
+    polynomial or a truncated series, since f1(z1) f2(z2) has the table
+    outer(f1's, f2's); the denominator's for f = u z^m p~/p.
+
+    A rational f is separable exactly when p = p1(z1) p2(z2).  If it is,
+    p~ = p1~ p2~, each factor reflected at its own degree, and
+    f = (u z1^m1 p1~/p1)(z2^m2 p2~/p2).  Conversely, p shares no factor with
+    p~ when p has no zeros on the closed bidisc (Rudin, Function Theory in
+    Polydiscs, ch. 5; Knese 2010).  Let q divide both.  If q involves z2,
+    then for all but finitely many unimodular w, q(w, .) has a root t; p
+    has no zeros on the closed bidisc, so |t| > 1, and since
+    p~(w, t) = w^d1 t^d2 conj(p(w, 1/conj(t))), p would vanish at
+    (w, 1/conj(t)), inside it.  If q = q(z1) has a root s, then p(s, .) = 0
+    forces |s| > 1, and p~(s, .) = 0 makes p(1/conj(s), .) = 0, again inside
+    it.  Now let f = f1 f2, and w a point with f(w) != 0: then
+    f(z) f(w) = f(z1, w2) f(w1, z2), so p~/p = (A/C)(z1) (B/D)(z2) with
+    one-variable polynomials A, B, C, D, and p~ C D = p A B.  As p~ and p
+    share no factor, p divides C(z1) D(z2), whose irreducible factors are
+    each in one variable, so p = p1(z1) p2(z2).  The monomial and u never
+    matter.
+
+    T is scaled so that its largest entry is 1, since f ignores the scale of
+    p, and pivoted at that entry (j, k): T has rank one exactly when
+    T T[j, k] = T[:, k] T[j, :], and the residual is the largest entry of the
+    difference, passing at numlin.bound(tol, s), s the larger Frobenius norm
+    of the two sides.  The zero table is separable, with residual 0."""
+    table = f.denominator.coeffs if isinstance(f, RationalFunction2) else f.coeffs
+    peak = float(np.max(np.abs(table)))
+    if peak == 0.0:
+        return True, 0.0
+    t = table / peak
+    j, k = np.unravel_index(np.argmax(np.abs(t)), t.shape)
+    col, row = t[:, k], t[j, :]
+    residual = float(np.max(np.abs(t * t[j, k] - np.outer(col, row))))
+    return residual <= numlin.bound(tol, max(frob(t), frob(col) * frob(row))), residual
 
 
 def check_condition_4(v: Colligation, tol: float = DEFAULT_TOL) -> bool:

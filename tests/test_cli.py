@@ -229,18 +229,14 @@ def test_cli_factor_vt_condition_failed(tmp_path, capsys):
     assert report["verdict"].startswith("ConditionFailed")
 
 
-@pytest.mark.parametrize("grid,code,verdict", [
-    ("product:1x1", 2, "AxesOnlyGrid: "), ("product:2x1", 2, "AxesOnlyGrid: "),
-    ("product:1x5", 2, "AxesOnlyGrid: "), ("product:2x2", 1, "not-separable"),
-])
-def test_cli_factor_refuses_a_grid_on_the_axes(tmp_path, capsys, grid, code, verdict):
-    # (z1 z2 - 1/2)/(1 - z1 z2/2) is not separable, and a grid whose every
-    # point lies on a coordinate axis cannot tell
+def test_cli_factor_mobius_of_product_is_not_separable(tmp_path, capsys):
+    # (z1 z2 - 1/2)/(1 - z1 z2/2): p = 1 - z1 z2/2 has rank two, and the
+    # pivot at p[0, 0] = 1 leaves the residual |p[1, 1]| = 1/2
     path = write(tmp_path, "phit.json",
                  serialize.rational_to_json(bs.mobius_of_product(0.5)))
-    got, report = run_cli(capsys, "factor", path, "--grid", grid)
-    assert (got, report["evidence"] == {}) == (code, code == 2)
-    assert report["verdict"].startswith(verdict)
+    code, report = run_cli(capsys, "factor", path)
+    assert code == 1 and report["verdict"] == "not-separable"
+    assert report["evidence"] == {"separable": False, "max_residual": 0.5, "V1": None, "V2": None}
 
 
 def test_cli_eval_product_mobius_origin(tmp_path, capsys):
@@ -505,35 +501,49 @@ def test_cli_factor_function_input(tmp_path, capsys, f, verdict):
     obj = serialize.rational_to_json(f) if isinstance(f, bs.RationalFunction2) \
         else serialize.poly_to_json(f)
     path = write(tmp_path, "f.json", obj)
-    code, report = run_cli(capsys, "factor", path, "--grid", "bidisc:rand:12:seed=3")
-    rep = bs.separability_test(f, bs.make_grid("bidisc", 12, seed=3), numlin.DEFAULT_TOL)
-    assert report["verdict"] == verdict == ("separable" if rep.separable else "not-separable")
-    assert code == (0 if rep.separable else 1)
-    assert report["evidence"] == as_json({"separable": rep.separable, "V1": None, "V2": None,
-                                           "max_residual": rep.max_residual})
+    code, report = run_cli(capsys, "factor", path)
+    separable, residual = factor._coefficient_separability(f, numlin.DEFAULT_TOL)
+    assert report["verdict"] == verdict == ("separable" if separable else "not-separable")
+    assert code == (0 if separable else 1)
+    assert report["evidence"] == as_json({"separable": separable, "V1": None, "V2": None,
+                                           "max_residual": residual})
 
 
-def test_cli_factor_decides_relative_to_the_origin(tmp_path, capsys):
-    # the residual on the default grid is below tol, but not below tol |f(0)|
+def test_cli_factor_tiny_origin_is_not_separable(tmp_path, capsys):
+    # |f(0)| = 2.1e-9 is just above tol, and no division by it is made: the
+    # factor 1 - z1 z2/2 of p leaves the rank-one residual 1/2
     path = write(tmp_path, "f.json", serialize.rational_to_json(not_separable_tiny_origin()))
     code, report = run_cli(capsys, "factor", path)
     assert code == 1 and report["verdict"] == "not-separable"
-    assert report["evidence"]["max_residual"] < numlin.DEFAULT_TOL
+    assert report["evidence"]["max_residual"] == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["product_mobius_rational.json", "separable_colligation.json"])
-@pytest.mark.parametrize("spec", ["disc:rand:5", "torus2:4"])
-def test_cli_factor_refuses_a_grid_off_the_bidisc(capsys, name, spec):
-    code, report = run_cli(capsys, "factor", os.path.join(EXAMPLES, name), "--grid", spec)
-    assert code == 2 and report["evidence"] == {}
-    assert report["verdict"] == f"ParseError: factor takes a bidisc grid, got {spec!r}"
+def test_cli_factor_takes_no_grid(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", os.path.join(EXAMPLES, name), "--grid", "bidisc:rand:5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
-def test_cli_factor_function_vanishing_at_origin(tmp_path, capsys):
-    path = write(tmp_path, "z2.json", serialize.poly_to_json(bs.Poly2([[0.0, 1.0]])))
+@pytest.mark.parametrize("f,verdict", [
+    (bs.Poly2([[0.0, 1.0]]), "separable"),                                  # z2
+    (bs.Poly2([[0.0, 0.0], [0.0, 1.0]]), "separable"),                      # z1 z2
+    (bs.Poly2([[0.0, 1.0], [1.0, 0.0]]), "not-separable"),                  # z1 + z2
+    (bs.PowerSeries2(np.outer([0.0, 1.0, 0.5], [1.0, -0.2])), "separable"),  # (z1 + z1^2/2)(1 - z2/5)
+    (bs.RationalFunction2((1, 0), bs.Poly2(np.outer([1.0, -0.3], [1.0, -0.5]))),
+     "separable"),                                # z1 p~/p, p = (1 - 0.3 z1)(1 - 0.5 z2)
+], ids=["z2", "z1z2", "z1+z2", "series", "monomial-rational"])
+def test_cli_factor_function_vanishing_at_origin(tmp_path, capsys, f, verdict):
+    # f(0, 0) = 0 is no obstacle: the verdict is read off a coefficient table
+    obj = serialize.rational_to_json(f) if isinstance(f, bs.RationalFunction2) \
+        else serialize.series_to_json(f) if isinstance(f, bs.PowerSeries2) \
+        else serialize.poly_to_json(f)
+    path = write(tmp_path, "f.json", obj)
     code, report = run_cli(capsys, "factor", path)
-    assert code == 1
-    assert report["verdict"].startswith("OriginZero: ") and report["evidence"] == {}
+    assert f(0.0, 0.0) == 0
+    assert report["verdict"] == verdict and code == (0 if verdict == "separable" else 1)
+    assert report["evidence"]["separable"] == (code == 0)
 
 
 def test_cli_toeplitz_check_series_input(tmp_path, capsys):

@@ -143,7 +143,7 @@ BAD_FLAGS = [
      "bad grid spec 'bidisc:rand:5:seed=abc': invalid literal"),
     ("eval", ["rational"], ["--grid", "torus2:4:extra"], "bad grid spec 'torus2:4:extra'"),
     ("eval", ["rational"], ["--grid", "bidisc:rand:3:junk"], "bad grid spec 'bidisc:rand:3:junk'"),
-    ("factor", ["colligation"], ["--grid", "bidisc:rand:3:size=3"],
+    ("agler-kernels", ["colligation"], ["--grid", "bidisc:rand:3:size=3"],
      "bad grid spec 'bidisc:rand:3:size=3'"),
 ]
 # corruptions whose report must name the fault itself, not a symptom of it
@@ -286,14 +286,13 @@ def test_negative_seed_is_a_parse_error_that_names_it(tmp_path, capsys, where):
 
 @pytest.mark.parametrize("spec", ["product:0x3", "product:3x0"])
 def test_empty_product_grid_is_a_parse_error(tmp_path, capsys, spec):
-    # a colligation input, which factor splits without the grid, too
-    for kind in ("rational", "colligation"):
+    for command, kind in (("eval", "rational"), ("agler-kernels", "colligation")):
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(VALID[kind]))
-        code = main(["factor", str(path), "--grid", spec])
+        code = main([command, str(path), "--grid", spec])
         out, err = capsys.readouterr()
         report = json.loads(out)
-        assert code == 2 and report["evidence"] == {}, kind
+        assert code == 2 and report["evidence"] == {}, command
         assert report["verdict"] == f"ParseError: bad grid spec {spec!r}: size must be >= 1"
         assert "Traceback" not in err
 

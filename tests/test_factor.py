@@ -201,6 +201,32 @@ def test_separability_refuses_a_one_variable_colligation(bidisc_grid):
         bs.separability_test(bs.model_colligation(1.0, [0.5]), bidisc_grid)
 
 
+@pytest.mark.parametrize("p", [np.outer([1.0, -0.3], [1.0, -0.5j]), [[1.0, 0.0], [0.0, -0.5]]],
+                         ids=["separable", "mobius-of-product"])
+def test_coefficient_separability_ignores_the_scale_of_p(p):
+    def decide(scale):
+        f = bs.RationalFunction2((0, 0), bs.Poly2(np.asarray(p) * scale))
+        return factor._coefficient_separability(f)
+    (separable, residual), (tiny_separable, tiny_residual) = decide(1.0), decide(1e-15)
+    assert tiny_separable == separable
+    assert tiny_residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("f", [bs.Poly2([[0.0]]), bs.PowerSeries2(np.zeros((3, 2)))],
+                         ids=["poly", "series"])
+def test_coefficient_separability_of_the_zero_table(f):
+    assert factor._coefficient_separability(f) == (True, 0.0)
+
+
+@pytest.mark.parametrize("scale,separable", [(0.5, True), (2.0, False)])
+def test_coefficient_separability_passes_at_the_bound(scale, separable):
+    # T = [[1, 0], [0, d]]: pivot T[0, 0] = 1, residual d, and s = 1, since
+    # ||T||_F = sqrt(1 + d^2) rounds to 1
+    d = scale * numlin.bound(numlin.DEFAULT_TOL, 1.0)
+    got, residual = factor._coefficient_separability(bs.Poly2([[1.0, 0.0], [0.0, d]]))
+    assert (got, residual) == (separable, d)
+
+
 def test_condition4_composed():
     rng = np.random.default_rng(52)
     for _ in range(5):

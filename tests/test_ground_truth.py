@@ -17,6 +17,11 @@ not by another run of the code.
   similarity, a rotation of the variables (Lambda C, Lambda D) and a
   unimodular phase (c a, c B).  V_t realizes (z1 z2 - t)/(1 - t z1 z2),
   which is not separable for 0 < t < 1.
+- Rational inner functions: p~/p with p = a(z1) b(z2), each factor a
+  product of 1 - c z, |c| <= 0.8, of degree 1-3, is separable; with one
+  coefficient of p off the row and column of its largest moved by eps times
+  that largest, eps = 1e-8, 1e-6 or 1e-3, it is not.  The coefficient
+  decision of `factor` and the sampled separability_test agree with that.
 
 Every row asserts that no verdict is unsound, and that dbr_test_disc passes
 exactly when dbr_reconstruct_disc raises no NotDbrError.  The share of
@@ -26,10 +31,13 @@ declined verdicts, not unsound ones: they are printed (pytest -s), not
 asserted.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 import bidisc_schur as bs
+from bidisc_schur import factor
 from bidisc_schur.errors import IdentityViolatedError, NotDbrError
 from bidisc_schur.kernels import SampledKernel
 from helpers import (
@@ -163,3 +171,41 @@ def test_cascades_of_model_colligations():
 def test_vt_is_not_separable(t):
     grid = bs.make_grid("bidisc", 40, seed=110)
     assert not bs.separability_test(vt_colligation(t), grid).separable
+
+
+RATIONAL_DRAWS = 200
+PERTURBATIONS = (0.0, 1e-8, 1e-6, 1e-3)
+
+
+def one_variable_product(rng):
+    """Coefficients of the product of 1 - c z over 1-3 seeded c, |c| <= 0.8."""
+    n = rng.integers(1, 4)
+    c = 0.8 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return functools.reduce(np.convolve, ([1.0, -ci] for ci in c), np.ones(1))
+
+
+def perturbed_product(rng, eps):
+    """p~/p, p = a(z1) b(z2) with one coefficient off the row and column of
+    its largest moved by eps times that largest, so that the rank-one
+    residual is eps to first order.  Every seeded p passes the zero-free
+    check."""
+    p = np.outer(one_variable_product(rng), one_variable_product(rng))
+    j, k = np.unravel_index(np.argmax(np.abs(p)), p.shape)
+    i = rng.choice([r for r in range(p.shape[0]) if r != j])
+    m = rng.choice([c for c in range(p.shape[1]) if c != k])
+    p[i, m] += eps * abs(p[j, k]) * np.exp(2j * np.pi * rng.uniform())
+    return bs.RationalFunction2((0, 0), bs.Poly2(p))
+
+
+def test_rational_separability_on_coefficients():
+    rng = np.random.default_rng(120)
+    grid = bs.make_grid("bidisc", 200, seed=121)
+    verdicts = {"separable": 0, "not-separable": 0}
+    for eps in PERTURBATIONS:
+        for _ in range(RATIONAL_DRAWS):
+            f = perturbed_product(rng, eps)
+            separable, _ = factor._coefficient_separability(f)
+            assert separable == (eps == 0.0), eps
+            assert bs.separability_test(f, grid).separable == separable, eps
+            verdicts["separable" if separable else "not-separable"] += 1
+    print(f"rational2: {verdicts} of {len(PERTURBATIONS) * RATIONAL_DRAWS}")
