@@ -16,7 +16,7 @@ import pytest
 import bidisc_schur as bs
 from bidisc_schur import factor
 from bidisc_schur.cli import main
-from bidisc_schur.errors import GridMismatchError
+from bidisc_schur.errors import GridMismatchError, GridNotCompanionedError
 from bidisc_schur.kernels import SampledKernel, ThetaRealization
 from helpers import unitary_colligation
 
@@ -45,6 +45,14 @@ def agler(blocks):
     return lambda grid: bs.agler_kernels_of(v, grid)
 
 
+def factorization_conditions(grid):
+    """agler_factorization_conditions on kernels sampled on grid: a grid its
+    bidisc gate lets through is then refused as not axis1 x axis2, since no
+    grid make_grid draws is a product grid."""
+    with pytest.raises(GridNotCompanionedError):
+        factor.agler_factorization_conditions(bs.mobius_of_product(0.5), ones(grid), ones(grid))
+
+
 # gate -> (its domain, its number of coordinates, None for any), the call
 GATES = {
     "agler_kernels_of-1": ("polydisc", 1, agler(1)),
@@ -58,6 +66,7 @@ GATES = {
     "dbr_test_polydisc": ("polydisc", None, lambda grid: bs.dbr_test_polydisc(
         ones(grid), [ones(grid)] * grid.nvars)),
     "dbr_reconstruct_disc": ("polydisc", 1, lambda grid: bs.dbr_reconstruct_disc(ones(grid))),
+    "agler_factorization_conditions": ("polydisc", 2, factorization_conditions),
     "separability_test": ("polydisc", 2, lambda grid: bs.separability_test(
         bs.mobius_of_product(0.5), grid)),
     "boundary_modulus_test": ("torus", 2, lambda grid: bs.boundary_modulus_test(
