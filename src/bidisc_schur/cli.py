@@ -1,9 +1,10 @@
 """Command-line front door: JSON in, JSON verdicts + evidence out.
 
 Exit codes: 0 for pass/success verdicts, 1 for refuted/failed verdicts,
-2 for errors (parse, schema, or violated preconditions outside a command's
-own verdict contract).  Reports are deterministic for fixed inputs and
-seed: keys are sorted and floats print with shortest round-trip precision.
+2 for errors (usage, parse, schema, or violated preconditions outside a
+command's own verdict contract); every run but -h prints one report.
+Reports are deterministic for fixed inputs and seed: keys are sorted and
+floats print with shortest round-trip precision.
 A command runs with Python's cyclic garbage collector paused, since the
 parsed inputs and reports it builds are acyclic trees that reference
 counting frees, and main restores the caller's setting when it returns.
@@ -16,14 +17,11 @@ import dataclasses
 import functools
 import gc
 import hashlib
-import io
 import json
 import os
-import re
 import sys
 
 import numpy as np
-import orjson
 
 from . import factor as factor_mod
 from . import kernels as kernels_mod
@@ -52,65 +50,9 @@ from .toeplitz import (
 DEFAULT_TOL_ENV = "BIDISC_SCHUR_TOL"
 
 
-# orjson 3.8 descends nested arrays and objects on the C stack and crashes
-# the process near 10^5 levels; no input schema nests deeper than 6
-_SHALLOW_ROUNDS = 64
-# what _shallow keeps of a text: brackets, quotes and backslashes
-_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
-_STRINGS = re.compile(rb'"[^"]*"')
-
-
-def _shallow(data: bytes) -> bool:
-    """Whether the JSON text data provably nests at most 2 _SHALLOW_ROUNDS
-    deep.  Its brackets outside strings are peeled, [] then {} in each of
-    _SHALLOW_ROUNDS rounds; a round takes one level or two, so every text
-    nested at most _SHALLOW_ROUNDS deep passes.  A text with a backslash,
-    whose strings may hold escaped quotes, is not proved shallow."""
-    marks = data.translate(None, _NOT_STRUCTURE)
-    if b"\\" in marks:
-        return False
-    marks = _STRINGS.sub(b"", marks)
-    for _ in range(_SHALLOW_ROUNDS):
-        if not marks:
-            return True
-        marks = marks.replace(b"[]", b"").replace(b"{}", b"")
-    return not marks
-
-
-def _parse_json(data: bytes, text):
-    """The value of the JSON text data, parsed by orjson.  A text orjson
-    refuses, or not proved _shallow, is decided by the json module
-    on text(), the same text decoded; so a NaN or Infinity literal still
-    reaches the schema's finiteness check, and every malformed text raises
-    json's own JSONDecodeError, or RecursionError for deep nesting."""
-    if _shallow(data):
-        try:
-            return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass
-    return json.loads(text())
-
-
-def _read_json(path: str, data: bytes):
-    """The JSON value of data, the bytes of the file at path (_parse_json);
-    a text that cannot be parsed is a ParseError.  The json module reads
-    data decoded as open(path, encoding="utf-8") decodes it: UTF-8, with
-    universal newlines."""
-    def text():
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-
-    try:
-        return _parse_json(data, text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path} nests too deeply to read: {exc}") from exc
-
-
 def _load(args, path: str):
-    """The library value in the input file at path, from the bytes that
-    _run read and digested."""
-    return serialize.parse_object(_read_json(path, args.data[path]))
+    """The library value in the input file at path, from the bytes _run digested."""
+    return serialize.read(path, args.data[path])
 
 
 def _load_as(args, path: str, kind, message: str):
@@ -188,9 +130,9 @@ def _cmd_eval(args, tol, seed):
     fn = _as_function(_load(args, args.input))
     if args.at:
         try:
-            raw = _parse_json(args.at.encode("utf-8", "surrogatepass"), lambda: args.at)
-            points = np.array([[serialize.complex_from_json(z) for z in raw]], dtype=np.complex128)
-        except (json.JSONDecodeError, RecursionError, SchemaError, TypeError) as exc:
+            raw = serialize.loads(args.at.encode("utf-8", "surrogatepass"), lambda: args.at)
+            points = serialize.pairs_from_json(raw, 1)[None, :]
+        except (json.JSONDecodeError, RecursionError, SchemaError) as exc:
             raise ParseError(f"bad --at value: {exc}") from exc
     else:
         points = parse_grid_spec(args.grid or "bidisc:rand:20", seed).points
@@ -391,11 +333,18 @@ def _cmd_strip(args, tol, seed):
     return "stripped", {"power": p, "function": out}, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, and its subparsers', raise ParseError."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and reused: parse_args
     leaves it unchanged, and every call gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bidisc-schur",
         description="Colligation realizations, inner certificates, Agler "
                     "decompositions and de Branges-Rovnyak kernel tests.")
@@ -449,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("split", _cmd_split, "split a colligation into one-variable factors")
     add("model", _cmd_model, "model-space colligation of a finite Blaschke product")
     add("strip", _cmd_strip, "strip powers of the first variable")
+    parser.commands = tuple(sub.choices)    # named in a usage error's report
     return parser
 
 
@@ -467,14 +417,23 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ParseError as exc:
+        # a usage error: the command is the first word of argv naming one;
+        # --tol, --seed and --out were not read, so the report is only printed
+        command = next((a for a in argv if a in parser.commands), None)
+        print(serialize.dumps({"command": command, "tol": None, "seed": None,
+                               "verdict": f"ParseError: {exc}", "evidence": {}}))
+        return 2
 
     paths = []
     for attr in args.inputs:
         value = getattr(args, attr)
         paths += value if isinstance(value, list) else [value]
-    inputs = dict.fromkeys(p for p in paths if p)
+    inputs = dict.fromkeys(paths)
     # each input is read once: these bytes are digested and parsed
     args.data = {}
 

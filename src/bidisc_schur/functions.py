@@ -98,8 +98,7 @@ class RationalFunction2:
 
     nvars = 2
 
-    def __init__(self, monomial, denominator: Poly2, unimodular: complex = 1.0,
-                 check_zero_free: bool = True):
+    def __init__(self, monomial, denominator: Poly2, unimodular: complex = 1.0):
         m1, m2 = (int(m) for m in monomial)
         if m1 < 0 or m2 < 0:
             raise ValueError("monomial exponents must be nonnegative")
@@ -110,8 +109,7 @@ class RationalFunction2:
         self.denominator = denominator
         self.unimodular = u
         self.numerator = reflect(denominator).scale(u)
-        if check_zero_free:
-            self._check_zero_free()
+        self._check_zero_free()
 
     def _check_zero_free(self) -> None:
         """Refuse p unless p(z1, z2) != 0 for |z1| <= 1, |z2| <= 1.
@@ -357,7 +355,7 @@ def _strip(f, tol: float, axis: int):
     own, other = ("first", "second")[axis], ("second", "first")[axis]
     if isinstance(f, RationalFunction2):
         p, q = f.monomial[axis], f.monomial[1 - axis]
-        stripped = RationalFunction2((0, 0), f.denominator, f.unimodular, check_zero_free=False)
+        stripped = RationalFunction2((0, 0), f.denominator, f.unimodular)
         vanishes = abs(complex(stripped(0.0, 0.0))) <= tol
         cause = "the numerator reflect(p) vanishes at the origin"
     elif isinstance(f, PowerSeries2):

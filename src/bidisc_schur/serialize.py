@@ -1,4 +1,4 @@
-"""JSON schemas for everything that crosses the CLI boundary.
+"""The JSON boundary: the input reader, the schemas and the report writer.
 
 Every complex array, whatever its shape, serializes as nested row-major
 lists of [re, im] pairs (a scalar is a bare pair); pairs_to_json and
@@ -7,16 +7,17 @@ discriminator on output; on input the kind may be omitted and is inferred
 from the keys.  A leaf of an [re, im] nest must be a float or an int, not a
 bool or a string.
 
-The CLI parses its inputs with orjson (cli._parse_json), and hands a text
-orjson refuses, or one it cannot prove shallow (cli._shallow), to the json
-module.  The contract: any text json.load parses reads as the identical
-object, with the same types and float bits, and any text json.load refuses
-fails with its error message; NaN and Infinity literals therefore still
-reach the finiteness check of pairs_from_json.  One exception: orjson 3.8
-reads an integer literal outside the 64-bit range as the nearest double,
-where json keeps the int.  Only integer fields could see it, and _count
-refuses any entry there that is not a JSON integer in 0..2**63 - 1, with
-the same message from either reader.
+read(path, data) is the library value in the file at path whose bytes are
+data: loads parses the text with orjson, or with the json module where
+orjson refuses it or cannot prove it shallow (_shallow), and parse_object
+builds the value.  The contract: any text json.load parses reads as the
+identical object, with the same types and float bits, and any text it
+refuses fails with its message, in a ParseError naming the path; NaN and
+Infinity literals therefore still reach the finiteness check of
+pairs_from_json.  One exception: orjson 3.8 reads an integer literal outside
+the 64-bit range as the nearest double, where json keeps the int.  Only
+integer fields could see it, and _count refuses any entry there that is not
+a JSON integer in 0..2**63 - 1, with the same message from either reader.
 
 Reports are written by dumps, whose text is exactly that of
 json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
@@ -45,6 +46,9 @@ also embedded in a report is formatted once.
 
 from __future__ import annotations
 
+import io
+import json
+import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -52,7 +56,7 @@ import numpy as np
 import orjson
 
 from .colligation import Colligation
-from .errors import SchemaError
+from .errors import ParseError, SchemaError
 from .factor import FactorizationResult
 from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2
 from .kernels import SampledKernel, ThetaRealization, check_value_dim
@@ -104,7 +108,7 @@ def matrix_from_json(obj, shape=None) -> np.ndarray:
 
 
 def _count(value, field: str) -> int:
-    """A JSON integer (not a bool, not a float) in the range both CLI readers read exactly."""
+    """A JSON integer (not a bool, not a float) in the range orjson and json both read exactly."""
     if type(value) is not int or not 0 <= value < 2 ** 63:
         raise ValueError(f"{field} entries must be integers in 0..2**63 - 1")
     return value
@@ -279,6 +283,63 @@ def parse_object(obj: dict):
         return _KIND_PARSERS[kind](obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed {kind} object: {exc}") from exc
+
+
+# orjson 3.8 descends nested arrays and objects on the C stack and crashes
+# the process near 10^5 levels; no input schema nests deeper than 6
+_SHALLOW_ROUNDS = 64
+# what _shallow keeps of a text: brackets, quotes and backslashes
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
+_STRINGS = re.compile(rb'"[^"]*"')
+
+
+def _shallow(data: bytes) -> bool:
+    """Whether the JSON text data provably nests at most 2 _SHALLOW_ROUNDS
+    deep.  Its brackets outside strings are peeled, [] then {} in each of
+    _SHALLOW_ROUNDS rounds; a round takes one level or two, so every text
+    nested at most _SHALLOW_ROUNDS deep passes.  A text with a backslash,
+    whose strings may hold escaped quotes, is not proved shallow."""
+    marks = data.translate(None, _NOT_STRUCTURE)
+    if b"\\" in marks:
+        return False
+    marks = _STRINGS.sub(b"", marks)
+    for _ in range(_SHALLOW_ROUNDS):
+        if not marks:
+            return True
+        marks = marks.replace(b"[]", b"").replace(b"{}", b"")
+    return not marks
+
+
+def loads(data: bytes, text):
+    """The value of the JSON text data, parsed by orjson.  A text orjson
+    refuses, or not proved _shallow, is decided by the json module
+    on text(), the same text decoded; so a NaN or Infinity literal still
+    reaches the schema's finiteness check, and every malformed text raises
+    json's own JSONDecodeError, or RecursionError for deep nesting."""
+    if _shallow(data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text())
+
+
+def _read_json(path: str, data: bytes):
+    """The JSON value of data, the bytes of the file at path (loads); a
+    text that cannot be parsed is a ParseError.  The json module reads
+    data decoded as open(path, encoding="utf-8") decodes it: UTF-8, with
+    universal newlines."""
+    try:
+        return loads(data, lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to read: {exc}") from exc
+
+
+def read(path: str, data: bytes):
+    """The library value in the file at path, whose bytes are data."""
+    return parse_object(_read_json(path, data))
 
 
 def _jsonable(obj):

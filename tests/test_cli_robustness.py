@@ -2,20 +2,24 @@
 error report with exit code 2, never in a traceback.
 
 A plain seeded loop: for each command, the input files of one kind are
-replaced by a corrupted copy (a NaN entry at a seeded position, a bad partition, a
-kernel of value dimension 0 or 9, a partition, dim or monomial entry that is
-not a JSON integer in range, a grid point on the boundary, an empty
-grid, a valid kernel on the wrong domain), --orders is set to values
-below 2, functions are evaluated at points with the wrong number of
-coordinates, and colligations with the wrong number of variables, or a
-grid on the wrong domain, are sent.  A kernel dim outside 1..8, an empty
-grid and a flag or point of the wrong shape must be reported as such (the
-last two as a ParseError), not by a symptom such as a shape mismatch or a
-missing argument; a kernel or grid on the wrong domain, a kernel of value
-dimension 2 where a scalar one is needed, too few component kernels and a
-function whose number of variables is not the kernels' are a GridMismatch,
-a colligation with the wrong number of variables is NotStructured, and a
-Blaschke constant that is not unimodular is ConditionFailed."""
+replaced by a corrupted copy (a NaN entry at a seeded position, a top-level
+array, an unknown kind, a bad partition, a kernel of value dimension 0 or 9,
+a partition, dim or monomial entry that is not a JSON integer in range, a
+grid point on the boundary, an empty grid, a grid of an unknown ambient or
+with too few coordinates, a valid kernel on the wrong domain), --orders is
+set to values below 2 or to a non-integer, functions are evaluated at
+points with the wrong number of coordinates, and colligations with the
+wrong number of variables, or a grid on the wrong domain, are sent.  A
+kernel dim outside 1..8, an empty grid and a flag or point of the wrong
+shape must be reported as such (the last two as a ParseError), not by a
+symptom such as a shape mismatch or a missing argument; a kernel or grid on
+the wrong domain, a kernel of value dimension 2 where a scalar one is
+needed, too few component kernels and a function whose number of variables
+is not the kernels' are a GridMismatch, a colligation with the wrong number
+of variables is NotStructured, and a Blaschke constant that is not
+unimodular is ConditionFailed.  A usage error (an unknown flag, a missing
+argument, a bad --seed, no or an unknown command) is a ParseError report
+too, printed on stdout with nothing on stderr."""
 
 import json
 import math
@@ -124,6 +128,8 @@ REFUSALS = [
     ("dbr-polydisc", ["bidisc", "bidisc"], [], "GridMismatch: expected 2 component kernels, got 1"),
     ("model", ["blaschke-c2"], [],
      "ConditionFailed: leading constant must be unimodular, got |c| = 2.0"),
+    ("toeplitz-check", ["disc"], [],
+     "SchemaError: toeplitz-check expects a colligation, rational2, or series2"),
 ]
 # command, its positional inputs, flags that make it a ParseError, and what
 # the verdict must name
@@ -134,6 +140,8 @@ BAD_FLAGS = [
     ("toeplitz-check", ["colligation"], ["--orders", "1"], "--orders takes integers >= 2, got '1'"),
     ("toeplitz-check", ["colligation"], ["--orders", "8,1"],
      "--orders takes integers >= 2, got '8,1'"),
+    ("toeplitz-check", ["colligation"], ["--orders", "8,x"],
+     "--orders takes integers >= 2, got '8,x'"),
     ("eval", ["colligation"], ["--at", "[[0.3,0]]"], "have 1 coordinate(s), but the function takes 2"),
     ("eval", ["colligation1"], ["--grid", "bidisc:rand:3"],
      "have 2 coordinate(s), but the function takes 1"),
@@ -145,6 +153,8 @@ BAD_FLAGS = [
     ("eval", ["rational"], ["--grid", "bidisc:rand:3:junk"], "bad grid spec 'bidisc:rand:3:junk'"),
     ("agler-kernels", ["colligation"], ["--grid", "bidisc:rand:3:size=3"],
      "bad grid spec 'bidisc:rand:3:size=3'"),
+    ("eval", ["rational"], ["--grid", "disc:rand:0"],
+     "bad grid spec 'disc:rand:0': size must be >= 1"),
 ]
 # corruptions whose report must name the fault itself, not a symptom of it
 MESSAGES = {
@@ -158,9 +168,14 @@ MESSAGES = {
     "fractional-monomial": "monomial entries must be integers",
     "huge-monomial": "monomial entries must be integers",
     "short-monomial": "expected 2, got 1",
+    "top-level-array": "top-level JSON value must be an object",
+    "unknown-kind": "unknown kind 'nope'",
+    "unknown-ambient": "unknown ambient 'sphere-2'",
+    "one-coordinate": "bidisc points need 2 coordinates, got 1",
 }
 # corruptions whose report must name the error type
-PREFIXES = {"wrong-ambient": "GridMismatch: "}
+PREFIXES = {"wrong-ambient": "GridMismatch: ", "top-level-array": "SchemaError: ",
+            "unknown-kind": "SchemaError: "}
 ARRAY_KEYS = ("a", "B", "C", "D", "values", "points", "coeffs", "constant", "zeros")
 
 
@@ -189,6 +204,8 @@ def corruptions(kind, rng):
     nan = json.loads(json.dumps(valid))
     set_path(nan, leaves[rng.integers(len(leaves))], math.nan)
     yield "nan-entry", nan
+    yield "top-level-array", [valid]
+    yield "unknown-kind", dict(valid, kind="nope")
     if kind.startswith("colligation"):
         h = sum(valid["partition"])
         yield "negative-partition", dict(valid, partition=[-1, h + 1])
@@ -207,6 +224,10 @@ def corruptions(kind, rng):
         yield "boundary-point", dict(valid, grid=dict(valid["grid"], points=points))
         yield "empty-grid", dict(valid, grid=dict(valid["grid"], points=[]), values=[])
         yield "wrong-ambient", VALID[WRONG_AMBIENT[kind]]
+        yield "unknown-ambient", dict(valid, grid=dict(valid["grid"], ambient="sphere-2"))
+    if kind == "bidisc":
+        points = [row[:1] for row in valid["grid"]["points"]]
+        yield "one-coordinate", dict(valid, grid=dict(valid["grid"], points=points))
     if kind == "rational":
         m1, m2 = valid["monomial"]
         yield "fractional-monomial", dict(valid, monomial=[m1 + 0.7, m2 + 0.2])
@@ -254,7 +275,7 @@ def test_every_command_reports_bad_input_with_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1", "abc"])
 def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, source, value):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(VALID["colligation"]))
@@ -266,7 +287,8 @@ def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, sourc
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
     assert code == 2
-    assert report["verdict"].startswith("ParseError: ")
+    assert report["verdict"] == \
+        f"ParseError: tolerance must be a finite number with 0 < tol < 1, got {value!r}"
     assert report["evidence"] == {} and report["tol"] == value
 
 
@@ -282,6 +304,34 @@ def test_negative_seed_is_a_parse_error_that_names_it(tmp_path, capsys, where):
     assert code == 2
     assert report["verdict"] == "ParseError: --seed takes a non-negative integer, got -1"
     assert report["evidence"] == {} and report["seed"] == -1
+
+
+@pytest.mark.parametrize("argv,command,named", [
+    (["factor", os.path.join(EXAMPLES, "product_mobius_rational.json"), "--grid", "bidisc:rand:5"],
+     "factor", "--grid"),
+    (["dbr-check"], "dbr-check", "input"),
+    (["--seed", "x", "classify", "F"], "classify", "--seed"),
+    ([], None, "command"),
+    (["nope", "F"], None, "'nope'"),
+], ids=["unknown-flag", "missing-input", "bad-seed", "no-command", "unknown-command"])
+def test_usage_error_is_one_report(capsys, argv, command, named):
+    # argparse's wording differs across Python versions: the prefix and the
+    # flag or argument it names are checked
+    code = main(argv)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 2 and err == ""
+    assert report["verdict"].startswith("ParseError: ") and named in report["verdict"]
+    assert report == {"command": command, "tol": None, "seed": None, "evidence": {},
+                      "verdict": report["verdict"]}
+
+
+def test_empty_input_path_is_an_io_error(capsys):
+    # an empty path is opened like any other input, not skipped
+    code = main(["dbr-check", ""])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["evidence"] == {}
+    assert report["verdict"].startswith("IOError: ") and report["verdict"].endswith(": ''")
 
 
 @pytest.mark.parametrize("spec", ["product:0x3", "product:3x0"])

@@ -1,13 +1,14 @@
-"""The CLI's JSON reader against its oracle, the json module.
+"""The JSON reader of serialize against its oracle, the json module.
 
-cli._read_json parses a file's bytes with orjson and hands every text orjson
-refuses, or that it cannot prove shallow, to json.load.  Where json.load
-parses a text, the reader must give the identical value: the same types at
-every node (in Python True == 1 == 1.0, so == is not enough) and the same
-float bits.  Where json.load refuses a text, the reader must raise the same
-exception class with the same message.  The one documented exception, an
-integer literal outside the 64-bit range, is kept out of the files here and
-checked through the schema in test_cli_robustness.py.
+serialize._read_json, the reader behind serialize.read, parses a file's
+bytes with orjson (serialize.loads) and hands every text orjson refuses, or
+that it cannot prove shallow, to json.load.  Where json.load parses a text,
+the reader must give the identical value: the same types at every node (in
+Python True == 1 == 1.0, so == is not enough) and the same float bits.
+Where json.load refuses a text, the reader must raise the same exception
+class with the same message.  The one documented exception, an integer
+literal outside the 64-bit range, is kept out of the files here and checked
+through the schema in test_cli_robustness.py.
 """
 
 import contextlib
@@ -72,7 +73,7 @@ def read(path):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return cli._read_json(path, data)
+        return serialize._read_json(path, data)
     except ParseError as exc:
         assert str(exc).startswith(f"{path} "), exc
         assert str(exc).endswith(f": {exc.__cause__}"), exc
@@ -184,7 +185,7 @@ def test_deep_nesting_reads_like_json(tmp_path, depth):
     ("[[]", False), ("[]]", False), ("[}", False),
 ])
 def test_shallow_is_a_sound_depth_bound(text, shallow):
-    assert cli._shallow(text.encode()) is shallow
+    assert serialize._shallow(text.encode()) is shallow
 
 
 # a seeded fuzz: small edits of a valid text, each parsed by both readers
@@ -216,7 +217,7 @@ def test_edited_texts_parse_like_json(seed):
         except (ValueError, RecursionError) as exc:
             expected = type(exc), str(exc)
         try:
-            got = cli._parse_json(text.encode("utf-8", "surrogatepass"), lambda: text)
+            got = serialize.loads(text.encode("utf-8", "surrogatepass"), lambda: text)
         except (ValueError, RecursionError) as exc:
             got = type(exc), str(exc)
         assert same(got, expected), repr(text)
