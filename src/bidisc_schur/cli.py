@@ -106,6 +106,14 @@ def _tolerance(text) -> float:
     return tol
 
 
+def _seed(text):
+    """The --seed given as text: the integer it spells, else the text."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _as_function(obj):
     """Whatever came from JSON, if it is a function f(z1, z2) or f(z) of
     nvars coordinates: not a ThetaRealization, whose T(z) is a symbol."""
@@ -350,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "decompositions and de Branges-Rovnyak kernel tests.")
     parser.add_argument("--tol", default=None,
                         help="tolerance (default 1e-9, or env BIDISC_SCHUR_TOL)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random grids")
+    parser.add_argument("--seed", default=0, help="seed for random grids")
     parser.add_argument("--out", default=None,
                         help="also write the JSON report to this path")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("split", _cmd_split, "split a colligation into one-variable factors")
     add("model", _cmd_model, "model-space colligation of a finite Blaschke product")
     add("strip", _cmd_strip, "strip powers of the first variable")
-    parser.commands = tuple(sub.choices)    # named in a usage error's report
     return parser
 
 
@@ -418,15 +425,17 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        _, extra = build_parser().parse_known_args(argv, args)
+        if extra:
+            raise ParseError(f"unrecognized arguments: {' '.join(extra)}")
     except ParseError as exc:
-        # a usage error: the command is the first word of argv naming one;
-        # --tol, --seed and --out were not read, so the report is only printed
-        command = next((a for a in argv if a in parser.commands), None)
-        print(serialize.dumps({"command": command, "tol": None, "seed": None,
-                               "verdict": f"ParseError: {exc}", "evidence": {}}))
+        # a usage error names the subcommand argparse had parsed, None when
+        # the top-level parser failed; --tol, --seed and --out were not read,
+        # so the report is only printed
+        print(serialize.dumps({"command": getattr(args, "command", None), "tol": None,
+                               "seed": None, "verdict": f"ParseError: {exc}", "evidence": {}}))
         return 2
 
     paths = []
@@ -439,17 +448,18 @@ def _run(argv) -> int:
 
     # --tol, else BIDISC_SCHUR_TOL, else the default
     given = args.tol if args.tol is not None else os.environ.get(DEFAULT_TOL_ENV, numlin.DEFAULT_TOL)
-    report = {"command": args.command, "tol": given, "seed": args.seed}
+    seed = _seed(args.seed)
+    report = {"command": args.command, "tol": given, "seed": seed}
     try:
         tol = report["tol"] = _tolerance(given)
-        if args.seed < 0:
-            raise ParseError(f"--seed takes a non-negative integer, got {args.seed}")
+        if type(seed) is not int or seed < 0:
+            raise ParseError(f"--seed takes a non-negative integer, got {seed!r}")
         for path in inputs:
             with open(path, "rb") as fh:
                 args.data[path] = fh.read()
             inputs[path] = hashlib.sha256(args.data[path]).hexdigest()
         report["inputs_digest"] = inputs
-        verdict, evidence, code = args.handler(args, tol, args.seed)
+        verdict, evidence, code = args.handler(args, tol, seed)
     except (DomainError, ValueError, TypeError, np.linalg.LinAlgError, OSError,
             MemoryError) as exc:
         # OSError reads as IOError and numpy's _ArrayMemoryError as

@@ -5,7 +5,7 @@ predicates, and model-space realizations of finite Blaschke products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -41,10 +41,10 @@ class Colligation:
         if any(h < 0 for h in self.partition):
             raise ValueError("partition entries must be nonnegative")
         h = sum(self.partition)
-        if self.C.size == 0:
-            self.C = self.C.reshape(h, 1) if h else np.zeros((0, 1), dtype=np.complex128)
-        if self.B.size == 0:
-            self.B = self.B.reshape(1, h) if h else np.zeros((1, 0), dtype=np.complex128)
+        if not h:
+            # the empty ports of a stateless colligation, however they are nested
+            self.B, self.C, self.D = (m if m.size else m.reshape(shape) for m, shape in (
+                (self.B, (1, 0)), (self.C, (0, 1)), (self.D, (0, 0))))
         if self.B.shape != (1, h) or self.C.shape != (h, 1) or self.D.shape != (h, h):
             raise ValueError(
                 f"inconsistent dimensions: partition sums to {h}, "
@@ -352,14 +352,11 @@ def series_coefficient_table(v: Colligation, n1: int, n2: int,
 
 
 @dataclass(frozen=True)
-class StructureReport:
-    """radii holds the spectral radii of D1 and D4, and c0dot whether each
-    is below 1 - tol; the CLI prints the report field for field."""
+class StructureReport(numlin.OperatorClass):
+    """The operator class of V, with lower_left_zero, radii (the spectral
+    radii of D1 and D4), c0dot (whether each is below 1 - tol) and the
+    factorization condition; the CLI prints the report field for field."""
 
-    is_isometry: bool
-    is_coisometry: bool
-    is_unitary: bool
-    is_contraction: bool
     lower_left_zero: bool
     radii: tuple
     c0dot: tuple
@@ -375,12 +372,11 @@ def structure_report(v: Colligation, tol: float = DEFAULT_TOL) -> StructureRepor
     """
     if v.nvars != 2:
         raise NotStructuredError("structure_report needs a two-variable colligation")
-    cls = v.classify(tol)
     radii = (numlin.spectral_radius(v.D1), numlin.spectral_radius(v.D4))
     cond = frob(v.a * v.D2 - v.C1 @ v.B2) <= bound(tol, frob(v.D))
     return StructureReport(
-        cls.is_isometry, cls.is_coisometry, cls.is_unitary, cls.is_contraction,
-        _lower_left_zero(v, tol), radii, tuple(numlin.below_one(r, tol) for r in radii), cond,
+        *astuple(v.classify(tol)), _lower_left_zero(v, tol), radii,
+        tuple(numlin.below_one(r, tol) for r in radii), cond,
     )
 
 

@@ -146,13 +146,11 @@ def check_condition_4(v: Colligation, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True)
 class FactorizationResult:
     """Split of a two-variable colligation into one-variable co-isometric
-    factors, with x y = a and the certificate residual of
-    tau_V - tau_{V1} tau_{V2} over the test grid."""
+    factors, whose constant terms y = v1.a and x = v2.a have x y = a, and
+    the certificate residual of tau_V - tau_{V1} tau_{V2} over the test grid."""
 
     v1: Colligation
     v2: Colligation
-    y: complex
-    x: complex
     certificate: float
 
 
@@ -204,7 +202,7 @@ def _split(v: Colligation, tol: float) -> FactorizationResult:
     v2 = Colligation(x, v.B2 / y, v.C2, v.D4, [h2])
     certificate = _product_certificate(
         v, v1, v2, tol, "split factors do not reproduce the transfer function")
-    return FactorizationResult(v1, v2, y, x, certificate)
+    return FactorizationResult(v1, v2, certificate)
 
 
 def compose_colligations(v1: Colligation, v2: Colligation,

@@ -111,7 +111,7 @@ class RationalFunction2:
         self.numerator = reflect(denominator).scale(u)
         self._check_zero_free()
 
-    def _check_zero_free(self) -> None:
+    def _check_zero_free(self, transposed: bool = False) -> None:
         """Refuse p unless p(z1, z2) != 0 for |z1| <= 1, |z2| <= 1.
 
         Huang's criterion (Huang 1972; the resultant reduction follows
@@ -142,10 +142,15 @@ class RationalFunction2:
         roots of unity w.  A p sharing a factor with its reflection has a
         zero on the closed bidisc and always lands there, but so can a valid
         p whose roots in z2 crowd the circle, e.g. (1 - z1/2)(1 - 0.999 z2)^3,
-        whose triple zero lies 1e-3 outside it.
+        whose triple zero lies 1e-3 outside it.  p is zero-free on the closed
+        bidisc iff its transpose p(z2, z1) is, so an undecided p is accepted
+        when its transpose passes all three conditions (that check, with
+        transposed=True, does not try the transpose again).  That decides the
+        example, whose transpose has its crowded roots in z1.
         """
         c = self.denominator.coeffs / np.max(np.abs(self.denominator.coeffs))
-        d1, d2 = self.denominator.degree
+        c = c.T if transposed else c
+        d1, d2 = c.shape[0] - 1, c.shape[1] - 1
         if c[0, 0] == 0:
             raise _refusal("(i), p(0, 0) = 0", 0.0, 0.0, "|z1|", 0.0)
         z1 = _smallest_root(c[:, 0])
@@ -165,6 +170,11 @@ class RationalFunction2:
         ratio = sv[:, -1] / sv[:, 0]
         best = int(np.argmax(ratio))
         if ratio[best] <= ZERO_FREE_MARGIN:
+            if not transposed:
+                try:
+                    return self._check_zero_free(transposed=True)
+                except ZeroPolynomialError:
+                    pass      # p's own refusal follows
             found = [(abs(r), w, r) for w, r in zip(omega, map(_smallest_root, _rows_at(c, omega)))
                      if r is not None]
             _, w, z2 = min(found, key=lambda t: t[0], default=(0, 1.0, np.nan))
@@ -492,19 +502,15 @@ def shared_grid(ambient: str, size: int, seed: int = 0) -> PointGrid:
 class ModulusReport:
     passed: bool
     max_deviation: float
-    argmax_point: tuple
 
 
 def boundary_modulus_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> ModulusReport:
-    """Max of | |f| - 1 | over a torus grid, with the offending point; it
-    passes when at most tol."""
+    """Max of | |f| - 1 | over a torus grid; it passes when at most tol."""
     grid.require("torus", 2, "boundary modulus test")
-    return modulus_report(f(grid.points[:, 0], grid.points[:, 1]), grid, tol)
+    return modulus_report(f(grid.points[:, 0], grid.points[:, 1]), tol)
 
 
-def modulus_report(values, grid: PointGrid, tol: float) -> ModulusReport:
-    """Max of | |f| - 1 | over the values of f at the points of a torus grid."""
-    grid.require("torus", 2, "boundary modulus test")
-    dev = np.abs(np.abs(np.asarray(values, dtype=np.complex128)) - 1.0)
-    k = int(np.argmax(dev))
-    return ModulusReport(bool(dev[k] <= tol), float(dev[k]), tuple(grid.points[k]))
+def modulus_report(values, tol: float) -> ModulusReport:
+    """Max of | |f| - 1 | over values of f on the torus."""
+    dev = float(np.abs(np.abs(np.asarray(values, dtype=np.complex128)) - 1.0).max())
+    return ModulusReport(dev <= tol, dev)

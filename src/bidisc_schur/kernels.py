@@ -282,19 +282,18 @@ class ThetaRealization:
     the Schur class everywhere, not only on the sample grid.
     """
 
-    def __init__(self, A, B, C, D, e_star: int):
+    def __init__(self, A, B, C, D):
         self.A = numlin.as_matrix(A)
         self.B = numlin.as_matrix(B)
         self.C = numlin.as_matrix(C)
         self.D = numlin.as_matrix(D)
-        self.e_star = int(e_star)
-        self.e = self.A.shape[0]
+        self.e, self.e_star = self.A.shape
         self.h = self.D.shape[0]
         # largest entry of |K_T - K| on the grid, for a realization that
         # dbr_reconstruct_disc rebuilt from a sampled kernel K
         self.max_residual: Optional[float] = None
-        if self.A.shape != (self.e, self.e_star) or self.B.shape != (self.e, self.h) \
-                or self.C.shape != (self.h, self.e_star) or self.D.shape != (self.h, self.h):
+        if self.B.shape != (self.e, self.h) or self.C.shape != (self.h, self.e_star) \
+                or self.D.shape != (self.h, self.h):
             raise ValueError("inconsistent block dimensions")
 
     def coisometry_defect(self) -> float:
@@ -382,7 +381,7 @@ def dbr_reconstruct_disc(k: SampledKernel, tol: float = DEFAULT_TOL) -> ThetaRea
                       image[rf:] @ basis.conj().T])
     f_dim = rf + pad
     theta = ThetaRealization(vmat[:f_dim, :e], vmat[:f_dim, e:], vmat[f_dim:, :e],
-                             vmat[f_dim:, e:], e)
+                             vmat[f_dim:, e:])
 
     residual = float(np.max(np.abs(theta.kernel_values(k.grid) - k.values), initial=0.0))
     if residual > numlin.sampled(tol):

@@ -176,14 +176,8 @@ def colligation_to_json(v: Colligation) -> dict:
 
 def colligation_from_json(obj) -> Colligation:
     part = [_count(h, "partition") for h in obj["partition"]]
-    h = sum(part)
-    return Colligation(
-        complex_from_json(obj["a"]),
-        matrix_from_json(obj["B"], shape=(1, h)),
-        matrix_from_json(obj["C"], shape=(h, 1)),
-        matrix_from_json(obj["D"], shape=(h, h)),
-        part,
-    )
+    return Colligation(complex_from_json(obj["a"]), matrix_from_json(obj["B"]),
+                       matrix_from_json(obj["C"]), matrix_from_json(obj["D"]), part)
 
 
 def kernel_to_json(k: SampledKernel) -> dict:
@@ -227,7 +221,6 @@ def theta_from_json(obj) -> ThetaRealization:
         matrix_from_json(obj["B"], shape=(e, h)),
         matrix_from_json(obj["C"], shape=(h, e_star)),
         matrix_from_json(obj["D"], shape=(h, h)),
-        e_star,
     )
 
 
@@ -236,8 +229,8 @@ def factorization_to_json(r: FactorizationResult) -> dict:
         "kind": "factorization",
         "V1": colligation_to_json(r.v1),
         "V2": colligation_to_json(r.v2),
-        "x": pairs_to_json(r.x),
-        "y": pairs_to_json(r.y),
+        "x": pairs_to_json(r.v2.a),
+        "y": pairs_to_json(r.v1.a),
         "certificate": r.certificate,
     }
 

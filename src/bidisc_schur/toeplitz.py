@@ -52,8 +52,11 @@ class ToeplitzTruncation:
     symbol: block Phi_k of the compression is the M x M lower-triangular
     Toeplitz matrix whose first column is table[k]."""
 
-    order: int
     table: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.table.shape[0]
 
     @property
     def blocks(self) -> np.ndarray:
@@ -64,13 +67,16 @@ class ToeplitzTruncation:
 
 
 def toeplitz_truncate(series: PowerSeries2, order: int) -> ToeplitzTruncation:
-    """Compression of the multiplication operator with the given symbol."""
+    """Compression of the multiplication operator with the given symbol;
+    its order is that of the square table it keeps."""
     n1, n2 = series.orders
+    if order < 1:
+        raise ValueError(f"a truncation needs order >= 1, got {order}")
     if n1 < order - 1 or n2 < order - 1:
         raise InsufficientTruncationError(
             f"order-{order} truncation needs series orders >= {order - 1}, got {series.orders}"
         )
-    return ToeplitzTruncation(order, series.coeffs[:order, :order].copy())
+    return ToeplitzTruncation(series.coeffs[:order, :order].copy())
 
 
 def phi_blocks_from_colligation(v: Colligation, order: int,
@@ -263,14 +269,13 @@ def boundary_scan(f, tol: float) -> Optional[ModulusReport]:
     pole on the grid, or, behind a coupling block, growing powers of the
     reduced D that defeat the aliased sums) the per-point resolvent solves of its call decide, as for
     any other function kind."""
-    grid = shared_grid("torus2", TORUS_SCAN)
     if isinstance(f, Colligation):
         try:
-            return modulus_report(transfer_torus(f, TORUS_SCAN).ravel(), grid, sampled(tol))
+            return modulus_report(transfer_torus(f, TORUS_SCAN), sampled(tol))
         except ResolventIllConditionedError:
             pass
     try:
-        return boundary_modulus_test(f, grid, sampled(tol))
+        return boundary_modulus_test(f, shared_grid("torus2", TORUS_SCAN), sampled(tol))
     except ResolventIllConditionedError:
         return None
 
@@ -283,7 +288,18 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
     lower-left coupling block and both diagonal D-blocks of spectral radius
     below 1 - tol has an inner transfer function.  The converse fails, so a
     colligation that misses the structural hypotheses is never refuted on
-    structure alone; refutation comes only from boundary sampling."""
+    structure alone; refutation comes only from boundary sampling.
+
+    Nor is a unitary colligation ever refuted, since its transfer function
+    is inner whatever a scan reads.  With E(z) = diag(z1 I, z2 I) and
+    x(z) = (I - D E(z))^{-1} C, V [1; E(z) x] = [f(z); x], so for unitary V
+
+        1 - |f(z)|^2 = ||x||^2 - ||E(z) x||^2 = sum_i (1 - |z_i|^2) ||x_i(z)||^2.
+
+    On the torus the right side vanishes wherever det(I - D E(z)) does not.
+    That polynomial is 1 at 0, so its zeros on the torus are a null set,
+    and |f| = 1 almost everywhere.  A failed scan of a unitary V is
+    rounding, and it reads "inconclusive"."""
     report = structure_report(v, tol)
     certified = report.is_isometry and report.lower_left_zero and all(report.c0dot)
 
@@ -303,8 +319,10 @@ def certify_inner(v: Colligation, tol: float = DEFAULT_TOL) -> InnerCertificate:
 
     if certified:
         verdict, detail = "certified", "structural hypotheses verified"
-    elif bpass is False:
+    elif bpass is False and not report.is_unitary:
         verdict, detail = "refuted", "boundary modulus deviates from 1"
+    elif bpass is False:
+        verdict, detail = "inconclusive", "inconclusive-by-structure, inner-by-realization"
     elif bpass:
         verdict, detail = "inconclusive", "inconclusive-by-structure, inner-by-sampling"
     else:

@@ -163,7 +163,7 @@ def random_triangular(rng, h1, h2, radius=0.7):
 def random_theta(rng, hmax=5):
     h = int(rng.integers(1, hmax + 1))
     u = random_unitary(rng, 1 + h)
-    return ThetaRealization(u[:1, :1], u[:1, 1:], u[1:, :1], u[1:, 1:], 1)
+    return ThetaRealization(u[:1, :1], u[:1, 1:], u[1:, :1], u[1:, 1:])
 
 
 def composed_blaschke(rng, max_degree=4, radius=0.8):

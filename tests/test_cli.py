@@ -862,7 +862,7 @@ def test_cli_command_starts_no_collection(tmp_path, capsys):
     # collector runs
     grid = bs.make_grid("disc", 60, seed=81)
     u = random_unitary(np.random.default_rng(82), 5)
-    theta = ThetaRealization(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:], 2)
+    theta = ThetaRealization(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:])
     k = SampledKernel(grid, theta.kernel_values(grid), dim=2)
     path = write(tmp_path, "k.json", serialize.kernel_to_json(k))
     started = []

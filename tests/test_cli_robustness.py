@@ -18,8 +18,9 @@ needed, too few component kernels and a function whose number of variables
 is not the kernels' are a GridMismatch, a colligation with the wrong number
 of variables is NotStructured, and a Blaschke constant that is not
 unimodular is ConditionFailed.  A usage error (an unknown flag, a missing
-argument, a bad --seed, no or an unknown command) is a ParseError report
-too, printed on stdout with nothing on stderr."""
+argument, no or an unknown command) is a ParseError report too, printed on
+stdout with nothing on stderr, that names the subcommand argparse parsed;
+a --seed that is no non-negative integer is a ParseError naming --seed."""
 
 import json
 import math
@@ -292,28 +293,34 @@ def test_unsound_tolerance_is_a_parse_error(tmp_path, capsys, monkeypatch, sourc
     assert report["evidence"] == {} and report["tol"] == value
 
 
+@pytest.mark.parametrize("value,seed,shown", [("-1", -1, "-1"), ("x", "x", "'x'")])
 @pytest.mark.parametrize("where", ["before", "after"])
-def test_negative_seed_is_a_parse_error_that_names_it(tmp_path, capsys, where):
-    # refused as --seed, not as the default grid spec that it would seed
+def test_negative_seed_is_a_parse_error_that_names_it(tmp_path, capsys, where, value, seed,
+                                                      shown):
+    # refused as --seed, not as the default grid spec that it would seed; a
+    # seed that is no integer is refused the same way, after the command is known
     path = tmp_path / "v.json"
     path.write_text(json.dumps(VALID["colligation"]))
     argv = ["agler-kernels", str(path)]
-    argv = ["--seed", "-1"] + argv if where == "before" else argv + ["--seed", "-1"]
+    argv = ["--seed", value] + argv if where == "before" else argv + ["--seed", value]
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
     assert code == 2
-    assert report["verdict"] == "ParseError: --seed takes a non-negative integer, got -1"
-    assert report["evidence"] == {} and report["seed"] == -1
+    assert report["verdict"] == f"ParseError: --seed takes a non-negative integer, got {shown}"
+    assert report["evidence"] == {} and report["seed"] == seed
+    assert report["command"] == "agler-kernels"
 
 
 @pytest.mark.parametrize("argv,command,named", [
     (["factor", os.path.join(EXAMPLES, "product_mobius_rational.json"), "--grid", "bidisc:rand:5"],
      "factor", "--grid"),
     (["dbr-check"], "dbr-check", "input"),
-    (["--seed", "x", "classify", "F"], "classify", "--seed"),
+    (["--out", "classify", "eval", "F", "--bogus"], "eval", "--bogus"),
+    (["--ou", "classify", "eval", "F", "--bogus"], "eval", "--bogus"),
     ([], None, "command"),
     (["nope", "F"], None, "'nope'"),
-], ids=["unknown-flag", "missing-input", "bad-seed", "no-command", "unknown-command"])
+], ids=["unknown-flag", "missing-input", "out-names-a-command", "abbreviated-out",
+        "no-command", "unknown-command"])
 def test_usage_error_is_one_report(capsys, argv, command, named):
     # argparse's wording differs across Python versions: the prefix and the
     # flag or argument it names are checked
@@ -353,7 +360,7 @@ def test_symbol_realization_is_not_evaluable(tmp_path, capsys, command, kernels)
     # a ThetaRealization is callable, T(z), but it is a symbol, not a
     # function of the bidisc
     r = math.sqrt(3) / 2
-    theta = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1)))
+    theta = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]])))
     paths = []
     for i, obj in enumerate([theta] + [VALID[kind] for kind in kernels]):
         paths.append(tmp_path / f"{i}.json")
@@ -449,6 +456,19 @@ def test_integer_beyond_64_bits_is_a_schema_error(tmp_path, capsys):
 @pytest.mark.parametrize("dims", [[1.0, 1, 1], [True, 1, 1], [1, -1, 1]])
 def test_theta_dims_must_be_integers(dims):
     r = math.sqrt(3) / 2
-    obj = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]], 1)))
+    obj = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]])))
     with pytest.raises(SchemaError, match=r"dims entries must be integers in 0\.\.2\*\*63 - 1"):
         serialize.parse_object({**obj, "dims": dims})
+
+
+def test_empty_ports_are_shaped_by_the_colligation():
+    # a stateless colligation takes its empty ports however they are nested;
+    # an empty port of a colligation with a state is refused by the shape check
+    obj = {"kind": "colligation", "a": [0.5, 0], "B": [], "C": [[]], "D": [[], []],
+           "partition": [0]}
+    v = serialize.parse_object(obj)
+    assert (v.B.shape, v.C.shape, v.D.shape) == ((1, 0), (0, 1), (0, 0))
+    assert serialize.parse_object(as_json(serialize.colligation_to_json(v))).V.shape == (1, 1)
+    with pytest.raises(SchemaError, match=r"^malformed colligation object: inconsistent "
+                       r"dimensions: partition sums to 1, B \(0, 0\), C \(0, 0\), D \(1, 1\)$"):
+        serialize.parse_object({**obj, "C": [], "D": [[[0.5, 0]]], "partition": [1]})

@@ -255,14 +255,14 @@ def test_split_mobius_composition():
                                 bs.model_colligation(1.0, [a2]))
     res = bs.split_colligation(v)
     assert res.certificate <= 1e-10
-    assert res.x * res.y == pytest.approx(v.a)
-    assert res.y.imag == pytest.approx(0.0)
-    assert res.y.real > 0
+    assert res.v2.a * res.v1.a == pytest.approx(v.a)
+    assert res.v1.a.imag == pytest.approx(0.0)
+    assert res.v1.a.real > 0
     # |y|^2 = |a|^2 + B2 B2* = 1 - B1 B1*
     b1sq = float(np.linalg.norm(v.B1) ** 2)
     b2sq = float(np.linalg.norm(v.B2) ** 2)
-    assert abs(res.y) ** 2 == pytest.approx(abs(v.a) ** 2 + b2sq)
-    assert abs(res.y) ** 2 == pytest.approx(1 - b1sq)
+    assert abs(res.v1.a) ** 2 == pytest.approx(abs(v.a) ** 2 + b2sq)
+    assert abs(res.v1.a) ** 2 == pytest.approx(1 - b1sq)
     assert res.v1.classify(1e-9).is_coisometry
     assert res.v2.classify(1e-9).is_coisometry
     # factors match the Mobius functions up to the scalar gauge
@@ -289,7 +289,7 @@ def test_split_coisometry_identities():
     for _ in range(10):
         v, _, _ = composed_blaschke(rng, max_degree=4, radius=0.8)
         res = bs.split_colligation(v)
-        x, y = res.x, res.y
+        x, y = res.v2.a, res.v1.a
         b2sq = float(np.linalg.norm(v.B2) ** 2)
         assert abs(x) ** 2 + b2sq / abs(y) ** 2 == pytest.approx(1.0, abs=1e-9)
         c1c1 = (v.C1 @ v.C1.conj().T).astype(complex)

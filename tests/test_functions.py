@@ -205,17 +205,28 @@ def test_zero_free_check_rejects_multiple_boundary_zero(m):
     assert "condition (ii)" in _refusal(np.outer([1.0, -0.4], power))
 
 
-def test_zero_free_check_refuses_crowded_zeros():
+@pytest.mark.parametrize("swap", [False, True])
+def test_zero_free_check_accepts_crowded_zeros_in_either_variable(swap):
     # (1 - z1/2)(1 - 0.999 z2)^3 is zero-free, but its triple zero 1e-3
     # outside the circle makes every Sylvester matrix of p(w, .) and
     # reflect(p)(w, .) singular to s_min / s_max <= ZERO_FREE_MARGIN: the
-    # torus test is undecided and p is refused, naming the ratio and the
-    # nearest root, which lies outside the margin
-    msg = _refusal(np.outer([1.0, -0.5], np.poly(np.full(3, 0.999))))
+    # torus test on p is undecided, and p is accepted on its transpose,
+    # which has its crowded roots in z1.  The transpose is accepted directly.
+    c = np.outer([1.0, -0.5], np.poly(np.full(3, 0.999)))
+    bs.RationalFunction2((0, 0), bs.Poly2(c.T if swap else c))
+
+
+def test_zero_free_check_refuses_crowded_zeros_in_both_variables():
+    # (1 - 0.999 z1 z2)^3 is zero-free, but it equals its transpose, and the
+    # triple zero of p(w, .) 1e-3 outside the circle leaves the torus test
+    # undecided in both variable orders: p is refused, naming the ratio and
+    # the nearest root, which lies outside the margin
+    c = np.diag(np.poly(np.full(3, 0.999)))
+    msg = _refusal(c)
     assert "condition (iii) undecided" in msg and "<= ZERO_FREE_MARGIN" in msg
     assert "> 1 + ZERO_FREE_MARGIN" in msg
     z1, z2 = _reported_zero(msg)
-    assert abs(abs(z1) - 1) < 1e-9 and abs(z2 - 1 / 0.999) < 1e-4
+    assert abs(abs(z1) - 1) < 1e-9 and abs(abs(z1 * z2) - 1 / 0.999) < 1e-4
 
 
 def _factor(rng, total):

@@ -72,7 +72,7 @@ GATES = {
     "boundary_modulus_test": ("torus", 2, lambda grid: bs.boundary_modulus_test(
         bs.mobius_of_product(0.5), grid)),
     "ThetaRealization.kernel_values": ("polydisc", 1, lambda grid: ThetaRealization(
-        [[0.0]], [[0.0]], [[0.0]], [[0.0]], 1).kernel_values(grid)),
+        [[0.0]], [[0.0]], [[0.0]], [[0.0]]).kernel_values(grid)),
 }
 
 

@@ -16,7 +16,9 @@ not by another run of the code.
   separable and splittable, and so is its image under a block-unitary
   similarity, a rotation of the variables (Lambda C, Lambda D) and a
   unimodular phase (c a, c B).  V_t realizes (z1 z2 - t)/(1 - t z1 z2),
-  which is not separable for 0 < t < 1.
+  which is not separable for 0 < t < 1; V_t is unitary, so it is not
+  refuted even at t >= 1 - 3e-8, where the boundary scan reads |f| off 1
+  by more than the sampling bound.
 - Rational inner functions: p~/p with p = a(z1) b(z2), each factor a
   product of 1 - c z, |c| <= 0.8, of degree 1-3, is separable; with one
   coefficient of p off the row and column of its largest moved by eps times
@@ -171,6 +173,14 @@ def test_cascades_of_model_colligations():
 def test_vt_is_not_separable(t):
     grid = bs.make_grid("bidisc", 40, seed=110)
     assert not bs.separability_test(vt_colligation(t), grid).separable
+
+
+@pytest.mark.parametrize("t", [1 - 3e-8, 1 - 1e-8, 1 - 1e-9])
+def test_vt_near_one_is_inner_by_realization(t):
+    cert = bs.certify_inner(vt_colligation(t))
+    assert cert.structure.is_unitary and cert.boundary_passed is False
+    assert (cert.verdict, cert.detail) == (
+        "inconclusive", "inconclusive-by-structure, inner-by-realization")
 
 
 RATIONAL_DRAWS = 200

@@ -248,7 +248,7 @@ def test_dbr_reconstruct_szego_gives_null_symbol():
 
 def test_dbr_reconstruct_mobius_roundtrip():
     half = ThetaRealization([[0.5]], [[np.sqrt(3) / 2]], [[np.sqrt(3) / 2]],
-                            [[-0.5]], 1)
+                            [[-0.5]])
     # sanity: this realization evaluates to (z + 1/2)/(1 + z/2)
     assert half(0.3)[0, 0] == pytest.approx(0.8 / 1.15)
     grid = disc_grid(31, n=12)
@@ -278,7 +278,7 @@ def test_dbr_reconstruct_operator_valued():
     rng = np.random.default_rng(35)
     e, h = 2, 3
     u = random_unitary(rng, e + h)
-    theta = ThetaRealization(u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:], e)
+    theta = ThetaRealization(u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:])
     grid = disc_grid(36, n=8)
     k = SampledKernel(grid, theta.kernel_values(grid), dim=e)
     rebuilt = bs.dbr_reconstruct_disc(k)
@@ -367,7 +367,7 @@ def test_reconstruction_gauge_covariance():
     rebuilt = bs.dbr_reconstruct_disc(k)
     u = random_unitary(rng, rebuilt.e)
     rotated = ThetaRealization(u @ rebuilt.A, u @ rebuilt.B, rebuilt.C,
-                               rebuilt.D, rebuilt.e_star)
+                               rebuilt.D)
     assert np.max(np.abs(rotated.kernel_values(grid) - rebuilt.kernel_values(grid))) < 1e-12
 
 
@@ -509,7 +509,7 @@ def test_ball_twice_drury_arveson_fails():
 
 def operator_theta(rng, e=2, h=3):
     u = random_unitary(rng, e + h)
-    return ThetaRealization(u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:], e)
+    return ThetaRealization(u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:])
 
 
 def test_symbol_call_is_vectorized():
@@ -520,7 +520,7 @@ def test_symbol_call_is_vectorized():
     m = rng.normal(size=(e + h, e_star + h)) + 1j * rng.normal(size=(e + h, e_star + h))
     m /= 2 * np.linalg.norm(m, 2)
     a, b, c, d = m[:e, :e_star], m[:e, e_star:], m[e:, :e_star], m[e:, e_star:]
-    theta = ThetaRealization(a, b, c, d, e_star)
+    theta = ThetaRealization(a, b, c, d)
     z = disc_grid(88, n=12).points[:, 0]
     want = np.array([a.conj().T + w * c.conj().T @ np.linalg.solve(
         np.eye(h) - w * d.conj().T, b.conj().T) for w in z])
