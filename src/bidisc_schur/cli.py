@@ -37,7 +37,8 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .functions import PowerSeries2, RationalFunction2, make_grid, series_of, strip_monomial
+from .functions import (PowerSeries2, RationalFunction2, ambient_name, make_grid, series_of,
+                        strip_monomial)
 from .toeplitz import (
     DEFECT_WINDOW,
     boundary_scan,
@@ -81,6 +82,12 @@ def parse_grid_spec(spec: str, seed: int):
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad grid spec {spec!r}: {exc}") from exc
     raise ParseError(f"bad grid spec {spec!r}")
+
+
+def _grid(args, nvars: int, size: int, seed: int):
+    """The grid of --grid, else `size` seeded points of the polydisc with
+    nvars coordinates: "bidisc:rand:<size>" for two."""
+    return parse_grid_spec(args.grid or f"{ambient_name('polydisc', nvars)}:rand:{size}", seed)
 
 
 def _orders(text) -> list:
@@ -143,7 +150,7 @@ def _cmd_eval(args, tol, seed):
         except (json.JSONDecodeError, RecursionError, SchemaError) as exc:
             raise ParseError(f"bad --at value: {exc}") from exc
     else:
-        points = parse_grid_spec(args.grid or "bidisc:rand:20", seed).points
+        points = _grid(args, fn.nvars, 20, seed).points
     if points.shape[1] != fn.nvars:
         raise ParseError(f"points have {points.shape[1]} coordinate(s), but the "
                          f"function takes {fn.nvars}")
@@ -213,7 +220,7 @@ def _cmd_toeplitz_check(args, tol, seed):
 
 def _cmd_agler_kernels(args, tol, seed):
     v = _load_as(args, args.input, Colligation, "agler-kernels expects a colligation")
-    grid = parse_grid_spec(args.grid or "bidisc:rand:40", seed)
+    grid = _grid(args, v.nvars, 40, seed)
     if args.out_k2 and v.nvars < 2:
         raise ParseError("--out-k2 asks for K2, but the colligation has 1 state block")
     pair = kernels_mod.agler_kernels_of(v, grid, tol)
@@ -488,7 +495,17 @@ def _run(argv) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main's exit code, or 2 (an I/O error) with
+    nothing on stderr when stdout is closed before the report is written."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the SIGPIPE pattern of Python's signal docs: the flush at exit
+        # would fail again, so stdout is pointed at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

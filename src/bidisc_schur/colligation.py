@@ -405,10 +405,6 @@ def cascade_blocks(v1: Colligation, v2: Colligation):
     return a, b, c, d
 
 
-def _cascade_1d(v1: Colligation, v2: Colligation) -> Colligation:
-    return Colligation(*cascade_blocks(v1, v2), [v1.h + v2.h])
-
-
 def blaschke_section(alpha: complex) -> Colligation:
     """Unitary realization of the single factor (z - alpha)/(1 - conj(alpha) z)."""
     alpha = complex(alpha)
@@ -436,5 +432,5 @@ def model_colligation(constant: complex, zeros) -> Colligation:
             f"leading constant must be unimodular, got |c| = {abs(constant)}")
     v = Colligation(1.0, np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0])
     for alpha in zeros:
-        v = _cascade_1d(v, blaschke_section(alpha))
+        v = Colligation(*cascade_blocks(v, blaschke_section(alpha)), [v.h + 1])
     return Colligation(v.a * constant, v.B, constant * v.C, v.D, [v.h])

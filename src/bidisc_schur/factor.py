@@ -58,7 +58,6 @@ class SeparabilityReport:
     max_residual: float
     factor1_samples: np.ndarray   # over the grid's first coordinates
     factor2_samples: np.ndarray
-    gauge: complex
 
 
 def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> SeparabilityReport:
@@ -93,7 +92,7 @@ def separability_test(f, grid: PointGrid, tol: float = DEFAULT_TOL) -> Separabil
     gauge = sec1[k] / abs(sec1[k]) if abs(sec1[k]) > 0 else 1.0 + 0.0j
     return SeparabilityReport(
         residual <= abs(origin) * numlin.bound(tol, scale), residual,
-        sec1 / gauge, sec2 * gauge / origin, gauge)
+        sec1 / gauge, sec2 * gauge / origin)
 
 
 def _coefficient_separability(f, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

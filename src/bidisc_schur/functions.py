@@ -64,15 +64,8 @@ class Poly2:
     def degree(self) -> tuple[int, int]:
         return (self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1)
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0))
-
     def __call__(self, z1, z2):
         return polyval2d(z1, z2, self.coeffs)
-
-    def scale(self, c: complex) -> "Poly2":
-        return Poly2(self.coeffs * c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.coeffs.shape == other.coeffs.shape \
@@ -88,7 +81,7 @@ def reflect(p: Poly2) -> Poly2:
     This is z1^d1 z2^d2 * conj(p(1/conj(z1), 1/conj(z2))), the numerator of
     the Rudin form of a rational inner function.
     """
-    if p.is_zero:
+    if not p.coeffs.any():
         raise ZeroPolynomialError("cannot reflect the zero polynomial")
     return Poly2(np.conj(p.coeffs[::-1, ::-1]))
 
@@ -108,7 +101,7 @@ class RationalFunction2:
         self.monomial = (m1, m2)
         self.denominator = denominator
         self.unimodular = u
-        self.numerator = reflect(denominator).scale(u)
+        self.numerator = Poly2(reflect(denominator).coeffs * u)
         self._check_zero_free()
 
     def _check_zero_free(self, transposed: bool = False) -> None:
@@ -412,6 +405,13 @@ def _parse_ambient(ambient: str) -> tuple:
     return domain, int(count)
 
 
+def ambient_name(domain: str, n: int) -> str:
+    """The ambient of n coordinates in domain by its name: "disc", "bidisc"
+    or "torus2" where _NAMED has one, else "domain-n" (polydisc-3, ball-2)."""
+    names = {v: k for k, v in _NAMED.items()}
+    return names.get((domain, n), f"{domain}-{n}")
+
+
 @dataclass(frozen=True, eq=False)
 class PointGrid:
     """Finite sample set in one of the supported domains.
@@ -453,8 +453,7 @@ class PointGrid:
     def require(self, domain: str, n, what: str) -> None:
         """GridMismatchError unless the grid lies in domain with n coordinates (any if None)."""
         if self.domain != domain or n not in (None, self.nvars):
-            names = {v: k for k, v in _NAMED.items()}
-            name = domain if n is None else names.get((domain, n), f"{domain}-{n}")
+            name = domain if n is None else ambient_name(domain, n)
             raise GridMismatchError(f"{what} needs a {name} grid")
 
     def __len__(self) -> int:

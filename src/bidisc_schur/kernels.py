@@ -289,6 +289,8 @@ class ThetaRealization:
         self.D = numlin.as_matrix(D)
         self.e, self.e_star = self.A.shape
         self.h = self.D.shape[0]
+        if not (self.h or self.C.size):     # the empty C of a stateless realization
+            self.C = self.C.reshape(0, self.e_star)
         # largest entry of |K_T - K| on the grid, for a realization that
         # dbr_reconstruct_disc rebuilt from a sampled kernel K
         self.max_residual: Optional[float] = None

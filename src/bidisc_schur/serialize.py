@@ -100,11 +100,8 @@ def complex_from_json(obj) -> complex:
     return complex(pairs_from_json(obj, 0))
 
 
-def matrix_from_json(obj, shape=None) -> np.ndarray:
-    out = pairs_from_json(obj, 2)
-    if shape is not None and out.size == 0:
-        out = out.reshape(shape)
-    return out
+def matrix_from_json(obj) -> np.ndarray:
+    return pairs_from_json(obj, 2)
 
 
 def _count(value, field: str) -> int:
@@ -215,13 +212,12 @@ def theta_to_json(t: ThetaRealization) -> dict:
 
 
 def theta_from_json(obj) -> ThetaRealization:
-    e_star, e, h = (_count(x, "dims") for x in obj["dims"])
-    return ThetaRealization(
-        matrix_from_json(obj["A"], shape=(e, e_star)),
-        matrix_from_json(obj["B"], shape=(e, h)),
-        matrix_from_json(obj["C"], shape=(h, e_star)),
-        matrix_from_json(obj["D"], shape=(h, h)),
-    )
+    dims = [_count(x, "dims") for x in obj["dims"]]
+    t = ThetaRealization(*(matrix_from_json(obj[key]) for key in "ABCD"))
+    if dims != [t.e_star, t.e, t.h]:
+        raise SchemaError(f"dims {dims} disagree with the blocks' (e_star, e, h) = "
+                          f"({t.e_star}, {t.e}, {t.h})")
+    return t
 
 
 def factorization_to_json(r: FactorizationResult) -> dict:

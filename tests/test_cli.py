@@ -583,6 +583,24 @@ def test_cli_eval_one_variable_colligation_on_disc_grid(tmp_path, capsys):
     assert np.allclose(got, [v(w) for w in z[:, 0]], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("command, input_, spec", [
+    ("eval", "one-block", "disc:rand:20"),
+    ("eval", "polydisc_colligation.json", "polydisc-3:rand:20"),
+    ("agler-kernels", "one-block", "disc:rand:40"),
+])
+def test_cli_default_grid_has_the_input_s_coordinates(tmp_path, capsys, command, input_, spec):
+    # the default grid is that of the input's number of variables, with the
+    # size and seed of the bidisc one
+    if input_ == "one-block":
+        path = write(tmp_path, "v.json", serialize.colligation_to_json(
+            bs.model_colligation(1.0, [0.5, 0.25j])))
+    else:
+        path = os.path.join(EXAMPLES, input_)
+    code, report = run_cli(capsys, "--seed", "3", command, path)
+    assert code == 0 and report["verdict"] == "computed", report["verdict"]
+    assert report == run_cli(capsys, "--seed", "3", command, path, "--grid", spec)[1]
+
+
 def test_cli_agler_verify_failure(tmp_path, capsys):
     vpath = write(tmp_path, "perm.json",
                   serialize.colligation_to_json(permutation_colligation()))

@@ -20,7 +20,9 @@ of variables is NotStructured, and a Blaschke constant that is not
 unimodular is ConditionFailed.  A usage error (an unknown flag, a missing
 argument, no or an unknown command) is a ParseError report too, printed on
 stdout with nothing on stderr, that names the subcommand argparse parsed;
-a --seed that is no non-negative integer is a ParseError naming --seed."""
+a --seed that is no non-negative integer is a ParseError naming --seed.
+A stdout closed before the report is written ends the console script with
+exit 2 and nothing on stderr."""
 
 import json
 import math
@@ -102,7 +104,8 @@ REFUSALS = [
     ("inner-check", ["colligation1"], [], "NotStructured: "),
     ("split", ["colligation1"], [], "NotStructured: "),
     ("factor", ["colligation1"], [], "NotStructured: "),
-    ("agler-kernels", ["colligation1"], [], "GridMismatch: agler_kernels_of needs a disc grid"),
+    ("agler-kernels", ["colligation1"], ["--grid", "bidisc:rand:6"],
+     "GridMismatch: agler_kernels_of needs a disc grid"),
     ("inner-check", ["colligation3"], [], "NotStructured: "),
     ("split", ["colligation3"], [], "NotStructured: "),
     ("factor", ["colligation3"], [], "NotStructured: "),
@@ -433,6 +436,20 @@ def test_nesting_that_would_overflow_the_c_stack_is_refused(tmp_path, opener):
     assert report["verdict"].startswith("ParseError: ") and "nests too deeply" in report["verdict"]
 
 
+def test_closed_stdout_is_an_io_error_without_a_traceback():
+    # the console script's stdout is a pipe whose read end is closed
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "bidisc_schur", "classify",
+                                os.path.join(EXAMPLES, "separable_colligation.json")],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (2, b"")
+
+
 def test_integer_beyond_64_bits_is_a_schema_error(tmp_path, capsys):
     # json reads such a literal as an int, orjson 3.8 beyond 2**64 as the
     # nearest double; either way it is refused, with the same message.  The
@@ -459,6 +476,31 @@ def test_theta_dims_must_be_integers(dims):
     obj = as_json(serialize.theta_to_json(ThetaRealization([[0.5]], [[r]], [[r]], [[-0.5]])))
     with pytest.raises(SchemaError, match=r"dims entries must be integers in 0\.\.2\*\*63 - 1"):
         serialize.parse_object({**obj, "dims": dims})
+
+
+@pytest.mark.parametrize("dims, h", [([1, 1, 5], 2), ([1, 1, 3], 0)])
+def test_theta_dims_must_agree_with_the_blocks(dims, h):
+    # the blocks fix (e_star, e, h), an empty C taking its shape from A, and
+    # dims only checks them
+    u = np.linalg.qr(np.random.default_rng(7).normal(size=(1 + h, 1 + h)))[0]
+    theta = ThetaRealization(u[:1, :1], u[:1, 1:], u[1:, :1], u[1:, 1:])
+    obj = as_json(serialize.theta_to_json(theta))
+    assert obj["dims"] == [1, 1, h]
+    with pytest.raises(SchemaError, match=rf"^dims \[1, 1, {dims[2]}\] disagree with the "
+                       rf"blocks' \(e_star, e, h\) = \(1, 1, {h}\)$"):
+        serialize.parse_object({**obj, "dims": dims})
+
+
+def test_stateless_theta_survives_json():
+    # T = A*, 2 x 3; its empty C, however it is nested, is 0 x e_star
+    a = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))[0][:, :2]
+    theta = ThetaRealization(a, np.zeros((3, 0)), [], np.zeros((0, 0)))
+    assert theta.C.shape == (0, 2)
+    back = serialize.parse_object(as_json(serialize.theta_to_json(theta)))
+    assert (back.e_star, back.e, back.h) == (2, 3, 0)
+    assert [m.shape for m in (back.A, back.B, back.C, back.D)] == [(3, 2), (3, 0), (0, 2), (0, 0)]
+    grid = bs.make_grid("disc", 5, seed=3)
+    assert np.array_equal(back.kernel_values(grid), theta.kernel_values(grid))
 
 
 def test_empty_ports_are_shaped_by_the_colligation():
