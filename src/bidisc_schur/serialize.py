@@ -19,6 +19,44 @@ the 64-bit range as the nearest double, where json keeps the int.  Only
 integer fields could see it, and _count refuses any entry there that is not
 a JSON integer in 0..2**63 - 1, with the same message from either reader.
 
+read first tries one step that only changes the cost: _read_tables reads
+each [re, im] table, the value of a key in _TABLE_KEYS, straight from the
+bytes into a float64 array, which pairs_from_json takes as it is, so no
+table becomes nested lists.  It returns a value only where it proves that
+loads parses data with orjson, to that value with each array as nested
+lists of the same floats.  Every other text, and every value parse_object
+refuses, goes the way above, so the values and errors are the contract's.
+The proof, for a text with no backslash, whose quotes therefore all
+delimit strings:
+  * a key matched after an even number of quotes is a string token, a key;
+    after an odd number the text is not JSON, and the step declines;
+  * the table text T runs from the bracket after the key to the first quote
+    or closing brace, less trailing whitespace and one comma, and ends with
+    a bracket;
+  * its skeleton, T without digits, e, E, signs and whitespace, must be byte
+    for byte that of the shape its first rows give (depth 2 to
+    _TABLE_DEPTH, pairs last): the brackets and commas of that rectangular
+    nest, with one point per leaf.  So T holds those in order, with only
+    number bytes and whitespace between them, a point in every leaf's slot
+    and in no other gap.  (A float that json or dumps writes has a point
+    unless repr spells it with one digit and an exponent, as 1e-05; such a
+    table takes the way above, as do integer leaves);
+  * orjson parses T with its inner brackets blanked, a flat list: the nest
+    has N - 1 commas for N leaves, so the list has an item per slot, and
+    orjson takes it only if each item is one number token, whitespace
+    around it.  The token holds its slot's point, so it lies in the slot:
+    T is the JSON nest of that shape with one number per leaf, and orjson
+    reads each number as it would inside the nest.  np.array makes the
+    array from those floats, as pairs_from_json does from the nest's;
+  * the text with each table replaced by a placeholder as deeply nested
+    must pass _shallow, which peels a uniform nest of depth d in d rounds
+    whatever its width, so data passes it too; and orjson must parse that
+    text.  A JSON value put in place of another keeps a text valid or
+    invalid, so orjson parses data, to that value with each table nested;
+  * each placeholder nests its table's index, so where a key is written
+    twice and the parse drops a table, that table is left unplaced and the
+    step declines.
+
 Reports are written by dumps, whose text is exactly that of
 json.dumps(obj, sort_keys=True, indent=2) with numpy and complex values
 converted (a complex scalar or array through pairs_to_json).  The *_to_json
@@ -56,7 +94,7 @@ import numpy as np
 import orjson
 
 from .colligation import Colligation
-from .errors import ParseError, SchemaError
+from .errors import DomainError, ParseError, SchemaError
 from .factor import FactorizationResult
 from .functions import Poly2, PointGrid, PowerSeries2, RationalFunction2
 from .kernels import SampledKernel, ThetaRealization, check_value_dim
@@ -70,21 +108,25 @@ def pairs_to_json(a) -> np.ndarray:
 
 
 def pairs_from_json(obj, ndim: int) -> np.ndarray:
-    """Complex array with ndim axes from nested [re, im] lists.  The nesting
-    must be rectangular and every pair two finite numbers, each a float or
-    an int (not a bool, not a string); an empty list stands for an array
-    without entries (the matrix [[]] is 1 x 0)."""
-    shape, leaves, kinds = _nest(obj)
-    if kinds & {list, tuple}:
-        raise SchemaError(f"expected nested [re, im] pairs, got rows of unequal "
-                          f"length at depth {len(shape)}")
-    if not kinds <= {float, int}:
-        names = ", ".join(sorted(k.__name__ for k in kinds))
-        raise SchemaError(f"expected [re, im] pairs of numbers, got {names}")
-    try:
-        arr = np.array(leaves, dtype=np.float64).reshape(shape)
-    except OverflowError as exc:
-        raise SchemaError(f"array entries must be finite numbers: {exc}") from exc
+    """Complex array with ndim axes from nested [re, im] lists, or from the
+    float64 array of them that read takes straight from a file's text.  The
+    nesting must be rectangular and every pair two finite numbers, each a
+    float or an int (not a bool, not a string); an empty list stands for an
+    array without entries (the matrix [[]] is 1 x 0)."""
+    if isinstance(obj, np.ndarray):
+        arr = obj
+    else:
+        shape, leaves, kinds = _nest(obj)
+        if kinds & {list, tuple}:
+            raise SchemaError(f"expected nested [re, im] pairs, got rows of unequal "
+                              f"length at depth {len(shape)}")
+        if not kinds <= {float, int}:
+            names = ", ".join(sorted(k.__name__ for k in kinds))
+            raise SchemaError(f"expected [re, im] pairs of numbers, got {names}")
+        try:
+            arr = np.array(leaves, dtype=np.float64).reshape(shape)
+        except OverflowError as exc:
+            raise SchemaError(f"array entries must be finite numbers: {exc}") from exc
     if arr.size == 0 and arr.ndim <= ndim:
         return np.zeros(arr.shape + (0,) * (ndim - arr.ndim), dtype=np.complex128)
     if arr.shape[ndim:] != (2,):
@@ -326,8 +368,123 @@ def _read_json(path: str, data: bytes):
         raise ParseError(f"{path} nests too deeply to read: {exc}") from exc
 
 
+# the keys whose values pairs_from_json reads, and one such key up to the
+# bracket that opens its value
+_TABLE_KEYS = ("values", "points", "coeffs", "zeros", "A", "B", "C", "D")
+_TABLE_KEY = re.compile(rb'"(?:%s)"[ \t\n\r]*:[ \t\n\r]*\[' % "|".join(_TABLE_KEYS).encode())
+_WHITESPACE = b" \t\n\r"
+# what a table's skeleton drops: the bytes of a number but its point, and
+# whitespace (brackets, commas, points and any foreign byte stay)
+_NOT_SKELETON = b"0123456789eE+-" + _WHITESPACE
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+# the deepest table a schema reads: a matrix-valued kernel's (n, n, e, e, 2)
+_TABLE_DEPTH = 5
+
+
+def _table_shape(skeleton: bytes):
+    """The shape of the [re, im] table whose skeleton this is, read from its
+    first row at each depth, or None unless the skeleton is exactly that
+    shape's: its leaves points, rows of equal length, depth 2 to
+    _TABLE_DEPTH and pairs last."""
+    depth = skeleton.find(b".")
+    if not 2 <= depth <= _TABLE_DEPTH:
+        return None
+    shape = [skeleton.count(b"]" * (depth - level - 1) + b",", level,
+                            skeleton.find(b"]" * (depth - level))) + 1
+             for level in range(depth)]
+    size, text = 1, b"."
+    for n in reversed(shape):
+        size = n * (size + 1) + 1
+    if shape[-1] != 2 or size != len(skeleton):     # built only at the skeleton's size
+        return None
+    for n in reversed(shape):
+        text = b"[" + b",".join([text] * n) + b"]"
+    return shape if text == skeleton else None
+
+
+def _strip_end(data: bytes, start: int, end: int) -> int:
+    while end > start and data[end - 1] in _WHITESPACE:
+        end -= 1
+    return end
+
+
+def _table(data: bytes, start: int):
+    """(end, array): the [re, im] table whose text opens at data[start] and
+    closes before end, as a float64 array; None where that text is not
+    proved to be one (see the module docstring)."""
+    stop = len(data)
+    for mark in (b'"', b"}"):
+        found = data.find(mark, start, stop)
+        stop = stop if found < 0 else found
+    end = _strip_end(data, start, stop)
+    if data.endswith(b",", start, end):
+        end = _strip_end(data, start, end - 1)
+    if not data.endswith(b"]", start, end):
+        return None
+    shape = _table_shape(data[start:end].translate(None, _NOT_SKELETON))
+    if shape is None:
+        return None
+    leaves = orjson.loads(b"[" + data[start + 1:end - 1].translate(_UNBRACKET) + b"]")
+    return end, np.array(leaves, dtype=np.float64).reshape(shape)
+
+
+def _put_tables(node, tables: list) -> int:
+    """Put tables[k] in place of each placeholder, the k nested in lists
+    under a table key of node; the number of placeholders put."""
+    if isinstance(node, list):
+        return sum(_put_tables(value, tables) for value in node)
+    if not isinstance(node, dict):
+        return 0
+    put = 0
+    for key, value in node.items():
+        if type(value) is list and key in _TABLE_KEYS:
+            while type(value) is list:
+                value = value[0]
+            node[key] = tables[value]
+            put += 1
+        else:
+            put += _put_tables(value, tables)
+    return put
+
+
+def _read_tables(data: bytes):
+    """The JSON value of data with every table under a table key a float64
+    array, or None where data is not proved to read as its loads value
+    would (see the module docstring).  May raise orjson.JSONDecodeError."""
+    if b"\\" in data:
+        return None
+    pieces, tables, pos, quotes = [], [], 0, 0
+    while match := _TABLE_KEY.search(data, pos):
+        quotes += data.count(b'"', pos, match.start())
+        table = None if quotes % 2 else _table(data, match.end() - 1)
+        if table is None:
+            return None
+        end, array = table
+        # the placeholder nests as deep as the table, for _shallow
+        pieces += [data[pos:match.end() - 1],
+                   b"[" * array.ndim + b"%d" % len(tables) + b"]" * array.ndim]
+        tables.append(array)
+        pos = end
+    if not tables:
+        return None
+    pieces.append(data[pos:])
+    outer = b"".join(pieces)
+    if not _shallow(outer):
+        return None
+    obj = orjson.loads(outer)
+    return obj if _put_tables(obj, tables) == len(tables) else None
+
+
 def read(path: str, data: bytes):
-    """The library value in the file at path, whose bytes are data."""
+    """The library value in the file at path, whose bytes are data: read
+    from _read_tables where that proves the text qualifies and the value
+    parses, else from _read_json, whose value or error is the contract's."""
+    try:
+        obj = _read_tables(data)
+        if obj is not None:
+            return parse_object(obj)
+    except (orjson.JSONDecodeError, DomainError):
+        pass
     return parse_object(_read_json(path, data))
 
 

@@ -12,10 +12,12 @@ a `git archive` of one.  Each tree runs in its own subprocess with its own
 
 The corpus is, in this order: the golden COMMANDS of tests/test_golden.py,
 FURTHER_COMMANDS on docs/examples, ERROR_COMMANDS (usage errors, refused
-inputs and `eval --at` cases), and the commands that
-`bench/kernel_cli.build(1, work)` generates.  Its inputs are built once, by
-the working tree, and both trees get copies of the same files, so a change
-can only show in what a tree prints and writes.
+inputs and `eval --at` cases), the commands that
+`bench/kernel_cli.build(1, work)` generates, and LAYOUT_COMMANDS, which read
+kernel files in the layout kernel-cli does not give them: an indented ball
+kernel and dim-3 dBR kernel, and a compact K1.  Its inputs are built once,
+by the working tree, and both trees get copies of the same files, so a
+change can only show in what a tree prints and writes.
 
 Each run directory is replaced by one token, and then every command's
 stdout, exit code and written files (`--out`, `--out-k1`, `--out-k2`), and
@@ -95,6 +97,17 @@ ERROR_COMMANDS = {
 }
 
 
+# kernel-cli writes its ball and dBR kernels compact (json.dumps) and
+# agler-kernels writes K1 and K2 indented (serialize.dumps); these read each
+# in the other layout, from copies that layout_copies writes
+LAYOUT_COMMANDS = {
+    "layout-dbr-ball-indented": "dbr-ball ball0_indented.json",
+    "layout-dbr-check-dim3-indented": "dbr-check dbr2_indented.json",
+    "layout-agler-verify-compact-k1": "agler-verify cascade0.json layout_k1_compact.json "
+                                      "layout_k2.json",
+}
+
+
 def _inputs():
     """The corpus's own input files, name -> JSON object."""
     import numpy as np
@@ -139,10 +152,37 @@ def corpus(directory: str) -> list:
     commands += [[name, line.split()] for name, line in FURTHER_COMMANDS.items()]
     commands += [[name, list(argv)] for name, argv in ERROR_COMMANDS.items()]
     roots = tuple(os.path.join(d, "") for d in (directory, os.path.join(ROOT, "docs", "examples")))
-    for i, op in enumerate(kernel_cli.build(1, directory)):
+    ops = kernel_cli.build(1, directory)
+    for i, op in enumerate(ops):
         argv = [os.path.basename(a) if a.startswith(roots) else a for a in op.argv]
         commands.append([f"kernel-cli-{i:02d}-{argv[0]}", argv])
+    layout_copies(directory, ops)
+    commands += [[name, line.split()] for name, line in LAYOUT_COMMANDS.items()]
     return commands
+
+
+def layout_copies(directory: str, ops: list) -> None:
+    """Write the inputs of LAYOUT_COMMANDS into directory, which holds the
+    kernel-cli inputs of ops: indented copies of ball0.json and dbr2.json,
+    and, from the first cascade's agler-kernels command run into
+    layout_k1.json and layout_k2.json, a compact copy of its K1."""
+    from bidisc_schur.cli import main
+
+    def copy(source: str, target: str, indent) -> None:
+        with open(os.path.join(directory, source), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        with open(os.path.join(directory, target), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=indent)
+    copy("ball0.json", "ball0_indented.json", 2)
+    copy("dbr2.json", "dbr2_indented.json", 2)
+    argv = next(op.argv for op in ops if op.argv[0] == "agler-kernels"
+                and os.path.basename(op.argv[1]) == "cascade0.json")
+    argv = argv[:argv.index("--out-k1")] + [
+        "--out-k1", os.path.join(directory, "layout_k1.json"),
+        "--out-k2", os.path.join(directory, "layout_k2.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    copy("layout_k1.json", "layout_k1_compact.json", None)
 
 
 def _child(src: str, rundir: str, commands_path: str, results_path: str) -> None:

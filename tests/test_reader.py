@@ -1,9 +1,20 @@
-"""The JSON reader of serialize against its oracle, the json module.
+"""The JSON reader of serialize against its oracles.
 
-serialize._read_json, the reader behind serialize.read, parses a file's
-bytes with orjson (serialize.loads) and hands every text orjson refuses, or
-that it cannot prove shallow, to json.load.  Where json.load parses a text,
-the reader must give the identical value: the same types at every node (in
+serialize.read has two steps.  The table step, serialize._read_tables,
+takes each [re, im] table under a table key straight from the bytes into a
+float64 array, and only where it proves the text qualifies.  Every other
+text goes to the unchanged step, parse_object(_read_json(path, data)), so
+read must give exactly what that step gives: a value of the same types,
+dtypes, shapes and float bits, or an error of the same class and message.
+The table step is checked against it on the docs examples, the goldens,
+the benchmark's kernel-cli inputs, kernels written by json.dumps and by
+serialize.dumps, seeded edits of a kernel text, and a table of texts it
+must refuse.
+
+serialize._read_json, the unchanged step's reader, parses a file's bytes
+with orjson (serialize.loads) and hands every text orjson refuses, or that
+it cannot prove shallow, to json.load.  Where json.load parses a text, the
+reader must give the identical value: the same types at every node (in
 Python True == 1 == 1.0, so == is not enough) and the same float bits.
 Where json.load refuses a text, the reader must raise the same exception
 class with the same message.  The one documented exception, an integer
@@ -16,8 +27,11 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import random
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +45,7 @@ from test_golden import run_all
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXAMPLES = os.path.join(HERE, os.pardir, "docs", "examples")
 GOLDEN = os.path.join(HERE, "golden")
+BENCH = os.path.join(HERE, os.pardir, "bench")
 
 
 def same(a, b) -> bool:
@@ -87,15 +102,48 @@ def assert_reads_like_json(path):
     assert same(got, expected), path
 
 
+def outcome(step):
+    """The pickle of step()'s value (types, dtypes, shapes and float bits),
+    or the class and message of the error it raises."""
+    try:
+        return pickle.dumps(step())
+    except Exception as exc:        # whatever the error, both steps must raise it alike
+        return type(exc), str(exc)
+
+
+def taken(data) -> bool:
+    """Whether the table step reads data, rather than leaving it to the
+    unchanged step."""
+    try:
+        return serialize._read_tables(data) is not None
+    except json.JSONDecodeError:
+        return False
+
+
+def assert_read_like_unchanged(path, data=None):
+    """serialize.read gives what parse_object(_read_json(...)) gives; that
+    outcome."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    unchanged = outcome(lambda: serialize.parse_object(serialize._read_json(path, data)))
+    assert outcome(lambda: serialize.read(path, data)) == unchanged, path
+    return unchanged
+
+
 def kernel_dict(ambient, n, dim, seed):
-    """A kernel object with random entries, shaped like the kernel files the
-    benchmark's kernel-cli workload writes."""
+    """A kernel object with random Hermitian entries, shaped like the kernel
+    files the benchmark's kernel-cli workload writes."""
     grid = bs.make_grid(ambient, n, seed=seed)
     rng = np.random.default_rng(seed)
     shape = (n, n) if dim == 1 else (n, n, dim, dim)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    values.flat[::7] *= 1e-300        # subnormal and tiny magnitudes
-    values.flat[1::11] = -0.0
+    values += np.conj(values.transpose((1, 0, 3, 2)[:values.ndim]))
+    tiny = np.arange(n) % 3 == 0
+    values[tiny[:, None] | tiny] *= 1e-300      # tiny magnitudes, in Hermitian pairs
+    diagonal = np.arange(n)
+    values[diagonal, diagonal] *= 1e-10         # subnormal where already tiny
+    values.imag[diagonal, diagonal] = -0.0
     return as_json({"kind": "kernel", "grid": serialize.grid_to_json(grid), "dim": dim,
                     "values": serialize.pairs_to_json(values)})
 
@@ -103,11 +151,14 @@ def kernel_dict(ambient, n, dim, seed):
 @pytest.mark.parametrize("name", sorted(os.listdir(EXAMPLES)))
 def test_docs_examples_read_like_json(name):
     assert_reads_like_json(os.path.join(EXAMPLES, name))
+    assert_read_like_unchanged(os.path.join(EXAMPLES, name))
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN)))
 def test_golden_files_read_like_json(name):
+    # reports, not inputs: both steps refuse them with the same SchemaError
     assert_reads_like_json(os.path.join(GOLDEN, name))
+    assert_read_like_unchanged(os.path.join(GOLDEN, name))
 
 
 def test_readme_outputs_read_like_json(tmp_path):
@@ -118,7 +169,9 @@ def test_readme_outputs_read_like_json(tmp_path):
 
 
 @pytest.mark.parametrize("ambient,n,dim", [
-    ("disc", 30, 1), ("disc", 12, 2), ("disc", 8, 3), ("bidisc", 20, 1), ("ball-2", 25, 1)])
+    ("disc", 30, 1), ("disc", 12, 2), ("disc", 8, 3), ("bidisc", 20, 1), ("bidisc", 10, 2),
+    ("bidisc", 6, 3), ("ball-2", 25, 1), ("ball-2", 10, 2), ("ball-2", 6, 3),
+    ("polydisc-3", 12, 1), ("polydisc-3", 8, 2), ("polydisc-3", 5, 3)])
 @pytest.mark.parametrize("writer", ["json.dumps", "serialize.dumps"])
 def test_kernel_files_read_like_json(tmp_path, ambient, n, dim, writer):
     obj = kernel_dict(ambient, n, dim, seed=n + dim)
@@ -127,6 +180,46 @@ def test_kernel_files_read_like_json(tmp_path, ambient, n, dim, writer):
     path.write_text(write(obj))
     assert_reads_like_json(str(path))
     assert write(read(str(path))) == write(obj)
+    assert taken(path.read_bytes())
+    assert isinstance(assert_read_like_unchanged(str(path)), bytes)
+
+
+@pytest.fixture(scope="module")
+def kernel_cli_inputs(tmp_path_factory):
+    """The input files of one kernel-cli pass at seed 1, the kernel files
+    its agler-kernels commands write included."""
+    work = str(tmp_path_factory.mktemp("kernel-cli"))
+    sys.path.insert(0, BENCH)
+    try:
+        import kernel_cli
+        ops = kernel_cli.build(1, work)
+    finally:
+        sys.path.remove(BENCH)
+    for op in ops:
+        if op.argv[0] == "agler-kernels":
+            op.run()
+    return sorted({path for op in ops for path in op.inputs})
+
+
+def test_kernel_cli_inputs_read_like_unchanged(kernel_cli_inputs, monkeypatch):
+    nested = []
+    unchanged_nest = serialize._nest
+
+    def recording(obj):
+        nested.append(obj)
+        return unchanged_nest(obj)
+    for path in kernel_cli_inputs:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert taken(data), path
+        nested.clear()
+        monkeypatch.setattr(serialize, "_nest", recording)
+        serialize.read(path, data)
+        monkeypatch.undo()
+        # every table reaches pairs_from_json as an array: only single
+        # pairs (a colligation's "a", a constant) are walked
+        assert all(len(obj) == 2 and not isinstance(obj[0], list) for obj in nested), path
+        assert isinstance(assert_read_like_unchanged(path, data), bytes)
 
 
 @pytest.mark.parametrize("text", [
@@ -196,10 +289,10 @@ ALPHABET = list('[]{},:"\\ \t\r\n0123456789.-+eEtrufalsnNaIiy\x00\x1fé\ud800') 
     "\\u", "\\ud800", "\\udc00", "NaN", "Infinity", "1e400", "﻿", "\U0001d11e"]
 
 
-def edits(seed, count):
+def edits(seed, count, base=BASE):
     rng = random.Random(seed)
     for _ in range(count):
-        text = BASE
+        text = base
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(text) + 1)
             roll = rng.random()
@@ -223,6 +316,111 @@ def test_edited_texts_parse_like_json(seed):
         assert same(got, expected), repr(text)
         parsed += not isinstance(expected, tuple)
     assert parsed > 100      # both outcomes are exercised
+
+
+# a kernel text with no backslash, so that the table step can take it
+KERNEL = ('{"kind": "kernel", "dim": 1, "grid": {"ambient": "disc", "points": '
+          '[[[0.5, -0.0]], [[1.5e-5, 0.25]]]}, "values": [[[1.0, 0.0], [0.5, -0.25]], '
+          '[[0.5, 0.25], [2.0, 0.0]]]}')
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_edited_kernel_texts_read_like_unchanged(seed):
+    took = kernels = 0
+    for text in edits(seed, 1500, base=KERNEL):
+        data = text.encode("utf-8", "surrogatepass")
+        unchanged = outcome(lambda: serialize.parse_object(serialize._read_json("k.json", data)))
+        assert outcome(lambda: serialize.read("k.json", data)) == unchanged, repr(text)
+        took += taken(data)
+        kernels += isinstance(unchanged, bytes)
+    assert took > 150 and kernels > 40      # the table step and both outcomes are exercised
+
+
+def kernel_text(values: str, before: str = "", after: str = "") -> bytes:
+    """A disc kernel text with the given values text (two points, so the
+    values of a valid kernel are 2 x 2 pairs)."""
+    return ('{"kind": "kernel"' + before + ', "grid": {"ambient": "disc", "points": '
+            '[[[0.5, 0.0]], [[0.25, -0.5]]]}, "values": ' + values + after + '}').encode()
+
+
+GOOD = "[[[1.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"
+
+# texts the table step must leave to the unchanged step, each for a reason
+# it cannot prove away: invalid JSON, a leaf that is not a number with a
+# point, a shape that is not rectangular [re, im] pairs, or a text whose
+# strings, keys or depth it does not see
+REFUSED = {
+    "ragged-rows": kernel_text("[[[1.5, 0.0], [0.5, -0.25]], [[0.5, 0.25]]]"),
+    "empty-rows": kernel_text("[[]]"),
+    "empty-table": kernel_text("[]"),
+    "missing-comma-between-rows": kernel_text("[[[1.5, 0.0][0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "missing-comma-between-leaves": kernel_text("[[[1.5 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "spaced-digits": kernel_text("[[[1 2, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "number-before-a-row": kernel_text("[[5[, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "number-after-a-row": kernel_text("[[[1.5, 0.0]5, [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "number-split-by-a-bracket": kernel_text("[[1[.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "empty-leaf": kernel_text("[[[, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "leading-zero": kernel_text("[[[01.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "leading-zero-integer": kernel_text("[[[01, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "trailing-point": kernel_text("[[[1., 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "leading-point": kernel_text("[[[.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "plus-sign": kernel_text("[[[+1.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "bare-exponent": kernel_text("[[[1.5e, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "double-minus": kernel_text("[[[--1.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "ints": kernel_text("[[[1, 0], [0, 1]], [[0, 1], [1, 0]]]"),
+    "exponent-without-point": kernel_text("[[[1e-05, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "two-points": kernel_text("[[[1..5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "point-then-bare-e": kernel_text("[[[.e, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "two-leaves-in-a-slot": kernel_text("[[[1.5 2.5, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "true-leaf": kernel_text("[[[true, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "null-leaf": kernel_text("[[[null, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "string-leaf": kernel_text('[[["1", 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]'),
+    "nan": kernel_text("[[[NaN, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "infinity": kernel_text("[[[-Infinity, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "401-digit-integer": kernel_text("[[[1" + "0" * 400 + ", 0.0], [0.5, -0.25]], "
+                                     "[[0.5, 0.25], [2.5, 0.0]]]"),
+    "401-digit-float": kernel_text("[[[1" + "0" * 400 + ".5, 0.0], [0.5, -0.25]], "
+                                   "[[0.5, 0.25], [2.5, 0.0]]]"),
+    "form-feed": kernel_text("[[[1.5,\f0.0], [0.5, -0.25]], [[0.5, 0.25], [2.5, 0.0]]]"),
+    "three-wide-leaves": kernel_text("[[[1.5, 0.0, 1.5], [0.5, -0.25, 1.5]], "
+                                     "[[0.5, 0.25, 1.5], [2.5, 0.0, 1.5]]]"),
+    "six-deep": kernel_text("[[[[[[1.5, 0.0]]]]]]"),
+    "500-deep": kernel_text("[" * 499 + "1.5, 0.0" + "]" * 499),
+    "key-inside-a-string": kernel_text(GOOD, before=', "note": "see "values": [[[1.5, 0.0]]]"'),
+    "duplicate-values": kernel_text(GOOD, after=', "values": ' + GOOD),
+    "values-then-not-a-table": kernel_text(GOOD, after=', "values": 5'),
+    "garbage-after": kernel_text(GOOD + " 5"),
+    "two-commas-after": kernel_text(GOOD, after=",, \"dim\": 1"),
+    "deep-outer": kernel_text(GOOD, before=', "a": ' + "[" * 200 + "]" * 200),
+    "backslash": kernel_text(GOOD, before=', "note": "a\\u00e9"'),
+}
+
+# texts the table step must take, with what the unchanged step gives
+TAKEN = {
+    "compact": kernel_text(GOOD),
+    "tab-and-cr": kernel_text(GOOD.replace(", ", ",\t").replace("]], [[", "]],\r\n[[")),
+    "spaced": kernel_text(GOOD.replace("[", "[ ").replace("]", "\n ]").replace(",", " ,\n")),
+    "table-then-comma": kernel_text(GOOD + " \n ,\n", after='"dim": 1'),
+    "not-a-table-then-values": kernel_text(GOOD, before=', "values": 5'),
+    "spellings": kernel_text("[[[1.5E+5, -0.0], [4.9e-324, -2.5e-7]], "
+                             "[[0.5, 1.7976931348623157e308], [1.0e-05, 0.0]]]"),
+    "shape-the-schema-refuses": kernel_text("[[[1.5, 0.0], [0.5, -0.25]]]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_table_step_refuses(name):
+    data = REFUSED[name]
+    assert not taken(data)
+    assert_read_like_unchanged("k.json", data)
+
+
+@pytest.mark.parametrize("name", sorted(TAKEN))
+def test_table_step_takes(name):
+    data = TAKEN[name]
+    assert taken(data)
+    assert json.loads(data) is not None
+    assert_read_like_unchanged("k.json", data)
 
 
 # the CLI reads each input file once: the bytes it digests are the bytes it parses
@@ -310,3 +508,23 @@ def test_unreadable_inputs_are_refused_as_before(tmp_path, data):
     code, report = run_cli(["dbr-check", str(path)])
     assert code == 2
     assert report["verdict"] == refusal(str(path))
+
+
+def peak(step) -> int:
+    """The traced allocation peak of step(), in bytes."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ambient,n,dim,writer", [
+    ("bidisc", 150, 1, serialize.dumps),    # an indented 150-point K1, as agler-kernels writes
+    ("disc", 60, 3, json.dumps)])           # a compact dim-3 kernel, as kernel-cli's dBR chains
+def test_table_step_peak_is_at_most_the_unchanged_one(ambient, n, dim, writer):
+    data = writer(kernel_dict(ambient, n, dim, seed=5)).encode()
+    assert taken(data)
+    unchanged = peak(lambda: serialize.parse_object(serialize._read_json("k.json", data)))
+    assert peak(lambda: serialize.read("k.json", data)) <= unchanged
