@@ -291,22 +291,12 @@ def _cmd_dbr_ball(args, tol, seed):
                     "pass", "failed")
 
 
-def _split_report(v: Colligation, tol):
-    """split_colligation as a verdict; a failed condition exits 1."""
-    try:
-        result = factor_mod.split_colligation(v, tol)
-    except (ConditionFailedError, OriginZeroError) as exc:
-        return f"{type(exc).__name__.removesuffix('Error')}: {exc}", {}, 1
-    return "split", serialize.factorization_to_json(result), 0
-
-
 def _cmd_factor(args, tol, seed):
     obj = _load(args, args.input)
     if isinstance(obj, Colligation):
-        verdict, evidence, code = _split_report(obj, tol)
-        if code == 0:
-            verdict, evidence["separable"] = "separable", True
-        return verdict, evidence, code
+        evidence = serialize.factorization_to_json(factor_mod.split_colligation(obj, tol))
+        evidence["separable"] = True
+        return "separable", evidence, 0
     separable, residual = factor_mod._coefficient_separability(_as_function(obj), tol)
     evidence = {"separable": separable, "max_residual": residual, "V1": None, "V2": None}
     return ("separable", evidence, 0) if separable else ("not-separable", evidence, 1)
@@ -321,7 +311,7 @@ def _cmd_compose(args, tol, seed):
 
 def _cmd_split(args, tol, seed):
     v = _load_as(args, args.input, Colligation, "split expects a colligation")
-    return _split_report(v, tol)
+    return "split", serialize.factorization_to_json(factor_mod.split_colligation(v, tol)), 0
 
 
 def _cmd_model(args, tol, seed):
@@ -337,10 +327,7 @@ def _cmd_model(args, tol, seed):
 def _cmd_strip(args, tol, seed):
     obj = _load_as(args, args.input, (RationalFunction2, PowerSeries2),
                    "strip expects a rational2 or series2 input")
-    try:
-        p, stripped = strip_monomial(obj, tol=tol)
-    except NotDivisibleError as exc:
-        return f"NotDivisible: {exc}", {}, 1
+    p, stripped = strip_monomial(obj, tol=tol)
     if isinstance(stripped, RationalFunction2):
         out = serialize.rational_to_json(stripped)
     else:
@@ -376,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_, inputs=("input",), last_nargs=None):
+    def add(name, handler, help_, inputs=("input",), last_nargs=None, refusals=()):
         """A subcommand run by handler(args, tol, seed), whose positional
-        arguments `inputs` name input files (the last one taking last_nargs)."""
+        arguments `inputs` name input files (the last one taking last_nargs);
+        the DomainErrors in `refusals` are verdicts on the input, exit 1."""
         p = sub.add_parser(name, help=help_, parents=[common])
         for arg in inputs[:-1]:
             p.add_argument(arg)
         p.add_argument(inputs[-1], nargs=last_nargs)
-        p.set_defaults(handler=handler, inputs=inputs)
+        p.set_defaults(handler=handler, inputs=inputs, refusals=refusals)
         return p
 
     p = add("eval", _cmd_eval, "evaluate a function or transfer function")
@@ -407,12 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     add("dbr-polydisc", _cmd_dbr_polydisc, "polydisc kernel certificate verifier",
         ("kernel", "components"), last_nargs="+")
     add("dbr-ball", _cmd_dbr_ball, "ball kernel test")
+    split_refusals = (ConditionFailedError, OriginZeroError)
     add("factor", _cmd_factor, "separability of a polynomial, series or rational "
-        "function from its coefficient table / co-isometric split of a colligation")
+        "function from its coefficient table / co-isometric split of a colligation",
+        refusals=split_refusals)
     add("compose", _cmd_compose, "compose one-variable colligations", ("first", "second"))
-    add("split", _cmd_split, "split a colligation into one-variable factors")
+    add("split", _cmd_split, "split a colligation into one-variable factors",
+        refusals=split_refusals)
     add("model", _cmd_model, "model-space colligation of a finite Blaschke product")
-    add("strip", _cmd_strip, "strip powers of the first variable")
+    add("strip", _cmd_strip, "strip powers of the first variable",
+        refusals=(NotDivisibleError,))
     return parser
 
 
@@ -471,12 +463,14 @@ def _run(argv) -> int:
             MemoryError) as exc:
         # OSError reads as IOError and numpy's _ArrayMemoryError as
         # MemoryError; ParseError and SchemaError keep their names, other
-        # DomainErrors drop the Error suffix
+        # DomainErrors drop the Error suffix.  The subcommand's refusals
+        # exit 1, every other error 2
         name = "IOError" if isinstance(exc, OSError) else \
             "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         if isinstance(exc, DomainError) and not isinstance(exc, (ParseError, SchemaError)):
             name = name.removesuffix("Error")
-        verdict, evidence, code = f"{name}: {exc}", {}, 2
+        verdict, evidence = f"{name}: {exc}", {}
+        code = 1 if isinstance(exc, args.refusals) else 2
     report["verdict"] = verdict
     report["evidence"] = evidence
 

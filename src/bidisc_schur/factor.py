@@ -16,7 +16,6 @@ from .colligation import (
     _zero_coupling_parts,
     cascade_blocks,
     structure_report,
-    transfer_grid,
 )
 from .errors import (
     AxesOnlyGridError,
@@ -26,12 +25,9 @@ from .errors import (
     IdentityViolatedError,
     OriginZeroError,
 )
-from .functions import PointGrid, RationalFunction2, shared_grid
+from .functions import PointGrid, RationalFunction2
 from .kernels import SampledKernel, _shared_grid
 from .numlin import DEFAULT_TOL, EXACT_GUARD, frob
-
-_CERT_GRID_SIZE = 30
-_CERT_GRID_SEED = 20260810
 
 
 def _origin_value(f, tol: float) -> complex:
@@ -146,28 +142,34 @@ def check_condition_4(v: Colligation, tol: float = DEFAULT_TOL) -> bool:
 class FactorizationResult:
     """Split of a two-variable colligation into one-variable co-isometric
     factors, whose constant terms y = v1.a and x = v2.a have x y = a, and
-    the certificate residual of tau_V - tau_{V1} tau_{V2} over the test grid."""
+    the certificate ||V - cascade(V1, V2)||_F."""
 
     v1: Colligation
     v2: Colligation
     certificate: float
 
 
-def product_residual(v: Colligation, v1: Colligation, v2: Colligation,
-                     grid: PointGrid) -> float:
-    vals = transfer_grid(v, grid.points)
-    vals1 = transfer_grid(v1, grid.points[:, :1])
-    vals2 = transfer_grid(v2, grid.points[:, 1:])
-    return float(np.max(np.abs(vals - vals1 * vals2), initial=0.0))
-
-
 def _product_certificate(v: Colligation, v1: Colligation, v2: Colligation,
-                         tol: float, failure: str) -> float:
-    """product_residual on the certificate grid, at most numlin.floored(tol, 0)."""
-    grid = shared_grid("bidisc", _CERT_GRID_SIZE, _CERT_GRID_SEED)
-    residual = product_residual(v, v1, v2, grid)
-    if residual > numlin.floored(tol, 0.0):
-        raise IdentityViolatedError(f"{failure} (residual {residual:.3e})")
+                         tol: float) -> float:
+    """||V - cascade(V1, V2)||_F, at most numlin.bound(tol, ||V||_F).
+
+    The cascade of V1 = [[y, B1], [C1/x, D1]] and V2 = [[x, B2/y], [C2, D4]]
+    is [[x y, B1, B2], [C1, D1, C1 B2 / (x y)], [C2, 0, D4]] (cascade_blocks),
+    whose transfer function is tau_{V1}(z1) tau_{V2}(z2).  With x y = a it
+    is V exactly when a D2 = C1 B2 and the lower-left block vanishes, so
+    V = cascade(V1, V2) is an identity exact in exact arithmetic, and the
+    residual of the (1 + h) x (1 + h) matrices passes at numlin's rule, s
+    the norm ||V||_F of the sides compared.  It proves tau_V = tau_{V1}
+    tau_{V2} with no transfer function evaluated.  Up to rounding the
+    residual is that of D2 - C1 B2 / a and the lower-left block, the
+    splittability condition read at the scale of V rather than of a D, so a
+    miss is that condition failing: ConditionFailedError, a refusal."""
+    matrix = v.V
+    residual = frob(matrix - Colligation(*cascade_blocks(v1, v2), v.partition).V)
+    if residual > numlin.bound(tol, frob(matrix)):
+        raise ConditionFailedError(
+            "colligation fails the splittability condition: V is not the cascade "
+            f"of its split factors (residual {residual:.3e})")
     return residual
 
 
@@ -177,8 +179,9 @@ def split_colligation(v: Colligation, tol: float = DEFAULT_TOL) -> Factorization
         V1 = [[y, B1], [C1/x, D1]]   and   V2 = [[x, B2/y], [C2, D4]]
 
     with y = +sqrt(1 - B1 B1*) (positive real branch; any unimodular
-    rotation is gauge) and x = a/y.  Both factors are co-isometric and the
-    transfer functions multiply back to the original on a fixed test grid."""
+    rotation is gauge) and x = a/y.  Both factors are co-isometric and
+    their cascade is V (_product_certificate), so the transfer functions
+    multiply back to the original."""
     condition = check_condition_4(v, tol)     # the arity gate, before the origin test
     if abs(v.a) <= tol:
         raise OriginZeroError("cannot split: the constant term vanishes")
@@ -199,9 +202,7 @@ def _split(v: Colligation, tol: float) -> FactorizationResult:
     h1, h2 = v.partition
     v1 = Colligation(y, v.B1, v.C1 / x, v.D1, [h1])
     v2 = Colligation(x, v.B2 / y, v.C2, v.D4, [h2])
-    certificate = _product_certificate(
-        v, v1, v2, tol, "split factors do not reproduce the transfer function")
-    return FactorizationResult(v1, v2, certificate)
+    return FactorizationResult(v1, v2, _product_certificate(v, v1, v2, tol))
 
 
 def compose_colligations(v1: Colligation, v2: Colligation,
@@ -209,16 +210,15 @@ def compose_colligations(v1: Colligation, v2: Colligation,
     """Two-variable colligation realizing tau_{V1}(z1) * tau_{V2}(z2).
 
     Both factors must be isometric, or both co-isometric; the composition
-    preserves the shared class (and hence unitarity)."""
+    preserves the shared class (and hence unitarity).  It is the cascade of
+    the factors, whose transfer function is the product by construction."""
     c1 = v1.classify(tol)
     c2 = v2.classify(tol)
     if not ((c1.is_isometry and c2.is_isometry)
             or (c1.is_coisometry and c2.is_coisometry)):
         raise ClassMismatchError(
             "factors must share a class: both isometric or both co-isometric")
-    out = Colligation(*cascade_blocks(v1, v2), [v1.h, v2.h])
-    _product_certificate(out, v1, v2, tol, "composition does not realize the product")
-    return out
+    return Colligation(*cascade_blocks(v1, v2), [v1.h, v2.h])
 
 
 @dataclass(frozen=True)

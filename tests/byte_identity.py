@@ -11,13 +11,14 @@ a `git archive` of one.  Each tree runs in its own subprocess with its own
 `src` first on the path.
 
 The corpus is, in this order: the golden COMMANDS of tests/test_golden.py,
-FURTHER_COMMANDS on docs/examples, ERROR_COMMANDS (usage errors, refused
-inputs and `eval --at` cases), the commands that
-`bench/kernel_cli.build(1, work)` generates, and LAYOUT_COMMANDS, which read
-kernel files in the layout kernel-cli does not give them: an indented ball
-kernel and dim-3 dBR kernel, and a compact K1.  Its inputs are built once,
-by the working tree, and both trees get copies of the same files, so a
-change can only show in what a tree prints and writes.
+FURTHER_COMMANDS on docs/examples and the corpus's own inputs,
+ERROR_COMMANDS (usage errors, refused inputs and `eval --at` cases), the
+commands that `bench/kernel_cli.build(1, work)` generates, and
+LAYOUT_COMMANDS, which read kernel files in the layout kernel-cli does not
+give them: an indented ball kernel and dim-3 dBR kernel, and a compact K1.
+Its inputs are built once, by the working tree, and both trees get copies
+of the same files, so a change can only show in what a tree prints and
+writes.
 
 Each run directory is replaced by one token, and then every command's
 stdout, exit code and written files (`--out`, `--out-k1`, `--out-k2`), and
@@ -49,8 +50,8 @@ SRC_TOKEN = "<SRC>"
 OUT_FLAGS = ("--out", "--out-k1", "--out-k2")
 RATIONAL = "product_mobius_rational.json"
 
-# commands on docs/examples beyond the golden ones; model.json is written
-# by the golden model-blaschke command
+# commands on docs/examples and the corpus's own inputs beyond the golden
+# ones; model.json is written by the golden model-blaschke command
 FURTHER_COMMANDS = {
     "classify-separable": "classify separable_colligation.json",
     "classify-product-mobius": "classify product_mobius_colligation.json",
@@ -65,6 +66,8 @@ FURTHER_COMMANDS = {
     "factor-rational": f"factor {RATIONAL}",
     "strip-rational": f"strip {RATIONAL}",
     "split-product-mobius": "split product_mobius_colligation.json",
+    "split-cascade": "split cascade33.json",
+    "factor-cascade": "factor cascade33.json",
     "compose-mobius": "compose mobius1.json mobius1.json --out composed.json",
     "dbr-nf-check-dbr-kernel": "dbr-nf-check dbr_kernel.json",
     "agler-kernels-polydisc": "agler-kernels polydisc_colligation.json "
@@ -111,9 +114,12 @@ LAYOUT_COMMANDS = {
 def _inputs():
     """The corpus's own input files, name -> JSON object."""
     import numpy as np
+    from bidisc_schur import compose_colligations, model_colligation, serialize
 
     r = 3 ** 0.5 / 2
     crowded = np.outer([1.0, -0.5], np.poly(np.full(3, 0.999)))
+    cascade = compose_colligations(model_colligation(1.0, [0.3, -0.5j, 0.6 + 0.2j]),
+                                   model_colligation(np.exp(1j), [0.4, -0.7, 0.2j]))
     return {
         # the Mobius map (z + 1/2)/(1 + z/2) from a unitary colligation
         "mobius1.json": {"kind": "colligation", "a": [0.5, 0.0], "B": [[[r, 0.0]]],
@@ -127,6 +133,8 @@ def _inputs():
         "crowded.json": {"kind": "rational2", "monomial": [0, 0],
                          "denominator": {"kind": "poly2",
                                          "coeffs": np.stack([crowded, 0 * crowded], -1).tolist()}},
+        # the cascade of two degree-3 Blaschke products, split by split and factor
+        "cascade33.json": json.loads(serialize.dumps(serialize.colligation_to_json(cascade))),
     }
 
 
@@ -143,8 +151,8 @@ def prepare(directory: str) -> None:
 def corpus(directory: str) -> list:
     """prepare(directory), add the kernel-cli inputs, and return the corpus
     as [name, argv] pairs whose paths are relative to directory."""
-    prepare(directory)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    prepare(directory)
     from test_golden import COMMANDS
     import kernel_cli
 

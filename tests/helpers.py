@@ -176,6 +176,16 @@ def composed_blaschke(rng, max_degree=4, radius=0.8):
     return v, f1, f2
 
 
+def product_residual(v, v1, v2, grid):
+    """max |tau_V - tau_{V1} tau_{V2}| over the points of a bidisc grid, each
+    transfer function evaluated there: the transfer-level reference for a
+    split or a composition."""
+    vals = bs.transfer_grid(v, grid.points)
+    vals1 = bs.transfer_grid(v1, grid.points[:, :1])
+    vals2 = bs.transfer_grid(v2, grid.points[:, 1:])
+    return float(np.max(np.abs(vals - vals1 * vals2), initial=0.0))
+
+
 def dense_resolvent_solve(d, reps, rhs, transpose=False):
     """Reference for colligation._resolvent_solve, point by point: assemble
     I - E D with E = diag(reps[p]) and solve it (or its transpose) densely."""

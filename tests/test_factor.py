@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import bidisc_schur as bs
 from bidisc_schur import colligation, factor, numlin, serialize
+from bidisc_schur.cli import main
 from bidisc_schur.colligation import _zero_coupling_parts, transfer_grid, transfer_torus
 from bidisc_schur.errors import (
     AxesOnlyGridError,
@@ -14,7 +17,6 @@ from bidisc_schur.errors import (
     OriginZeroError,
     ResolventIllConditionedError,
 )
-from bidisc_schur.functions import shared_grid
 from bidisc_schur.kernels import SampledKernel
 from helpers import (
     as_json,
@@ -28,6 +30,7 @@ from helpers import (
     mobius,
     not_separable_tiny_origin,
     permutation_colligation,
+    product_residual,
     random_blaschke,
     szego_gram,
     tabulate,
@@ -353,23 +356,88 @@ def test_split_compose_roundtrip():
         v, _, _ = composed_blaschke(rng, max_degree=4, radius=0.8)
         res = bs.split_colligation(v)
         back = bs.compose_colligations(res.v1, res.v2)
-        assert factor.product_residual(v, res.v1, res.v2, grid) < 1e-9
+        assert product_residual(v, res.v1, res.v2, grid) < 1e-9
         vals_v = transfer_grid(v, grid.points)
         vals_back = transfer_grid(back, grid.points)
         assert np.max(np.abs(vals_v - vals_back)) < 1e-9
 
 
-def test_certificate_grid_is_built_once():
-    # one read-only grid, bit for bit the one make_grid builds, certifies
-    # every split and composition
-    grid = shared_grid("bidisc", factor._CERT_GRID_SIZE, factor._CERT_GRID_SEED)
-    assert grid is shared_grid("bidisc", factor._CERT_GRID_SIZE, factor._CERT_GRID_SEED)
-    assert not grid.points.flags.writeable
-    fresh = bs.make_grid("bidisc", factor._CERT_GRID_SIZE, factor._CERT_GRID_SEED)
-    assert grid.same_points(fresh)
-    v, _, _ = composed_blaschke(np.random.default_rng(60))
-    res = bs.split_colligation(v)
-    assert res.certificate == factor.product_residual(v, res.v1, res.v2, fresh)
+def test_split_recomposes_block_for_block(monkeypatch):
+    # the certificate is the block residual of V against the cascade of its
+    # factors, reached with no transfer function evaluated
+    rng = np.random.default_rng(60)
+    for _ in range(5):
+        v, _, _ = composed_blaschke(rng, max_degree=4, radius=0.8)
+        solves = count_calls(monkeypatch, colligation, "_resolvent_solve")
+        res = bs.split_colligation(v)
+        back = bs.compose_colligations(res.v1, res.v2)
+        assert solves == []
+        assert back.partition == v.partition
+        for block in ("a", "B1", "B2", "C1", "C2", "D1", "D2", "lower_left", "D4"):
+            assert np.allclose(getattr(back, block), getattr(v, block), rtol=0, atol=1e-14)
+        assert res.certificate == numlin.frob(v.V - back.V)
+        assert res.certificate <= numlin.bound(1e-9, numlin.frob(v.V))
+
+
+def rotated_cascade(scale, tol):
+    """A unitary cascade (|a| = 6.5e-3) whose state rows are rotated by
+    exp(t S), S skew-Hermitian coupling the two state blocks, so that its D2
+    and lower-left blocks leave the cascade identity: t is chosen so that
+    the block residual ||D2 - C1 B2 / a, lower-left||_F is scale times
+    bound(tol, ||V||_F).  It stays unitary, and with its small constant term
+    it satisfies the splittability condition."""
+    v0 = bs.compose_colligations(
+        bs.model_colligation(1.0, [0.5, -0.4j, 0.3]),
+        bs.model_colligation(np.exp(0.3j), [0.6, 0.2 + 0.3j, -0.5]))
+    h1 = v0.partition[0]
+    rng = np.random.default_rng(73)
+    s = np.zeros((v0.h, v0.h), dtype=complex)
+    s[:h1, h1:] = rng.normal(size=(h1, v0.h - h1)) + 1j * rng.normal(size=(h1, v0.h - h1))
+    s[h1:, :h1] = -s[:h1, h1:].conj().T
+    lam, q = np.linalg.eigh(1j * s)
+
+    def rotate(t):
+        w = (q * np.exp(-1j * t * lam)) @ q.conj().T
+        return bs.Colligation(v0.a, v0.B, w @ v0.C, w @ v0.D, v0.partition)
+
+    def block_residual(v):
+        return float(np.hypot(numlin.frob(v.D2 - v.C1 @ v.B2 / v.a), numlin.frob(v.lower_left)))
+
+    probe = 1e-8
+    t = probe * scale * numlin.bound(tol, numlin.frob(v0.V)) / block_residual(rotate(probe))
+    v = rotate(t)
+    return v, block_residual(v)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+def test_split_certificate_gate(tol):
+    # the residual is linear in t to O(t^2): within 1e-6 of its target
+    below, residual = rotated_cascade(0.5, tol)
+    gate = numlin.bound(tol, numlin.frob(below.V))
+    assert residual == pytest.approx(0.5 * gate, rel=1e-6)
+    assert bs.check_condition_4(below, tol)
+    res = bs.split_colligation(below, tol)
+    assert res.certificate == pytest.approx(residual, rel=1e-6)
+
+    above, residual = rotated_cascade(2.0, tol)
+    assert residual == pytest.approx(2.0 * numlin.bound(tol, numlin.frob(above.V)), rel=1e-6)
+    assert bs.check_condition_4(above, tol)
+    with pytest.raises(ConditionFailedError, match="not the cascade of its split factors"):
+        bs.split_colligation(above, tol)
+
+
+@pytest.mark.parametrize("command", ["split", "factor"])
+def test_cli_split_certificate_miss_is_a_refusal(tmp_path, capsys, command):
+    # condition 4 holds, the cascade identity does not: exit 1, as for
+    # any colligation failing the splittability condition
+    above, _ = rotated_cascade(2.0, 1e-9)
+    path = tmp_path / "above.json"
+    path.write_text(serialize.dumps(serialize.colligation_to_json(above)))
+    code = main(["--tol", "1e-9", command, str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"].startswith(
+        "ConditionFailed: colligation fails the splittability condition: V is not the cascade")
 
 
 def test_scaling_gauge_invariance():
